@@ -45,6 +45,7 @@ from watertank.simulate import (
     integrate_target,
     lyapunov_certificate,
     lyapunov_functional,
+    real_initial_datum,
 )
 from watertank.spectral import (
     BcKind,
@@ -295,17 +296,10 @@ def _c9():
     p = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=41, grid_points=4097)
     law = _cached_law(p, 41)
     rng = np.random.default_rng(2024)
-    K = law.n_list.size
-    i0 = law.index(0)
     rates, r2s = [], []
     window = (5.0 / p.mu, 15.0 / p.mu)
     for _ in range(10):
-        c0 = np.zeros(K, dtype=complex)
-        for n in range(1, 42):
-            a = (rng.standard_normal() + 1j * rng.standard_normal()) / (1 + n) ** 2
-            c0[law.index(n)] = a
-            c0[law.index(-n)] = np.conj(a)
-        c0[i0] = 0.0
+        c0 = real_initial_datum(rng, 41)
         traj = integrate_closed_loop(p, law, c0, t_final=window[1])
         r, r2 = decay_rate_estimate(traj, "da", window)
         rates.append(r)
@@ -420,12 +414,7 @@ def _c12():
     # short closed-loop run from real data stays real
     pr = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=21, grid_points=2049)
     lawr = _cached_law(pr, 21)
-    rng = np.random.default_rng(5)
-    c0 = np.zeros(43, dtype=complex)
-    for n in range(1, 22):
-        a = (rng.standard_normal() + 1j * rng.standard_normal()) / (1 + n) ** 2
-        c0[lawr.index(n)] = a
-        c0[lawr.index(-n)] = np.conj(a)
+    c0 = real_initial_datum(np.random.default_rng(5), 21)
     traj = integrate_closed_loop(pr, lawr, c0, t_final=3.0)
     real_drift = 0.0
     for i in range(traj.times.size):

@@ -2,7 +2,9 @@
 
 Subcommands: spectrum, controllability, feedback, simulate, lyapunov,
 steer, finite-demo, report. Exit codes: 0 success (or expected pattern),
-2 configuration error, 3 regime violation, 4 numerical failure.
+2 configuration error (a bad key or value, an unreadable file, an argument
+outside its domain), 3 regime violation, 4 numerical failure. Every nonzero
+exit prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ from watertank.control import (
     dual_exponentials,
     synthesize_open_loop,
 )
-from watertank.errors import ConfigError, NumericalError, RegimeError
+from watertank.errors import (
+    ConfigError,
+    DomainError,
+    GridMismatchError,
+    NumericalError,
+    RegimeError,
+)
 from watertank.feedback import feedback_coefficients, physical_feedback, zero_law
 from watertank.finite_dim import LinearPair, backstep_pair, ctrb
 from watertank.model import Params
@@ -31,6 +39,7 @@ from watertank.simulate import (
     integrate_closed_loop,
     integrate_open_loop_w,
     lyapunov_certificate,
+    real_initial_datum,
 )
 from watertank.spectral import BcKind, build_basis, find_eigenvalues, w_modes
 
@@ -43,18 +52,39 @@ _PARAM_KEYS = {
     "grid_points": int,
     "ode_tol": float,
     "t_final": float,
-    "dt": float,
 }
+
+
+def _int_list(text):
+    """``"0,1,-2"`` -> ``[0, 1, -2]``."""
+    return [int(s) for s in text.split(",")]
+
+
+def _target_map(text):
+    """``"1:1.0,3:0.5"`` -> ``{1: 1.0, 3: 0.5}``."""
+    target = {}
+    for part in text.split(","):
+        n, v = part.split(":")
+        target[int(n)] = float(v)
+    return target
+
+
+def _window(text):
+    """``"2.5:7.5"`` -> ``(2.5, 7.5)``."""
+    a, b = text.split(":")
+    return float(a), float(b)
+
+
 _COMMON_KEYS = {"seed": int, "outdir": str, "format": str}
 _COMMAND_KEYS = {
-    "spectrum": {"modes": str},
+    "spectrum": {"modes": _int_list},
     "controllability": {},
     "feedback": {},
-    "simulate": {"open_loop": int, "law_file": str, "fit_window": str},
+    "simulate": {"open_loop": int, "law_file": str, "fit_window": _window},
     "lyapunov": {"lam": float},
-    "steer": {"target": str},
+    "steer": {"target": _target_map},
     "finite-demo": {"count": int, "dim_max": int},
-    "report": {"criteria": str},
+    "report": {"criteria": _int_list},
 }
 
 
@@ -79,7 +109,10 @@ def load_config(path, overrides, command):
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
 
     if path:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from exc
         for ln, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -99,6 +132,22 @@ def load_config(path, overrides, command):
 def params_from_config(cfg) -> Params:
     kw = {k: cfg[k] for k in _PARAM_KEYS if k in cfg}
     return Params(**kw)
+
+
+def _read_law_table(path, K: int) -> np.ndarray:
+    """The modal table stored by ``watertank feedback`` in ``feedback.json``."""
+    try:
+        stored = json.loads(Path(path).read_text())
+        table = np.array(
+            [m["re"] + 1j * m["im"] for m in stored["law"]["modes"]], dtype=complex
+        )
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read law file {path}: {exc!r}") from exc
+    if table.shape != (K,):
+        raise ConfigError("law file truncation does not match n_modes")
+    if not np.all(np.isfinite(table)):
+        raise ConfigError(f"law file {path} has non-finite entries")
+    return table
 
 
 def _outdir(cfg) -> Path:
@@ -146,7 +195,10 @@ def cmd_spectrum(cfg) -> int:
     _write_csv(out / "spectrum_conservative.csv", ["n", "re", "im", "drift"], rows_c)
     _write_csv(out / "spectrum_damped.csv", ["n", "re", "im", "drift"], rows_d)
     if cfg.get("modes"):
-        wanted = [int(s) for s in cfg["modes"].split(",")]
+        wanted = cfg["modes"]
+        N = params.n_modes
+        if any(abs(n) > N for n in wanted):
+            raise ConfigError(f"modes {wanted} must lie in -{N}..{N}")
         basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes)
         header = ["x"]
         cols = [basis.grid]
@@ -254,28 +306,18 @@ def cmd_feedback(cfg) -> int:
 
 def cmd_simulate(cfg) -> int:
     params = params_from_config(cfg)
+    table = None
+    if cfg.get("law_file") and not cfg.get("open_loop"):
+        table = _read_law_table(cfg["law_file"], 2 * params.n_modes + 1)
     out = _outdir(cfg)
     basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes)
     if cfg.get("open_loop"):
         law = zero_law(params, basis)
-    elif cfg.get("law_file"):
-        law = feedback_coefficients(params, basis)
-        stored = json.loads(Path(cfg["law_file"]).read_text())
-        table = np.array(
-            [m["re"] + 1j * m["im"] for m in stored["law"]["modes"]], dtype=complex
-        )
-        if table.size != law.table.size:
-            raise ConfigError("law file truncation does not match n_modes")
-        law.table = table
     else:
         law = feedback_coefficients(params, basis)
-    rng = np.random.default_rng(cfg.get("seed", 0))
-    K = law.n_list.size
-    init = np.zeros(K, dtype=complex)
-    for n in range(1, params.n_modes + 1):
-        a = (rng.standard_normal() + 1j * rng.standard_normal()) / (1 + n) ** 2
-        init[law.index(n)] = a
-        init[law.index(-n)] = np.conj(a)
+        if table is not None:
+            law.table = table
+    init = real_initial_datum(np.random.default_rng(cfg.get("seed", 0)), params.n_modes)
     traj = integrate_closed_loop(params, law, init)
     header = (
         ["t"]
@@ -284,11 +326,8 @@ def cmd_simulate(cfg) -> int:
            "re_u", "im_u"]
     )
     _write_csv(out / "trajectory.csv", header, traj.csv_rows())
-    win = cfg.get("fit_window")
-    if win:
-        a, b = (float(s) for s in win.split(":"))
-        window = (a, b)
-    else:
+    window = cfg.get("fit_window")
+    if window is None:
         b = min(15.0 / params.mu, params.t_final)
         window = (min(5.0 / params.mu, 0.5 * b), b)
     rate, r2 = decay_rate_estimate(traj, "da", window)
@@ -338,11 +377,7 @@ def cmd_steer(cfg) -> int:
     if params.gamma <= 0:
         raise RegimeError("steering requires gamma > 0")
     out = _outdir(cfg)
-    target_spec = cfg.get("target", "1:1.0")
-    target = {}
-    for part in target_spec.split(","):
-        n, v = part.split(":")
-        target[int(n)] = float(v)
+    target = cfg.get("target", {1: 1.0})
     basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes)
     modes = w_modes(params, basis)
     tq = np.linspace(0.0, 2 * params.L, 8 * (params.grid_points - 1) + 1)
@@ -350,8 +385,7 @@ def cmd_steer(cfg) -> int:
     sig = synthesize_open_loop(params, modes, duals, target)
     _write_csv(out / "control.csv", ["t", "re_u", "im_u"], sig.to_csv_rows())
     init = np.zeros(modes.n_list.size, dtype=complex)
-    traj = integrate_open_loop_w(params, modes, sig, init, t_final=2 * params.L,
-                                 dt=1e-3)
+    traj = integrate_open_loop_w(params, modes, sig, init, t_final=2 * params.L)
     kvec = np.zeros(modes.n_list.size, dtype=complex)
     for n, v in target.items():
         kvec[modes.index(n)] = v
@@ -412,10 +446,11 @@ def cmd_finite_demo(cfg) -> int:
 
 def cmd_report(cfg) -> int:
     out = _outdir(cfg)
-    if cfg.get("criteria"):
-        wanted = [int(s) for s in cfg["criteria"].split(",")]
-    else:
-        wanted = None
+    wanted = cfg.get("criteria")
+    if wanted is not None:
+        unknown = sorted(set(wanted) - set(acceptance.CRITERIA))
+        if unknown:
+            raise ConfigError(f"unknown criteria {unknown}")
     results = acceptance.run_all(wanted)
     doc = {
         "criteria": [r.to_dict() for r in results],
@@ -454,7 +489,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.set, args.command)
         return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, DomainError, GridMismatchError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except RegimeError as exc:

@@ -216,21 +216,12 @@ class DualBasis:
         """
         if grid is None:
             grid = np.linspace(0.0, self.grid[-1], 4 * (self.grid.size - 1) + 1)
-        w = _simpson_1d(grid)
+        w = simpson_weights(grid)
         T = grid[-1]
         E = np.exp(np.outer(self.eigenvalues, grid - T))
         P = self.coeffs.T @ E  # duals sampled, (K, nq)
         G = (E * w) @ np.conj(P).T
         return float(np.max(np.abs(G - np.eye(self.eigenvalues.size))))
-
-
-def _simpson_1d(grid):
-    n = grid.size
-    h = grid[1] - grid[0]
-    w = np.full(n, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return w * (h / 3.0)
 
 
 def dual_exponentials(eigenvalues, quadrature) -> DualBasis:
@@ -252,7 +243,7 @@ def dual_exponentials(eigenvalues, quadrature) -> DualBasis:
     if grid.size % 2 == 0:
         raise ConfigError("quadrature grid must have an odd number of points")
     T = grid[-1]
-    w = _simpson_1d(grid)
+    w = simpson_weights(grid)
     E = np.exp(np.outer(eigenvalues, grid - T))  # (K, nq)
     G = (E * w) @ np.conj(E).T
     cond = float(np.linalg.cond(G))
@@ -295,7 +286,7 @@ class ControlSignal:
         return out
 
     def l2_norm(self) -> float:
-        w = _simpson_1d(self.t)
+        w = simpson_weights(self.t)
         return math.sqrt(float(np.sum(w * np.abs(self.u) ** 2)))
 
     def to_csv_rows(self):
@@ -319,6 +310,9 @@ def synthesize_open_loop(params: Params, modes: WModes, duals: DualBasis,
         )
     n_list = modes.n_list
     K = n_list.size
+    outside = [int(n) for n in target if abs(int(n)) > (K - 1) // 2]
+    if outside:
+        raise ConfigError(f"target modes {outside} outside the modes' -N..N")
     grid = modes.grid
     wq = simpson_weights(grid)
     cvec = np.zeros(K, dtype=complex)

@@ -40,7 +40,6 @@ __all__ = [
     "physical_to_zeta",
     "zeta_to_physical",
     "inner_product",
-    "plain_product",
     "mass_functional",
 ]
 
@@ -68,8 +67,8 @@ class Params:
         so composite Simpson applies.
     ode_tol : float
         Root/integration tolerance for the shooting solver.
-    t_final, dt : float
-        Simulation horizon and (maximum) time step.
+    t_final : float
+        Simulation horizon.
     """
 
     L: float = 1.0
@@ -80,7 +79,6 @@ class Params:
     grid_points: int = 2049
     ode_tol: float = 1e-9
     t_final: float = 10.0
-    dt: float = 5e-3
 
     def __post_init__(self):
         if self.L <= 0:
@@ -95,8 +93,8 @@ class Params:
             raise ConfigError("n_modes must be >= 1")
         if self.grid_points < 17 or self.grid_points % 2 == 0:
             raise ConfigError("grid_points must be odd and >= 17 (composite Simpson)")
-        if self.ode_tol <= 0 or self.t_final <= 0 or self.dt <= 0:
-            raise ConfigError("ode_tol, t_final, dt must be positive")
+        if self.ode_tol <= 0 or self.t_final <= 0:
+            raise ConfigError("ode_tol, t_final must be positive")
 
 
 class GridFunction2:
@@ -312,19 +310,6 @@ def inner_product(f: GridFunction2, g: GridFunction2) -> complex:
     L = f.grid[-1]
     integrand = f.f1 * np.conj(g.f1) + f.f2 * np.conj(g.f2)
     return complex(np.sum(w * integrand) / (2.0 * L))
-
-
-def plain_product(f: GridFunction2, g: GridFunction2, conjugate=True) -> complex:
-    """Unweighted L^2 pairing ``int (f1 g1~ + f2 g2~)``; bilinear if asked.
-
-    The moment closed forms (and the conserved mass) are stated without the
-    1/(2L) prefactor, so both pairings are needed.
-    """
-    if not f.same_grid(g):
-        raise GridMismatchError("plain_product requires a shared grid")
-    w = simpson_weights(f.grid)
-    g1, g2 = (np.conj(g.f1), np.conj(g.f2)) if conjugate else (g.f1, g.f2)
-    return complex(np.sum(w * (f.f1 * g1 + f.f2 * g2)))
 
 
 def mass_functional(params: Params, w: GridFunction2) -> complex:

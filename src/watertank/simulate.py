@@ -1,10 +1,12 @@
 """Time integration, Lyapunov certificates, and decay-rate estimation.
 
-Modal integrators use an integrating-factor (Lawson) RK4: the diagonal
-transport part is propagated by exact exponentials and RK4 handles only the
-smooth feedback/control coupling. The open-loop conservative system is then
-amplitude-exact to rounding, and the step size can follow
-``dt = min(0.5/|mu_N|, dt_user)`` without dissipating the high modes.
+The modal closed loop is linear with constant coefficients, so it is
+propagated by its exact matrix exponential and recorded at
+``RECORD_INTERVALS`` equal steps; there is no step size to choose. The
+open-loop w-system under a time-varying control steps with an integrating
+factor: the diagonal transport part is propagated by exact exponentials and
+Simpson's rule integrates the forcing. The recorded mass is linear in the
+modal coefficients, so it is one dot product with the per-mode masses.
 
 A first-order upwind scheme provides the independent cross-check path for
 the same systems on the spatial grid.
@@ -13,10 +15,10 @@ the same systems on the spatial grid.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from watertank.errors import ConfigError, DomainError, NumericalError
 from watertank.feedback import FeedbackLaw
@@ -34,6 +36,8 @@ from watertank.spectral import Basis, BcKind, WModes
 __all__ = [
     "Trajectory",
     "LyapunovCertificate",
+    "RECORD_INTERVALS",
+    "real_initial_datum",
     "integrate_closed_loop",
     "integrate_target",
     "integrate_open_loop_w",
@@ -44,6 +48,8 @@ __all__ = [
     "lyapunov_functional",
     "decay_rate_estimate",
 ]
+
+RECORD_INTERVALS = 500  # closed-loop records per run, after the initial state
 
 
 @dataclass
@@ -82,25 +88,28 @@ def _weights_da(eigenvalues):
     return 1.0 + np.abs(eigenvalues) ** 2
 
 
-def _lawson_step(c, dt, Eh, Eh2, nonlinear):
-    """One Lawson-RK4 step for ``c' = diag(log(Eh)/dt) c + g(c)``."""
-    k1 = nonlinear(c)
-    k2 = nonlinear(Eh2 * (c + 0.5 * dt * k1))
-    k3 = nonlinear(Eh2 * c + 0.5 * dt * k2)
-    k4 = nonlinear(Eh * c + dt * Eh2 * k3)
-    return Eh * c + (dt / 6.0) * (Eh * k1 + 2.0 * Eh2 * (k2 + k3) + k4)
+def _mode_masses(params, grid, values) -> np.ndarray:
+    """Mass functional of each mode's w-function: mass is linear in coefficients."""
+    return np.array([mass_functional(params, GridFunction2(grid, v)) for v in values])
 
 
-def _mass_from_zeta_coeffs(params, basis, coeffs, ew):
-    zeta = np.tensordot(coeffs, basis.values, axes=(0, 0))
-    w = GridFunction2(basis.grid, zeta / ew[None, :])
-    return mass_functional(params, w)
+def real_initial_datum(rng, n_modes: int) -> np.ndarray:
+    """Seeded real datum on modes ``-N..N``: conjugate pairs, mode 0 zero.
+
+    ``c_n = (a + i b)/(1+n)^2`` with a, b standard normal drawn in the order
+    n = 1..N (real part first), and ``c_{-n} = conj c_n``.
+    """
+    c0 = np.zeros(2 * n_modes + 1, dtype=complex)
+    for n in range(1, n_modes + 1):
+        a = (rng.standard_normal() + 1j * rng.standard_normal()) / (1 + n) ** 2
+        c0[n_modes + n] = a
+        c0[n_modes - n] = np.conj(a)
+    return c0
 
 
 def integrate_closed_loop(params: Params, law: FeedbackLaw, init,
-                          zeta0_init=0.0, t_final=None, dt=None,
-                          record_every=None) -> Trajectory:
-    """Closed-loop integration of the virtual-extended modal system.
+                          zeta0_init=0.0, t_final=None) -> Trajectory:
+    """Closed-loop propagation of the virtual-extended modal system.
 
     State: zeta coefficients over |n| <= N (mode 0 must start at zero: the
     physical mass constraint) plus the dynamic-extension scalar zeta0. The
@@ -108,6 +117,11 @@ def integrate_closed_loop(params: Params, law: FeedbackLaw, init,
     modes are forced through the physical profile moments <I, f_n> while
     ``zeta0' = nu u`` carries the virtual direction. A zero-table law (see
     feedback.zero_law) yields the open-loop skew system.
+
+    The extended system is linear with constant coefficients, ``y' = M y``
+    with ``M = diag(-mu_n, 0) + (<I, f_n>, nu) (table, table[0])``, so the
+    state is recorded at ``RECORD_INTERVALS`` equal steps of ``t_final`` by
+    the exact propagator ``expm(M t_final / RECORD_INTERVALS)``.
     """
     basis = law.basis
     if basis is None:
@@ -120,75 +134,41 @@ def integrate_closed_loop(params: Params, law: FeedbackLaw, init,
     i0 = law.index(0)
     if abs(init[i0]) > 1e-10:
         raise ConfigError("init must have zero mode-0 component (mass constraint)")
-    eigs = law.eigenvalues
     if t_final is None:
         t_final = params.t_final
-    if dt is None:
-        dt = min(0.5 / float(np.max(np.abs(eigs))), params.dt)
-    nst = int(math.ceil(t_final / dt))
-    dt = t_final / nst
-    if record_every is None:
-        record_every = max(1, nst // 500)
 
-    ext = np.concatenate([-eigs, [0.0]])  # linear part incl. zeta0 slot
+    eigs = law.eigenvalues
     table_ext = np.concatenate([law.table, [law.table[i0]]])
     force_ext = np.concatenate([law.i_moments, [law.nu]])
+    M = np.diag(np.concatenate([-eigs, [0.0]])) + np.outer(force_ext, table_ext)
+    if not np.all(np.isfinite(M)):
+        raise NumericalError("closed-loop generator has non-finite entries")
+    P = expm(M * (t_final / RECORD_INTERVALS))
+    y = np.empty((RECORD_INTERVALS + 1, K + 1), dtype=complex)
+    y[0, :K] = init
+    y[0, K] = zeta0_init
+    for k in range(RECORD_INTERVALS):
+        y[k + 1] = P @ y[k]
+    if not np.all(np.isfinite(y)):
+        raise NumericalError("closed-loop state is not finite")
 
-    def nonlinear(y):
-        return (table_ext @ y) * force_ext
-
+    coeffs, zeta0 = y[:, :K], y[:, K]
+    zc = coeffs.copy()
+    zc[:, i0] += zeta0
     ew = diagonal_weight(params, basis.grid)
-    wda = np.concatenate([_weights_da(eigs), [1.0]])
-
-    for attempt in range(4):
-        Eh = np.exp(ext * dt)
-        Eh2 = np.exp(ext * dt / 2.0)
-        y = np.concatenate([init, [complex(zeta0_init)]])
-        scale0 = max(float(np.max(np.abs(y))), 1e-300)
-        times, coeffs, z0s, l2s, das, masses, us = [], [], [], [], [], [], []
-
-        def record(t, y):
-            z = y[:K].copy()
-            z0 = y[K]
-            zc = z.copy()
-            zc[i0] += z0
-            times.append(t)
-            coeffs.append(z)
-            z0s.append(z0)
-            l2s.append(float(np.sqrt(np.sum(np.abs(zc) ** 2))))
-            das.append(float(np.sqrt(np.sum(wda[:K] * np.abs(zc) ** 2))))
-            masses.append(_mass_from_zeta_coeffs(params, basis, z, ew))
-            us.append(complex(table_ext @ y))
-
-        record(0.0, y)
-        blown = False
-        for k in range(nst):
-            y = _lawson_step(y, dt, Eh, Eh2, nonlinear)
-            if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > 1e8 * scale0:
-                blown = True
-                break
-            if (k + 1) % record_every == 0 or k == nst - 1:
-                record((k + 1) * dt, y)
-        if not blown:
-            break
-        dt *= 0.5
-        nst *= 2
-        warnings.warn(
-            f"closed-loop step rejected (state blow-up); retrying with dt = {dt:g}"
-        )
-    else:
-        raise NumericalError("closed-loop integration failed after step halvings")
-
+    masses = _mode_masses(params, basis.grid, (v / ew for v in basis.values))
     return Trajectory(
-        params=params, n_list=n_list.copy(), times=np.array(times),
-        coeffs=np.array(coeffs), zeta0=np.array(z0s),
-        norm_l2=np.array(l2s), norm_da=np.array(das),
-        mass=np.array(masses), control=np.array(us),
+        params=params, n_list=n_list.copy(),
+        times=np.linspace(0.0, t_final, RECORD_INTERVALS + 1),
+        coeffs=coeffs, zeta0=zeta0,
+        norm_l2=np.sqrt(np.sum(np.abs(zc) ** 2, axis=1)),
+        norm_da=np.sqrt(np.sum(_weights_da(eigs) * np.abs(zc) ** 2, axis=1)),
+        mass=coeffs @ masses, control=y @ table_ext,
     )
 
 
 def integrate_target(params: Params, basis: Basis, init, t_final=None,
-                     dt=None, n_samples=400) -> Trajectory:
+                     n_samples=400) -> Trajectory:
     """Uncontrolled target system: exact diagonal decay on the damped basis."""
     if basis.kind is not BcKind.DAMPED:
         raise ConfigError("integrate_target expects the damped basis")
@@ -213,13 +193,15 @@ def integrate_target(params: Params, basis: Basis, init, t_final=None,
 
 
 def integrate_open_loop_w(params: Params, modes: WModes, control, init,
-                          t_final, dt=None, record_every=None) -> Trajectory:
+                          t_final, dt=1e-3, record_every=None) -> Trajectory:
     """w-system under a prescribed control: ``w_n' = -mu_n w_n + u(t) beta_n``.
 
     ``beta_n = b_n / <psi_n, chi_n>`` (plain bilinear pairing in both
-    factors); ``control`` is a ControlSignal or None. The recorded mass is
-    the quadrature mass functional of the reconstructed state -- a genuine
-    cross-check of the conserved-weight closed form against the modal data.
+    factors); ``control`` is a ControlSignal or None. Each step propagates
+    the diagonal part exactly and integrates the forcing by Simpson's rule.
+    The recorded mass applies the quadrature mass functional of each psi_n
+    to the coefficients -- a genuine cross-check of the conserved-weight
+    closed form against the modal data.
     """
     n_list = modes.n_list
     K = n_list.size
@@ -227,8 +209,6 @@ def integrate_open_loop_w(params: Params, modes: WModes, control, init,
     if init.shape != (K,):
         raise ConfigError(f"init must have shape ({K},)")
     eigs = modes.eigenvalues
-    if dt is None:
-        dt = min(0.5 / float(np.max(np.abs(eigs))), params.dt)
     nst = int(math.ceil(t_final / dt))
     dt = t_final / nst
     if record_every is None:
@@ -244,43 +224,37 @@ def integrate_open_loop_w(params: Params, modes: WModes, control, init,
     beta = b / pair
     Eh = np.exp(-eigs * dt)
     Eh2 = np.exp(-eigs * dt / 2.0)
-    y = init.copy()
-    wda = _weights_da(eigs)
-
-    times, coeffs, l2s, das, masses, us = [], [], [], [], [], []
 
     def u_at(t):
         if control is None:
             return 0.0 + 0.0j
         return complex(control(np.array([t]))[0])
 
-    def record(t, y):
-        times.append(t)
-        coeffs.append(y.copy())
-        l2s.append(float(np.sqrt(np.sum(np.abs(y) ** 2))))
-        das.append(float(np.sqrt(np.sum(wda * np.abs(y) ** 2))))
-        wfun = GridFunction2(
-            modes.grid, np.tensordot(y, modes.psi, axes=(0, 0))
-        )
-        masses.append(mass_functional(params, wfun))
-        us.append(u_at(t))
-
-    record(0.0, y)
+    y = init.copy()
+    u0 = u_at(0.0)
+    times, coeffs, us = [0.0], [y], [u0]
     for k in range(nst):
         t = k * dt
-        k1 = u_at(t) * beta
+        u1 = u_at(t + dt)
+        k1 = u0 * beta
         k2 = u_at(t + dt / 2) * beta  # midpoint forcing serves both k2 and k3
-        k4 = u_at(t + dt) * beta
+        k4 = u1 * beta
         y = Eh * y + (dt / 6.0) * (Eh * k1 + 4.0 * Eh2 * k2 + k4)
         if (k + 1) % record_every == 0 or k == nst - 1:
-            record((k + 1) * dt, y)
+            times.append((k + 1) * dt)
+            coeffs.append(y)
+            us.append(u1)
+        u0 = u1
 
+    coeffs = np.array(coeffs)
     zeros = np.zeros(len(times), dtype=complex)
     return Trajectory(
         params=params, n_list=n_list.copy(), times=np.array(times),
-        coeffs=np.array(coeffs), zeta0=zeros,
-        norm_l2=np.array(l2s), norm_da=np.array(das),
-        mass=np.array(masses), control=np.array(us),
+        coeffs=coeffs, zeta0=zeros,
+        norm_l2=np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=1)),
+        norm_da=np.sqrt(np.sum(_weights_da(eigs) * np.abs(coeffs) ** 2, axis=1)),
+        mass=coeffs @ _mode_masses(params, modes.grid, modes.psi),
+        control=np.array(us),
     )
 
 

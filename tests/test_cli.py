@@ -44,6 +44,35 @@ class TestConfigHandling:
         assert code == 2
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["lyapunov", "--set", "lam=5"],
+            ["steer", "--set", "gamma=0.05", "--set", "target=1"],
+            ["steer", "--set", "gamma=0.05", "--set", "target=9:1.0"],
+            ["spectrum", "--set", "modes=x"],
+            ["spectrum", "--set", "modes=0,9"],
+            ["simulate", "--set", "law_file={tmp}/missing.json"],
+            ["simulate", "--set", "law_file={tmp}/nan_law.json"],
+            ["simulate", "--set", "law_file={tmp}/run.cfg"],
+            ["simulate", "--set", "fit_window=1"],
+            ["report", "--set", "criteria=13"],
+            ["spectrum", "--config", "{tmp}/missing.cfg"],
+        ],
+    )
+    def test_exit2_with_one_line(self, args, tmp_path, capsys):
+        modes = [{"n": n, "re": float("nan") if n == 2 else 1.0, "im": 0.0}
+                 for n in range(-4, 5)]
+        (tmp_path / "nan_law.json").write_text(json.dumps({"law": {"modes": modes}}))
+        (tmp_path / "run.cfg").write_text("gamma = 0.03\n")
+        args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+        code = run(args + FAST, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
 class TestSpectrumCommand:
     def test_gamma0_drift_zero(self, tmp_path):
         code = run(["spectrum", "--set", "gamma=0.0"] + FAST, tmp_path)

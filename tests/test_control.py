@@ -149,6 +149,12 @@ class TestSynthesizeOpenLoop:
         with pytest.raises(UncontrollableError):
             synthesize_open_loop(p, modes, duals, {0: 1.0})
 
+    @pytest.mark.parametrize("n", [13, -13])
+    def test_target_outside_truncation_rejected(self, setup, n):
+        p, modes, duals = setup
+        with pytest.raises(ConfigError):
+            synthesize_open_loop(p, modes, duals, {n: 1.0})
+
     def test_gamma0_even_target_uncontrollable(self, p_gamma0, wmodes_cache):
         modes = wmodes_cache(p_gamma0, 6)
         tq = np.linspace(0.0, 2 * p_gamma0.L, 4097)

@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from watertank.errors import ConfigError, DomainError
+from watertank.errors import ConfigError, DomainError, NumericalError
 from watertank.feedback import feedback_coefficients, zero_law
 from watertank.model import Params, simpson_weights, uniform_grid
 from watertank.simulate import (
+    RECORD_INTERVALS,
     Trajectory,
     decay_rate_estimate,
     fd_simulate,
@@ -16,19 +19,9 @@ from watertank.simulate import (
     integrate_target,
     lyapunov_certificate,
     lyapunov_functional,
+    real_initial_datum,
 )
 from watertank.spectral import BcKind
-
-
-def _real_symmetric_init(law, rng, decay=2):
-    K = law.n_list.size
-    c0 = np.zeros(K, dtype=complex)
-    N = (K - 1) // 2
-    for n in range(1, N + 1):
-        a = (rng.standard_normal() + 1j * rng.standard_normal()) / (1 + n) ** decay
-        c0[law.index(n)] = a
-        c0[law.index(-n)] = np.conj(a)
-    return c0
 
 
 class TestClosedLoopIntegration:
@@ -36,7 +29,7 @@ class TestClosedLoopIntegration:
         # skew diagonal generator: every |c_n| and the mass stay constant
         basis = basis_cache(p_std, BcKind.CONSERVATIVE, 20)
         law = zero_law(p_std, basis)
-        c0 = _real_symmetric_init(law, np.random.default_rng(3))
+        c0 = real_initial_datum(np.random.default_rng(3), 20)
         traj = integrate_closed_loop(p_std, law, c0, t_final=10 * p_std.L)
         drift = np.max(np.abs(np.abs(traj.coeffs) - np.abs(traj.coeffs[0])[None, :]))
         assert drift < 1e-8
@@ -45,7 +38,7 @@ class TestClosedLoopIntegration:
     def test_mode0_stays_dead(self, p_synth, basis_cache):
         basis = basis_cache(p_synth, BcKind.CONSERVATIVE, 20)
         law = feedback_coefficients(p_synth, basis)
-        c0 = _real_symmetric_init(law, np.random.default_rng(4))
+        c0 = real_initial_datum(np.random.default_rng(4), 20)
         traj = integrate_closed_loop(p_synth, law, c0, t_final=5.0)
         assert np.max(np.abs(traj.coeffs[:, law.index(0)])) < 1e-8
 
@@ -94,9 +87,49 @@ class TestClosedLoopIntegration:
     def test_closed_loop_norm_decays(self, p_synth, basis_cache):
         basis = basis_cache(p_synth, BcKind.CONSERVATIVE, 20)
         law = feedback_coefficients(p_synth, basis)
-        c0 = _real_symmetric_init(law, np.random.default_rng(5))
+        c0 = real_initial_datum(np.random.default_rng(5), 20)
         traj = integrate_closed_loop(p_synth, law, c0, t_final=10.0)
         assert traj.norm_da[-1] < 0.25 * traj.norm_da[0]
+
+
+class TestClosedLoopPropagator:
+    P8 = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=8, grid_points=1025)
+
+    def _law(self, basis_cache):
+        return feedback_coefficients(self.P8, basis_cache(self.P8, BcKind.CONSERVATIVE, 8))
+
+    def test_matches_solve_ivp(self, basis_cache):
+        # independent reference: a tight adaptive DOP853 run of the same
+        # extended system y' = M y, sampled at the recorded times
+        law = self._law(basis_cache)
+        c0 = real_initial_datum(np.random.default_rng(6), 8)
+        traj = integrate_closed_loop(self.P8, law, c0, zeta0_init=0.1, t_final=3.0)
+        i0 = law.index(0)
+        table_ext = np.append(law.table, law.table[i0])
+        force_ext = np.append(law.i_moments, law.nu)
+        M = np.diag(np.append(-law.eigenvalues, 0.0)) + np.outer(force_ext, table_ext)
+        ref = solve_ivp(lambda t, y: M @ y, (0.0, 3.0), np.append(c0, 0.1 + 0j),
+                        method="DOP853", t_eval=traj.times, rtol=1e-12, atol=1e-14)
+        assert ref.success
+        y = ref.y.T
+        for got, want in ((traj.coeffs, y[:, :-1]), (traj.zeta0, y[:, -1]),
+                          (traj.control, y @ table_ext)):
+            assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
+
+    def test_record_times_span_the_run(self, basis_cache):
+        law = self._law(basis_cache)
+        traj = integrate_closed_loop(self.P8, law, np.zeros(17, dtype=complex),
+                                     t_final=2.5)
+        assert traj.times.size == RECORD_INTERVALS + 1
+        assert traj.times[0] == 0.0 and traj.times[-1] == 2.5
+
+    def test_non_finite_table_raises(self, basis_cache):
+        law = self._law(basis_cache)
+        table = law.table.copy()
+        table[law.index(3)] = np.nan
+        with pytest.raises(NumericalError):
+            integrate_closed_loop(self.P8, replace(law, table=table),
+                                  real_initial_datum(np.random.default_rng(1), 8))
 
 
 class TestClosedLoopFdReplay:
@@ -107,9 +140,9 @@ class TestClosedLoopFdReplay:
         p = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=8, grid_points=2049)
         basis = basis_cache(p, BcKind.CONSERVATIVE, 8)
         law = feedback_coefficients(p, basis)
-        c0 = _real_symmetric_init(law, np.random.default_rng(3))
+        c0 = real_initial_datum(np.random.default_rng(3), 8)
         t_final = 1.5
-        traj = integrate_closed_loop(p, law, c0, t_final=t_final, record_every=1)
+        traj = integrate_closed_loop(p, law, c0, t_final=t_final)
         grid = uniform_grid(p)
         dx = grid[1] - grid[0]
         nst = int(round(t_final / dx))
