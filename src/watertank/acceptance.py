@@ -18,6 +18,7 @@ enough for the R^2 > 0.98 clause. Both report the causes in their details.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -32,11 +33,15 @@ from watertank.backstepping import (
     galerkin_spectrum,
     match_spectrum,
 )
-from watertank.control import dual_exponentials, moment_b, synthesize_open_loop
-from watertank.errors import NumericalError
+from watertank.control import (
+    dual_exponentials,
+    moment_b,
+    plain_moments,
+    synthesize_open_loop,
+)
 from watertank.feedback import feedback_coefficients
-from watertank.finite_dim import LinearPair, backstep_pair, ctrb
-from watertank.model import Params, simpson_weights
+from watertank.finite_dim import random_backstep_pairs
+from watertank.model import Params
 from watertank.simulate import (
     decay_rate_estimate,
     gamma_s_threshold,
@@ -57,7 +62,7 @@ from watertank.spectral import (
     w_modes,
 )
 
-__all__ = ["CriterionResult", "run_criterion", "run_all", "CRITERIA"]
+__all__ = ["CriterionResult", "cached_basis", "run_criterion", "run_all", "CRITERIA"]
 
 
 @dataclass
@@ -78,19 +83,26 @@ class CriterionResult:
         }
 
 
-@lru_cache(maxsize=32)
-def _cached_basis(params: Params, kind: BcKind, N: int, with_duals: bool = True):
-    return build_basis(params, kind, N, with_duals=with_duals)
+@lru_cache(maxsize=None)
+def _basis_memo(params: Params, kind: BcKind, N: int, with_duals: bool):
+    return build_basis(params, kind, N, with_duals)
 
 
-@lru_cache(maxsize=32)
-def _cached_w_modes(params: Params, N: int):
-    return w_modes(params, _cached_basis(params, BcKind.CONSERVATIVE, N))
+def cached_basis(params: Params, kind: BcKind, N=None, with_duals=True):
+    """``build_basis`` memoized on ``(params, kind, N, with_duals)``.
+
+    ``N`` defaults to ``params.n_modes`` before the lookup, so a defaulted
+    and an explicit argument share one entry.
+    """
+    return _basis_memo(params, kind, params.n_modes if N is None else int(N), bool(with_duals))
 
 
-@lru_cache(maxsize=32)
-def _cached_law(params: Params, N: int):
-    return feedback_coefficients(params, _cached_basis(params, BcKind.CONSERVATIVE, N))
+def _w_modes(params: Params, N: int):
+    return w_modes(params, cached_basis(params, BcKind.CONSERVATIVE, N))
+
+
+def _law(params: Params, N: int):
+    return feedback_coefficients(params, cached_basis(params, BcKind.CONSERVATIVE, N))
 
 
 def _c1():
@@ -134,7 +146,7 @@ def _c3():
     errs = {}
     for g in gammas:
         p = Params(gamma=g, mu=2.0, nu=0.5, n_modes=10, grid_points=1025)
-        basis = _cached_basis(p, BcKind.CONSERVATIVE, 10, True)
+        basis = cached_basis(p, BcKind.CONSERVATIVE, 10, True)
         for n in ns:
             psi = kato_psi(p, basis, n)
             psi0 = reference_mode(p, BcKind.CONSERVATIVE, n, basis.grid)
@@ -156,7 +168,7 @@ def _c3():
 
 def _c4():
     p0 = Params(gamma=0.0, mu=2.0, nu=0.5, n_modes=20, grid_points=2049)
-    m0 = _cached_w_modes(p0, 20)
+    m0 = _w_modes(p0, 20)
     even_max = 0.0
     odd_err = 0.0
     for n in range(1, 21):
@@ -166,7 +178,7 @@ def _c4():
         else:
             odd_err = max(odd_err, abs(b - (-4j * p0.L / (math.pi * n))))
     p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=20, grid_points=2049)
-    m = _cached_w_modes(p, 20)
+    m = _w_modes(p, 20)
     nb = np.array([n * abs(moment_b(p, m, n)) for n in range(1, 21)])
     c_fit = float(nb.min() / p.gamma)
     C_fit = float(nb.max())
@@ -186,15 +198,11 @@ def _c5():
     consts = {}
     for g in (0.01, 0.02):
         p = Params(gamma=g, mu=mu, nu=0.5, n_modes=10, grid_points=2049)
-        bd = _cached_basis(p, BcKind.DAMPED, 10, True)
-        wq = simpson_weights(bd.grid)
-        errs = []
-        for n in range(-10, 11):
-            phi = bd.dual(n)
-            mom = complex(np.sum(wq * (phi.f1 + phi.f2)))
-            q = -bd.eigenvalue(n) * np.conj(mom)
-            target = 2 * (-1.0) ** n * math.exp(-mu * p.L) - 1 - math.exp(-2 * mu * p.L)
-            errs.append(abs(q - target))
+        bd = cached_basis(p, BcKind.DAMPED, 10, True)
+        q = -bd.eigenvalues * np.conj(plain_moments(bd.dual_values, bd.grid))
+        n = bd.n_list
+        target = 2 * (-1.0) ** n * math.exp(-mu * p.L) - 1 - math.exp(-2 * mu * p.L)
+        errs = np.abs(q - target)
         combos[g] = float(max(errs))
         consts[g] = float(max(errs) / g)
     ratio = consts[0.02] / consts[0.01]
@@ -210,7 +218,7 @@ def _c5():
 
 def _c6():
     p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=12, grid_points=2049)
-    modes = _cached_w_modes(p, 12)
+    modes = _w_modes(p, 12)
     # 8x oversampling relative to the spatial grid for the dual quadrature
     tq = np.linspace(0.0, 2 * p.L, 8 * (p.grid_points - 1) + 1)
     duals = dual_exponentials(modes.eigenvalues, tq)
@@ -239,8 +247,8 @@ def _c6():
 
 def _c7():
     p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=40, grid_points=4097)
-    basis = _cached_basis(p, BcKind.CONSERVATIVE, 40, True)
-    bd = _cached_basis(p, BcKind.DAMPED, 5, True)
+    basis = cached_basis(p, BcKind.CONSERVATIVE, 40, True)
+    bd = cached_basis(p, BcKind.DAMPED, 5, True)
     errs = {}
     for m in range(-5, 6):
         phi = bd.dual(m)
@@ -258,11 +266,11 @@ def _c7():
 def _c8():
     t0 = time.time()
     p = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=41, grid_points=4097)
-    law = _cached_law(p, 41)
+    law = _law(p, 41)
     eig = closed_loop_spectrum(p, law.basis, law)
     galerkin = galerkin_spectrum(law)
     pd = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=12, grid_points=2049)
-    bd = _cached_basis(pd, BcKind.DAMPED, 12, False)
+    bd = cached_basis(pd, BcKind.DAMPED, 12, False)
     ptab = np.arange(-10, 11)
     targets = np.array([-bd.eigenvalue(k) for k in ptab])
     dist = match_spectrum(eig, targets)
@@ -294,7 +302,7 @@ def _c8():
 
 def _c9():
     p = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=41, grid_points=4097)
-    law = _cached_law(p, 41)
+    law = _law(p, 41)
     rng = np.random.default_rng(2024)
     rates, r2s = [], []
     window = (5.0 / p.mu, 15.0 / p.mu)
@@ -333,7 +341,7 @@ def _c10():
     lam = p.mu / 2.0
     gs = gamma_s_threshold(p, lam)
     cert = lyapunov_certificate(p, lam)
-    bd = _cached_basis(p, BcKind.DAMPED, 20, True)
+    bd = cached_basis(p, BcKind.DAMPED, 20, True)
     rng = np.random.default_rng(42)
     c0 = (rng.standard_normal(41) + 1j * rng.standard_normal(41)) / (
         1 + np.abs(np.arange(-20, 21))
@@ -358,27 +366,11 @@ def _c10():
 
 
 def _c11():
-    rng = np.random.default_rng(7)
     worst_res = 0.0
     worst_eig = 0.0
-    count = 0
-    while count < 100:
-        n = int(rng.integers(2, 7))
-        A = rng.standard_normal((n, n))
-        B = rng.standard_normal(n)
-        At = rng.standard_normal((n, n))
-        pa = LinearPair(A, B)
-        pt = LinearPair(At, B)
-        if (
-            np.linalg.matrix_rank(ctrb(pa)) < n
-            or np.linalg.matrix_rank(ctrb(pt)) < n
-        ):
-            continue
-        try:
-            T, Kg = backstep_pair(pa, pt)
-        except NumericalError:
-            continue  # ill-conditioned draw; backstep_pair enforces 1e-10 itself
-        count += 1
+    draws = random_backstep_pairs(np.random.default_rng(7), dim_max=6)
+    for pa, pt, T, Kg in itertools.islice(draws, 100):
+        A, B, At = pa.A, pa.B, pt.A
         r1 = np.max(np.abs(T @ A + np.outer(B, Kg) - At @ T))
         r2 = np.max(np.abs(T @ B - B))
         worst_res = max(worst_res, float(r1), float(r2))
@@ -387,7 +379,7 @@ def _c11():
         worst_eig = max(worst_eig, float(np.max(np.abs(e1 - e2))))
     passed = worst_res < 1e-10 * 10 and worst_eig < 1e-8
     return passed, {
-        "pairs": count,
+        "pairs": 100,
         "max_equation_residual": worst_res,
         "max_spectrum_mismatch": worst_eig,
         "residual_tolerance": 1e-9,
@@ -397,7 +389,7 @@ def _c11():
 
 def _c12():
     p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=20, grid_points=2049)
-    basis = _cached_basis(p, BcKind.CONSERVATIVE, 20, True)
+    basis = cached_basis(p, BcKind.CONSERVATIVE, 20, True)
     sym_conj = max(
         float(np.max(np.abs(basis.func(-n).values - np.conj(basis.func(n).values))))
         for n in range(0, 21)
@@ -406,14 +398,14 @@ def _c12():
         float(np.max(np.abs(basis.func(-n).f1 + basis.func(n).f2)))
         for n in range(0, 21)
     )
-    law = _cached_law(p, 20)
+    law = _law(p, 20)
     tab_sym = max(
         float(abs(law.value(-n) - np.conj(law.value(n))) / abs(law.value(n)))
         for n in range(0, 21)
     )
     # short closed-loop run from real data stays real
     pr = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=21, grid_points=2049)
-    lawr = _cached_law(pr, 21)
+    lawr = _law(pr, 21)
     c0 = real_initial_datum(np.random.default_rng(5), 21)
     traj = integrate_closed_loop(pr, lawr, c0, t_final=3.0)
     real_drift = 0.0

@@ -22,8 +22,8 @@ from scipy.special import psi
 
 from watertank.errors import NumericalError, RegimeError
 from watertank.feedback import FeedbackLaw, virtual_profile
-from watertank.model import GridFunction2, Params, simpson_weights
-from watertank.spectral import Basis, _pairings
+from watertank.model import GridFunction2, Params
+from watertank.spectral import Basis, ModeIndexed, pairings
 
 __all__ = [
     "TransformMatrix",
@@ -41,7 +41,7 @@ __all__ = [
 
 
 @dataclass
-class TransformMatrix:
+class TransformMatrix(ModeIndexed):
     """Backstepping transform in modal coordinates, with conditioning data."""
 
     params: Params
@@ -52,9 +52,6 @@ class TransformMatrix:
     i_nu_target_moments: np.ndarray  # <I_nu, dual_p>
     weighted_condition: float
     law: FeedbackLaw = None
-
-    def index(self, n: int) -> int:
-        return int(n) + (self.n_list.size - 1) // 2
 
     def apply(self, coeffs) -> np.ndarray:
         """Map source coefficients (over f_n) to target coefficients."""
@@ -89,12 +86,8 @@ def build_transform(params: Params, basisA: Basis, basisAtilde: Basis,
         raise ValueError("target basis must carry biorthogonal duals")
     if basisA.n_list.size != basisAtilde.n_list.size:
         raise ValueError("bases must share the truncation window")
-    i_nu = virtual_profile(params, basisA)
-    K = basisA.n_list.size
-    grid = basisA.grid
-    itld = _pairings(
-        np.broadcast_to(i_nu.values, (K, 2, grid.size)),
-        basisAtilde.dual_values, grid,
+    itld = pairings(
+        virtual_profile(params, basisA).values, basisAtilde.dual_values, basisA.grid
     )
     denom = basisAtilde.eigenvalues[:, None] - basisA.eigenvalues[None, :]
     gap = float(np.min(np.abs(denom)))
@@ -140,7 +133,6 @@ def kn_relation_check(params: Params, basisA: Basis, basisAtilde: Basis,
         n_values = [n for n in basisA.n_list if abs(n) <= 3]
     taus = tau_tilde_scalars(params, basisAtilde)
     grid = basisA.grid
-    w = simpson_weights(grid)
     out = {}
     for n in n_values:
         i = basisA.index(n)
@@ -150,31 +142,18 @@ def kn_relation_check(params: Params, basisA: Basis, basisAtilde: Basis,
             coef, basisAtilde.values, axes=(0, 0)
         )
         diff = recon - basisA.values[i]
-        num = np.sum(w * (np.abs(diff[0]) ** 2 + np.abs(diff[1]) ** 2))
-        den = np.sum(
-            w * (np.abs(basisA.values[i, 0]) ** 2 + np.abs(basisA.values[i, 1]) ** 2)
-        )
-        out[int(n)] = float(math.sqrt(num / den))
+        ratio = pairings(diff, diff, grid) / pairings(basisA.values[i], basisA.values[i], grid)
+        out[int(n)] = float(math.sqrt(ratio.real))
     return out
 
 
-def dirichlet_sum(basisA: Basis, g: GridFunction2, N: int = None) -> complex:
-    """Partial sum ``sum_{|n|<=N} f_{n,1}(0) <f_n, g>``.
+def dirichlet_sum(basisA: Basis, g: GridFunction2) -> complex:
+    """Partial sum ``sum_{|n|<=N} f_{n,1}(0) <f_n, g>`` over the basis window.
 
     For piecewise-C^1 g compatible with the reflection coupling this
     converges to ``conj(g_1(0) - g_2(0))/2`` (the Dirichlet jump mean).
     """
-    n_list = basisA.n_list
-    K = n_list.size
-    vals = _pairings(
-        basisA.values,
-        np.broadcast_to(g.values, (K, 2, basisA.grid.size)),
-        basisA.grid,
-    )
-    if N is not None:
-        mask = np.abs(n_list) <= N
-        return complex(np.sum(basisA.f1_at_0[mask] * vals[mask]))
-    return complex(np.sum(basisA.f1_at_0 * vals))
+    return complex(np.sum(basisA.f1_at_0 * pairings(basisA.values, g.values, basisA.grid)))
 
 
 def tb_residual(params: Params, transform: TransformMatrix,

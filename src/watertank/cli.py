@@ -10,6 +10,7 @@ exit prints one line to stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -31,7 +32,7 @@ from watertank.errors import (
     RegimeError,
 )
 from watertank.feedback import feedback_coefficients, physical_feedback, zero_law
-from watertank.finite_dim import LinearPair, backstep_pair, ctrb
+from watertank.finite_dim import random_backstep_pairs
 from watertank.model import Params
 from watertank.simulate import (
     decay_rate_estimate,
@@ -405,33 +406,22 @@ def cmd_steer(cfg) -> int:
 
 def cmd_finite_demo(cfg) -> int:
     out = _outdir(cfg)
-    rng = np.random.default_rng(cfg.get("seed", 0))
     count = cfg.get("count", 25)
     dim_max = cfg.get("dim_max", 6)
+    if count < 1 or dim_max < 2:
+        raise ConfigError("finite-demo needs count >= 1 and dim_max >= 2")
+    draws = random_backstep_pairs(np.random.default_rng(cfg.get("seed", 0)), dim_max)
     runs = []
-    done = 0
-    while done < count:
-        n = int(rng.integers(2, dim_max + 1))
-        A = rng.standard_normal((n, n))
-        B = rng.standard_normal(n)
-        At = rng.standard_normal((n, n))
-        pa, pt = LinearPair(A, B), LinearPair(At, B)
-        if (
-            np.linalg.matrix_rank(ctrb(pa)) < n
-            or np.linalg.matrix_rank(ctrb(pt)) < n
-        ):
-            continue
-        T, K = backstep_pair(pa, pt)
-        e1 = np.sort_complex(np.linalg.eigvals(A + np.outer(B, K)))
-        e2 = np.sort_complex(np.linalg.eigvals(At))
+    for pa, pt, T, K in itertools.islice(draws, count):
+        e1 = np.sort_complex(np.linalg.eigvals(pa.A + np.outer(pa.B, K)))
+        e2 = np.sort_complex(np.linalg.eigvals(pt.A))
         runs.append(
             {
-                "n": n,
+                "n": pa.n,
                 "spectrum_mismatch": float(np.max(np.abs(e1 - e2))),
                 "cond_T": float(np.linalg.cond(T)),
             }
         )
-        done += 1
     worst = max(r["spectrum_mismatch"] for r in runs)
     doc = {
         "config": {"seed": cfg.get("seed", 0), "count": count, "dim_max": dim_max},

@@ -21,7 +21,7 @@ import numpy as np
 
 from watertank.errors import ConfigError, NumericalError, UncontrollableError
 from watertank.model import Params, diagonal_weight, simpson_weights
-from watertank.spectral import Basis, WModes, _pairings
+from watertank.spectral import Basis, WModes, gram_matrix, pairings
 
 __all__ = [
     "MomentReport",
@@ -29,11 +29,18 @@ __all__ = [
     "ControlSignal",
     "moment_b",
     "moment_a",
+    "plain_moments",
     "i_moments",
+    "input_gains",
     "controllability_report",
     "dual_exponentials",
     "synthesize_open_loop",
 ]
+
+
+def plain_moments(values, grid):
+    """Plain integrals ``int (v1 + v2)``, i.e. ``2L <v, (1,1)>``, per row of values."""
+    return 2.0 * grid[-1] * pairings(values, np.ones((2, grid.size)), grid)
 
 
 def moment_b(params: Params, modes: WModes, n: int) -> complex:
@@ -42,26 +49,29 @@ def moment_b(params: Params, modes: WModes, n: int) -> complex:
     Closed form at gamma = 0: ``-(2iL/(pi n)) (1 - cos pi n)`` -- zero for
     even n, ``-4iL/(pi n)`` for odd n.
     """
-    chi = modes.chi[modes.index(n)]
-    w = simpson_weights(modes.grid)
-    return complex(np.sum(w * (chi[0] + chi[1])))
+    return complex(plain_moments(modes.chi[modes.index(n)], modes.grid))
 
 
 def moment_a(params: Params, modes: WModes, n: int) -> complex:
     """Moment ``a_n = <psi_n, (1,1)>`` (plain integral)."""
-    psi = modes.psi[modes.index(n)]
-    w = simpson_weights(modes.grid)
-    return complex(np.sum(w * (psi[0] + psi[1])))
+    return complex(plain_moments(modes.psi[modes.index(n)], modes.grid))
 
 
 def i_moments(params: Params, basis: Basis) -> np.ndarray:
     """Coefficients ``<I, f_n>`` of the control profile on the zeta basis."""
-    grid = basis.grid
-    ew = diagonal_weight(params, grid)
-    prof = np.stack([ew, ew])
-    return _pairings(
-        np.broadcast_to(prof, (basis.n_list.size, 2, grid.size)), basis.values, grid
-    )
+    ew = diagonal_weight(params, basis.grid)
+    return pairings(np.stack([ew, ew]), basis.values, basis.grid)
+
+
+def input_gains(modes: WModes):
+    """``(b_n, beta_n)``: plain moments and input gains of the w-modes.
+
+    ``beta_n = b_n / <psi_n, chi_n>`` drives ``w_n' = -mu_n w_n + u beta_n``;
+    both factors are plain bilinear integrals.
+    """
+    b = plain_moments(modes.chi, modes.grid)
+    pair = pairings(modes.psi, modes.chi, modes.grid, conjugate=False)
+    return b, b / (2.0 * modes.grid[-1] * pair)
 
 
 @dataclass
@@ -115,14 +125,12 @@ def controllability_report(params: Params, basis: Basis, modes: WModes) -> Momen
     N = (n_list.size - 1) // 2
     grid = basis.grid
     eigs = basis.eigenvalues
-    b = np.array([moment_b(params, modes, n) for n in n_list])
-    a = np.array([moment_a(params, modes, n) for n in n_list])
+    b = plain_moments(modes.chi, grid)
+    a = plain_moments(modes.psi, grid)
     imom = i_moments(params, basis)
     items = {}
 
     # (i) conditioning: the zeta family is orthonormal; the w family is Riesz
-    from watertank.spectral import gram_matrix
-
     G = gram_matrix(basis.values, basis.values, grid)
     dev = float(np.max(np.abs(G - np.eye(n_list.size))))
     Gpsi = gram_matrix(modes.psi, modes.psi, grid)
@@ -135,7 +143,7 @@ def controllability_report(params: Params, basis: Basis, modes: WModes) -> Momen
     }
 
     # (ii) pairing of the biorthogonal w families (bilinear, 1/(2L))
-    pair = _pairings(modes.psi, modes.chi, grid, conjugate=False)
+    pair = pairings(modes.psi, modes.chi, grid, conjugate=False)
     pmin, pmax = float(np.min(np.abs(pair))), float(np.max(np.abs(pair)))
     items["pairing"] = {
         "passed": bool(0.5 < pmin and pmax < 2.0),
@@ -313,8 +321,7 @@ def synthesize_open_loop(params: Params, modes: WModes, duals: DualBasis,
     outside = [int(n) for n in target if abs(int(n)) > (K - 1) // 2]
     if outside:
         raise ConfigError(f"target modes {outside} outside the modes' -N..N")
-    grid = modes.grid
-    wq = simpson_weights(grid)
+    b, beta = input_gains(modes)
     cvec = np.zeros(K, dtype=complex)
     any_target = False
     for n, k in target.items():
@@ -322,15 +329,12 @@ def synthesize_open_loop(params: Params, modes: WModes, duals: DualBasis,
         if k == 0:
             continue
         any_target = True
-        b_n = np.sum(wq * (modes.chi[i, 0] + modes.chi[i, 1]))
-        if abs(b_n) < 1e-8:
+        if abs(b[i]) < 1e-8:
             raise UncontrollableError(
-                f"moment b_{int(n)} vanishes (|b| = {abs(b_n):.2e}); "
+                f"moment b_{int(n)} vanishes (|b| = {abs(b[i]):.2e}); "
                 "this direction is unobservable at the current gamma"
             )
-        pair = np.sum(wq * (modes.psi[i, 0] * modes.chi[i, 0]
-                            + modes.psi[i, 1] * modes.chi[i, 1]))
-        cvec[i] = complex(k) * pair / b_n
+        cvec[i] = complex(k) / beta[i]
     tq = duals.grid
     if not any_target:
         return ControlSignal(t=tq, u=np.zeros(tq.size, dtype=complex))

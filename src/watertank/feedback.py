@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from watertank.control import i_moments
 from watertank.errors import RegimeError, UncontrollableError
 from watertank.model import (
     GridFunction2,
@@ -39,7 +40,7 @@ from watertank.model import (
     uniform_grid,
     zeta_to_physical,
 )
-from watertank.spectral import Basis, BcKind, _pairings
+from watertank.spectral import Basis, BcKind, ModeIndexed, pairings
 
 __all__ = [
     "FeedbackLaw",
@@ -88,7 +89,7 @@ def _synthesis_regime_check(params: Params):
 
 
 @dataclass
-class FeedbackLaw:
+class FeedbackLaw(ModeIndexed):
     """Modal feedback table with its moment data and singular/regular split."""
 
     params: Params
@@ -103,9 +104,6 @@ class FeedbackLaw:
     mu_internal: float
     nu: float
     basis: Basis = None
-
-    def index(self, n: int) -> int:
-        return int(n) + (self.n_list.size - 1) // 2
 
     def value(self, n: int) -> complex:
         return complex(self.table[self.index(n)])
@@ -137,8 +135,13 @@ class FeedbackLaw:
         }
 
 
+def _tau(params: Params, basis: Basis) -> np.ndarray:
+    """``tau_n = e^{int delta} f_{n,1}(L) / f_{n,1}(0) - 1``."""
+    ew_L = float(diagonal_weight(params, np.array([params.L]))[0])
+    return ew_L * basis.f1_at_L / basis.f1_at_0 - 1.0
+
+
 def feedback_coefficients(params: Params, basis: Basis,
-                          i_nu: GridFunction2 = None,
                           check_regime: bool = True) -> FeedbackLaw:
     """Assemble the feedback table from the conservative basis.
 
@@ -150,17 +153,7 @@ def feedback_coefficients(params: Params, basis: Basis,
         raise ValueError("feedback_coefficients requires the conservative basis")
     if check_regime:
         _synthesis_regime_check(params)
-    if i_nu is None:
-        i_nu = virtual_profile(params, basis)
-    grid = basis.grid
-    K = basis.n_list.size
-    inu_m = _pairings(
-        np.broadcast_to(i_nu.values, (K, 2, grid.size)), basis.values, grid
-    )
-    prof = control_profile(params)
-    i_m = _pairings(
-        np.broadcast_to(prof.values, (K, 2, grid.size)), basis.values, grid
-    )
+    inu_m = pairings(virtual_profile(params, basis).values, basis.values, basis.grid)
     dead = np.abs(inu_m) < 1e-12
     if np.any(dead):
         raise UncontrollableError(
@@ -169,21 +162,21 @@ def feedback_coefficients(params: Params, basis: Basis,
     f1_0 = basis.f1_at_0
     L = params.L
     table = -2.0 * math.tanh(params.mu * L) * f1_0**2 / (2.0 * L * inu_m)
-    ew_L = float(diagonal_weight(params, np.array([L]))[0])
-    tau = ew_L * basis.f1_at_L / f1_0 - 1.0
+    tau = _tau(params, basis)
     if np.any(np.abs(tau) < 1e-6):
         bad = basis.n_list[np.abs(tau) < 1e-6]
         raise RegimeError(f"|tau_n| below 1e-6 at n in {bad.tolist()}")
     h = math.tanh(params.mu * L) * f1_0 * basis.eigenvalues / tau
     return FeedbackLaw(
         params=params, n_list=basis.n_list.copy(), table=table,
-        i_nu_moments=inu_m, i_moments=i_m, eigenvalues=basis.eigenvalues.copy(),
+        i_nu_moments=inu_m, i_moments=i_moments(params, basis),
+        eigenvalues=basis.eigenvalues.copy(),
         f1_at_0=f1_0.copy(), tau=tau, singular=h,
         mu_internal=params.mu, nu=params.nu, basis=basis,
     )
 
 
-def singular_split(law: FeedbackLaw, basis: Basis = None):
+def singular_split(law: FeedbackLaw):
     """Split the table into its singular part h and the regular remainder.
 
     Returns ``(h, regular, tail)`` where ``tail[k]`` is the partial-sum
@@ -208,19 +201,12 @@ def singular_split(law: FeedbackLaw, basis: Basis = None):
 
 def zero_law(params: Params, basis: Basis) -> FeedbackLaw:
     """A zero-table law carrying the basis moments: drives the open loop."""
-    K = basis.n_list.size
-    grid = basis.grid
-    prof = control_profile(params)
-    i_m = _pairings(
-        np.broadcast_to(prof.values, (K, 2, grid.size)), basis.values, grid
-    )
-    zeros = np.zeros(K, dtype=complex)
-    ew_L = float(diagonal_weight(params, np.array([params.L]))[0])
-    tau = ew_L * basis.f1_at_L / basis.f1_at_0 - 1.0
+    i_m = i_moments(params, basis)
+    zeros = np.zeros(basis.n_list.size, dtype=complex)
     return FeedbackLaw(
         params=params, n_list=basis.n_list.copy(), table=zeros,
         i_nu_moments=i_m.copy(), i_moments=i_m, eigenvalues=basis.eigenvalues.copy(),
-        f1_at_0=basis.f1_at_0.copy(), tau=tau, singular=zeros.copy(),
+        f1_at_0=basis.f1_at_0.copy(), tau=_tau(params, basis), singular=zeros.copy(),
         mu_internal=params.mu, nu=params.nu, basis=basis,
     )
 
@@ -238,7 +224,7 @@ def apply_feedback(law: FeedbackLaw, coeffs) -> complex:
 
 
 @dataclass
-class PhysicalFeedback:
+class PhysicalFeedback(ModeIndexed):
     """Feedback in physical (h, v) coordinates, with the PI recurrence.
 
     ``table[n]`` is the value of the physical functional on the physical
@@ -255,9 +241,6 @@ class PhysicalFeedback:
     u2_coefficient: complex
     internal_law: FeedbackLaw
     scale_internal_to_physical: float
-
-    def index(self, n: int) -> int:
-        return int(n) + (self.n_list.size - 1) // 2
 
 
 def physical_feedback(params: Params, basis: Basis, mu_phys: float = None,

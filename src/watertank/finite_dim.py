@@ -15,7 +15,7 @@ import numpy as np
 
 from watertank.errors import ConfigError, NumericalError
 
-__all__ = ["LinearPair", "ctrb", "to_canonical", "backstep_pair", "backstep_lstsq"]
+__all__ = ["LinearPair", "ctrb", "to_canonical", "backstep_pair", "random_backstep_pairs"]
 
 _MAX_N = 12
 
@@ -114,36 +114,24 @@ def backstep_pair(pairA: LinearPair, pairAtilde: LinearPair):
     return T, K
 
 
-def backstep_lstsq(pairA: LinearPair, pairAtilde: LinearPair):
-    """Independent least-squares solve of the (T, K) linear system.
+def random_backstep_pairs(rng, dim_max: int = 6):
+    """Endless seeded draws of pairs ``(A, B)``, ``(A~, B)`` with their (T, K).
 
-    Vectorizes ``T A + B K - A~ T = 0`` and ``T B = B`` into one linear
-    system in the n^2 + n unknowns; used to confirm uniqueness against the
-    companion construction.
+    Each draw takes n uniform in ``2..dim_max``, then A, B and A~ standard
+    normal, in that order. Draws with a rank-deficient controllability
+    matrix, or whose backstepping residuals fail the 1e-10 check
+    (ill-conditioned T), are skipped. Yields ``(pairA, pairAtilde, T, K)``.
     """
-    n = pairA.n
-    A, B, At = pairA.A, pairA.B, pairAtilde.A
-    nT = n * n
-    rows = []
-    rhs = []
-    # (T A)_{ij} + B_i K_j - (A~ T)_{ij} = 0
-    for i in range(n):
-        for j in range(n):
-            row = np.zeros(nT + n)
-            for k in range(n):
-                row[i * n + k] += A[k, j]
-                row[k * n + j] -= At[i, k]
-            row[nT + j] += B[i]
-            rows.append(row)
-            rhs.append(0.0)
-    # (T B)_i = B_i
-    for i in range(n):
-        row = np.zeros(nT + n)
-        row[i * n : (i + 1) * n] = B
-        rows.append(row)
-        rhs.append(B[i])
-    M = np.asarray(rows)
-    sol, *_ = np.linalg.lstsq(M, np.asarray(rhs), rcond=None)
-    T = sol[:nT].reshape(n, n)
-    K = sol[nT:]
-    return T, K
+    while True:
+        n = int(rng.integers(2, dim_max + 1))
+        A = rng.standard_normal((n, n))
+        B = rng.standard_normal(n)
+        At = rng.standard_normal((n, n))
+        pa, pt = LinearPair(A, B), LinearPair(At, B)
+        if np.linalg.matrix_rank(ctrb(pa)) < n or np.linalg.matrix_rank(ctrb(pt)) < n:
+            continue
+        try:
+            T, K = backstep_pair(pa, pt)
+        except NumericalError:
+            continue
+        yield pa, pt, T, K

@@ -39,7 +39,6 @@ __all__ = [
     "x_of_z",
     "physical_to_zeta",
     "zeta_to_physical",
-    "inner_product",
     "mass_functional",
 ]
 
@@ -123,20 +122,6 @@ class GridFunction2:
     @property
     def f2(self):
         return self.values[1]
-
-    def boundary(self):
-        """Return (f1(0), f2(0), f1(L), f2(L))."""
-        return (
-            self.values[0, 0],
-            self.values[1, 0],
-            self.values[0, -1],
-            self.values[1, -1],
-        )
-
-    def same_grid(self, other: "GridFunction2") -> bool:
-        return self.grid.size == other.grid.size and np.array_equal(
-            self.grid, other.grid
-        )
 
 
 def uniform_grid(params: Params) -> np.ndarray:
@@ -300,16 +285,6 @@ def zeta_to_physical(params: Params, zeta: GridFunction2):
     h = 0.5 * sqh * (xi1 - xi2)
     v = 0.5 * (xi1 + xi2)
     return h, v
-
-
-def inner_product(f: GridFunction2, g: GridFunction2) -> complex:
-    """Sesquilinear product ``(1/2L) * int (f1 conj(g1) + f2 conj(g2))``."""
-    if not f.same_grid(g):
-        raise GridMismatchError("inner_product requires a shared grid")
-    w = simpson_weights(f.grid)
-    L = f.grid[-1]
-    integrand = f.f1 * np.conj(g.f1) + f.f2 * np.conj(g.f2)
-    return complex(np.sum(w * integrand) / (2.0 * L))
 
 
 def mass_functional(params: Params, w: GridFunction2) -> complex:

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
+from watertank.control import input_gains
 from watertank.errors import ConfigError, DomainError, NumericalError
 from watertank.feedback import FeedbackLaw
 from watertank.model import (
-    GridFunction2,
     Params,
     delta,
     diagonal_weight,
-    mass_functional,
+    height_root_profile,
     simpson_weights,
     uniform_grid,
 )
@@ -88,9 +88,15 @@ def _weights_da(eigenvalues):
     return 1.0 + np.abs(eigenvalues) ** 2
 
 
-def _mode_masses(params, grid, values) -> np.ndarray:
-    """Mass functional of each mode's w-function: mass is linear in coefficients."""
-    return np.array([mass_functional(params, GridFunction2(grid, v)) for v in values])
+def _mode_masses(params, values, gauge=1.0) -> np.ndarray:
+    """``model.mass_functional`` of each mode's w-function ``values / gauge``.
+
+    Mass is linear, so this is one contraction of both components against
+    the weight ``simpson * W^2 / gauge``.
+    """
+    grid = uniform_grid(params)
+    q = simpson_weights(grid) * height_root_profile(params, grid) ** 2 / gauge
+    return values[:, 0, :] @ q - values[:, 1, :] @ q
 
 
 def real_initial_datum(rng, n_modes: int) -> np.ndarray:
@@ -155,8 +161,7 @@ def integrate_closed_loop(params: Params, law: FeedbackLaw, init,
     coeffs, zeta0 = y[:, :K], y[:, K]
     zc = coeffs.copy()
     zc[:, i0] += zeta0
-    ew = diagonal_weight(params, basis.grid)
-    masses = _mode_masses(params, basis.grid, (v / ew for v in basis.values))
+    masses = _mode_masses(params, basis.values, diagonal_weight(params, basis.grid))
     return Trajectory(
         params=params, n_list=n_list.copy(),
         times=np.linspace(0.0, t_final, RECORD_INTERVALS + 1),
@@ -193,7 +198,7 @@ def integrate_target(params: Params, basis: Basis, init, t_final=None,
 
 
 def integrate_open_loop_w(params: Params, modes: WModes, control, init,
-                          t_final, dt=1e-3, record_every=None) -> Trajectory:
+                          t_final, dt=1e-3) -> Trajectory:
     """w-system under a prescribed control: ``w_n' = -mu_n w_n + u(t) beta_n``.
 
     ``beta_n = b_n / <psi_n, chi_n>`` (plain bilinear pairing in both
@@ -211,17 +216,8 @@ def integrate_open_loop_w(params: Params, modes: WModes, control, init,
     eigs = modes.eigenvalues
     nst = int(math.ceil(t_final / dt))
     dt = t_final / nst
-    if record_every is None:
-        record_every = max(1, nst // 800)
-    wq = simpson_weights(modes.grid)
-    b = np.sum(wq * (modes.chi[:, 0, :] + modes.chi[:, 1, :]), axis=1)
-    pair = np.sum(
-        wq
-        * (modes.psi[:, 0, :] * modes.chi[:, 0, :]
-           + modes.psi[:, 1, :] * modes.chi[:, 1, :]),
-        axis=1,
-    )
-    beta = b / pair
+    record_every = max(1, nst // 800)
+    _, beta = input_gains(modes)
     Eh = np.exp(-eigs * dt)
     Eh2 = np.exp(-eigs * dt / 2.0)
 
@@ -253,9 +249,44 @@ def integrate_open_loop_w(params: Params, modes: WModes, control, init,
         coeffs=coeffs, zeta0=zeros,
         norm_l2=np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=1)),
         norm_da=np.sqrt(np.sum(_weights_da(eigs) * np.abs(coeffs) ** 2, axis=1)),
-        mass=coeffs @ _mode_masses(params, modes.grid, modes.psi),
+        mass=coeffs @ _mode_masses(params, modes.psi),
         control=np.array(us),
     )
+
+
+def _upwind(state, u, dt, cfl, c, ew, r0):
+    """One upwind step on precomputed grid data.
+
+    ``c = -delta/3``, ``ew = e^{int delta}``, inflow ``zeta_1(0) = r0 zeta_2(0)``.
+    """
+    z1, z2 = state[0], state[1]
+    s1 = c * z2 + u * ew
+    s2 = -c * z1 + u * ew
+    new1 = z1.copy()
+    new2 = z2.copy()
+    new1[1:] = z1[1:] - cfl * (z1[1:] - z1[:-1]) + dt * s1[1:]
+    new2[:-1] = z2[:-1] + cfl * (z2[1:] - z2[:-1]) + dt * s2[:-1]
+    new1[0] = r0 * new2[0]
+    new2[-1] = -new1[-1]
+    return np.stack([new1, new2])
+
+
+def _upwind_setup(params: Params, state, kind: BcKind, dt: float):
+    """Check the state shape, the CFL number and the kind; return ``_upwind``'s grid data."""
+    grid = uniform_grid(params)
+    state = np.asarray(state)
+    if state.shape != (2, grid.size):
+        raise ConfigError(f"state must have shape (2, {grid.size})")
+    cfl = dt / (grid[1] - grid[0])
+    if cfl > 1.0 + 1e-12:
+        raise ConfigError(f"CFL violation: dt/dx = {cfl:.3f} > 1")
+    if kind is BcKind.CONSERVATIVE:
+        r0 = -1.0
+    elif kind is BcKind.DAMPED:
+        r0 = -math.exp(-2.0 * params.mu * params.L)
+    else:
+        raise ConfigError("fd_upwind_step supports conservative/damped kinds")
+    return cfl, -delta(params, grid) / 3.0, diagonal_weight(params, grid), r0
 
 
 def fd_upwind_step(params: Params, state: np.ndarray, kind: BcKind, u,
@@ -267,32 +298,7 @@ def fd_upwind_step(params: Params, state: np.ndarray, kind: BcKind, u,
     boundary values follow the kind's reflection law. Requires
     ``CFL = dt/dx <= 1``.
     """
-    grid = uniform_grid(params)
-    nx = grid.size
-    state = np.asarray(state)
-    if state.shape != (2, nx):
-        raise ConfigError(f"state must have shape (2, {nx})")
-    dx = grid[1] - grid[0]
-    cfl = dt / dx
-    if cfl > 1.0 + 1e-12:
-        raise ConfigError(f"CFL violation: dt/dx = {cfl:.3f} > 1")
-    dlt = delta(params, grid)
-    ew = diagonal_weight(params, grid)
-    z1, z2 = state[0], state[1]
-    s1 = -dlt / 3.0 * z2 + u * ew
-    s2 = dlt / 3.0 * z1 + u * ew
-    new1 = z1.copy()
-    new2 = z2.copy()
-    new1[1:] = z1[1:] - cfl * (z1[1:] - z1[:-1]) + dt * s1[1:]
-    new2[:-1] = z2[:-1] + cfl * (z2[1:] - z2[:-1]) + dt * s2[:-1]
-    if kind is BcKind.CONSERVATIVE:
-        new1[0] = -new2[0]
-    elif kind is BcKind.DAMPED:
-        new1[0] = -math.exp(-2.0 * params.mu * params.L) * new2[0]
-    else:
-        raise ConfigError("fd_upwind_step supports conservative/damped kinds")
-    new2[-1] = -new1[-1]
-    return np.stack([new1, new2])
+    return _upwind(np.asarray(state), u, dt, *_upwind_setup(params, state, kind, dt))
 
 
 def fd_simulate(params: Params, init: np.ndarray, kind: BcKind, t_final,
@@ -311,9 +317,10 @@ def fd_simulate(params: Params, init: np.ndarray, kind: BcKind, t_final,
         nst += 1
         dt = t_final / nst
     state = np.asarray(init, dtype=complex).copy()
+    step_data = _upwind_setup(params, state, kind, dt)
     for k in range(nst):
         u = 0.0 if control is None else control(k * dt)
-        state = fd_upwind_step(params, state, kind, u, dt)
+        state = _upwind(state, u, dt, *step_data)
     return state
 
 

@@ -21,12 +21,12 @@ integration is exact to rounding, and for gamma > 0 the error scales like
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from watertank.errors import NumericalError
+from watertank.errors import DomainError, GridMismatchError, NumericalError
 from watertank.model import (
     GridFunction2,
     Params,
@@ -38,13 +38,11 @@ from watertank.model import (
 
 __all__ = [
     "BcKind",
-    "EigenPair",
+    "ModeIndexed",
     "Basis",
     "WModes",
     "shoot",
-    "shoot_derivative_check",
     "find_eigenvalues",
-    "eigenfunction",
     "build_basis",
     "w_modes",
     "kato_psi",
@@ -53,6 +51,7 @@ __all__ = [
     "l1_boundary",
     "reference_mode",
     "gram_matrix",
+    "pairings",
 ]
 
 
@@ -96,39 +95,21 @@ def _seed_eigenvalues(kind: BcKind, params: Params, n_list) -> np.ndarray:
     raise ValueError(kind)
 
 
-def _integrate(params: Params, lams, seed, substeps=2, store=False):
-    """Batch RK4 integration of the modulated shooting system.
+_SUBSTEPS = 2  # RK4 steps per grid cell; the ODE error estimate reruns at 1
 
-    Parameters
-    ----------
-    lams : array of complex
-        Shooting parameters (one integration per entry).
-    seed : complex 2-vector
-        Left boundary values (f1(0), f2(0)), shared by the batch.
-    store : bool
-        If True, also return f sampled on the params grid, shape (K, 2, nx).
 
-    Returns
-    -------
-    residuals : array (K,)
-        ``f1(L) + f2(L)`` per batch entry.
-    values : array (K, 2, nx), only if store.
+def _march(CEP, CEM, h, seed, nx=None):
+    """RK4 through a stage table whose rows alternate step ends and midpoints.
+
+    Returns the final ``(g1, g2)``, or with ``nx`` the (K, 2, nx) samples of
+    g at the grid points (every ``steps / (nx - 1)``-th step).
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    K = lams.size
-    nx = params.grid_points
-    nsteps = (nx - 1) * substeps
-    h = params.L / nsteps
-    # stage abscissae: step endpoints and midpoints
-    xs = np.linspace(0.0, params.L, 2 * nsteps + 1)
-    c = -np.asarray(delta(params, xs)) / 3.0
-    E = np.exp(2.0 * np.outer(xs, lams))  # e^{2 lam x}, (S, K)
-    CEP = c[:, None] * E
-    CEM = c[:, None] / E
-
+    nsteps = (CEP.shape[0] - 1) // 2
+    K = CEP.shape[1]
     g1 = np.full(K, seed[0], dtype=complex)
     g2 = np.full(K, seed[1], dtype=complex)
-    if store:
+    if nx is not None:
+        every = nsteps // (nx - 1)
         out = np.empty((K, 2, nx), dtype=complex)
         out[:, 0, 0] = g1
         out[:, 1, 0] = g2
@@ -151,47 +132,76 @@ def _integrate(params: Params, lams, seed, substeps=2, store=False):
         b4 = CEP[i0 + 2] * t1
         g1 = g1 + (h / 6.0) * (a1 + 2.0 * (a2 + a3) + a4)
         g2 = g2 + (h / 6.0) * (b1 + 2.0 * (b2 + b3) + b4)
-        if store and (k + 1) % substeps == 0:
-            j = (k + 1) // substeps
+        if nx is not None and (k + 1) % every == 0:
+            j = (k + 1) // every
             out[:, 0, j] = g1
             out[:, 1, j] = g2
+    return (g1, g2) if nx is None else out
 
+
+def _integrate(params: Params, lams, seed, store=False):
+    """Batch RK4 integration of the modulated shooting system.
+
+    Parameters
+    ----------
+    lams : array of complex
+        Shooting parameters (one integration per entry).
+    seed : complex 2-vector
+        Left boundary values (f1(0), f2(0)), shared by the batch.
+    store : bool
+        If True, also sample f on the params grid and estimate its error.
+
+    Returns
+    -------
+    residuals : array (K,)
+        ``f1(L) + f2(L)`` per batch entry; with ``store``, relative to
+        ``max |f|``.
+    values : array (K, 2, nx), only if store.
+    ode_err : array (K,), only if store
+        ``max |f - f_coarse| / max |f|`` against a pass at twice the step.
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    nx = params.grid_points
+    nsteps = (nx - 1) * _SUBSTEPS
+    h = params.L / nsteps
+    # stage abscissae: step endpoints and midpoints
+    xs = np.linspace(0.0, params.L, 2 * nsteps + 1)
+    c = -np.asarray(delta(params, xs)) / 3.0
+    E = np.exp(2.0 * np.outer(xs, lams))  # e^{2 lam x}, (S, K)
+    CEP = c[:, None] * E
+    CEM = c[:, None] / E
+    del E
     eL = np.exp(lams * params.L)
-    residuals = g1 * eL + g2 / eL
     if not store:
-        return residuals
+        g1, g2 = _march(CEP, CEM, h, seed)
+        return g1 * eL + g2 / eL
+
+    vals = _march(CEP, CEM, h, seed, nx)
+    # every other stage row is the stage table of the doubled step
+    coarse = _march(CEP[::2], CEM[::2], 2.0 * h, seed, nx)
+    del CEP, CEM
+    residuals = vals[:, 0, -1] * eL + vals[:, 1, -1] / eL
     # back to f variables: f1 = e^{lam x} g1, f2 = e^{-lam x} g2
-    grid = np.linspace(0.0, params.L, nx)
-    Eg = np.exp(np.outer(lams, grid))  # (K, nx)
-    out[:, 0, :] *= Eg
-    out[:, 1, :] /= Eg
-    return residuals, out
+    Eg = np.exp(np.outer(lams, np.linspace(0.0, params.L, nx)))  # (K, nx)
+    for v in (vals, coarse):
+        v[:, 0, :] *= Eg
+        v[:, 1, :] /= Eg
+    scale = np.max(np.abs(vals), axis=(1, 2))
+    ode_err = np.max(np.abs(vals - coarse), axis=(1, 2)) / scale
+    return np.abs(residuals) / scale, vals, ode_err
 
 
-def shoot(params: Params, kind: BcKind, lam, substeps=2) -> complex:
+def shoot(params: Params, kind: BcKind, lam) -> complex:
     """Boundary residual ``f1(L) + f2(L)`` of the shooting solution.
 
     Integrates from x=0 with the kind's left seed. Roots in ``lam`` are the
     operator eigenvalues for the direct kinds, and minus the operator
     eigenvalues for the adjoint kinds.
     """
-    res = _integrate(params, [lam], _left_seed(kind, params), substeps=substeps)
-    return complex(res[0])
+    return complex(_integrate(params, [lam], _left_seed(kind, params))[0])
 
 
-def shoot_derivative_check(params: Params, kind: BcKind, lam, h=1e-6):
-    """Residual derivatives along the real and imaginary directions.
-
-    For a holomorphic residual these agree (Cauchy-Riemann); returns the
-    pair (d/d_real, d/d_imag / i).
-    """
-    r = lambda z: shoot(params, kind, z)
-    d_re = (r(lam + h) - r(lam - h)) / (2.0 * h)
-    d_im = (r(lam + 1j * h) - r(lam - 1j * h)) / (2j * h)
-    return d_re, d_im
-
-
-def find_eigenvalues(params: Params, kind: BcKind, n_range, substeps=2):
+def find_eigenvalues(params: Params, kind: BcKind, n_range):
     """Operator eigenvalues for the requested mode indices.
 
     Secant refinement in the complex plane, seeded at the unperturbed
@@ -205,8 +215,8 @@ def find_eigenvalues(params: Params, kind: BcKind, n_range, substeps=2):
     tol = min(params.ode_tol, 1e-10)
 
     lam1 = lam0 + 0.02j / params.L
-    r0 = _integrate(params, lam0, seed_vec, substeps=substeps)
-    r1 = _integrate(params, lam1, seed_vec, substeps=substeps)
+    r0 = _integrate(params, lam0, seed_vec)
+    r1 = _integrate(params, lam1, seed_vec)
     # freeze entries whose seed already solves the boundary condition
     done = np.abs(r0) < 1e-13
     lam1 = np.where(done, lam0, lam1)
@@ -227,7 +237,7 @@ def find_eigenvalues(params: Params, kind: BcKind, n_range, substeps=2):
         if np.all(done):
             lam_cur = lam_new
             break
-        r_new = _integrate(params, lam_new, seed_vec, substeps=substeps)
+        r_new = _integrate(params, lam_new, seed_vec)
         lam_prev, r_prev = lam_cur, r_cur
         lam_cur, r_cur = lam_new, np.where(done, r_cur, r_new)
     else:
@@ -254,20 +264,18 @@ def find_eigenvalues(params: Params, kind: BcKind, n_range, substeps=2):
     return eigs
 
 
-@dataclass
-class EigenPair:
-    """One eigenvalue/eigenfunction with residual diagnostics."""
+class ModeIndexed:
+    """Rows of a mode family: mode ``n`` of ``n_list = -N..N`` is row ``n + N``."""
 
-    eigenvalue: complex
-    mode_index: int
-    func: GridFunction2
-    boundary: tuple
-    bc_residual: float
-    ode_residual: float
+    def index(self, n: int) -> int:
+        N = (self.n_list.size - 1) // 2
+        if abs(int(n)) > N:
+            raise DomainError(f"mode {int(n)} outside -{N}..{N}")
+        return int(n) + N
 
 
 @dataclass
-class Basis:
+class Basis(ModeIndexed):
     """Ordered eigenfamily for ``n in [-N, N]``, optionally with duals.
 
     ``values`` has shape (K, 2, nx) in mode order ``n_list``. For the damped
@@ -286,13 +294,6 @@ class Basis:
     dual_eigenvalues: np.ndarray = None
     bc_residuals: np.ndarray = None
     ode_residuals: np.ndarray = None
-    _index: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self._index = {int(n): i for i, n in enumerate(self.n_list)}
-
-    def index(self, n: int) -> int:
-        return self._index[int(n)]
 
     def eigenvalue(self, n: int) -> complex:
         return complex(self.eigenvalues[self.index(n)])
@@ -315,36 +316,36 @@ class Basis:
         return self.values[:, 0, -1]
 
 
-def gram_matrix(a_values, b_values, grid, prefactor=None, conjugate=True):
-    """Pairing matrix ``G[i, j] = <a_i, b_j>`` under Simpson quadrature.
+def _slots(a_values, b_values, grid, conjugate):
+    if a_values.shape[-1] != grid.size or b_values.shape[-1] != grid.size:
+        raise GridMismatchError("paired functions must be sampled on the grid")
+    b1 = b_values[..., 0, :]
+    b2 = b_values[..., 1, :]
+    if conjugate:
+        b1, b2 = np.conj(b1), np.conj(b2)
+    return a_values[..., 0, :], a_values[..., 1, :], b1, b2
 
-    ``prefactor`` defaults to 1/(2L); pass 1.0 for the plain L2 pairing and
-    ``conjugate=False`` for the bilinear one.
+
+def gram_matrix(a_values, b_values, grid, conjugate=True):
+    """Pairing matrix ``G[i, j] = <a_i, b_j>`` of two (K, 2, nx) families.
+
+    ``<f, g> = (1/2L) int (f1 conj(g1) + f2 conj(g2))`` under Simpson
+    quadrature; ``conjugate=False`` gives the bilinear form.
     """
+    a1, a2, b1, b2 = _slots(a_values, b_values, grid, conjugate)
     w = simpson_weights(grid)
-    L = grid[-1]
-    if prefactor is None:
-        prefactor = 1.0 / (2.0 * L)
-    b1 = b_values[:, 0, :]
-    b2 = b_values[:, 1, :]
-    if conjugate:
-        b1, b2 = np.conj(b1), np.conj(b2)
-    G = (a_values[:, 0, :] * w) @ b1.T + (a_values[:, 1, :] * w) @ b2.T
-    return prefactor * G
+    return ((a1 * w) @ b1.T + (a2 * w) @ b2.T) / (2.0 * grid[-1])
 
 
-def _pairings(a_values, b_values, grid, prefactor=None, conjugate=True):
-    """Diagonal of :func:`gram_matrix` without forming the full matrix."""
+def pairings(a_values, b_values, grid, conjugate=True):
+    """Diagonal of :func:`gram_matrix`: ``<a_k, b_k>`` for each row k.
+
+    Either argument may be a single (2, nx) function, paired with every row
+    of the other.
+    """
+    a1, a2, b1, b2 = _slots(a_values, b_values, grid, conjugate)
     w = simpson_weights(grid)
-    L = grid[-1]
-    if prefactor is None:
-        prefactor = 1.0 / (2.0 * L)
-    b1 = b_values[:, 0, :]
-    b2 = b_values[:, 1, :]
-    if conjugate:
-        b1, b2 = np.conj(b1), np.conj(b2)
-    vals = np.sum((a_values[:, 0, :] * b1 + a_values[:, 1, :] * b2) * w, axis=1)
-    return prefactor * vals
+    return np.sum((a1 * b1 + a2 * b2) * w, axis=-1) / (2.0 * grid[-1])
 
 
 def reference_mode(params: Params, kind: BcKind, n: int, grid=None) -> GridFunction2:
@@ -370,75 +371,7 @@ def reference_mode(params: Params, kind: BcKind, n: int, grid=None) -> GridFunct
     )
 
 
-def _store_modes(params, kind, ode_lams, substeps):
-    """Integrate at converged roots and return values + error estimates."""
-    seed = _left_seed(kind, params)
-    res_f, vals_f = _integrate(params, ode_lams, seed, substeps=substeps, store=True)
-    _, vals_c = _integrate(
-        params, ode_lams, seed, substeps=max(1, substeps // 2), store=True
-    )
-    scale = np.max(np.abs(vals_f), axis=(1, 2))
-    ode_err = np.max(np.abs(vals_f - vals_c), axis=(1, 2)) / scale
-    return vals_f, np.abs(res_f) / scale, ode_err
-
-
-def eigenfunction(params: Params, kind: BcKind, eigenvalue, mode_index=None,
-                  substeps=2) -> EigenPair:
-    """Re-integrate at a converged eigenvalue and normalize.
-
-    Conservative kinds are normalized to unit L2 norm (1/(2L)-weighted
-    product) with ``f1(0)`` real positive; damped kinds keep the
-    perturbation normalization ``<f, ref_dual> = 1`` against the closed-form
-    gamma = 0 reference of the matching mode.
-    """
-    lam = _ode_lambda(kind, eigenvalue)
-    vals, bc_res, ode_err = _store_modes(params, kind, [lam], substeps)
-    v = vals[0]
-    grid = uniform_grid(params)
-    if mode_index is None:
-        mode_index = int(round(eigenvalue.imag * params.L / math.pi))
-        if kind is BcKind.CONSERVATIVE_ADJOINT:
-            mode_index = -mode_index
-        if kind is BcKind.DAMPED_ADJOINT:
-            mode_index = -mode_index
-    f = GridFunction2(grid, v)
-    if kind in (BcKind.CONSERVATIVE, BcKind.CONSERVATIVE_ADJOINT):
-        w = simpson_weights(grid)
-        nrm = math.sqrt(
-            float(np.sum(w * (np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2)))
-            / (2.0 * params.L)
-        )
-        if nrm == 0.0:
-            raise NumericalError("zero-norm eigenfunction")
-        v = v / nrm
-        phase = v[0, 0] / abs(v[0, 0])
-        v = v / phase
-    else:
-        ref_kind = (
-            BcKind.DAMPED_ADJOINT if kind is BcKind.DAMPED else BcKind.DAMPED
-        )
-        ref = reference_mode(params, ref_kind, mode_index, grid)
-        if kind is BcKind.DAMPED:
-            # <f, ref_dual> = 1 (linear slot)
-            c = _pairings(v[None, :, :], ref.values[None, :, :], grid)[0]
-            v = v / c
-        else:
-            # <ref_direct, f> = 1 (conjugate-linear slot)
-            c = _pairings(ref.values[None, :, :], v[None, :, :], grid)[0]
-            v = v * np.conj(1.0 / c)
-    f = GridFunction2(grid, v)
-    return EigenPair(
-        eigenvalue=complex(eigenvalue),
-        mode_index=mode_index,
-        func=f,
-        boundary=f.boundary(),
-        bc_residual=float(bc_res[0]),
-        ode_residual=float(ode_err[0]),
-    )
-
-
-def build_basis(params: Params, kind: BcKind, N=None, with_duals=True,
-                substeps=2, check=True) -> Basis:
+def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
     """Assemble the eigenfamily for ``|n| <= N`` with invariant checks.
 
     Conservative: orthonormal family (Gram = identity to 1e-6), self-dual.
@@ -450,80 +383,58 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True,
         N = params.n_modes
     n_list = np.arange(-N, N + 1)
     grid = uniform_grid(params)
-    eigs = find_eigenvalues(params, kind, n_list, substeps=substeps)
+    eigs = find_eigenvalues(params, kind, n_list)
     ode_lams = np.asarray([_ode_lambda(kind, e) for e in eigs])
-    vals, bc_res, ode_err = _store_modes(params, kind, ode_lams, substeps)
+    bc_res, vals, ode_err = _integrate(params, ode_lams, _left_seed(kind, params), store=True)
 
-    if kind in (BcKind.CONSERVATIVE, BcKind.CONSERVATIVE_ADJOINT):
-        w = simpson_weights(grid)
-        nrm = np.sqrt(
-            np.sum(w * (np.abs(vals[:, 0, :]) ** 2 + np.abs(vals[:, 1, :]) ** 2), axis=1)
-            / (2.0 * params.L)
-        )
-        vals = vals / nrm[:, None, None]
-        phases = vals[:, 0, 0] / np.abs(vals[:, 0, 0])
-        vals = vals / phases[:, None, None]
-        basis = Basis(
+    def family(values, normalization):
+        return Basis(
             params=params, kind=kind, n_list=n_list, eigenvalues=eigs,
-            grid=grid, values=vals, normalization="orthonormal",
+            grid=grid, values=values, normalization=normalization,
             bc_residuals=bc_res, ode_residuals=ode_err,
         )
-        if check:
-            G = gram_matrix(vals, vals, grid)
-            dev = np.abs(G - np.eye(n_list.size))
-            if np.max(dev) > 1e-6:
-                i, j = np.unravel_index(np.argmax(dev), dev.shape)
-                raise NumericalError(
-                    f"orthonormality failure: |<f_{n_list[i]}, f_{n_list[j]}> - delta| = {np.max(dev):.2e}"
-                )
-        return basis
+
+    def check_identity(G, what):
+        dev = np.abs(G - np.eye(n_list.size))
+        if np.max(dev) > 1e-6:
+            i, j = np.unravel_index(np.argmax(dev), dev.shape)
+            raise NumericalError(
+                f"{what} failure at ({n_list[i]}, {n_list[j]}): {np.max(dev):.2e}"
+            )
+
+    if kind in (BcKind.CONSERVATIVE, BcKind.CONSERVATIVE_ADJOINT):
+        vals = vals / np.sqrt(pairings(vals, vals, grid).real)[:, None, None]
+        phases = vals[:, 0, 0] / np.abs(vals[:, 0, 0])
+        vals = vals / phases[:, None, None]
+        check_identity(gram_matrix(vals, vals, grid), "orthonormality")
+        return family(vals, "orthonormal")
 
     if kind is BcKind.DAMPED_ADJOINT:
         refs = np.stack(
             [reference_mode(params, BcKind.DAMPED, n, grid).values for n in n_list]
         )
         # normalize <ref_direct_n, phi_n> = 1 (phi sits in the conjugate-linear slot)
-        c = _pairings(refs, vals, grid)
-        vals = vals * np.conj(1.0 / c)[:, None, None]
-        return Basis(
-            params=params, kind=kind, n_list=n_list, eigenvalues=eigs,
-            grid=grid, values=vals, normalization="kato",
-            bc_residuals=bc_res, ode_residuals=ode_err,
-        )
+        c = pairings(refs, vals, grid)
+        return family(vals * np.conj(1.0 / c)[:, None, None], "kato")
 
     # DAMPED: perturbation normalization against the gamma=0 duals
     refs_dual = np.stack(
         [reference_mode(params, BcKind.DAMPED_ADJOINT, n, grid).values for n in n_list]
     )
-    c = _pairings(vals, refs_dual, grid)
-    vals = vals / c[:, None, None]
-    basis = Basis(
-        params=params, kind=kind, n_list=n_list, eigenvalues=eigs,
-        grid=grid, values=vals, normalization="kato",
-        bc_residuals=bc_res, ode_residuals=ode_err,
-    )
+    vals = vals / pairings(vals, refs_dual, grid)[:, None, None]
+    basis = family(vals, "kato")
     if with_duals:
-        dual = build_basis(
-            params, BcKind.DAMPED_ADJOINT, N, substeps=substeps, check=False
-        )
-        q = _pairings(vals, dual.values, grid)  # <f_n, phi_n>
-        dual_vals = dual.values * np.conj(1.0 / q)[:, None, None]
-        basis.dual_values = dual_vals
+        dual = build_basis(params, BcKind.DAMPED_ADJOINT, N)
+        q = pairings(vals, dual.values, grid)  # <f_n, phi_n>
+        basis.dual_values = dual.values * np.conj(1.0 / q)[:, None, None]
         basis.dual_eigenvalues = dual.eigenvalues
         basis.normalization = "biorthonormal"
-        if check:
-            G = gram_matrix(vals, dual_vals, grid)
-            dev = np.abs(G - np.eye(n_list.size))
-            if np.max(dev) > 1e-6:
-                i, j = np.unravel_index(np.argmax(dev), dev.shape)
-                raise NumericalError(
-                    f"biorthonormality failure at ({n_list[i]}, {n_list[j]}): {np.max(dev):.2e}"
-                )
+        check_identity(gram_matrix(vals, basis.dual_values, grid), "biorthonormality")
     return basis
 
 
 @dataclass
-class WModes:
+class WModes(ModeIndexed):
     """Kato-normalized eigenfamilies of the w-system and its adjoint.
 
     ``psi`` solves the system with diagonal-inclusive coupling; ``chi`` the
@@ -538,9 +449,6 @@ class WModes:
     grid: np.ndarray
     psi: np.ndarray
     chi: np.ndarray
-
-    def index(self, n):
-        return int(n) + (self.n_list.size - 1) // 2
 
     def psi_func(self, n) -> GridFunction2:
         return GridFunction2(self.grid, self.psi[self.index(n)])
@@ -569,10 +477,8 @@ def w_modes(params: Params, basis: Basis) -> WModes:
         ]
     )
     # Kato scales: <psi_raw, psi_n^(0)> sesquilinear = <psi_raw, chi_n^(0)> bilinear
-    c_psi = _pairings(psi_raw, refs, grid)
-    psi = psi_raw / c_psi[:, None, None]
-    c_chi = _pairings(chi_raw, refs, grid, conjugate=False)
-    chi = chi_raw / c_chi[:, None, None]
+    psi = psi_raw / pairings(psi_raw, refs, grid)[:, None, None]
+    chi = chi_raw / pairings(chi_raw, refs, grid, conjugate=False)[:, None, None]
     return WModes(
         params=params, n_list=basis.n_list.copy(),
         eigenvalues=basis.eigenvalues.copy(), grid=grid, psi=psi, chi=chi,
@@ -581,12 +487,7 @@ def w_modes(params: Params, basis: Basis) -> WModes:
 
 def kato_psi(params: Params, basis: Basis, n: int) -> GridFunction2:
     """Kato-normalized w-system eigenfunction ``psi_n(gamma)`` for one mode."""
-    grid = basis.grid
-    ew = diagonal_weight(params, grid)
-    raw = basis.values[basis.index(n)] / ew[None, :]
-    ref = reference_mode(params, BcKind.CONSERVATIVE, n, grid)
-    c = _pairings(raw[None], ref.values[None], grid)[0]
-    return GridFunction2(grid, raw / c)
+    return w_modes(params, basis).psi_func(n)
 
 
 def j0_overlap(n: int, k: int) -> complex:

@@ -1,30 +1,23 @@
-from functools import lru_cache
-
 import pytest
 
+from watertank.acceptance import cached_basis
 from watertank.model import Params
-from watertank.spectral import BcKind, build_basis, w_modes
-
-
-@lru_cache(maxsize=None)
-def _basis(params: Params, kind: BcKind, N: int, with_duals: bool = True):
-    return build_basis(params, kind, N, with_duals=with_duals)
-
-
-@lru_cache(maxsize=None)
-def _wmodes(params: Params, N: int):
-    return w_modes(params, _basis(params, BcKind.CONSERVATIVE, N))
+from watertank.spectral import BcKind, w_modes
 
 
 @pytest.fixture(scope="session")
 def basis_cache():
-    """Session-wide memoized basis builder (shooting is the expensive part)."""
-    return _basis
+    """Session-wide memoized basis builder (shooting is the expensive part).
+
+    It is the acceptance suite's memo, so the criteria and the tests share
+    every basis they both build.
+    """
+    return cached_basis
 
 
 @pytest.fixture(scope="session")
 def wmodes_cache():
-    return _wmodes
+    return lambda params, N: w_modes(params, cached_basis(params, BcKind.CONSERVATIVE, N))
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from watertank.backstepping import (
 from watertank.errors import NumericalError
 from watertank.feedback import feedback_coefficients
 from watertank.model import GridFunction2, Params, uniform_grid
-from watertank.spectral import BcKind, build_basis, reference_mode
+from watertank.spectral import BcKind, pairings, reference_mode
 
 
 @pytest.fixture(scope="module")
@@ -75,12 +75,10 @@ class TestKnRelation:
         #                 / (2L (mu~_p - mu_n)), checked against quadrature
         # with the explicit gamma = 0 families
         p = Params(gamma=0.0, mu=2.0, nu=0.5, n_modes=6, grid_points=2049)
-        from watertank.model import inner_product
-
         n, pp = 1, 3
         fn = reference_mode(p, BcKind.CONSERVATIVE, n)
         phi = reference_mode(p, BcKind.DAMPED_ADJOINT, pp)
-        val = inner_product(fn, phi)
+        val = complex(pairings(fn.values, phi.values, fn.grid))
         mu_n = 1j * math.pi * n / p.L
         mu_p = p.mu + 1j * math.pi * pp / p.L
         expect = (

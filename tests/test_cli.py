@@ -59,6 +59,8 @@ class TestBadInput:
             ["simulate", "--set", "fit_window=1"],
             ["report", "--set", "criteria=13"],
             ["spectrum", "--config", "{tmp}/missing.cfg"],
+            ["finite-demo", "--set", "count=0"],
+            ["finite-demo", "--set", "dim_max=1"],
         ],
     )
     def test_exit2_with_one_line(self, args, tmp_path, capsys):

@@ -13,8 +13,8 @@ from watertank.feedback import (
     virtual_profile,
     zero_law,
 )
-from watertank.model import Params, inner_product, l_gamma
-from watertank.spectral import BcKind
+from watertank.model import Params, l_gamma
+from watertank.spectral import BcKind, pairings
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +27,7 @@ class TestVirtualProfile:
     def test_nu_moment(self, p_std, basis_cache):
         basis = basis_cache(p_std, BcKind.CONSERVATIVE, 20)
         i_nu = virtual_profile(p_std, basis)
-        val = inner_product(i_nu, basis.func(0))
+        val = complex(pairings(i_nu.values, basis.func(0).values, basis.grid))
         assert val == pytest.approx(p_std.nu, abs=1e-8)
 
     def test_gamma0_profile_is_ones(self, p_gamma0):
@@ -39,12 +39,7 @@ class TestVirtualProfile:
         basis = basis_cache(p_std, BcKind.CONSERVATIVE, 20)
         i_nu = virtual_profile(p_std, basis)
         nz = basis.n_list != 0
-        from watertank.spectral import _pairings
-
-        mom = _pairings(
-            np.broadcast_to(i_nu.values, (41, 2, basis.grid.size)),
-            basis.values, basis.grid,
-        )
+        mom = pairings(i_nu.values, basis.values, basis.grid)
         band = np.abs(basis.eigenvalues[nz] * mom[nz])
         m, M = float(band.min()), float(band.max())
         assert 0 < m <= M < 10.0  # fitted constants, reported

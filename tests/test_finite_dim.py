@@ -4,11 +4,45 @@ import pytest
 from watertank.errors import ConfigError, NumericalError
 from watertank.finite_dim import (
     LinearPair,
-    backstep_lstsq,
     backstep_pair,
     ctrb,
     to_canonical,
 )
+
+
+def backstep_lstsq(pairA: LinearPair, pairAtilde: LinearPair):
+    """Independent least-squares solve of the (T, K) linear system.
+
+    Vectorizes ``T A + B K - A~ T = 0`` and ``T B = B`` into one linear
+    system in the n^2 + n unknowns; used to confirm uniqueness against the
+    companion construction.
+    """
+    n = pairA.n
+    A, B, At = pairA.A, pairA.B, pairAtilde.A
+    nT = n * n
+    rows = []
+    rhs = []
+    # (T A)_{ij} + B_i K_j - (A~ T)_{ij} = 0
+    for i in range(n):
+        for j in range(n):
+            row = np.zeros(nT + n)
+            for k in range(n):
+                row[i * n + k] += A[k, j]
+                row[k * n + j] -= At[i, k]
+            row[nT + j] += B[i]
+            rows.append(row)
+            rhs.append(0.0)
+    # (T B)_i = B_i
+    for i in range(n):
+        row = np.zeros(nT + n)
+        row[i * n : (i + 1) * n] = B
+        rows.append(row)
+        rhs.append(B[i])
+    M = np.asarray(rows)
+    sol, *_ = np.linalg.lstsq(M, np.asarray(rhs), rcond=None)
+    T = sol[:nT].reshape(n, n)
+    K = sol[nT:]
+    return T, K
 
 
 class TestCanonical:

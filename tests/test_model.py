@@ -11,7 +11,6 @@ from watertank.model import (
     delta,
     diagonal_weight,
     exp_weight,
-    inner_product,
     l_gamma,
     mass_functional,
     physical_to_zeta,
@@ -20,6 +19,12 @@ from watertank.model import (
     uniform_grid,
     zeta_to_physical,
 )
+from watertank.spectral import pairings
+
+
+def inner_product(f: GridFunction2, g: GridFunction2) -> complex:
+    """The 1/(2L)-weighted product of two functions, through ``pairings``."""
+    return complex(pairings(f.values, g.values, f.grid))
 
 
 def test_params_validation():

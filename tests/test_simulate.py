@@ -7,7 +7,14 @@ from scipy.integrate import solve_ivp
 
 from watertank.errors import ConfigError, DomainError, NumericalError
 from watertank.feedback import feedback_coefficients, zero_law
-from watertank.model import Params, simpson_weights, uniform_grid
+from watertank.model import (
+    GridFunction2,
+    Params,
+    diagonal_weight,
+    mass_functional,
+    simpson_weights,
+    uniform_grid,
+)
 from watertank.simulate import (
     RECORD_INTERVALS,
     Trajectory,
@@ -34,6 +41,12 @@ class TestClosedLoopIntegration:
         drift = np.max(np.abs(np.abs(traj.coeffs) - np.abs(traj.coeffs[0])[None, :]))
         assert drift < 1e-8
         assert np.max(np.abs(traj.mass - traj.mass[0])) < 1e-8
+        # the recorded mass is the mass functional of each mode, contracted
+        ew = diagonal_weight(p_std, basis.grid)
+        per_mode = np.array(
+            [mass_functional(p_std, GridFunction2(basis.grid, v / ew)) for v in basis.values]
+        )
+        assert np.max(np.abs(traj.mass - traj.coeffs @ per_mode)) < 1e-12
 
     def test_mode0_stays_dead(self, p_synth, basis_cache):
         basis = basis_cache(p_synth, BcKind.CONSERVATIVE, 20)

@@ -4,22 +4,37 @@ import numpy as np
 import pytest
 
 from watertank.errors import NumericalError
-from watertank.model import Params, inner_product, uniform_grid
+from watertank.model import GridFunction2, Params, uniform_grid
 from watertank.spectral import (
     BcKind,
     build_basis,
-    eigenfunction,
     find_eigenvalues,
     first_order_perturbation,
     gram_matrix,
     j0_overlap,
     kato_psi,
     l1_boundary,
+    pairings,
     reference_mode,
     shoot,
-    shoot_derivative_check,
     w_modes,
 )
+
+
+def shoot_derivative_check(params: Params, kind: BcKind, lam, h=1e-6):
+    """Residual derivatives along the real and imaginary directions.
+
+    For a holomorphic residual these agree (Cauchy-Riemann); returns the
+    pair (d/d_real, d/d_imag / i).
+    """
+    r = lambda z: shoot(params, kind, z)
+    d_re = (r(lam + h) - r(lam - h)) / (2.0 * h)
+    d_im = (r(lam + 1j * h) - r(lam - 1j * h)) / (2j * h)
+    return d_re, d_im
+
+
+def inner_product(f: GridFunction2, g: GridFunction2) -> complex:
+    return complex(pairings(f.values, g.values, f.grid))
 
 
 class TestShoot:
@@ -76,18 +91,17 @@ class TestFindEigenvalues:
 
 
 class TestEigenfunction:
-    def test_gamma0_zero_mode_constant(self, p_gamma0):
-        pair = eigenfunction(p_gamma0, BcKind.CONSERVATIVE, 0.0, mode_index=0)
-        f = pair.func
+    def test_gamma0_zero_mode_constant(self, p_gamma0, basis_cache):
+        f = basis_cache(p_gamma0, BcKind.CONSERVATIVE, 10).func(0)
         assert np.max(np.abs(f.f1 - 1.0)) < 1e-12
         assert np.max(np.abs(f.f2 + 1.0)) < 1e-12
         assert inner_product(f, f) == pytest.approx(1.0, abs=1e-12)
 
-    def test_residuals_within_tolerance(self, p_std):
-        ev = find_eigenvalues(p_std, BcKind.CONSERVATIVE, [7])
-        pair = eigenfunction(p_std, BcKind.CONSERVATIVE, complex(ev[0]), mode_index=7)
-        assert pair.bc_residual < p_std.ode_tol
-        assert pair.ode_residual < p_std.ode_tol
+    def test_residuals_within_tolerance(self, p_std, basis_cache):
+        basis = basis_cache(p_std, BcKind.CONSERVATIVE, 20)
+        i = basis.index(7)
+        assert basis.bc_residuals[i] < p_std.ode_tol
+        assert basis.ode_residuals[i] < p_std.ode_tol
 
     def test_w_system_zero_modes_closed_form(self, p_std, basis_cache):
         from watertank.model import height_root_profile
@@ -104,10 +118,9 @@ class TestEigenfunction:
         assert np.max(np.abs(r2 - r2[0])) / abs(r2[0]) < 1e-7
 
     def test_damped_continues_reference(self, p_gamma0):
-        lam = p_gamma0.mu + 1j * math.pi * 4 / p_gamma0.L
-        pair = eigenfunction(p_gamma0, BcKind.DAMPED, lam, mode_index=4)
+        basis = build_basis(p_gamma0, BcKind.DAMPED, 4, with_duals=False)
         ref = reference_mode(p_gamma0, BcKind.DAMPED, 4)
-        assert np.max(np.abs(pair.func.values - ref.values)) < 1e-9
+        assert np.max(np.abs(basis.func(4).values - ref.values)) < 1e-9
 
 
 class TestBuildBasis:
@@ -193,15 +206,13 @@ class TestPerturbationSeries:
     def test_overlap_closed_form_spot(self, p_gamma0):
         # quadrature cross-check of the closed-form inner product
         g = uniform_grid(p_gamma0)
-        from watertank.model import GridFunction2, inner_product as ip
-
         n, k = 2, 5
         psi_n = reference_mode(p_gamma0, BcKind.CONSERVATIVE, n, g)
         psi_k = reference_mode(p_gamma0, BcKind.CONSERVATIVE, k, g)
         j0psi = np.stack(
             [psi_n.f1 + psi_n.f2 / 3.0, -psi_n.f1 / 3.0 - psi_n.f2]
         )
-        val = ip(GridFunction2(g, j0psi), psi_k)
+        val = inner_product(GridFunction2(g, j0psi), psi_k)
         assert val == pytest.approx(j0_overlap(n, k), abs=1e-10)
 
     def test_quadratic_remainder_order(self, basis_cache):
