@@ -10,6 +10,7 @@ exit prints one line to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -44,16 +45,7 @@ from watertank.simulate import (
 )
 from watertank.spectral import BcKind, build_basis, find_eigenvalues, w_modes
 
-_PARAM_KEYS = {
-    "L": float,
-    "gamma": float,
-    "mu": float,
-    "nu": float,
-    "n_modes": int,
-    "grid_points": int,
-    "ode_tol": float,
-    "t_final": float,
-}
+_PARAM_KEYS = {f.name: type(f.default) for f in dataclasses.fields(Params)}
 
 
 def _int_list(text):

@@ -28,7 +28,6 @@ __all__ = [
     "DualBasis",
     "ControlSignal",
     "moment_b",
-    "moment_a",
     "plain_moments",
     "i_moments",
     "input_gains",
@@ -50,11 +49,6 @@ def moment_b(params: Params, modes: WModes, n: int) -> complex:
     even n, ``-4iL/(pi n)`` for odd n.
     """
     return complex(plain_moments(modes.chi[modes.index(n)], modes.grid))
-
-
-def moment_a(params: Params, modes: WModes, n: int) -> complex:
-    """Moment ``a_n = <psi_n, (1,1)>`` (plain integral)."""
-    return complex(plain_moments(modes.psi[modes.index(n)], modes.grid))
 
 
 def i_moments(params: Params, basis: Basis) -> np.ndarray:

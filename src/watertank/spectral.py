@@ -1,16 +1,12 @@
 """Eigenstructure of the transport operators by shooting.
 
-Four boundary-condition kinds are handled for the first-order system
+Two boundary-condition kinds are shot for the first-order system
 ``L f' + delta(x) J f = lambda f`` on [0, L] (``L = diag(1, -1)``,
-``J = [[0, 1/3], [-1/3, 0]]``):
-
-* conservative (reflection at both ends) and its adjoint;
-* damped (reflection coefficient ``-exp(-2 mu L)`` at x=0) and its adjoint.
-
-Both adjoint operators are minus the same differential expression on their
-own domain, so a single forward integrator covers all four kinds: for the
-adjoint kinds the shooting parameter ``lambda`` is minus the operator's
-eigenvalue.
+``J = [[0, 1/3], [-1/3, 0]]``): conservative (reflection at both ends) and
+damped (reflection coefficient ``-exp(-2 mu L)`` at x=0). The damped
+adjoint family is not shot: the component swap ``S`` anticommutes with
+``L`` and ``J``, so ``S conj(f_n)`` is an adjoint eigenfunction with
+eigenvalue ``conj(mu_n)`` (:func:`adjoint_values`).
 
 The integrator works on modulated variables ``g = (exp(-lambda x) f1,
 exp(lambda x) f2)``, which removes the stiff oscillation; at gamma = 0 the
@@ -50,6 +46,7 @@ __all__ = [
     "first_order_perturbation",
     "l1_boundary",
     "reference_mode",
+    "adjoint_values",
     "gram_matrix",
     "pairings",
 ]
@@ -57,42 +54,19 @@ __all__ = [
 
 class BcKind(Enum):
     CONSERVATIVE = "conservative"
-    CONSERVATIVE_ADJOINT = "conservative_adjoint"
     DAMPED = "damped"
-    DAMPED_ADJOINT = "damped_adjoint"
-
-
-_ADJOINT_KINDS = (BcKind.CONSERVATIVE_ADJOINT, BcKind.DAMPED_ADJOINT)
 
 
 def _left_seed(kind: BcKind, params: Params) -> np.ndarray:
-    muL = params.mu * params.L
-    if kind in (BcKind.CONSERVATIVE, BcKind.CONSERVATIVE_ADJOINT):
+    if kind is BcKind.CONSERVATIVE:
         return np.array([1.0, -1.0], dtype=complex)
-    if kind is BcKind.DAMPED:
-        return np.array([-math.exp(-2.0 * muL), 1.0], dtype=complex)
-    if kind is BcKind.DAMPED_ADJOINT:
-        return np.array([-math.exp(2.0 * muL), 1.0], dtype=complex)
-    raise ValueError(kind)
-
-
-def _ode_lambda(kind: BcKind, eigenvalue):
-    """Shooting parameter for a given operator eigenvalue."""
-    return -eigenvalue if kind in _ADJOINT_KINDS else eigenvalue
+    return np.array([-math.exp(-2.0 * params.mu * params.L), 1.0], dtype=complex)
 
 
 def _seed_eigenvalues(kind: BcKind, params: Params, n_list) -> np.ndarray:
-    """Unperturbed operator eigenvalues used as root seeds."""
+    """Unperturbed eigenvalues used as root seeds."""
     base = 1j * math.pi * np.asarray(n_list, dtype=float) / params.L
-    if kind in (BcKind.CONSERVATIVE,):
-        return base
-    if kind is BcKind.CONSERVATIVE_ADJOINT:
-        return np.conj(base)
-    if kind is BcKind.DAMPED:
-        return params.mu + base
-    if kind is BcKind.DAMPED_ADJOINT:
-        return params.mu + np.conj(base)
-    raise ValueError(kind)
+    return base if kind is BcKind.CONSERVATIVE else params.mu + base
 
 
 _SUBSTEPS = 2  # RK4 steps per grid cell; the ODE error estimate reruns at 1
@@ -194,9 +168,8 @@ def _integrate(params: Params, lams, seed, store=False):
 def shoot(params: Params, kind: BcKind, lam) -> complex:
     """Boundary residual ``f1(L) + f2(L)`` of the shooting solution.
 
-    Integrates from x=0 with the kind's left seed. Roots in ``lam`` are the
-    operator eigenvalues for the direct kinds, and minus the operator
-    eigenvalues for the adjoint kinds.
+    Integrates from x=0 with the kind's left seed; roots in ``lam`` are the
+    operator eigenvalues.
     """
     return complex(_integrate(params, [lam], _left_seed(kind, params))[0])
 
@@ -205,12 +178,11 @@ def find_eigenvalues(params: Params, kind: BcKind, n_range):
     """Operator eigenvalues for the requested mode indices.
 
     Secant refinement in the complex plane, seeded at the unperturbed
-    eigenvalues (``i pi n / L``, shifted by ``mu`` for the damped kinds).
+    eigenvalues (``i pi n / L``, shifted by ``mu`` for the damped kind).
     Raises NumericalError on non-convergence or root collision.
     """
     n_list = np.asarray(list(n_range), dtype=int)
-    seeds_op = _seed_eigenvalues(kind, params, n_list)
-    lam0 = np.asarray([_ode_lambda(kind, s) for s in seeds_op], dtype=complex)
+    lam0 = _seed_eigenvalues(kind, params, n_list)
     seed_vec = _left_seed(kind, params)
     tol = min(params.ode_tol, 1e-10)
 
@@ -254,14 +226,13 @@ def find_eigenvalues(params: Params, kind: BcKind, n_range):
         raise NumericalError(
             f"root collision between modes {a} and {b}: spectrum not simple at these parameters"
         )
-    eigs = -roots if kind in _ADJOINT_KINDS else roots
-    drift = np.abs(eigs - seeds_op)
+    drift = np.abs(roots - lam0)
     if np.any(drift > 0.5 / params.L):
         bad = n_list[drift > 0.5 / params.L]
         raise NumericalError(
             f"eigenvalue drift exceeds 1/(2L) for n in {bad.tolist()}; gamma outside the perturbative regime"
         )
-    return eigs
+    return roots
 
 
 class ModeIndexed:
@@ -279,8 +250,9 @@ class Basis(ModeIndexed):
     """Ordered eigenfamily for ``n in [-N, N]``, optionally with duals.
 
     ``values`` has shape (K, 2, nx) in mode order ``n_list``. For the damped
-    kind, ``dual_values`` holds the biorthogonal family (adjoint
-    eigenfunctions, rescaled so the cross-Gram is the identity).
+    kind, ``dual_values`` holds the biorthogonal family: the adjoint
+    eigenfunctions :func:`adjoint_values` derives from ``values``, rescaled
+    so the cross-Gram is the identity.
     """
 
     params: Params
@@ -291,7 +263,6 @@ class Basis(ModeIndexed):
     values: np.ndarray
     normalization: str
     dual_values: np.ndarray = None
-    dual_eigenvalues: np.ndarray = None
     bc_residuals: np.ndarray = None
     ode_residuals: np.ndarray = None
 
@@ -351,48 +322,50 @@ def pairings(a_values, b_values, grid, conjugate=True):
 def reference_mode(params: Params, kind: BcKind, n: int, grid=None) -> GridFunction2:
     """Unperturbed (gamma = 0) eigenfunctions in closed form.
 
-    Conservative: ``(e^{i pi n x/L}, -e^{-i pi n x/L})``. Damped and its
-    adjoint: the boundary-damped exponential pair with rate ``mu + i pi n/L``
-    (resp. ``-mu + i pi n/L``).
+    Conservative: ``(e^{i pi n x/L}, -e^{-i pi n x/L})``. Damped: the
+    boundary-damped exponential pair with rate ``mu + i pi n/L``.
     """
     if grid is None:
         grid = uniform_grid(params)
     x = grid
     L = params.L
-    if kind in (BcKind.CONSERVATIVE, BcKind.CONSERVATIVE_ADJOINT):
+    if kind is BcKind.CONSERVATIVE:
         up = np.exp(1j * math.pi * n * x / L)
         return GridFunction2(grid, np.stack([up, -1.0 / up]))
-    if kind is BcKind.DAMPED:
-        rate = params.mu + 1j * math.pi * n / L
-    else:
-        rate = -params.mu + 1j * math.pi * n / L
+    rate = params.mu + 1j * math.pi * n / L
     return GridFunction2(
         grid, np.stack([np.exp(rate * x), -np.exp(rate * (2 * L - x))])
     )
+
+
+def adjoint_values(params: Params, values):
+    """Damped-adjoint eigenfunctions ``-e^{-2 mu L} S conj(f)`` from damped ones.
+
+    ``S`` swaps the two components (axis -2 of ``values``). It anticommutes
+    with ``L`` and ``J``, whose entries are real, so the result solves
+    ``-(L phi' + delta J phi) = conj(mu_n) phi`` with ``phi1(0) = -e^{2 mu L}
+    phi2(0)`` and ``phi1(L) + phi2(L) = 0``. The factor maps the gamma = 0
+    damped pair onto the closed-form adjoint pair ``(e^{r x}, -e^{r(2L-x)})``,
+    ``r = -mu + i pi n/L``, the duals of (39).
+    """
+    return -math.exp(-2.0 * params.mu * params.L) * np.conj(values[..., ::-1, :])
 
 
 def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
     """Assemble the eigenfamily for ``|n| <= N`` with invariant checks.
 
     Conservative: orthonormal family (Gram = identity to 1e-6), self-dual.
-    Damped: functions continue the gamma = 0 family (38); duals come from
-    the adjoint operator, continue (39), and are rescaled so that
-    ``<f_n, dual_m> = delta_nm`` exactly on the diagonal.
+    Damped: functions continue the gamma = 0 family (38), scaled so that
+    ``<f_n, phi_n^(0)> = 1`` against the gamma = 0 adjoint pair; the duals
+    are :func:`adjoint_values` of the functions, rescaled so that
+    ``<f_n, dual_m> = delta_nm`` (checked to 1e-6).
     """
     if N is None:
         N = params.n_modes
     n_list = np.arange(-N, N + 1)
     grid = uniform_grid(params)
     eigs = find_eigenvalues(params, kind, n_list)
-    ode_lams = np.asarray([_ode_lambda(kind, e) for e in eigs])
-    bc_res, vals, ode_err = _integrate(params, ode_lams, _left_seed(kind, params), store=True)
-
-    def family(values, normalization):
-        return Basis(
-            params=params, kind=kind, n_list=n_list, eigenvalues=eigs,
-            grid=grid, values=values, normalization=normalization,
-            bc_residuals=bc_res, ode_residuals=ode_err,
-        )
+    bc_res, vals, ode_err = _integrate(params, eigs, _left_seed(kind, params), store=True)
 
     def check_identity(G, what):
         dev = np.abs(G - np.eye(n_list.size))
@@ -402,35 +375,30 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
                 f"{what} failure at ({n_list[i]}, {n_list[j]}): {np.max(dev):.2e}"
             )
 
-    if kind in (BcKind.CONSERVATIVE, BcKind.CONSERVATIVE_ADJOINT):
+    dual_values = None
+    if kind is BcKind.CONSERVATIVE:
         vals = vals / np.sqrt(pairings(vals, vals, grid).real)[:, None, None]
         phases = vals[:, 0, 0] / np.abs(vals[:, 0, 0])
         vals = vals / phases[:, None, None]
         check_identity(gram_matrix(vals, vals, grid), "orthonormality")
-        return family(vals, "orthonormal")
-
-    if kind is BcKind.DAMPED_ADJOINT:
+        normalization = "orthonormal"
+    else:
         refs = np.stack(
             [reference_mode(params, BcKind.DAMPED, n, grid).values for n in n_list]
         )
-        # normalize <ref_direct_n, phi_n> = 1 (phi sits in the conjugate-linear slot)
-        c = pairings(refs, vals, grid)
-        return family(vals * np.conj(1.0 / c)[:, None, None], "kato")
-
-    # DAMPED: perturbation normalization against the gamma=0 duals
-    refs_dual = np.stack(
-        [reference_mode(params, BcKind.DAMPED_ADJOINT, n, grid).values for n in n_list]
+        vals = vals / pairings(vals, adjoint_values(params, refs), grid)[:, None, None]
+        normalization = "kato"
+        if with_duals:
+            phi = adjoint_values(params, vals)
+            q = pairings(vals, phi, grid)  # <f_n, phi_n>
+            dual_values = phi * np.conj(1.0 / q)[:, None, None]
+            normalization = "biorthonormal"
+            check_identity(gram_matrix(vals, dual_values, grid), "biorthonormality")
+    return Basis(
+        params=params, kind=kind, n_list=n_list, eigenvalues=eigs, grid=grid,
+        values=vals, normalization=normalization, dual_values=dual_values,
+        bc_residuals=bc_res, ode_residuals=ode_err,
     )
-    vals = vals / pairings(vals, refs_dual, grid)[:, None, None]
-    basis = family(vals, "kato")
-    if with_duals:
-        dual = build_basis(params, BcKind.DAMPED_ADJOINT, N)
-        q = pairings(vals, dual.values, grid)  # <f_n, phi_n>
-        basis.dual_values = dual.values * np.conj(1.0 / q)[:, None, None]
-        basis.dual_eigenvalues = dual.eigenvalues
-        basis.normalization = "biorthonormal"
-        check_identity(gram_matrix(vals, basis.dual_values, grid), "biorthonormality")
-    return basis
 
 
 @dataclass
@@ -501,29 +469,36 @@ def j0_overlap(n: int, k: int) -> complex:
     )
 
 
-def first_order_perturbation(params: Params, n: int, K: int = 2000) -> GridFunction2:
-    """First-order Kato correction ``psi_n^(1)`` as a truncated mode series.
+def _kato_series(params: Params, n: int, K: int):
+    """Modes ``0 < |k-n| <= K`` and the coefficients of ``psi_n^(1)`` on them.
 
-    ``psi_n^(1) = (3L/4) sum_{0 < |k-n| <= K} <J0 psi_n^(0), psi_k^(0)>
-    / (i pi (k-n)) psi_k^(0)``.
+    ``c_k = (3L/4) <J0 psi_n^(0), psi_k^(0)> / (i pi (k-n))``.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    grid = uniform_grid(params)
-    L = params.L
-    acc = np.zeros((2, grid.size), dtype=complex)
     ks = [k for k in range(n - K, n + K + 1) if k != n]
     coefs = np.array(
         [
-            (3.0 * L / 4.0) * j0_overlap(n, k) / (1j * math.pi * (k - n))
+            (3.0 * params.L / 4.0) * j0_overlap(n, k) / (1j * math.pi * (k - n))
             for k in ks
         ]
     )
+    return np.array(ks), coefs
+
+
+def first_order_perturbation(params: Params, n: int, K: int = 2000) -> GridFunction2:
+    """First-order Kato correction ``psi_n^(1)`` as a truncated mode series.
+
+    ``psi_n^(1) = sum_{0 < |k-n| <= K} c_k psi_k^(0)``, ``c_k`` from
+    :func:`_kato_series`.
+    """
+    ks, coefs = _kato_series(params, n, K)
+    grid = uniform_grid(params)
+    acc = np.zeros((2, grid.size), dtype=complex)
     block = 256
-    for i in range(0, len(ks), block):
-        kk = np.array(ks[i : i + block], dtype=float)
+    for i in range(0, ks.size, block):
         cc = coefs[i : i + block]
-        up = np.exp(1j * math.pi * np.outer(kk, grid) / L)  # (b, nx)
+        up = np.exp(1j * math.pi * np.outer(ks[i : i + block], grid) / params.L)
         acc[0] += cc @ up
         acc[1] += cc @ (-1.0 / up)
     return GridFunction2(grid, acc)
@@ -536,11 +511,5 @@ def l1_boundary(params: Params, n: int, K: int = 2000) -> complex:
     + psi^(1)_{n,2}(0)``, evaluated from the series (each basis mode
     contributes ``2((-1)^k - 1)``).
     """
-    L = params.L
-    total = 0.0 + 0.0j
-    for k in range(n - K, n + K + 1):
-        if k == n:
-            continue
-        coef = (3.0 * L / 4.0) * j0_overlap(n, k) / (1j * math.pi * (k - n))
-        total += coef * 2.0 * ((-1.0) ** k - 1.0)
-    return total
+    ks, coefs = _kato_series(params, n, K)
+    return complex(coefs @ (2.0 * ((-1.0) ** ks - 1.0)))

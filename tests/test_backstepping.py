@@ -19,8 +19,8 @@ from watertank.backstepping import (
 )
 from watertank.errors import NumericalError
 from watertank.feedback import feedback_coefficients
-from watertank.model import GridFunction2, Params, uniform_grid
-from watertank.spectral import BcKind, pairings, reference_mode
+from watertank.model import GridFunction2, Params
+from watertank.spectral import BcKind, adjoint_values, pairings, reference_mode
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +77,8 @@ class TestKnRelation:
         p = Params(gamma=0.0, mu=2.0, nu=0.5, n_modes=6, grid_points=2049)
         n, pp = 1, 3
         fn = reference_mode(p, BcKind.CONSERVATIVE, n)
-        phi = reference_mode(p, BcKind.DAMPED_ADJOINT, pp)
+        phi = reference_mode(p, BcKind.DAMPED, pp)
+        phi = GridFunction2(phi.grid, adjoint_values(p, phi.values))
         val = complex(pairings(fn.values, phi.values, fn.grid))
         mu_n = 1j * math.pi * n / p.L
         mu_p = p.mu + 1j * math.pi * pp / p.L
@@ -124,7 +125,8 @@ class TestTbResidual:
         # expansion converge to the Dirichlet jump mean (g1(0) - g2(0))*/2
         p = Params(gamma=0.0, mu=2.0, nu=0.5, n_modes=40, grid_points=4097)
         ba = basis_cache(p, BcKind.CONSERVATIVE, 40)
-        g = reference_mode(p, BcKind.DAMPED_ADJOINT, 2)
+        g = reference_mode(p, BcKind.DAMPED, 2)
+        g = GridFunction2(g.grid, adjoint_values(p, g.values))
         target = np.conj(g.f1[0] - g.f2[0]) / 2.0
         val = dirichlet_sum(ba, g)
         assert abs(val - target) < 5e-2

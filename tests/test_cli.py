@@ -1,8 +1,6 @@
 import json
 from dataclasses import replace
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from watertank import cli

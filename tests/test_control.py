@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from watertank.control import (
-    ControlSignal,
     controllability_report,
     dual_exponentials,
     i_moments,

@@ -5,7 +5,6 @@ from watertank.errors import ConfigError, NumericalError
 from watertank.finite_dim import (
     LinearPair,
     backstep_pair,
-    ctrb,
     to_canonical,
 )
 

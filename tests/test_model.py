@@ -1,6 +1,3 @@
-import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 

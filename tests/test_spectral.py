@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from watertank.errors import NumericalError
-from watertank.model import GridFunction2, Params, uniform_grid
+from watertank.model import GridFunction2, Params, delta, uniform_grid
 from watertank.spectral import (
     BcKind,
+    adjoint_values,
     build_basis,
     find_eigenvalues,
     first_order_perturbation,
@@ -84,11 +85,6 @@ class TestFindEigenvalues:
         with pytest.raises(NumericalError):
             find_eigenvalues(p, BcKind.DAMPED, range(-4, 5))
 
-    def test_damped_adjoint_conjugate(self, p_std):
-        ev_d = find_eigenvalues(p_std, BcKind.DAMPED, range(-5, 6))
-        ev_a = find_eigenvalues(p_std, BcKind.DAMPED_ADJOINT, range(-5, 6))
-        assert np.max(np.abs(ev_a - np.conj(ev_d))) < 1e-9
-
 
 class TestEigenfunction:
     def test_gamma0_zero_mode_constant(self, p_gamma0, basis_cache):
@@ -145,6 +141,34 @@ class TestBuildBasis:
         basis = basis_cache(p_std, BcKind.DAMPED, 10)
         G = gram_matrix(basis.values, basis.dual_values, basis.grid)
         assert np.max(np.abs(G - np.eye(21))) < 1e-6
+
+    def test_damped_duals_solve_adjoint(self, p_std, basis_cache):
+        # -(L phi' + delta J phi) = conj(mu~_n) phi, by 4th-order central
+        # differences, with the adjoint boundary conditions
+        bd = basis_cache(p_std, BcKind.DAMPED, 10)
+        phi = bd.dual_values
+        h = bd.grid[1] - bd.grid[0]
+        d = (phi[..., :-4] - 8 * phi[..., 1:-3] + 8 * phi[..., 3:-1] - phi[..., 4:]) / (12 * h)
+        c = phi[..., 2:-2]
+        dl = delta(p_std, bd.grid[2:-2])
+        op = np.stack([d[:, 0] + dl * c[:, 1] / 3, -d[:, 1] - dl * c[:, 0] / 3], axis=1)
+        res = -op - np.conj(bd.eigenvalues)[:, None, None] * c
+        size = np.max(np.abs(phi), axis=(1, 2))
+        assert np.all(
+            np.max(np.abs(res), axis=(1, 2)) < 1e-6 * size * (1 + np.abs(bd.eigenvalues))
+        )
+        e2 = math.exp(2 * p_std.mu * p_std.L)
+        assert np.all(np.abs(phi[:, 0, 0] + e2 * phi[:, 1, 0]) < 1e-12 * size)
+        assert np.all(np.abs(phi[:, 0, -1] + phi[:, 1, -1]) < 1e-12 * size)
+
+    def test_adjoint_values_of_reference(self, p_gamma0):
+        L = p_gamma0.L
+        x = uniform_grid(p_gamma0)
+        for n in (-3, 0, 5):
+            r = -p_gamma0.mu + 1j * math.pi * n / L
+            expect = np.stack([np.exp(r * x), -np.exp(r * (2 * L - x))])
+            ref = reference_mode(p_gamma0, BcKind.DAMPED, n, x)
+            assert np.max(np.abs(adjoint_values(p_gamma0, ref.values) - expect)) < 1e-13
 
     def test_eigenfunction_symmetry(self, p_std, basis_cache):
         basis = basis_cache(p_std, BcKind.CONSERVATIVE, 20)
