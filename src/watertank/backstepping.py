@@ -1,4 +1,4 @@
-"""Truncated Fredholm transform and its residual diagnostics.
+"""Truncated Fredholm transform and the closed-loop spectrum.
 
 All operator actions are modal: the conservative operator is diagonal on
 its basis, the damped target operator on its own, and the transform is the
@@ -28,10 +28,7 @@ from watertank.spectral import Basis, ModeIndexed, pairings
 __all__ = [
     "TransformMatrix",
     "build_transform",
-    "kn_relation_check",
-    "tb_residual",
     "dirichlet_sum",
-    "operator_equality_residual",
     "galerkin_spectrum",
     "tail_sum",
     "characteristic_function",
@@ -56,23 +53,6 @@ class TransformMatrix(ModeIndexed):
     def apply(self, coeffs) -> np.ndarray:
         """Map source coefficients (over f_n) to target coefficients."""
         return self.entries @ np.asarray(coeffs)
-
-    def column_norm_spread(self) -> float:
-        """Spread of ||column n|| / (|table[n]| * ||resolvent profile||)."""
-        prof = np.sqrt(
-            np.sum(
-                1.0
-                / np.abs(
-                    self.target_eigenvalues[:, None] - self.eigenvalues[None, :]
-                )
-                ** 2,
-                axis=0,
-            )
-        )
-        ratios = np.linalg.norm(self.entries, axis=0) / (
-            np.abs(self.law.table) * prof
-        )
-        return float(np.max(ratios) / np.min(ratios))
 
 
 def build_transform(params: Params, basisA: Basis, basisAtilde: Basis,
@@ -108,45 +88,6 @@ def build_transform(params: Params, basisA: Basis, basisAtilde: Basis,
     )
 
 
-def tau_tilde_scalars(params: Params, basisAtilde: Basis) -> np.ndarray:
-    """Diagonal action of the boundary-trace operator on the damped family.
-
-    ``tau~ f~_p = conj(dual_p,1(0)) (1 - e^{-2 mu L}) / (2L) * f~_p`` in the
-    1/(2L)-product convention.
-    """
-    phi1_0 = basisAtilde.dual_values[:, 0, 0]
-    return (
-        np.conj(phi1_0)
-        * (1.0 - math.exp(-2.0 * params.mu * params.L))
-        / (2.0 * params.L)
-    )
-
-
-def kn_relation_check(params: Params, basisA: Basis, basisAtilde: Basis,
-                      n_values=None) -> dict:
-    """Residuals of the resolvent-family identity f_n = f1(0) tau~ k_n.
-
-    ``k_n = sum_p f~_p / (mu~_p - mu_n)`` truncated at the target window;
-    the residual per n is the relative L2 error of the reconstruction.
-    """
-    if n_values is None:
-        n_values = [n for n in basisA.n_list if abs(n) <= 3]
-    taus = tau_tilde_scalars(params, basisAtilde)
-    grid = basisA.grid
-    out = {}
-    for n in n_values:
-        i = basisA.index(n)
-        mu_n = basisA.eigenvalues[i]
-        coef = taus / (basisAtilde.eigenvalues - mu_n)
-        recon = basisA.f1_at_0[i] * np.tensordot(
-            coef, basisAtilde.values, axes=(0, 0)
-        )
-        diff = recon - basisA.values[i]
-        ratio = pairings(diff, diff, grid) / pairings(basisA.values[i], basisA.values[i], grid)
-        out[int(n)] = float(math.sqrt(ratio.real))
-    return out
-
-
 def dirichlet_sum(basisA: Basis, g: GridFunction2) -> complex:
     """Partial sum ``sum_{|n|<=N} f_{n,1}(0) <f_n, g>`` over the basis window.
 
@@ -154,29 +95,6 @@ def dirichlet_sum(basisA: Basis, g: GridFunction2) -> complex:
     converges to ``conj(g_1(0) - g_2(0))/2`` (the Dirichlet jump mean).
     """
     return complex(np.sum(basisA.f1_at_0 * pairings(basisA.values, g.values, basisA.grid)))
-
-
-def tb_residual(params: Params, transform: TransformMatrix,
-                i_nu_moments: np.ndarray, m: int) -> complex:
-    """Weak TB = B residual ``<T I_nu^(N), dual_m> - <I_nu, dual_m>``."""
-    p = transform.index(m)
-    lhs = complex(np.dot(transform.entries[p, :], i_nu_moments))
-    return lhs - complex(transform.i_nu_target_moments[p])
-
-
-def operator_equality_residual(params: Params, transform: TransformMatrix,
-                               law: FeedbackLaw, alpha_coeffs) -> float:
-    """Truncated residual of ``T(-A alpha + <alpha,F> I_nu) + A~ T alpha``.
-
-    Measured in the weighted target norm ``sum (1+|mu~_p|^2)|.|^2``, all
-    pieces computed modally.
-    """
-    a = np.asarray(alpha_coeffs, dtype=complex)
-    u = law.apply(a)
-    rhs = -transform.eigenvalues * a + u * law.i_nu_moments
-    lhs_coeffs = transform.apply(rhs) + transform.target_eigenvalues * transform.apply(a)
-    wt = 1.0 + np.abs(transform.target_eigenvalues) ** 2
-    return float(math.sqrt(np.sum(wt * np.abs(lhs_coeffs) ** 2)))
 
 
 def galerkin_spectrum(law: FeedbackLaw) -> np.ndarray:

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from watertank import acceptance
+from watertank.backstepping import closed_loop_spectrum, match_spectrum
 from watertank.control import (
     controllability_report,
     dual_exponentials,
@@ -58,6 +59,8 @@ def _target_map(text):
     target = {}
     for part in text.split(","):
         n, v = part.split(":")
+        if not math.isfinite(float(v)):
+            raise ValueError(f"non-finite target amplitude {v!r}")
         target[int(n)] = float(v)
     return target
 
@@ -250,11 +253,9 @@ def cmd_feedback(cfg) -> int:
     out = _outdir(cfg)
     basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes)
     law = feedback_coefficients(params, basis)
-    phys = physical_feedback(params, basis, mu_phys=params.mu / 4.0, law=law)
+    phys = physical_feedback(params, basis, law=law)
     c, C = law.growth_window()
     # closed-loop spectrum report against the reflected target eigenvalues
-    from watertank.backstepping import closed_loop_spectrum, match_spectrum
-
     eig = closed_loop_spectrum(params, basis, law)
     n_cmp = min(10, params.n_modes)
     cmp_modes = np.arange(-n_cmp, n_cmp + 1)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -210,27 +211,11 @@ class DualBasis:
         E = np.exp(np.outer(self.eigenvalues, s - T))
         return self.coeffs[:, m] @ E
 
-    def biorthogonality_residual(self, grid=None) -> float:
-        """Biorthogonality defect measured on an independent quadrature.
-
-        Defaults to a 4x refinement of the build grid; on the build grid
-        itself the defect vanishes by construction of the Gram solve.
-        """
-        if grid is None:
-            grid = np.linspace(0.0, self.grid[-1], 4 * (self.grid.size - 1) + 1)
-        w = simpson_weights(grid)
-        T = grid[-1]
-        E = np.exp(np.outer(self.eigenvalues, grid - T))
-        P = self.coeffs.T @ E  # duals sampled, (K, nq)
-        G = (E * w) @ np.conj(P).T
-        return float(np.max(np.abs(G - np.eye(self.eigenvalues.size))))
-
 
 def dual_exponentials(eigenvalues, quadrature) -> DualBasis:
     """Solve the Gram system for the dual family of the exponentials.
 
-    ``quadrature`` is either an odd-size grid on [0, 2L] or an integer
-    oversampling factor relative to a pi-resolved default. Raises if the
+    ``quadrature`` is an odd-size grid on [0, 2L]. Raises if the
     eigenvalues are closer than 1e-8 (spectrum not simple) or if the Gram
     matrix is ill-conditioned beyond 1e12 (truncation too large).
     """
@@ -263,29 +248,26 @@ def dual_exponentials(eigenvalues, quadrature) -> DualBasis:
 
 @dataclass
 class ControlSignal:
-    """Open-loop control on [0, 2L], zero on (2L, T] by convention.
+    """Open-loop control ``u(s) = sum_j amp[j] e^{rate[j] (s - T)}`` on [0, T].
 
-    Stored both as samples and as an exponential-sum representation
-    ``u(s) = sum_j amp[j] e^{rate[j] (s - 2L)}`` for exact evaluation at
-    arbitrary times.
+    ``T = t[-1] = 2L`` is the control horizon; the control is zero after it.
+    ``u`` holds the samples on ``t``. A zero target has no exponentials.
     """
 
     t: np.ndarray
-    u: np.ndarray
-    rates: np.ndarray = None
-    amplitudes: np.ndarray = None
+    rates: np.ndarray
+    amplitudes: np.ndarray
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        T = self.t[-1]
         out = np.zeros(s.shape, dtype=complex)
-        inside = s <= T + 1e-12
-        if self.rates is None:
-            out[inside] = np.interp(s[inside], self.t, self.u)
-        else:
-            E = np.exp(np.outer(self.rates, s[inside] - T))
-            out[inside] = self.amplitudes @ E
+        inside = s <= self.t[-1] + 1e-12
+        out[inside] = self.amplitudes @ np.exp(np.outer(self.rates, s[inside] - self.t[-1]))
         return out
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return self(self.t)
 
     def l2_norm(self) -> float:
         w = simpson_weights(self.t)
@@ -331,7 +313,8 @@ def synthesize_open_loop(params: Params, modes: WModes, duals: DualBasis,
         cvec[i] = complex(k) / beta[i]
     tq = duals.grid
     if not any_target:
-        return ControlSignal(t=tq, u=np.zeros(tq.size, dtype=complex))
+        empty = np.zeros(0, dtype=complex)
+        return ControlSignal(t=tq, rates=empty, amplitudes=empty)
     if duals.eigenvalues.size != K:
         raise ConfigError(
             "duals must be built on the full 2N+1 eigenvalue family of the modes"
@@ -339,8 +322,6 @@ def synthesize_open_loop(params: Params, modes: WModes, duals: DualBasis,
     # u = sum_m cvec[m] conj(p_m) as an exponential sum; the mode-0 dual is
     # part of the family (with zero coefficient), which pins the mass moment
     # int u = 0 exactly
-    amps_by_exp = np.conj(duals.coeffs) @ cvec
-    rates = np.conj(duals.eigenvalues)
-    T = tq[-1]
-    u = amps_by_exp @ np.exp(np.outer(rates, tq - T))
-    return ControlSignal(t=tq, u=u, rates=rates, amplitudes=amps_by_exp)
+    return ControlSignal(
+        t=tq, rates=np.conj(duals.eigenvalues), amplitudes=np.conj(duals.coeffs) @ cvec
+    )

@@ -48,8 +48,6 @@ __all__ = [
     "control_profile",
     "virtual_profile",
     "feedback_coefficients",
-    "singular_split",
-    "apply_feedback",
     "zero_law",
     "physical_feedback",
 ]
@@ -141,8 +139,7 @@ def _tau(params: Params, basis: Basis) -> np.ndarray:
     return ew_L * basis.f1_at_L / basis.f1_at_0 - 1.0
 
 
-def feedback_coefficients(params: Params, basis: Basis,
-                          check_regime: bool = True) -> FeedbackLaw:
+def feedback_coefficients(params: Params, basis: Basis) -> FeedbackLaw:
     """Assemble the feedback table from the conservative basis.
 
     Raises UncontrollableError naming the mode if any virtual moment
@@ -151,8 +148,7 @@ def feedback_coefficients(params: Params, basis: Basis,
     """
     if basis.kind is not BcKind.CONSERVATIVE:
         raise ValueError("feedback_coefficients requires the conservative basis")
-    if check_regime:
-        _synthesis_regime_check(params)
+    _synthesis_regime_check(params)
     inu_m = pairings(virtual_profile(params, basis).values, basis.values, basis.grid)
     dead = np.abs(inu_m) < 1e-12
     if np.any(dead):
@@ -176,29 +172,6 @@ def feedback_coefficients(params: Params, basis: Basis,
     )
 
 
-def singular_split(law: FeedbackLaw):
-    """Split the table into its singular part h and the regular remainder.
-
-    Returns ``(h, regular, tail)`` where ``tail[k]`` is the partial-sum
-    increment of ``sum |((table - h)/mu_n)|^2`` beyond |n| = k; the sequence
-    being numerically Cauchy is the computable stand-in for the X^2
-    continuity of the remainder.
-    """
-    h = law.singular
-    regular = law.table - h
-    nz = law.n_list != 0
-    r = np.zeros(law.n_list.size, dtype=complex)
-    r[nz] = regular[nz] / law.eigenvalues[nz]
-    r[~nz] = regular[~nz]  # mu_0 = 0: keep the raw value
-    N = (law.n_list.size - 1) // 2
-    absn = np.abs(law.n_list)
-    tail = {}
-    total = float(np.sum(np.abs(r) ** 2))
-    for k in range(0, N + 1):
-        tail[k] = float(np.sum(np.abs(r[absn > k]) ** 2))
-    return h, regular, {"partial_tails": tail, "total": total}
-
-
 def zero_law(params: Params, basis: Basis) -> FeedbackLaw:
     """A zero-table law carrying the basis moments: drives the open loop."""
     i_m = i_moments(params, basis)
@@ -211,27 +184,16 @@ def zero_law(params: Params, basis: Basis) -> FeedbackLaw:
     )
 
 
-def apply_feedback(law: FeedbackLaw, coeffs) -> complex:
-    """Evaluate the truncated functional on a coefficient vector.
-
-    The stored table is applied linearly: ``u = sum_n coeffs[n] table[n]``
-    (any conjugation bookkeeping is absorbed into the table once).
-    """
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape != law.table.shape:
-        raise ValueError("coefficient vector must cover n in [-N, N]")
-    return law.apply(coeffs)
-
-
 @dataclass
 class PhysicalFeedback(ModeIndexed):
     """Feedback in physical (h, v) coordinates, with the PI recurrence.
 
     ``table[n]`` is the value of the physical functional on the physical
     image of f_n; the control is ``u(t) = <(h,v), F1> + u2(t)`` with
-    ``u2' = u2_coefficient * (u2 + <(h,v), F1>)``. The internal damping is
-    pinned to ``mu_internal = 4 mu_phys`` so the guaranteed physical decay
-    rate is ``(3/4) mu_internal L / L_gamma >= mu_phys``.
+    ``u2' = u2_coefficient * (u2 + <(h,v), F1>)``. The physical rate is
+    ``mu_phys = mu/4``: the internal damping ``mu_internal = mu = 4 mu_phys``
+    guarantees the physical decay rate ``(3/4) mu_internal L / L_gamma >=
+    mu_phys``.
     """
 
     mu_phys: float
@@ -240,10 +202,9 @@ class PhysicalFeedback(ModeIndexed):
     n_list: np.ndarray
     u2_coefficient: complex
     internal_law: FeedbackLaw
-    scale_internal_to_physical: float
 
 
-def physical_feedback(params: Params, basis: Basis, mu_phys: float = None,
+def physical_feedback(params: Params, basis: Basis,
                       law: FeedbackLaw = None) -> PhysicalFeedback:
     """Physical-coordinate feedback, built as two consistent paths.
 
@@ -260,18 +221,14 @@ def physical_feedback(params: Params, basis: Basis, mu_phys: float = None,
     the constant gauge W(0)^{3/2} at x = 0). The PI coefficient is
     ``nu * P[0]``.
     """
-    if mu_phys is None:
-        mu_phys = params.mu / 4.0
-    mu_int = 4.0 * mu_phys
-    p_int = params if params.mu == mu_int else _with_mu(params, mu_int)
-    if law is None or law.mu_internal != mu_int:
-        law = feedback_coefficients(p_int, basis)
+    if law is None:
+        law = feedback_coefficients(params, basis)
     lg = l_gamma(params)
     H0 = float(steady_state_height(params, 0.0))
     grid = uniform_grid(params)
     wq = simpson_weights(grid)
     Hx = steady_state_height(params, grid)
-    tanh4 = math.tanh(4.0 * mu_phys * params.L)
+    tanh4 = math.tanh(params.mu * params.L)
     sqH0 = math.sqrt(H0)
     table = np.empty(law.n_list.size, dtype=complex)
     for i, n in enumerate(law.n_list):
@@ -286,13 +243,7 @@ def physical_feedback(params: Params, basis: Basis, mu_phys: float = None,
         table[i] = tanh4 * sqH0 * hn[0] ** 2 / denom
     u2_coef = params.nu * table[law.index(0)]
     return PhysicalFeedback(
-        mu_phys=mu_phys, mu_internal=mu_int, table=table,
-        n_list=law.n_list.copy(), u2_coefficient=complex(u2_coef),
-        internal_law=law, scale_internal_to_physical=params.L / lg,
+        mu_phys=params.mu / 4.0, mu_internal=params.mu, table=table,
+        n_list=law.n_list.copy(), u2_coefficient=complex(u2_coef), internal_law=law,
     )
 
-
-def _with_mu(params: Params, mu: float) -> Params:
-    from dataclasses import replace
-
-    return replace(params, mu=mu)

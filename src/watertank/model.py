@@ -32,7 +32,6 @@ __all__ = [
     "steady_state_height",
     "l_gamma",
     "delta",
-    "exp_weight",
     "diagonal_weight",
     "height_root_profile",
     "z_of_x",
@@ -80,6 +79,9 @@ class Params:
     t_final: float = 10.0
 
     def __post_init__(self):
+        for name in ("L", "gamma", "mu", "nu", "ode_tol", "t_final"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.L <= 0:
             raise ConfigError("L must be positive")
         if abs(self.gamma) * self.L / 2 >= 1:
@@ -192,18 +194,6 @@ def delta(params: Params, x):
     w = height_root_profile(params, x)
     lg = l_gamma(params)
     return -(3.0 * lg / (4.0 * params.L)) * params.gamma / w
-
-
-def exp_weight(params: Params, x):
-    """The diagonalizing weight in the closed form ``W(x)^(3/2)``.
-
-    Note this equals ``W(0)^(3/2) * exp(int_0^x delta)``: the closed form
-    carries the constant gauge ``W(0)^(3/2) = (1 + gamma L/2)^(3/4)`` at
-    x = 0 (a constant rescaling of the diagonal change of variables, which
-    is immaterial for the dynamics). See :func:`diagonal_weight` for the
-    ungauged exponential used by the coordinate maps and control profile.
-    """
-    return height_root_profile(params, x) ** 1.5
 
 
 def diagonal_weight(params: Params, x):

@@ -1,12 +1,12 @@
 """Time integration, Lyapunov certificates, and decay-rate estimation.
 
-The modal closed loop is linear with constant coefficients, so it is
-propagated by its exact matrix exponential and recorded at
-``RECORD_INTERVALS`` equal steps; there is no step size to choose. The
-open-loop w-system under a time-varying control steps with an integrating
-factor: the diagonal transport part is propagated by exact exponentials and
-Simpson's rule integrates the forcing. The recorded mass is linear in the
-modal coefficients, so it is one dot product with the per-mode masses.
+The modal closed loop and the open-loop w-system are both linear with
+constant coefficients, so both are recorded through one exact propagator,
+the matrix exponential of their generator over one record step; there is no
+step size to choose. The open-loop control is a sum of exponentials, which
+enter as extra states ``v' = diag(rates) v`` with ``u = sum v``. The
+recorded mass is linear in the modal coefficients, so it is one dot product
+with the per-mode masses.
 
 A first-order upwind scheme provides the independent cross-check path for
 the same systems on the spatial grid.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from watertank.control import input_gains
+from watertank.control import ControlSignal, input_gains
 from watertank.errors import ConfigError, DomainError, NumericalError
 from watertank.feedback import FeedbackLaw
 from watertank.model import (
@@ -84,8 +84,32 @@ class Trajectory:
             yield row
 
 
-def _weights_da(eigenvalues):
-    return 1.0 + np.abs(eigenvalues) ** 2
+def _propagate(M, y0, t_final, n_steps):
+    """Record ``y' = M y`` from ``y0`` at ``n_steps`` equal steps of ``t_final``.
+
+    Forms the exact propagator ``expm(M t_final / n_steps)`` once; returns the
+    record times and the (n_steps + 1, size) records. Raises NumericalError on
+    a non-finite generator or state.
+    """
+    if not np.all(np.isfinite(M)):
+        raise NumericalError("generator has non-finite entries")
+    P = expm(M * (t_final / n_steps))
+    y = np.empty((n_steps + 1, y0.size), dtype=complex)
+    y[0] = y0
+    for k in range(n_steps):
+        y[k + 1] = P @ y[k]
+    if not np.all(np.isfinite(y)):
+        raise NumericalError("propagated state is not finite")
+    return np.linspace(0.0, t_final, n_steps + 1), y
+
+
+def _norms(coeffs, eigenvalues) -> dict:
+    """``norm_l2`` and the D(A)-weighted ``norm_da`` of each record."""
+    sq = np.abs(coeffs) ** 2
+    return {
+        "norm_l2": np.sqrt(np.sum(sq, axis=1)),
+        "norm_da": np.sqrt(np.sum((1.0 + np.abs(eigenvalues) ** 2) * sq, axis=1)),
+    }
 
 
 def _mode_masses(params, values, gauge=1.0) -> np.ndarray:
@@ -147,28 +171,15 @@ def integrate_closed_loop(params: Params, law: FeedbackLaw, init,
     table_ext = np.concatenate([law.table, [law.table[i0]]])
     force_ext = np.concatenate([law.i_moments, [law.nu]])
     M = np.diag(np.concatenate([-eigs, [0.0]])) + np.outer(force_ext, table_ext)
-    if not np.all(np.isfinite(M)):
-        raise NumericalError("closed-loop generator has non-finite entries")
-    P = expm(M * (t_final / RECORD_INTERVALS))
-    y = np.empty((RECORD_INTERVALS + 1, K + 1), dtype=complex)
-    y[0, :K] = init
-    y[0, K] = zeta0_init
-    for k in range(RECORD_INTERVALS):
-        y[k + 1] = P @ y[k]
-    if not np.all(np.isfinite(y)):
-        raise NumericalError("closed-loop state is not finite")
+    times, y = _propagate(M, np.concatenate([init, [zeta0_init]]), t_final, RECORD_INTERVALS)
 
     coeffs, zeta0 = y[:, :K], y[:, K]
     zc = coeffs.copy()
     zc[:, i0] += zeta0
     masses = _mode_masses(params, basis.values, diagonal_weight(params, basis.grid))
     return Trajectory(
-        params=params, n_list=n_list.copy(),
-        times=np.linspace(0.0, t_final, RECORD_INTERVALS + 1),
-        coeffs=coeffs, zeta0=zeta0,
-        norm_l2=np.sqrt(np.sum(np.abs(zc) ** 2, axis=1)),
-        norm_da=np.sqrt(np.sum(_weights_da(eigs) * np.abs(zc) ** 2, axis=1)),
-        mass=coeffs @ masses, control=y @ table_ext,
+        params=params, n_list=n_list.copy(), times=times, coeffs=coeffs, zeta0=zeta0,
+        **_norms(zc, eigs), mass=coeffs @ masses, control=y @ table_ext,
     )
 
 
@@ -184,73 +195,49 @@ def integrate_target(params: Params, basis: Basis, init, t_final=None,
     if t_final is None:
         t_final = params.t_final
     times = np.linspace(0.0, t_final, n_samples)
-    eigs = basis.eigenvalues
-    coeffs = init[None, :] * np.exp(-np.outer(times, eigs))
-    wda = _weights_da(eigs)
-    l2 = np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=1))
-    da = np.sqrt(np.sum(wda[None, :] * np.abs(coeffs) ** 2, axis=1))
+    coeffs = init[None, :] * np.exp(-np.outer(times, basis.eigenvalues))
     zeros = np.zeros(times.size, dtype=complex)
     return Trajectory(
         params=params, n_list=basis.n_list.copy(), times=times, coeffs=coeffs,
-        zeta0=zeros, norm_l2=l2, norm_da=da, mass=zeros.copy(),
+        zeta0=zeros, **_norms(coeffs, basis.eigenvalues), mass=zeros.copy(),
         control=zeros.copy(),
     )
 
 
-def integrate_open_loop_w(params: Params, modes: WModes, control, init,
-                          t_final, dt=1e-3) -> Trajectory:
+def integrate_open_loop_w(params: Params, modes: WModes, control: ControlSignal,
+                          init, t_final, dt=1e-3) -> Trajectory:
     """w-system under a prescribed control: ``w_n' = -mu_n w_n + u(t) beta_n``.
 
     ``beta_n = b_n / <psi_n, chi_n>`` (plain bilinear pairing in both
-    factors); ``control`` is a ControlSignal or None. Each step propagates
-    the diagonal part exactly and integrates the forcing by Simpson's rule.
-    The recorded mass applies the quadrature mass functional of each psi_n
-    to the coefficients -- a genuine cross-check of the conserved-weight
-    closed form against the modal data.
+    factors). Each exponential ``amp_j e^{rate_j (t - T)}`` of the control
+    is a state ``v_j' = rate_j v_j`` with ``u = sum v``, so the extended
+    system is linear with constant coefficients and is recorded exactly
+    every ``dt`` (rounded so the records split ``t_final`` evenly).
+    ``t_final`` must not pass the control horizon T. The recorded mass
+    applies the quadrature mass functional of each psi_n to the
+    coefficients -- a genuine cross-check of the conserved-weight closed
+    form against the modal data.
     """
     n_list = modes.n_list
     K = n_list.size
     init = np.asarray(init, dtype=complex)
     if init.shape != (K,):
         raise ConfigError(f"init must have shape ({K},)")
-    eigs = modes.eigenvalues
-    nst = int(math.ceil(t_final / dt))
-    dt = t_final / nst
-    record_every = max(1, nst // 800)
+    horizon = control.t[-1]
+    if t_final > horizon + 1e-12:
+        raise ConfigError(f"t_final = {t_final} passes the control horizon {horizon}")
     _, beta = input_gains(modes)
-    Eh = np.exp(-eigs * dt)
-    Eh2 = np.exp(-eigs * dt / 2.0)
-
-    def u_at(t):
-        if control is None:
-            return 0.0 + 0.0j
-        return complex(control(np.array([t]))[0])
-
-    y = init.copy()
-    u0 = u_at(0.0)
-    times, coeffs, us = [0.0], [y], [u0]
-    for k in range(nst):
-        t = k * dt
-        u1 = u_at(t + dt)
-        k1 = u0 * beta
-        k2 = u_at(t + dt / 2) * beta  # midpoint forcing serves both k2 and k3
-        k4 = u1 * beta
-        y = Eh * y + (dt / 6.0) * (Eh * k1 + 4.0 * Eh2 * k2 + k4)
-        if (k + 1) % record_every == 0 or k == nst - 1:
-            times.append((k + 1) * dt)
-            coeffs.append(y)
-            us.append(u1)
-        u0 = u1
-
-    coeffs = np.array(coeffs)
-    zeros = np.zeros(len(times), dtype=complex)
+    M = np.diag(np.concatenate([-modes.eigenvalues, control.rates]))
+    M[:K, K:] = beta[:, None]
+    v0 = control.amplitudes * np.exp(-control.rates * horizon)
+    times, y = _propagate(M, np.concatenate([init, v0]), t_final,
+                          int(math.ceil(t_final / dt)))
+    coeffs = y[:, :K]
+    zeros = np.zeros(times.size, dtype=complex)
     return Trajectory(
-        params=params, n_list=n_list.copy(), times=np.array(times),
-        coeffs=coeffs, zeta0=zeros,
-        norm_l2=np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=1)),
-        norm_da=np.sqrt(np.sum(_weights_da(eigs) * np.abs(coeffs) ** 2, axis=1)),
-        mass=coeffs @ _mode_masses(params, modes.psi),
-        control=np.array(us),
+        params=params, n_list=n_list.copy(), times=times, coeffs=coeffs, zeta0=zeros,
+        **_norms(coeffs, modes.eigenvalues), mass=coeffs @ _mode_masses(params, modes.psi),
+        control=y[:, K:].sum(axis=1),
     )
 
 
@@ -349,7 +336,6 @@ class LyapunovCertificate:
     grid: np.ndarray
     eta: np.ndarray
     xi: np.ndarray
-    gamma_s: float
     feasible: bool
     theta1: np.ndarray
     theta2: np.ndarray
@@ -411,8 +397,7 @@ def lyapunov_certificate(params: Params, lam: float) -> LyapunovCertificate:
         theta1 = np.full(grid.size, np.nan)
         theta2 = np.full(grid.size, np.nan)
     return LyapunovCertificate(
-        lam=lam, grid=grid, eta=eta, xi=xi,
-        gamma_s=gamma_s_threshold(params, lam), feasible=feasible,
+        lam=lam, grid=grid, eta=eta, xi=xi, feasible=feasible,
         theta1=theta1, theta2=theta2, blowup_x=blowup,
     )
 

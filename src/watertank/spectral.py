@@ -37,14 +37,12 @@ __all__ = [
     "ModeIndexed",
     "Basis",
     "WModes",
-    "shoot",
     "find_eigenvalues",
     "build_basis",
     "w_modes",
     "kato_psi",
     "j0_overlap",
     "first_order_perturbation",
-    "l1_boundary",
     "reference_mode",
     "adjoint_values",
     "gram_matrix",
@@ -72,45 +70,32 @@ def _seed_eigenvalues(kind: BcKind, params: Params, n_list) -> np.ndarray:
 _SUBSTEPS = 2  # RK4 steps per grid cell; the ODE error estimate reruns at 1
 
 
-def _march(CEP, CEM, h, seed, nx=None):
+def _march(C, h, seed, nx=None):
     """RK4 through a stage table whose rows alternate step ends and midpoints.
 
-    Returns the final ``(g1, g2)``, or with ``nx`` the (K, 2, nx) samples of
-    g at the grid points (every ``steps / (nx - 1)``-th step).
+    ``C[i]`` is the (2, K) pair ``(c e^{-2 lam x_i}, c e^{2 lam x_i})``, so a
+    stage is ``C[i] * g[::-1]``. Returns the final (2, K) ``g``, or with
+    ``nx`` the (K, 2, nx) samples of g at the grid points (every
+    ``steps / (nx - 1)``-th step).
     """
-    nsteps = (CEP.shape[0] - 1) // 2
-    K = CEP.shape[1]
-    g1 = np.full(K, seed[0], dtype=complex)
-    g2 = np.full(K, seed[1], dtype=complex)
+    nsteps = (C.shape[0] - 1) // 2
+    g = np.empty(C.shape[1:], dtype=complex)
+    g[:] = np.asarray(seed)[:, None]
     if nx is not None:
         every = nsteps // (nx - 1)
-        out = np.empty((K, 2, nx), dtype=complex)
-        out[:, 0, 0] = g1
-        out[:, 1, 0] = g2
+        out = np.empty((C.shape[2], 2, nx), dtype=complex)
+        out[:, :, 0] = g.T
 
     for k in range(nsteps):
         i0 = 2 * k
-        a1 = CEM[i0] * g2
-        b1 = CEP[i0] * g1
-        t1 = g1 + 0.5 * h * a1
-        t2 = g2 + 0.5 * h * b1
-        a2 = CEM[i0 + 1] * t2
-        b2 = CEP[i0 + 1] * t1
-        t1 = g1 + 0.5 * h * a2
-        t2 = g2 + 0.5 * h * b2
-        a3 = CEM[i0 + 1] * t2
-        b3 = CEP[i0 + 1] * t1
-        t1 = g1 + h * a3
-        t2 = g2 + h * b3
-        a4 = CEM[i0 + 2] * t2
-        b4 = CEP[i0 + 2] * t1
-        g1 = g1 + (h / 6.0) * (a1 + 2.0 * (a2 + a3) + a4)
-        g2 = g2 + (h / 6.0) * (b1 + 2.0 * (b2 + b3) + b4)
+        k1 = C[i0] * g[::-1]
+        k2 = C[i0 + 1] * (g + 0.5 * h * k1)[::-1]
+        k3 = C[i0 + 1] * (g + 0.5 * h * k2)[::-1]
+        k4 = C[i0 + 2] * (g + h * k3)[::-1]
+        g = g + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         if nx is not None and (k + 1) % every == 0:
-            j = (k + 1) // every
-            out[:, 0, j] = g1
-            out[:, 1, j] = g2
-    return (g1, g2) if nx is None else out
+            out[:, :, (k + 1) // every] = g.T
+    return g if nx is None else out
 
 
 def _integrate(params: Params, lams, seed, store=False):
@@ -140,20 +125,23 @@ def _integrate(params: Params, lams, seed, store=False):
     h = params.L / nsteps
     # stage abscissae: step endpoints and midpoints
     xs = np.linspace(0.0, params.L, 2 * nsteps + 1)
-    c = -np.asarray(delta(params, xs)) / 3.0
-    E = np.exp(2.0 * np.outer(xs, lams))  # e^{2 lam x}, (S, K)
-    CEP = c[:, None] * E
-    CEM = c[:, None] / E
+    c = -np.asarray(delta(params, xs))[:, None] / 3.0
+    E = np.outer(xs, lams)
+    E *= 2.0
+    np.exp(E, out=E)  # e^{2 lam x}, (S, K), formed in place
+    C = np.empty((xs.size, 2, lams.size), dtype=complex)
+    np.divide(c, E, out=C[:, 0])
+    np.multiply(c, E, out=C[:, 1])
     del E
     eL = np.exp(lams * params.L)
     if not store:
-        g1, g2 = _march(CEP, CEM, h, seed)
+        g1, g2 = _march(C, h, seed)
         return g1 * eL + g2 / eL
 
-    vals = _march(CEP, CEM, h, seed, nx)
+    vals = _march(C, h, seed, nx)
     # every other stage row is the stage table of the doubled step
-    coarse = _march(CEP[::2], CEM[::2], 2.0 * h, seed, nx)
-    del CEP, CEM
+    coarse = _march(C[::2], 2.0 * h, seed, nx)
+    del C
     residuals = vals[:, 0, -1] * eL + vals[:, 1, -1] / eL
     # back to f variables: f1 = e^{lam x} g1, f2 = e^{-lam x} g2
     Eg = np.exp(np.outer(lams, np.linspace(0.0, params.L, nx)))  # (K, nx)
@@ -163,15 +151,6 @@ def _integrate(params: Params, lams, seed, store=False):
     scale = np.max(np.abs(vals), axis=(1, 2))
     ode_err = np.max(np.abs(vals - coarse), axis=(1, 2)) / scale
     return np.abs(residuals) / scale, vals, ode_err
-
-
-def shoot(params: Params, kind: BcKind, lam) -> complex:
-    """Boundary residual ``f1(L) + f2(L)`` of the shooting solution.
-
-    Integrates from x=0 with the kind's left seed; roots in ``lam`` are the
-    operator eigenvalues.
-    """
-    return complex(_integrate(params, [lam], _left_seed(kind, params))[0])
 
 
 def find_eigenvalues(params: Params, kind: BcKind, n_range):
@@ -261,7 +240,6 @@ class Basis(ModeIndexed):
     eigenvalues: np.ndarray
     grid: np.ndarray
     values: np.ndarray
-    normalization: str
     dual_values: np.ndarray = None
     bc_residuals: np.ndarray = None
     ode_residuals: np.ndarray = None
@@ -381,22 +359,19 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
         phases = vals[:, 0, 0] / np.abs(vals[:, 0, 0])
         vals = vals / phases[:, None, None]
         check_identity(gram_matrix(vals, vals, grid), "orthonormality")
-        normalization = "orthonormal"
     else:
         refs = np.stack(
             [reference_mode(params, BcKind.DAMPED, n, grid).values for n in n_list]
         )
         vals = vals / pairings(vals, adjoint_values(params, refs), grid)[:, None, None]
-        normalization = "kato"
         if with_duals:
             phi = adjoint_values(params, vals)
             q = pairings(vals, phi, grid)  # <f_n, phi_n>
             dual_values = phi * np.conj(1.0 / q)[:, None, None]
-            normalization = "biorthonormal"
             check_identity(gram_matrix(vals, dual_values, grid), "biorthonormality")
     return Basis(
         params=params, kind=kind, n_list=n_list, eigenvalues=eigs, grid=grid,
-        values=vals, normalization=normalization, dual_values=dual_values,
+        values=vals, dual_values=dual_values,
         bc_residuals=bc_res, ode_residuals=ode_err,
     )
 
@@ -503,13 +478,3 @@ def first_order_perturbation(params: Params, n: int, K: int = 2000) -> GridFunct
         acc[1] += cc @ (-1.0 / up)
     return GridFunction2(grid, acc)
 
-
-def l1_boundary(params: Params, n: int, K: int = 2000) -> complex:
-    """Boundary combination of ``psi_n^(1)``; zero for odd n.
-
-    ``l1_n = psi^(1)_{n,1}(L) - psi^(1)_{n,1}(0) - psi^(1)_{n,2}(L)
-    + psi^(1)_{n,2}(0)``, evaluated from the series (each basis mode
-    contributes ``2((-1)^k - 1)``).
-    """
-    ks, coefs = _kato_series(params, n, K)
-    return complex(coefs @ (2.0 * ((-1.0) ** ks - 1.0)))

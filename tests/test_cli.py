@@ -49,6 +49,7 @@ class TestBadInput:
             ["lyapunov", "--set", "lam=5"],
             ["steer", "--set", "gamma=0.05", "--set", "target=1"],
             ["steer", "--set", "gamma=0.05", "--set", "target=9:1.0"],
+            ["steer", "--set", "gamma=0.05", "--set", "target=1:nan"],
             ["spectrum", "--set", "modes=x"],
             ["spectrum", "--set", "modes=0,9"],
             ["simulate", "--set", "law_file={tmp}/missing.json"],
@@ -68,6 +69,15 @@ class TestBadInput:
         (tmp_path / "run.cfg").write_text("gamma = 0.03\n")
         args = [a.replace("{tmp}", str(tmp_path)) for a in args]
         code = run(args + FAST, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["spectrum", "feedback"])
+    @pytest.mark.parametrize("key", [k for k, kind in cli._PARAM_KEYS.items() if kind is float])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_parameter_exit2(self, command, key, value, tmp_path, capsys):
+        code = run([command] + FAST + ["--set", f"{key}={value}"], tmp_path)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("configuration error:") and err.count("\n") == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from watertank.control import (
+    DualBasis,
     controllability_report,
     dual_exponentials,
     i_moments,
@@ -11,9 +12,25 @@ from watertank.control import (
     synthesize_open_loop,
 )
 from watertank.errors import ConfigError, NumericalError, UncontrollableError
-from watertank.model import Params
+from watertank.model import Params, simpson_weights
 from watertank.simulate import integrate_open_loop_w
 from watertank.spectral import BcKind
+
+
+def biorthogonality_residual(duals: DualBasis, grid=None) -> float:
+    """Biorthogonality defect measured on an independent quadrature.
+
+    Defaults to a 4x refinement of the build grid; on the build grid
+    itself the defect vanishes by construction of the Gram solve.
+    """
+    if grid is None:
+        grid = np.linspace(0.0, duals.grid[-1], 4 * (duals.grid.size - 1) + 1)
+    w = simpson_weights(grid)
+    T = grid[-1]
+    E = np.exp(np.outer(duals.eigenvalues, grid - T))
+    P = duals.coeffs.T @ E  # duals sampled, (K, nq)
+    G = (E * w) @ np.conj(P).T
+    return float(np.max(np.abs(G - np.eye(duals.eigenvalues.size))))
 
 
 class TestMomentB:
@@ -89,7 +106,7 @@ class TestDualExponentials:
         modes = wmodes_cache(p_std, 12)
         tq = np.linspace(0.0, 2 * p_std.L, 8193)
         duals = dual_exponentials(modes.eigenvalues[modes.index(-12):modes.index(12) + 1], tq)
-        assert duals.biorthogonality_residual() < 1e-6
+        assert biorthogonality_residual(duals) < 1e-6
 
     def test_delta_moments(self, p_std, wmodes_cache):
         # int e^{mu_n (s-2L)} conj(p_m) ds = delta_nm, checked pointwise
@@ -117,7 +134,7 @@ class TestDualExponentials:
         for nq in (65, 129, 257):
             tq = np.linspace(0.0, 2 * p_std.L, nq)
             duals = dual_exponentials(modes.eigenvalues, tq)
-            res.append(duals.biorthogonality_residual(ref))
+            res.append(biorthogonality_residual(duals, ref))
         orders = [math.log2(res[i] / res[i + 1]) for i in range(2)]
         assert min(orders) > 2.0
 
@@ -176,7 +193,7 @@ class TestSynthesizeOpenLoop:
     def test_steering_cross_checked_by_fd(self, setup):
         # independent discretization: drive the zeta system with the same
         # control through the upwind scheme, pull back to w, compare moments
-        from watertank.model import diagonal_weight, simpson_weights, uniform_grid
+        from watertank.model import diagonal_weight, uniform_grid
         from watertank.simulate import fd_simulate
 
         p, modes, duals = setup

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,70 @@ def test_unused_import_check_flags_one():
         "math",
         "path",
     ]
+
+
+# Exported names no pipeline stage reads, each with its reason.
+UNREAD_EXPORTS = {
+    "physical_to_zeta": "reference implementation the tests compare zeta_to_physical against",
+    "mass_functional": "reference implementation the tests compare the recorded mass against",
+    "fd_upwind_step": "reference implementation the tests replay the closed loop with",
+    "build_transform": "the paper's backstepping transform, not yet reported by any stage",
+}
+PERFBENCH = Path(watertank.__file__).parents[2] / "perfbench"
+
+
+def _reads(tree) -> set:
+    """``(name, owners)`` for every Name or Attribute read, with its enclosing defs."""
+    out = set()
+
+    def visit(node, owners):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owners = owners | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add((node.id, owners))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add((node.attr, owners))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(tree, frozenset())
+    return out
+
+
+def _unread_exports(src_dir: Path, bench_text: str) -> list:
+    """``module.name`` for each ``__all__`` name nothing in ``src_dir`` reads.
+
+    A read inside the name's own definition does not count; a name that
+    appears in ``bench_text`` does.
+    """
+    reads, exported = set(), []
+    for path in sorted(src_dir.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads |= _reads(tree)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported += [(path.stem, n) for n in ast.literal_eval(node.value)]
+    return [
+        f"{mod}.{name}"
+        for mod, name in exported
+        if not any(n == name and name not in owners for n, owners in reads)
+        and not re.search(rf"\b{re.escape(name)}\b", bench_text)
+    ]
+
+
+def test_every_export_is_read():
+    bench = "\n".join(p.read_text() for p in sorted(PERFBENCH.rglob("*.py")))
+    unread = _unread_exports(Path(watertank.__file__).parent, bench)
+    unlisted = [n for n in unread if n.split(".")[1] not in UNREAD_EXPORTS]
+    assert not unlisted, f"exported but read by no stage or benchmark: {unlisted}"
+    stale = set(UNREAD_EXPORTS) - {n.split(".")[1] for n in unread}
+    assert not stale, f"listed as unread but read now: {sorted(stale)}"
+
+
+def test_unread_export_check_flags_one(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '__all__ = ["f", "g", "h"]\n\ndef f():\n    return f()\n\ndef g():\n    pass\n\ndef h():\n    return g()\n'
+    )
+    assert _unread_exports(tmp_path, "bench calls h") == ["a.f"]

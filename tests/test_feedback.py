@@ -5,16 +5,38 @@ import pytest
 
 from watertank.errors import RegimeError, UncontrollableError
 from watertank.feedback import (
-    apply_feedback,
+    FeedbackLaw,
     control_profile,
     feedback_coefficients,
     physical_feedback,
-    singular_split,
     virtual_profile,
     zero_law,
 )
 from watertank.model import Params, l_gamma
 from watertank.spectral import BcKind, pairings
+
+
+def singular_split(law: FeedbackLaw):
+    """Split the table into its singular part h and the regular remainder.
+
+    Returns ``(h, regular, tail)`` where ``tail[k]`` is the partial-sum
+    increment of ``sum |((table - h)/mu_n)|^2`` beyond |n| = k; the sequence
+    being numerically Cauchy is the computable stand-in for the X^2
+    continuity of the remainder.
+    """
+    h = law.singular
+    regular = law.table - h
+    nz = law.n_list != 0
+    r = np.zeros(law.n_list.size, dtype=complex)
+    r[nz] = regular[nz] / law.eigenvalues[nz]
+    r[~nz] = regular[~nz]  # mu_0 = 0: keep the raw value
+    N = (law.n_list.size - 1) // 2
+    absn = np.abs(law.n_list)
+    tail = {}
+    total = float(np.sum(np.abs(r) ** 2))
+    for k in range(0, N + 1):
+        tail[k] = float(np.sum(np.abs(r[absn > k]) ** 2))
+    return h, regular, {"partial_tails": tail, "total": total}
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +155,7 @@ class TestApplyFeedback:
         law, _ = law_std
         coeffs = np.zeros(41, dtype=complex)
         coeffs[law.index(3)] = 1.0
-        assert apply_feedback(law, coeffs) == law.value(3)
+        assert law.apply(coeffs) == law.value(3)
 
     def test_real_state_real_output(self, law_std):
         law, _ = law_std
@@ -144,7 +166,7 @@ class TestApplyFeedback:
             coeffs[law.index(n)] = a
             coeffs[law.index(-n)] = np.conj(a)
         coeffs[law.index(0)] = rng.standard_normal()
-        u = apply_feedback(law, coeffs)
+        u = law.apply(coeffs)
         assert abs(u.imag) < 1e-10 * max(1.0, abs(u))
 
     def test_linearity(self, law_std):
@@ -152,8 +174,8 @@ class TestApplyFeedback:
         rng = np.random.default_rng(1)
         a = rng.standard_normal(41) + 1j * rng.standard_normal(41)
         b = rng.standard_normal(41) + 1j * rng.standard_normal(41)
-        lhs = apply_feedback(law, 2.0 * a + 3.0 * b)
-        rhs = 2.0 * apply_feedback(law, a) + 3.0 * apply_feedback(law, b)
+        lhs = law.apply(2.0 * a + 3.0 * b)
+        rhs = 2.0 * law.apply(a) + 3.0 * law.apply(b)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -166,16 +188,17 @@ class TestPhysicalFeedback:
         p = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=6, grid_points=8193)
         basis = basis_cache(p, BcKind.CONSERVATIVE, 6)
         law = feedback_coefficients(p, basis)
-        phys = physical_feedback(p, basis, mu_phys=p.mu / 4.0, law=law)
+        phys = physical_feedback(p, basis, law=law)
         scale = p.L / l_gamma(p)
         rel = np.abs(phys.table - scale * law.table) / np.abs(scale * law.table)
         assert float(rel.max()) < 1e-6
 
     def test_tanh_scaling_rule(self, basis_cache):
-        # mu_internal = 4 mu_phys is a hard rule
+        # mu_internal = 4 mu_phys, with mu_phys = mu/4, is a hard rule
         p = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=4, grid_points=2049)
         basis = basis_cache(p, BcKind.CONSERVATIVE, 4)
-        phys = physical_feedback(p, basis, mu_phys=0.5)
+        phys = physical_feedback(p, basis)
+        assert phys.mu_phys == 0.5
         assert phys.mu_internal == 2.0
 
     def test_zero_mode_blows_up_through_nu_only(self, basis_cache):
@@ -184,14 +207,14 @@ class TestPhysicalFeedback:
         for g in (1e-3, 1e-4):
             p = Params(gamma=g, mu=2.0, nu=0.5, n_modes=2, grid_points=1025)
             basis = basis_cache(p, BcKind.CONSERVATIVE, 2)
-            law = feedback_coefficients(p, basis, check_regime=False)
-            phys = physical_feedback(p, basis, mu_phys=p.mu / 4.0, law=law)
+            law = feedback_coefficients(p, basis)
+            phys = physical_feedback(p, basis, law=law)
             vals.append(abs(phys.table[phys.index(0)]))
         assert vals[1] == pytest.approx(vals[0], rel=1e-2)
 
     def test_u2_coefficient(self, basis_cache):
         p = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=4, grid_points=2049)
         basis = basis_cache(p, BcKind.CONSERVATIVE, 4)
-        phys = physical_feedback(p, basis, mu_phys=p.mu / 4.0)
+        phys = physical_feedback(p, basis)
         expect = p.nu * phys.table[phys.index(0)]
         assert phys.u2_coefficient == pytest.approx(expect, rel=1e-12)

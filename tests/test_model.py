@@ -7,7 +7,7 @@ from watertank.model import (
     Params,
     delta,
     diagonal_weight,
-    exp_weight,
+    height_root_profile,
     l_gamma,
     mass_functional,
     physical_to_zeta,
@@ -17,6 +17,18 @@ from watertank.model import (
     zeta_to_physical,
 )
 from watertank.spectral import pairings
+
+
+def exp_weight(params: Params, x):
+    """The diagonalizing weight in the closed form ``W(x)^(3/2)``.
+
+    Note this equals ``W(0)^(3/2) * exp(int_0^x delta)``: the closed form
+    carries the constant gauge ``W(0)^(3/2) = (1 + gamma L/2)^(3/4)`` at
+    x = 0 (a constant rescaling of the diagonal change of variables, which
+    is immaterial for the dynamics). See :func:`diagonal_weight` for the
+    ungauged exponential used by the coordinate maps and control profile.
+    """
+    return height_root_profile(params, x) ** 1.5
 
 
 def inner_product(f: GridFunction2, g: GridFunction2) -> complex:
@@ -237,7 +249,11 @@ class TestMassFunctional:
 
         modes = wmodes_cache(p_std, 20)
         t = np.linspace(0.0, 2 * p_std.L, 513)
-        sig = ControlSignal(t=t, u=0.4 * np.sin(3.0 * t) + 0.2j * np.cos(t))
+        # 0.4 sin 3t + 0.2i cos t as its four exponentials e^{r (t - T)}
+        rates = np.array([3j, -3j, 1j, -1j])
+        coefs = np.array([-0.2j, 0.2j, 0.1j, 0.1j])
+        sig = ControlSignal(t=t, rates=rates, amplitudes=coefs * np.exp(rates * t[-1]))
+        assert np.max(np.abs(sig.u - (0.4 * np.sin(3.0 * t) + 0.2j * np.cos(t)))) < 1e-14
         rng = np.random.default_rng(1)
         init = (rng.standard_normal(41) + 1j * rng.standard_normal(41)) / (
             1 + np.abs(np.arange(-20, 21))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from watertank.control import dual_exponentials, input_gains, synthesize_open_loop
 from watertank.errors import ConfigError, DomainError, NumericalError
 from watertank.feedback import feedback_coefficients, zero_law
 from watertank.model import (
@@ -23,12 +24,13 @@ from watertank.simulate import (
     fd_upwind_step,
     gamma_s_threshold,
     integrate_closed_loop,
+    integrate_open_loop_w,
     integrate_target,
     lyapunov_certificate,
     lyapunov_functional,
     real_initial_datum,
 )
-from watertank.spectral import BcKind
+from watertank.spectral import BcKind, w_modes
 
 
 class TestClosedLoopIntegration:
@@ -143,6 +145,39 @@ class TestClosedLoopPropagator:
         with pytest.raises(NumericalError):
             integrate_closed_loop(self.P8, replace(law, table=table),
                                   real_initial_datum(np.random.default_rng(1), 8))
+
+
+class TestOpenLoopPropagator:
+    P8 = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=8, grid_points=1025)
+
+    def _steer(self, basis_cache):
+        modes = w_modes(self.P8, basis_cache(self.P8, BcKind.CONSERVATIVE, 8))
+        tq = np.linspace(0.0, 2 * self.P8.L, 2049)
+        duals = dual_exponentials(modes.eigenvalues, tq)
+        return modes, synthesize_open_loop(self.P8, modes, duals, {1: 1.0, 3: 0.5})
+
+    def test_matches_solve_ivp(self, basis_cache):
+        # independent reference: a tight adaptive DOP853 run of
+        # w' = -mu w + beta u(t), with u evaluated from the control signal
+        modes, sig = self._steer(basis_cache)
+        c0 = real_initial_datum(np.random.default_rng(7), 8)
+        t_final = 2 * self.P8.L
+        traj = integrate_open_loop_w(self.P8, modes, sig, c0, t_final=t_final, dt=1e-2)
+        _, beta = input_gains(modes)
+        ref = solve_ivp(lambda t, w: -modes.eigenvalues * w + beta * sig(np.array([t]))[0],
+                        (0.0, t_final), c0, method="DOP853", t_eval=traj.times,
+                        rtol=1e-12, atol=1e-14)
+        assert ref.success
+        want = ref.y.T
+        assert np.max(np.abs(traj.coeffs - want)) < 1e-10 * np.max(np.abs(want))
+        u = sig(traj.times)
+        assert np.max(np.abs(traj.control - u)) < 1e-10 * np.max(np.abs(u))
+
+    def test_t_final_past_horizon_rejected(self, basis_cache):
+        modes, sig = self._steer(basis_cache)
+        init = np.zeros(modes.n_list.size, dtype=complex)
+        with pytest.raises(ConfigError):
+            integrate_open_loop_w(self.P8, modes, sig, init, t_final=2 * self.P8.L + 0.1)
 
 
 class TestClosedLoopFdReplay:

@@ -7,6 +7,10 @@ from watertank.errors import NumericalError
 from watertank.model import GridFunction2, Params, delta, uniform_grid
 from watertank.spectral import (
     BcKind,
+    _integrate,
+    _kato_series,
+    _left_seed,
+    _march,
     adjoint_values,
     build_basis,
     find_eigenvalues,
@@ -14,12 +18,30 @@ from watertank.spectral import (
     gram_matrix,
     j0_overlap,
     kato_psi,
-    l1_boundary,
     pairings,
     reference_mode,
-    shoot,
     w_modes,
 )
+
+
+def shoot(params: Params, kind: BcKind, lam) -> complex:
+    """Boundary residual ``f1(L) + f2(L)`` of the shooting solution.
+
+    Integrates from x=0 with the kind's left seed; roots in ``lam`` are the
+    operator eigenvalues.
+    """
+    return complex(_integrate(params, [lam], _left_seed(kind, params))[0])
+
+
+def l1_boundary(params: Params, n: int, K: int = 2000) -> complex:
+    """Boundary combination of ``psi_n^(1)``; zero for odd n.
+
+    ``l1_n = psi^(1)_{n,1}(L) - psi^(1)_{n,1}(0) - psi^(1)_{n,2}(L)
+    + psi^(1)_{n,2}(0)``, evaluated from the series (each basis mode
+    contributes ``2((-1)^k - 1)``).
+    """
+    ks, coefs = _kato_series(params, n, K)
+    return complex(coefs @ (2.0 * ((-1.0) ** ks - 1.0)))
 
 
 def shoot_derivative_check(params: Params, kind: BcKind, lam, h=1e-6):
@@ -57,6 +79,49 @@ class TestShoot:
         lam = 1j * math.pi * 3 / p_std.L + 0.01
         d_re, d_im = shoot_derivative_check(p_std, BcKind.CONSERVATIVE, lam)
         assert abs(d_re - d_im) < 1e-6 * max(1.0, abs(d_re))
+
+
+def march_two_arrays(CEM, CEP, h, seed, nx):
+    """RK4 of the shooting march on separate ``(g1, g2)`` arrays and stage tables.
+
+    ``CEM`` and ``CEP`` are the (S, K) rows of the stage table; returns the
+    final ``(g1, g2)`` and the (K, 2, nx) grid samples.
+    """
+    nsteps = (CEP.shape[0] - 1) // 2
+    g1 = np.full(CEP.shape[1], seed[0], dtype=complex)
+    g2 = np.full(CEP.shape[1], seed[1], dtype=complex)
+    every = nsteps // (nx - 1)
+    out = np.empty((CEP.shape[1], 2, nx), dtype=complex)
+    out[:, 0, 0], out[:, 1, 0] = g1, g2
+    for k in range(nsteps):
+        i0 = 2 * k
+        a1, b1 = CEM[i0] * g2, CEP[i0] * g1
+        a2, b2 = CEM[i0 + 1] * (g2 + 0.5 * h * b1), CEP[i0 + 1] * (g1 + 0.5 * h * a1)
+        a3, b3 = CEM[i0 + 1] * (g2 + 0.5 * h * b2), CEP[i0 + 1] * (g1 + 0.5 * h * a2)
+        a4, b4 = CEM[i0 + 2] * (g2 + h * b3), CEP[i0 + 2] * (g1 + h * a3)
+        g1 = g1 + (h / 6.0) * (a1 + 2.0 * (a2 + a3) + a4)
+        g2 = g2 + (h / 6.0) * (b1 + 2.0 * (b2 + b3) + b4)
+        if (k + 1) % every == 0:
+            out[:, 0, (k + 1) // every], out[:, 1, (k + 1) // every] = g1, g2
+    return (g1, g2), out
+
+
+class TestMarch:
+    @pytest.mark.parametrize("kind", list(BcKind))
+    def test_stacked_march_matches_two_arrays(self, kind):
+        # the stacked (2, K) march does the same arithmetic in the same order
+        p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=3, grid_points=65)
+        lams = find_eigenvalues(p, kind, range(-3, 4)) + 0.01
+        xs = np.linspace(0.0, p.L, 4 * (p.grid_points - 1) + 1)
+        c = -np.asarray(delta(p, xs))[:, None] / 3.0
+        E = np.exp(2.0 * np.outer(xs, lams))
+        C = np.stack([c / E, c * E], axis=1)
+        h = p.L / (2 * (p.grid_points - 1))
+        seed = _left_seed(kind, p)
+        (g1, g2), ref = march_two_arrays(C[:, 0], C[:, 1], h, seed, p.grid_points)
+        g = _march(C, h, seed)
+        assert np.array_equal(g[0], g1) and np.array_equal(g[1], g2)
+        assert np.array_equal(_march(C, h, seed, p.grid_points), ref)
 
 
 class TestFindEigenvalues:
