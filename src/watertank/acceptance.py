@@ -34,8 +34,8 @@ from watertank.backstepping import (
     match_spectrum,
 )
 from watertank.control import (
+    controllability_report,
     dual_exponentials,
-    moment_b,
     plain_moments,
     synthesize_open_loop,
 )
@@ -97,12 +97,13 @@ def cached_basis(params: Params, kind: BcKind, N=None, with_duals=True):
     return _basis_memo(params, kind, params.n_modes if N is None else int(N), bool(with_duals))
 
 
-def _w_modes(params: Params, N: int):
-    return w_modes(params, cached_basis(params, BcKind.CONSERVATIVE, N))
-
-
 def _law(params: Params, N: int):
     return feedback_coefficients(params, cached_basis(params, BcKind.CONSERVATIVE, N))
+
+
+def _moment_report(params: Params):
+    basis = cached_basis(params, BcKind.CONSERVATIVE)
+    return controllability_report(params, basis, w_modes(params, basis))
 
 
 def _c1():
@@ -127,7 +128,8 @@ def _c1():
 
 def _c2():
     p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=20, grid_points=2049)
-    ev = find_eigenvalues(p, BcKind.CONSERVATIVE, range(-20, 21))
+    # the spectrum of the basis criteria 4 and 12 build at this point
+    ev = cached_basis(p, BcKind.CONSERVATIVE).eigenvalues
     exact = 1j * math.pi * np.arange(-20, 21) / p.L
     drift = float(np.max(np.abs(ev - exact)))
     re = float(np.max(np.abs(ev.real)))
@@ -168,20 +170,14 @@ def _c3():
 
 def _c4():
     p0 = Params(gamma=0.0, mu=2.0, nu=0.5, n_modes=20, grid_points=2049)
-    m0 = _w_modes(p0, 20)
-    even_max = 0.0
-    odd_err = 0.0
-    for n in range(1, 21):
-        b = moment_b(p0, m0, n)
-        if n % 2 == 0:
-            even_max = max(even_max, abs(b))
-        else:
-            odd_err = max(odd_err, abs(b - (-4j * p0.L / (math.pi * n))))
+    r0 = _moment_report(p0)
+    n = r0.n_list
+    even, odd = (n > 0) & (n % 2 == 0), (n > 0) & (n % 2 == 1)
+    even_max = float(np.max(np.abs(r0.b[even])))
+    odd_err = float(np.max(np.abs(r0.b[odd] + 4j * p0.L / (math.pi * n[odd]))))
     p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=20, grid_points=2049)
-    m = _w_modes(p, 20)
-    nb = np.array([n * abs(moment_b(p, m, n)) for n in range(1, 21)])
-    c_fit = float(nb.min() / p.gamma)
-    C_fit = float(nb.max())
+    fit = _moment_report(p).constants
+    c_fit, C_fit = fit["c"], fit["C"]
     passed = even_max < 1e-8 and odd_err < 1e-6 and c_fit > 0.01
     return passed, {
         "gamma0_even_max": even_max,
@@ -218,7 +214,7 @@ def _c5():
 
 def _c6():
     p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=12, grid_points=2049)
-    modes = _w_modes(p, 12)
+    modes = w_modes(p, cached_basis(p, BcKind.CONSERVATIVE, 12))
     # 8x oversampling relative to the spatial grid for the dual quadrature
     tq = np.linspace(0.0, 2 * p.L, 8 * (p.grid_points - 1) + 1)
     duals = dual_exponentials(modes.eigenvalues, tq)

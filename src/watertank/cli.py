@@ -71,7 +71,15 @@ def _window(text):
     return float(a), float(b)
 
 
-_COMMON_KEYS = {"seed": int, "outdir": str, "format": str}
+def _seed(text):
+    """A non-negative integer, as ``np.random.default_rng`` requires."""
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"negative seed {seed}")
+    return seed
+
+
+_COMMON_KEYS = {"seed": _seed, "outdir": str}
 _COMMAND_KEYS = {
     "spectrum": {"modes": _int_list},
     "controllability": {},
@@ -176,9 +184,18 @@ def _config_echo(cfg, params: Params) -> dict:
 def cmd_spectrum(cfg) -> int:
     params = params_from_config(cfg)
     out = _outdir(cfg)
-    n_list = np.arange(-params.n_modes, params.n_modes + 1)
+    N = params.n_modes
+    n_list = np.arange(-N, N + 1)
     seeds = 1j * math.pi * n_list / params.L
-    ev_c = find_eigenvalues(params, BcKind.CONSERVATIVE, n_list)
+    wanted = cfg.get("modes")
+    if wanted:
+        if any(abs(n) > N for n in wanted):
+            raise ConfigError(f"modes {wanted} must lie in -{N}..{N}")
+        # the basis shoots the conservative spectrum; reuse it
+        basis = build_basis(params, BcKind.CONSERVATIVE, N)
+        ev_c = basis.eigenvalues
+    else:
+        ev_c = find_eigenvalues(params, BcKind.CONSERVATIVE, n_list)
     ev_d = find_eigenvalues(params, BcKind.DAMPED, n_list)
     rows_c = [
         (int(n), float(e.real), float(e.imag), float(abs(e - s)))
@@ -190,12 +207,7 @@ def cmd_spectrum(cfg) -> int:
     ]
     _write_csv(out / "spectrum_conservative.csv", ["n", "re", "im", "drift"], rows_c)
     _write_csv(out / "spectrum_damped.csv", ["n", "re", "im", "drift"], rows_d)
-    if cfg.get("modes"):
-        wanted = cfg["modes"]
-        N = params.n_modes
-        if any(abs(n) > N for n in wanted):
-            raise ConfigError(f"modes {wanted} must lie in -{N}..{N}")
-        basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes)
+    if wanted:
         header = ["x"]
         cols = [basis.grid]
         for n in wanted:
@@ -253,7 +265,7 @@ def cmd_feedback(cfg) -> int:
     out = _outdir(cfg)
     basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes)
     law = feedback_coefficients(params, basis)
-    phys = physical_feedback(params, basis, law=law)
+    phys = physical_feedback(law)
     c, C = law.growth_window()
     # closed-loop spectrum report against the reflected target eigenvalues
     eig = closed_loop_spectrum(params, basis, law)
@@ -401,8 +413,8 @@ def cmd_finite_demo(cfg) -> int:
     out = _outdir(cfg)
     count = cfg.get("count", 25)
     dim_max = cfg.get("dim_max", 6)
-    if count < 1 or dim_max < 2:
-        raise ConfigError("finite-demo needs count >= 1 and dim_max >= 2")
+    if count < 1:
+        raise ConfigError("finite-demo needs count >= 1")
     draws = random_backstep_pairs(np.random.default_rng(cfg.get("seed", 0)), dim_max)
     runs = []
     for pa, pt, T, K in itertools.islice(draws, count):

@@ -28,7 +28,6 @@ __all__ = [
     "MomentReport",
     "DualBasis",
     "ControlSignal",
-    "moment_b",
     "plain_moments",
     "i_moments",
     "input_gains",
@@ -41,15 +40,6 @@ __all__ = [
 def plain_moments(values, grid):
     """Plain integrals ``int (v1 + v2)``, i.e. ``2L <v, (1,1)>``, per row of values."""
     return 2.0 * grid[-1] * pairings(values, np.ones((2, grid.size)), grid)
-
-
-def moment_b(params: Params, modes: WModes, n: int) -> complex:
-    """Moment ``b_n = <chi_n, (1,1)>`` in the plain (unprefactored) integral.
-
-    Closed form at gamma = 0: ``-(2iL/(pi n)) (1 - cos pi n)`` -- zero for
-    even n, ``-4iL/(pi n)`` for odd n.
-    """
-    return complex(plain_moments(modes.chi[modes.index(n)], modes.grid))
 
 
 def i_moments(params: Params, basis: Basis) -> np.ndarray:

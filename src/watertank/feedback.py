@@ -19,6 +19,9 @@ The table grows linearly in n and is unbounded as a functional; its
 singular part ``h_n = +tanh(mu L) f_{n,1}(0) mu_n / tau_n`` (with
 ``tau_n = e^{int delta} f_{n,1}(L)/f_{n,1}(0) - 1``) captures the growth,
 the remainder having a square-summable tail against mu_n.
+
+The physical PI law (:func:`physical_feedback`) is this table carried through
+the change of variables, which only rescales it by L/L_gamma.
 """
 
 from __future__ import annotations
@@ -30,16 +33,7 @@ import numpy as np
 
 from watertank.control import i_moments
 from watertank.errors import RegimeError, UncontrollableError
-from watertank.model import (
-    GridFunction2,
-    Params,
-    diagonal_weight,
-    l_gamma,
-    simpson_weights,
-    steady_state_height,
-    uniform_grid,
-    zeta_to_physical,
-)
+from watertank.model import GridFunction2, Params, diagonal_weight, l_gamma, uniform_grid
 from watertank.spectral import Basis, BcKind, ModeIndexed, pairings
 
 __all__ = [
@@ -201,15 +195,13 @@ class PhysicalFeedback(ModeIndexed):
     table: np.ndarray
     n_list: np.ndarray
     u2_coefficient: complex
-    internal_law: FeedbackLaw
 
 
-def physical_feedback(params: Params, basis: Basis,
-                      law: FeedbackLaw = None) -> PhysicalFeedback:
-    """Physical-coordinate feedback, built as two consistent paths.
+def physical_feedback(law: FeedbackLaw) -> PhysicalFeedback:
+    """The modal law carried into physical coordinates.
 
-    The returned table is computed from physical-space integrals of the
-    pulled-back eigenfunctions:
+    In terms of the pulled-back eigenfunctions ``(h_n, v_n)`` the physical
+    table reads
 
         P[n] = +tanh(4 mu_phys L) sqrt(H(0)) h_n(0)^2
                / int_0^L H(x) v_n(x) dx,                  n != 0,
@@ -218,32 +210,12 @@ def physical_feedback(params: Params, basis: Basis,
     which is the exact pushforward of the modal table: P[n] = (L/L_gamma) *
     table[n] (the time rescaling contributes the L/L_gamma; the boundary
     factor sqrt(H(0)) accounts for the diagonal weight W(x)^{3/2} carrying
-    the constant gauge W(0)^{3/2} at x = 0). The PI coefficient is
-    ``nu * P[0]``.
+    the constant gauge W(0)^{3/2} at x = 0). The table is formed by that
+    rescaling; the PI coefficient is ``nu * P[0]``.
     """
-    if law is None:
-        law = feedback_coefficients(params, basis)
-    lg = l_gamma(params)
-    H0 = float(steady_state_height(params, 0.0))
-    grid = uniform_grid(params)
-    wq = simpson_weights(grid)
-    Hx = steady_state_height(params, grid)
-    tanh4 = math.tanh(params.mu * params.L)
-    sqH0 = math.sqrt(H0)
-    table = np.empty(law.n_list.size, dtype=complex)
-    for i, n in enumerate(law.n_list):
-        if n == 0:
-            f0 = basis.func(0)
-            h0, _v0 = zeta_to_physical(params, f0)
-            table[i] = -tanh4 * h0[0] ** 2 / (H0 * lg * params.nu)
-            continue
-        fn = basis.func(n)
-        hn, vn = zeta_to_physical(params, fn)
-        denom = complex(np.sum(wq * Hx * vn))
-        table[i] = tanh4 * sqH0 * hn[0] ** 2 / denom
-    u2_coef = params.nu * table[law.index(0)]
+    params = law.params
+    table = (params.L / l_gamma(params)) * law.table
     return PhysicalFeedback(
         mu_phys=params.mu / 4.0, mu_internal=params.mu, table=table,
-        n_list=law.n_list.copy(), u2_coefficient=complex(u2_coef), internal_law=law,
+        n_list=law.n_list.copy(), u2_coefficient=complex(params.nu * table[law.index(0)]),
     )
-

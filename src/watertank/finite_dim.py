@@ -120,8 +120,11 @@ def random_backstep_pairs(rng, dim_max: int = 6):
     Each draw takes n uniform in ``2..dim_max``, then A, B and A~ standard
     normal, in that order. Draws with a rank-deficient controllability
     matrix, or whose backstepping residuals fail the 1e-10 check
-    (ill-conditioned T), are skipped. Yields ``(pairA, pairAtilde, T, K)``.
+    (ill-conditioned T), are skipped. Yields ``(pairA, pairAtilde, T, K)``;
+    the first draw raises ConfigError unless ``2 <= dim_max <= 12``.
     """
+    if not 2 <= dim_max <= _MAX_N:
+        raise ConfigError(f"dim_max must lie in 2..{_MAX_N}, got {dim_max}")
     while True:
         n = int(rng.integers(2, dim_max + 1))
         A = rng.standard_normal((n, n))

@@ -465,16 +465,15 @@ def first_order_perturbation(params: Params, n: int, K: int = 2000) -> GridFunct
     """First-order Kato correction ``psi_n^(1)`` as a truncated mode series.
 
     ``psi_n^(1) = sum_{0 < |k-n| <= K} c_k psi_k^(0)``, ``c_k`` from
-    :func:`_kato_series`.
+    :func:`_kato_series`. On the grid ``x_j = j L/(nx-1)`` the mode
+    ``e^{i pi k x_j/L}`` is periodic in k with period ``P = 2(nx-1)``, so the
+    coefficients are folded modulo P and the series is one FFT per component.
     """
     ks, coefs = _kato_series(params, n, K)
     grid = uniform_grid(params)
-    acc = np.zeros((2, grid.size), dtype=complex)
-    block = 256
-    for i in range(0, ks.size, block):
-        cc = coefs[i : i + block]
-        up = np.exp(1j * math.pi * np.outer(ks[i : i + block], grid) / params.L)
-        acc[0] += cc @ up
-        acc[1] += cc @ (-1.0 / up)
-    return GridFunction2(grid, acc)
+    nx = grid.size
+    P = 2 * (nx - 1)
+    a = np.zeros(P, dtype=complex)
+    np.add.at(a, ks % P, coefs)
+    return GridFunction2(grid, np.stack([P * np.fft.ifft(a)[:nx], -np.fft.fft(a)[:nx]]))
 

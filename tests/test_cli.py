@@ -1,9 +1,10 @@
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from watertank import cli
+from watertank import cli, spectral
 from watertank.cli import main
 
 FAST = [
@@ -41,6 +42,13 @@ class TestConfigHandling:
         code = run(["spectrum", "--set", "gamma=abc"], tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_format_is_unknown(self, command, tmp_path, capsys):
+        code = run([command, "--set", "format=x"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unknown configuration key 'format'" in err and err.count("\n") == 1
+
 
 class TestBadInput:
     @pytest.mark.parametrize(
@@ -60,6 +68,9 @@ class TestBadInput:
             ["spectrum", "--config", "{tmp}/missing.cfg"],
             ["finite-demo", "--set", "count=0"],
             ["finite-demo", "--set", "dim_max=1"],
+            ["finite-demo", "--set", "dim_max=13", "--set", "count=1"],
+            ["finite-demo", "--set", "seed=-1"],
+            ["simulate", "--set", "seed=-1"],
         ],
     )
     def test_exit2_with_one_line(self, args, tmp_path, capsys):
@@ -106,6 +117,24 @@ class TestSpectrumCommand:
         assert code == 0
         header = (tmp_path / "eigenfunctions.csv").read_text().splitlines()[0]
         assert "re_f1_0" in header and "im_f2_1" in header
+
+    def test_eigenfunction_dump_shoots_each_kind_once(self, tmp_path, monkeypatch):
+        # the basis dumped for ``modes`` supplies the conservative spectrum
+        calls = Counter()
+        real = spectral.find_eigenvalues
+
+        def counted(params, kind, n_range):
+            calls[kind] += 1
+            return real(params, kind, n_range)
+
+        monkeypatch.setattr(spectral, "find_eigenvalues", counted)
+        monkeypatch.setattr(cli, "find_eigenvalues", counted)
+        args = ["spectrum", "--set", "gamma=0.05"] + FAST
+        assert run(args + ["--set", "modes=0,1"], tmp_path / "modes") == 0
+        assert calls == {spectral.BcKind.CONSERVATIVE: 1, spectral.BcKind.DAMPED: 1}
+        assert run(args, tmp_path / "plain") == 0
+        name = "spectrum_conservative.csv"
+        assert (tmp_path / "modes" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 class TestControllabilityCommand:

@@ -8,13 +8,22 @@ from watertank.control import (
     controllability_report,
     dual_exponentials,
     i_moments,
-    moment_b,
+    plain_moments,
     synthesize_open_loop,
 )
 from watertank.errors import ConfigError, NumericalError, UncontrollableError
 from watertank.model import Params, simpson_weights
 from watertank.simulate import integrate_open_loop_w
-from watertank.spectral import BcKind
+from watertank.spectral import BcKind, WModes
+
+
+def moment_b(params: Params, modes: WModes, n: int) -> complex:
+    """Moment ``b_n = <chi_n, (1,1)>`` in the plain (unprefactored) integral.
+
+    Closed form at gamma = 0: ``-(2iL/(pi n)) (1 - cos pi n)`` -- zero for
+    even n, ``-4iL/(pi n)`` for odd n.
+    """
+    return complex(plain_moments(modes.chi[modes.index(n)], modes.grid))
 
 
 def biorthogonality_residual(duals: DualBasis, grid=None) -> float:

@@ -12,8 +12,15 @@ from watertank.feedback import (
     virtual_profile,
     zero_law,
 )
-from watertank.model import Params, l_gamma
-from watertank.spectral import BcKind, pairings
+from watertank.model import (
+    Params,
+    l_gamma,
+    simpson_weights,
+    steady_state_height,
+    uniform_grid,
+    zeta_to_physical,
+)
+from watertank.spectral import Basis, BcKind, pairings
 
 
 def singular_split(law: FeedbackLaw):
@@ -37,6 +44,35 @@ def singular_split(law: FeedbackLaw):
     for k in range(0, N + 1):
         tail[k] = float(np.sum(np.abs(r[absn > k]) ** 2))
     return h, regular, {"partial_tails": tail, "total": total}
+
+
+def pulled_back_table(law: FeedbackLaw, basis: Basis) -> np.ndarray:
+    """The physical table from physical-space integrals of the pulled-back modes.
+
+    ``P[n] = tanh(mu L) sqrt(H(0)) h_n(0)^2 / int_0^L H v_n`` for n != 0 and
+    ``P[0] = -tanh(mu L) h_0(0)^2 / (H(0) L_gamma nu)``, with ``(h_n, v_n)``
+    the :func:`zeta_to_physical` image of f_n (monotone-cubic resampling).
+    """
+    params = law.params
+    lg = l_gamma(params)
+    H0 = float(steady_state_height(params, 0.0))
+    grid = uniform_grid(params)
+    wq = simpson_weights(grid)
+    Hx = steady_state_height(params, grid)
+    tanh4 = math.tanh(params.mu * params.L)
+    sqH0 = math.sqrt(H0)
+    table = np.empty(law.n_list.size, dtype=complex)
+    for i, n in enumerate(law.n_list):
+        if n == 0:
+            f0 = basis.func(0)
+            h0, _v0 = zeta_to_physical(params, f0)
+            table[i] = -tanh4 * h0[0] ** 2 / (H0 * lg * params.nu)
+            continue
+        fn = basis.func(n)
+        hn, vn = zeta_to_physical(params, fn)
+        denom = complex(np.sum(wq * Hx * vn))
+        table[i] = tanh4 * sqH0 * hn[0] ** 2 / denom
+    return table
 
 
 @pytest.fixture(scope="module")
@@ -181,23 +217,26 @@ class TestApplyFeedback:
 
 class TestPhysicalFeedback:
     def test_consistency_with_internal_law(self, basis_cache):
-        # the physical-coordinate table, computed from physical-space
-        # integrals of the pulled-back eigenfunctions, must reproduce the
-        # internal table times L/L_gamma (exact pushforward; the fine grid
-        # keeps the monotone-cubic resampling error below the tolerance)
+        # the physical table is the internal table times L/L_gamma (exact
+        # pushforward); physical-space integrals of the pulled-back
+        # eigenfunctions must reproduce it (the fine grid keeps the
+        # monotone-cubic resampling error below the tolerance)
         p = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=6, grid_points=8193)
         basis = basis_cache(p, BcKind.CONSERVATIVE, 6)
         law = feedback_coefficients(p, basis)
-        phys = physical_feedback(p, basis, law=law)
+        phys = physical_feedback(law)
         scale = p.L / l_gamma(p)
-        rel = np.abs(phys.table - scale * law.table) / np.abs(scale * law.table)
+        exact = np.abs(phys.table - scale * law.table) / np.abs(scale * law.table)
+        assert float(exact.max()) < 1e-14
+        ref = pulled_back_table(law, basis)
+        rel = np.abs(phys.table - ref) / np.abs(ref)
         assert float(rel.max()) < 1e-6
 
     def test_tanh_scaling_rule(self, basis_cache):
         # mu_internal = 4 mu_phys, with mu_phys = mu/4, is a hard rule
         p = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=4, grid_points=2049)
         basis = basis_cache(p, BcKind.CONSERVATIVE, 4)
-        phys = physical_feedback(p, basis)
+        phys = physical_feedback(feedback_coefficients(p, basis))
         assert phys.mu_phys == 0.5
         assert phys.mu_internal == 2.0
 
@@ -207,14 +246,13 @@ class TestPhysicalFeedback:
         for g in (1e-3, 1e-4):
             p = Params(gamma=g, mu=2.0, nu=0.5, n_modes=2, grid_points=1025)
             basis = basis_cache(p, BcKind.CONSERVATIVE, 2)
-            law = feedback_coefficients(p, basis)
-            phys = physical_feedback(p, basis, law=law)
+            phys = physical_feedback(feedback_coefficients(p, basis))
             vals.append(abs(phys.table[phys.index(0)]))
         assert vals[1] == pytest.approx(vals[0], rel=1e-2)
 
     def test_u2_coefficient(self, basis_cache):
         p = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=4, grid_points=2049)
         basis = basis_cache(p, BcKind.CONSERVATIVE, 4)
-        phys = physical_feedback(p, basis)
+        phys = physical_feedback(feedback_coefficients(p, basis))
         expect = p.nu * phys.table[phys.index(0)]
         assert phys.u2_coefficient == pytest.approx(expect, rel=1e-12)

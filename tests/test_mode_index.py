@@ -22,7 +22,7 @@ def holders(basis_cache):
         "WModes": w_modes(p, basis),
         "FeedbackLaw": law,
         "TransformMatrix": build_transform(p, basis, basis_cache(p, BcKind.DAMPED, N), law),
-        "PhysicalFeedback": physical_feedback(p, basis, law=law),
+        "PhysicalFeedback": physical_feedback(law),
     }
 
 

@@ -319,6 +319,16 @@ class TestPerturbationSeries:
         slope = math.log(errs[1] / errs[0]) / math.log(gammas[1] / gammas[0])
         assert 1.8 <= slope <= 2.2
 
+    @pytest.mark.parametrize("n", [0, 3, -5])
+    def test_folded_fft_matches_mode_sum(self, n):
+        # K = 600 runs past the period P = 2(nx-1) = 256 in k, so the fold wraps
+        p = Params(gamma=0.05, mu=2.0, nu=0.5, grid_points=129)
+        ks, coefs = _kato_series(p, n, 600)
+        up = np.exp(1j * math.pi * np.outer(ks, uniform_grid(p)) / p.L)
+        direct = np.stack([coefs @ up, coefs @ (-1.0 / up)])
+        psi1 = first_order_perturbation(p, n, K=600).values
+        assert np.max(np.abs(psi1 - direct)) < 1e-13 * np.max(np.abs(direct))
+
     def test_l1_parity(self):
         p = Params(gamma=0.05, mu=2.0, nu=0.5, grid_points=257)
         for n in (1, 3, 7):
