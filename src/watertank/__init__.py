@@ -10,7 +10,7 @@ a finite-dimensional pole-placement oracle (`finite_dim`), and a batch CLI
 (`cli`).
 """
 
-from watertank.model import Params, GridFunction2
+from watertank.model import Params
 
-__all__ = ["Params", "GridFunction2"]
+__all__ = ["Params"]
 __version__ = "0.1.0"

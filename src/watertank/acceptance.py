@@ -41,10 +41,9 @@ from watertank.control import (
 )
 from watertank.feedback import feedback_coefficients
 from watertank.finite_dim import random_backstep_pairs
-from watertank.model import Params
+from watertank.model import Params, gamma_s_threshold
 from watertank.simulate import (
     decay_rate_estimate,
-    gamma_s_threshold,
     integrate_closed_loop,
     integrate_open_loop_w,
     integrate_target,
@@ -84,17 +83,17 @@ class CriterionResult:
 
 
 @lru_cache(maxsize=None)
-def _basis_memo(params: Params, kind: BcKind, N: int, with_duals: bool):
-    return build_basis(params, kind, N, with_duals)
+def _basis_memo(params: Params, kind: BcKind, N: int):
+    return build_basis(params, kind, N)
 
 
-def cached_basis(params: Params, kind: BcKind, N=None, with_duals=True):
-    """``build_basis`` memoized on ``(params, kind, N, with_duals)``.
+def cached_basis(params: Params, kind: BcKind, N=None):
+    """``build_basis`` memoized on ``(params, kind, N)``.
 
     ``N`` defaults to ``params.n_modes`` before the lookup, so a defaulted
     and an explicit argument share one entry.
     """
-    return _basis_memo(params, kind, params.n_modes if N is None else int(N), bool(with_duals))
+    return _basis_memo(params, kind, params.n_modes if N is None else int(N))
 
 
 def _law(params: Params, N: int):
@@ -148,14 +147,12 @@ def _c3():
     errs = {}
     for g in gammas:
         p = Params(gamma=g, mu=2.0, nu=0.5, n_modes=10, grid_points=1025)
-        basis = cached_basis(p, BcKind.CONSERVATIVE, 10, True)
+        basis = cached_basis(p, BcKind.CONSERVATIVE, 10)
         for n in ns:
             psi = kato_psi(p, basis, n)
             psi0 = reference_mode(p, BcKind.CONSERVATIVE, n, basis.grid)
             psi1 = first_order_perturbation(p, n, K=2000)
-            errs[(g, n)] = float(
-                np.max(np.abs(psi.values - psi0.values - g * psi1.values))
-            )
+            errs[(g, n)] = float(np.max(np.abs(psi - psi0 - g * psi1)))
     slopes = {}
     ok = True
     for n in ns:
@@ -194,7 +191,7 @@ def _c5():
     consts = {}
     for g in (0.01, 0.02):
         p = Params(gamma=g, mu=mu, nu=0.5, n_modes=10, grid_points=2049)
-        bd = cached_basis(p, BcKind.DAMPED, 10, True)
+        bd = cached_basis(p, BcKind.DAMPED, 10)
         q = -bd.eigenvalues * np.conj(plain_moments(bd.dual_values, bd.grid))
         n = bd.n_list
         target = 2 * (-1.0) ** n * math.exp(-mu * p.L) - 1 - math.exp(-2 * mu * p.L)
@@ -243,13 +240,13 @@ def _c6():
 
 def _c7():
     p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=40, grid_points=4097)
-    basis = cached_basis(p, BcKind.CONSERVATIVE, 40, True)
-    bd = cached_basis(p, BcKind.DAMPED, 5, True)
+    basis = cached_basis(p, BcKind.CONSERVATIVE, 40)
+    bd = cached_basis(p, BcKind.DAMPED, 5)
     errs = {}
     for m in range(-5, 6):
-        phi = bd.dual(m)
+        phi = bd.dual_values[bd.index(m)]
         ds = dirichlet_sum(basis, phi)
-        tgt = np.conj(phi.f1[0] - phi.f2[0]) / 2.0
+        tgt = np.conj(phi[0, 0] - phi[1, 0]) / 2.0
         errs[m] = float(abs(ds - tgt))
     worst = max(errs.values())
     return worst < 5e-2, {
@@ -263,12 +260,11 @@ def _c8():
     t0 = time.time()
     p = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=41, grid_points=4097)
     law = _law(p, 41)
-    eig = closed_loop_spectrum(p, law.basis, law)
+    eig = closed_loop_spectrum(law)
     galerkin = galerkin_spectrum(law)
     pd = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=12, grid_points=2049)
-    bd = cached_basis(pd, BcKind.DAMPED, 12, False)
     ptab = np.arange(-10, 11)
-    targets = np.array([-bd.eigenvalue(k) for k in ptab])
+    targets = -find_eigenvalues(pd, BcKind.DAMPED, ptab)
     dist = match_spectrum(eig, targets)
     rel = dist / np.abs(targets)
     elapsed = time.time() - t0
@@ -316,7 +312,7 @@ def _c9():
         "r_squared": [round(q, 4) for q in r2s],
         "window": list(window),
         "closed_loop_max_real_part": float(
-            closed_loop_spectrum(p, law.basis, law).real.max()
+            closed_loop_spectrum(law).real.max()
         ),
         "galerkin_max_real_part": float(galerkin_spectrum(law).real.max()),
         "note": (
@@ -337,7 +333,7 @@ def _c10():
     lam = p.mu / 2.0
     gs = gamma_s_threshold(p, lam)
     cert = lyapunov_certificate(p, lam)
-    bd = cached_basis(p, BcKind.DAMPED, 20, True)
+    bd = cached_basis(p, BcKind.DAMPED, 20)
     rng = np.random.default_rng(42)
     c0 = (rng.standard_normal(41) + 1j * rng.standard_normal(41)) / (
         1 + np.abs(np.arange(-20, 21))
@@ -385,15 +381,11 @@ def _c11():
 
 def _c12():
     p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=20, grid_points=2049)
-    basis = cached_basis(p, BcKind.CONSERVATIVE, 20, True)
-    sym_conj = max(
-        float(np.max(np.abs(basis.func(-n).values - np.conj(basis.func(n).values))))
-        for n in range(0, 21)
-    )
-    sym_swap = max(
-        float(np.max(np.abs(basis.func(-n).f1 + basis.func(n).f2)))
-        for n in range(0, 21)
-    )
+    basis = cached_basis(p, BcKind.CONSERVATIVE, 20)
+    # modes -n and n for n = 0..20
+    neg, pos = basis.values[basis.index(0)::-1], basis.values[basis.index(0):]
+    sym_conj = float(np.max(np.abs(neg - np.conj(pos))))
+    sym_swap = float(np.max(np.abs(neg[:, 0] + pos[:, 1])))
     law = _law(p, 20)
     tab_sym = max(
         float(abs(law.value(-n) - np.conj(law.value(n))) / abs(law.value(n)))

@@ -22,7 +22,7 @@ from scipy.special import psi
 
 from watertank.errors import NumericalError, RegimeError
 from watertank.feedback import FeedbackLaw, virtual_profile
-from watertank.model import GridFunction2, Params
+from watertank.model import Params
 from watertank.spectral import Basis, ModeIndexed, pairings
 
 __all__ = [
@@ -66,9 +66,7 @@ def build_transform(params: Params, basisA: Basis, basisAtilde: Basis,
         raise ValueError("target basis must carry biorthogonal duals")
     if basisA.n_list.size != basisAtilde.n_list.size:
         raise ValueError("bases must share the truncation window")
-    itld = pairings(
-        virtual_profile(params, basisA).values, basisAtilde.dual_values, basisA.grid
-    )
+    itld = pairings(virtual_profile(params, basisA), basisAtilde.dual_values, basisA.grid)
     denom = basisAtilde.eigenvalues[:, None] - basisA.eigenvalues[None, :]
     gap = float(np.min(np.abs(denom)))
     if gap <= params.mu / 2.0:
@@ -88,13 +86,14 @@ def build_transform(params: Params, basisA: Basis, basisAtilde: Basis,
     )
 
 
-def dirichlet_sum(basisA: Basis, g: GridFunction2) -> complex:
+def dirichlet_sum(basisA: Basis, g) -> complex:
     """Partial sum ``sum_{|n|<=N} f_{n,1}(0) <f_n, g>`` over the basis window.
 
     For piecewise-C^1 g compatible with the reflection coupling this
-    converges to ``conj(g_1(0) - g_2(0))/2`` (the Dirichlet jump mean).
+    converges to ``conj(g_1(0) - g_2(0))/2`` (the Dirichlet jump mean); ``g``
+    is a (2, nx) array on the basis grid.
     """
-    return complex(np.sum(basisA.f1_at_0 * pairings(basisA.values, g.values, basisA.grid)))
+    return complex(np.sum(basisA.f1_at_0 * pairings(basisA.values, g, basisA.grid)))
 
 
 def galerkin_spectrum(law: FeedbackLaw) -> np.ndarray:
@@ -139,17 +138,17 @@ def characteristic_function(law: FeedbackLaw, s) -> np.ndarray:
     return 1.0 - head - tail
 
 
-def closed_loop_spectrum(params: Params, basisA: Basis, law: FeedbackLaw) -> np.ndarray:
+def closed_loop_spectrum(law: FeedbackLaw) -> np.ndarray:
     """Closed-loop eigenvalues under the full law, sorted by imag part.
 
     The infinite system has exactly the reflected target spectrum {-mu~_p}.
     Each root of ``characteristic_function`` is refined by secant from one
     eigenvalue of the Galerkin matrix (``galerkin_spectrum``), so there is
-    one root per mode of ``basisA``. Raises NumericalError when a seed does
+    one root per mode of the law. Raises NumericalError when a seed does
     not converge to a root with ``|F| < 1e-10`` or two seeds reach one root.
     """
     seeds = galerkin_spectrum(law)
-    s_prev, s_cur = seeds, seeds + 1e-3 / params.L
+    s_prev, s_cur = seeds, seeds + 1e-3 / law.params.L
     done = np.zeros(seeds.size, dtype=bool)
     with np.errstate(all="ignore"):  # a diverging seed turns to nan; caught below
         f_prev = characteristic_function(law, s_prev)

@@ -35,10 +35,9 @@ from watertank.errors import (
 )
 from watertank.feedback import feedback_coefficients, physical_feedback, zero_law
 from watertank.finite_dim import random_backstep_pairs
-from watertank.model import Params
+from watertank.model import Params, gamma_s_threshold
 from watertank.simulate import (
     decay_rate_estimate,
-    gamma_s_threshold,
     integrate_closed_loop,
     integrate_open_loop_w,
     lyapunov_certificate,
@@ -138,16 +137,30 @@ def params_from_config(cfg) -> Params:
     return Params(**kw)
 
 
-def _read_law_table(path, K: int) -> np.ndarray:
-    """The modal table stored by ``watertank feedback`` in ``feedback.json``."""
+_LAW_KEYS = ("L", "gamma", "mu", "nu", "n_modes", "grid_points")
+
+
+def _read_law_table(path, params: Params) -> np.ndarray:
+    """The modal table stored by ``watertank feedback`` in ``feedback.json``.
+
+    The file's ``config`` must carry exactly the model parameters of this
+    run: a table is only the law of the parameters it was built at.
+    """
     try:
         stored = json.loads(Path(path).read_text())
         table = np.array(
             [m["re"] + 1j * m["im"] for m in stored["law"]["modes"]], dtype=complex
         )
+        mismatched = [k for k in _LAW_KEYS if stored["config"][k] != getattr(params, k)]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read law file {path}: {exc!r}") from exc
-    if table.shape != (K,):
+    if mismatched:
+        k = mismatched[0]
+        raise ConfigError(
+            f"law file {path} was built at {k} = {stored['config'][k]!r}, "
+            f"not {getattr(params, k)!r}"
+        )
+    if table.shape != (2 * params.n_modes + 1,):
         raise ConfigError("law file truncation does not match n_modes")
     if not np.all(np.isfinite(table)):
         raise ConfigError(f"law file {path} has non-finite entries")
@@ -211,9 +224,9 @@ def cmd_spectrum(cfg) -> int:
         header = ["x"]
         cols = [basis.grid]
         for n in wanted:
-            f = basis.func(n)
+            f1, f2 = basis.values[basis.index(n)]
             header += [f"re_f1_{n}", f"im_f1_{n}", f"re_f2_{n}", f"im_f2_{n}"]
-            cols += [f.f1.real, f.f1.imag, f.f2.real, f.f2.imag]
+            cols += [f1.real, f1.imag, f2.real, f2.imag]
         rows = zip(*[list(map(float, c)) for c in cols])
         _write_csv(out / "eigenfunctions.csv", header, rows)
     drift_max = max(r[3] for r in rows_c)
@@ -268,7 +281,7 @@ def cmd_feedback(cfg) -> int:
     phys = physical_feedback(law)
     c, C = law.growth_window()
     # closed-loop spectrum report against the reflected target eigenvalues
-    eig = closed_loop_spectrum(params, basis, law)
+    eig = closed_loop_spectrum(law)
     n_cmp = min(10, params.n_modes)
     cmp_modes = np.arange(-n_cmp, n_cmp + 1)
     ev_d = find_eigenvalues(params, BcKind.DAMPED, cmp_modes)
@@ -314,7 +327,7 @@ def cmd_simulate(cfg) -> int:
     params = params_from_config(cfg)
     table = None
     if cfg.get("law_file") and not cfg.get("open_loop"):
-        table = _read_law_table(cfg["law_file"], 2 * params.n_modes + 1)
+        table = _read_law_table(cfg["law_file"], params)
     out = _outdir(cfg)
     basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes)
     if cfg.get("open_loop"):

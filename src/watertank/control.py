@@ -21,13 +21,14 @@ from functools import cached_property
 import numpy as np
 
 from watertank.errors import ConfigError, NumericalError, UncontrollableError
-from watertank.model import Params, diagonal_weight, simpson_weights
+from watertank.model import Params, diagonal_weight, simpson_weights, uniform_grid
 from watertank.spectral import Basis, WModes, gram_matrix, pairings
 
 __all__ = [
     "MomentReport",
     "DualBasis",
     "ControlSignal",
+    "control_profile",
     "plain_moments",
     "i_moments",
     "input_gains",
@@ -42,10 +43,15 @@ def plain_moments(values, grid):
     return 2.0 * grid[-1] * pairings(values, np.ones((2, grid.size)), grid)
 
 
+def control_profile(params: Params) -> np.ndarray:
+    """The interior control profile ``I = exp(int_0^x delta) (1, 1)``."""
+    ew = diagonal_weight(params, uniform_grid(params))
+    return np.stack([ew, ew])
+
+
 def i_moments(params: Params, basis: Basis) -> np.ndarray:
     """Coefficients ``<I, f_n>`` of the control profile on the zeta basis."""
-    ew = diagonal_weight(params, basis.grid)
-    return pairings(np.stack([ew, ew]), basis.values, basis.grid)
+    return pairings(control_profile(params), basis.values, basis.grid)
 
 
 def input_gains(modes: WModes):

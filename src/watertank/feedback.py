@@ -31,15 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from watertank.control import i_moments
+from watertank.control import control_profile, i_moments
 from watertank.errors import RegimeError, UncontrollableError
-from watertank.model import GridFunction2, Params, diagonal_weight, l_gamma, uniform_grid
+from watertank.model import Params, diagonal_weight, gamma_s_threshold, l_gamma
 from watertank.spectral import Basis, BcKind, ModeIndexed, pairings
 
 __all__ = [
     "FeedbackLaw",
     "PhysicalFeedback",
-    "control_profile",
     "virtual_profile",
     "feedback_coefficients",
     "zero_law",
@@ -47,14 +46,7 @@ __all__ = [
 ]
 
 
-def control_profile(params: Params) -> GridFunction2:
-    """The interior control profile ``I = exp(int_0^x delta) (1, 1)``."""
-    grid = uniform_grid(params)
-    ew = diagonal_weight(params, grid)
-    return GridFunction2(grid, np.stack([ew, ew]))
-
-
-def virtual_profile(params: Params, basis: Basis) -> GridFunction2:
+def virtual_profile(params: Params, basis: Basis) -> np.ndarray:
     """Virtual control profile ``I_nu = I + nu f_0``.
 
     The nu-component restores controllability of the conserved direction;
@@ -62,14 +54,10 @@ def virtual_profile(params: Params, basis: Basis) -> GridFunction2:
     """
     if params.nu == 0:
         raise RegimeError("nu must be nonzero for the virtual extension")
-    prof = control_profile(params)
-    f0 = basis.func(0)
-    return GridFunction2(prof.grid, prof.values + params.nu * f0.values)
+    return control_profile(params) + params.nu * basis.values[basis.index(0)]
 
 
 def _synthesis_regime_check(params: Params):
-    from watertank.simulate import gamma_s_threshold
-
     if params.gamma <= 0:
         raise RegimeError("synthesis requires gamma > 0 (gamma = 0 is uncontrollable)")
     gs = gamma_s_threshold(params, 0.75 * params.mu)
@@ -143,7 +131,7 @@ def feedback_coefficients(params: Params, basis: Basis) -> FeedbackLaw:
     if basis.kind is not BcKind.CONSERVATIVE:
         raise ValueError("feedback_coefficients requires the conservative basis")
     _synthesis_regime_check(params)
-    inu_m = pairings(virtual_profile(params, basis).values, basis.values, basis.grid)
+    inu_m = pairings(virtual_profile(params, basis), basis.values, basis.grid)
     dead = np.abs(inu_m) < 1e-12
     if np.any(dead):
         raise UncontrollableError(

@@ -20,13 +20,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from watertank.errors import ConfigError, DomainError, GridMismatchError
 
 __all__ = [
     "Params",
-    "GridFunction2",
     "uniform_grid",
     "simpson_weights",
     "steady_state_height",
@@ -39,6 +37,7 @@ __all__ = [
     "physical_to_zeta",
     "zeta_to_physical",
     "mass_functional",
+    "gamma_s_threshold",
 ]
 
 
@@ -63,8 +62,6 @@ class Params:
     grid_points : int
         Spatial samples on [0, L], endpoints included. Must be odd (>= 17)
         so composite Simpson applies.
-    ode_tol : float
-        Root/integration tolerance for the shooting solver.
     t_final : float
         Simulation horizon.
     """
@@ -75,11 +72,10 @@ class Params:
     nu: float = 0.5
     n_modes: int = 20
     grid_points: int = 2049
-    ode_tol: float = 1e-9
     t_final: float = 10.0
 
     def __post_init__(self):
-        for name in ("L", "gamma", "mu", "nu", "ode_tol", "t_final"):
+        for name in ("L", "gamma", "mu", "nu", "t_final"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
         if self.L <= 0:
@@ -94,40 +90,21 @@ class Params:
             raise ConfigError("n_modes must be >= 1")
         if self.grid_points < 17 or self.grid_points % 2 == 0:
             raise ConfigError("grid_points must be odd and >= 17 (composite Simpson)")
-        if self.ode_tol <= 0 or self.t_final <= 0:
-            raise ConfigError("ode_tol, t_final must be positive")
-
-
-class GridFunction2:
-    """A C^2-valued function sampled on a uniform grid over [0, L].
-
-    ``values`` has shape (2, n); boundary values are exact samples, never
-    extrapolated.
-    """
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid, values):
-        grid = np.asarray(grid, dtype=float)
-        values = np.asarray(values)
-        if values.shape != (2, grid.size):
-            raise GridMismatchError(
-                f"values shape {values.shape} does not match grid of size {grid.size}"
-            )
-        self.grid = grid
-        self.values = values
-
-    @property
-    def f1(self):
-        return self.values[0]
-
-    @property
-    def f2(self):
-        return self.values[1]
+        if self.t_final <= 0:
+            raise ConfigError("t_final must be positive")
 
 
 def uniform_grid(params: Params) -> np.ndarray:
+    """The x-grid of every sampled function; a function is a (2, nx) array on it."""
     return np.linspace(0.0, params.L, params.grid_points)
+
+
+def _sampled(params: Params, values, what: str) -> np.ndarray:
+    """``values`` as a (2, nx) array on the params grid, or GridMismatchError."""
+    values = np.asarray(values)
+    if values.shape != (2, params.grid_points):
+        raise GridMismatchError(f"{what} shape {values.shape} is not (2, {params.grid_points})")
+    return values
 
 
 def simpson_weights(grid: np.ndarray) -> np.ndarray:
@@ -229,6 +206,9 @@ def x_of_z(params: Params, z):
 
 def _resample(values, src_grid, dst_points):
     """Monotone cubic (PCHIP) resampling of complex samples."""
+    # imported here: no CLI path resamples, so the CLI never pays for this import
+    from scipy.interpolate import PchipInterpolator
+
     if np.iscomplexobj(values):
         re = PchipInterpolator(src_grid, values.real)(dst_points)
         im = PchipInterpolator(src_grid, values.imag)(dst_points)
@@ -236,7 +216,7 @@ def _resample(values, src_grid, dst_points):
     return PchipInterpolator(src_grid, values)(dst_points)
 
 
-def physical_to_zeta(params: Params, h, v) -> GridFunction2:
+def physical_to_zeta(params: Params, h, v) -> np.ndarray:
     """Map physical perturbations (h, v) on the x-grid to zeta on the z-grid.
 
     Applies the Riemann diagonalization ``xi = S(x) (h, v)`` with
@@ -257,17 +237,16 @@ def physical_to_zeta(params: Params, h, v) -> GridFunction2:
     w1 = _resample(xi1, grid, xq)
     w2 = _resample(xi2, grid, xq)
     ew = diagonal_weight(params, grid)
-    return GridFunction2(grid, np.stack([ew * w1, ew * w2]))
+    return np.stack([ew * w1, ew * w2])
 
 
-def zeta_to_physical(params: Params, zeta: GridFunction2):
+def zeta_to_physical(params: Params, zeta):
     """Inverse of :func:`physical_to_zeta`; returns (h, v) on the x-grid."""
+    zeta = _sampled(params, zeta, "zeta")
     grid = uniform_grid(params)
-    if not np.array_equal(zeta.grid, grid):
-        raise GridMismatchError("zeta must be sampled on the params grid")
     ew = diagonal_weight(params, grid)
-    w1 = zeta.f1 / ew
-    w2 = zeta.f2 / ew
+    w1 = zeta[0] / ew
+    w2 = zeta[1] / ew
     zq = np.clip(z_of_x(params, grid), 0.0, params.L)
     xi1 = _resample(w1, grid, zq)
     xi2 = _resample(w2, grid, zq)
@@ -277,16 +256,32 @@ def zeta_to_physical(params: Params, zeta: GridFunction2):
     return h, v
 
 
-def mass_functional(params: Params, w: GridFunction2) -> complex:
+def mass_functional(params: Params, w) -> complex:
     """Conserved mass seen in the w-coordinates: ``int W(x)^2 (w1 - w2) dx``.
 
     Constant along every trajectory of the w/zeta systems regardless of the
     control (the "missing direction"); the immaterial L/L_gamma prefactor is
     dropped.
     """
+    w = _sampled(params, w, "w")
     grid = uniform_grid(params)
-    if not np.array_equal(w.grid, grid):
-        raise GridMismatchError("mass_functional expects the params grid")
     weight = height_root_profile(params, grid) ** 2
     sw = simpson_weights(grid)
-    return complex(np.sum(sw * weight * (w.f1 - w.f2)))
+    return complex(np.sum(sw * weight * (w[0] - w[1])))
+
+
+def gamma_s_threshold(params: Params, lam: float) -> float:
+    """Feasibility threshold gamma_s(lambda) for the Lyapunov certificate.
+
+    ``min(7/(16L), 6 lambda (1 - e^{-2(mu-lambda)L}) / (e^{2 lambda L}-1))``
+    with the free position in the second bound taken at x = L (worst case).
+    Decreasing in lambda on (0, mu).
+    """
+    if not 0 < lam < params.mu:
+        raise DomainError("lambda must lie in (0, mu)")
+    L = params.L
+    second = (
+        6.0 * lam * (1.0 - math.exp(-2.0 * (params.mu - lam) * L))
+        / (math.expm1(2.0 * lam * L))
+    )
+    return min(7.0 / (16.0 * L), second)

@@ -43,7 +43,6 @@ __all__ = [
     "integrate_open_loop_w",
     "fd_upwind_step",
     "fd_simulate",
-    "gamma_s_threshold",
     "lyapunov_certificate",
     "lyapunov_functional",
     "decay_rate_estimate",
@@ -309,23 +308,6 @@ def fd_simulate(params: Params, init: np.ndarray, kind: BcKind, t_final,
         u = 0.0 if control is None else control(k * dt)
         state = _upwind(state, u, dt, *step_data)
     return state
-
-
-def gamma_s_threshold(params: Params, lam: float) -> float:
-    """Feasibility threshold gamma_s(lambda) for the Lyapunov certificate.
-
-    ``min(7/(16L), 6 lambda (1 - e^{-2(mu-lambda)L}) / (e^{2 lambda L}-1))``
-    with the free position in the second bound taken at x = L (worst case).
-    Decreasing in lambda on (0, mu).
-    """
-    if not 0 < lam < params.mu:
-        raise DomainError("lambda must lie in (0, mu)")
-    L = params.L
-    second = (
-        6.0 * lam * (1.0 - math.exp(-2.0 * (params.mu - lam) * L))
-        / (math.expm1(2.0 * lam * L))
-    )
-    return min(7.0 / (16.0 * L), second)
 
 
 @dataclass

@@ -23,14 +23,7 @@ from enum import Enum
 import numpy as np
 
 from watertank.errors import DomainError, GridMismatchError, NumericalError
-from watertank.model import (
-    GridFunction2,
-    Params,
-    delta,
-    diagonal_weight,
-    simpson_weights,
-    uniform_grid,
-)
+from watertank.model import Params, delta, diagonal_weight, simpson_weights, uniform_grid
 
 __all__ = [
     "BcKind",
@@ -68,6 +61,7 @@ def _seed_eigenvalues(kind: BcKind, params: Params, n_list) -> np.ndarray:
 
 
 _SUBSTEPS = 2  # RK4 steps per grid cell; the ODE error estimate reruns at 1
+_SECANT_TOL = 1e-10  # secant step below which an eigenvalue counts as converged
 
 
 def _march(C, h, seed, nx=None):
@@ -163,7 +157,6 @@ def find_eigenvalues(params: Params, kind: BcKind, n_range):
     n_list = np.asarray(list(n_range), dtype=int)
     lam0 = _seed_eigenvalues(kind, params, n_list)
     seed_vec = _left_seed(kind, params)
-    tol = min(params.ode_tol, 1e-10)
 
     lam1 = lam0 + 0.02j / params.L
     r0 = _integrate(params, lam0, seed_vec)
@@ -184,7 +177,7 @@ def find_eigenvalues(params: Params, kind: BcKind, n_range):
         step = np.where(big, step * max_step / np.where(big, np.abs(step), 1.0), step)
         lam_new = np.where(done, lam_cur, lam_cur - step)
         moved = np.abs(lam_new - lam_cur)
-        done = done | (moved < tol)
+        done = done | (moved < _SECANT_TOL)
         if np.all(done):
             lam_cur = lam_new
             break
@@ -247,15 +240,6 @@ class Basis(ModeIndexed):
     def eigenvalue(self, n: int) -> complex:
         return complex(self.eigenvalues[self.index(n)])
 
-    def func(self, n: int) -> GridFunction2:
-        return GridFunction2(self.grid, self.values[self.index(n)])
-
-    def dual(self, n: int) -> GridFunction2:
-        if self.dual_values is None:
-            # conservative family is orthonormal, hence self-dual
-            return self.func(n)
-        return GridFunction2(self.grid, self.dual_values[self.index(n)])
-
     @property
     def f1_at_0(self):
         return self.values[:, 0, 0]
@@ -266,8 +250,8 @@ class Basis(ModeIndexed):
 
 
 def _slots(a_values, b_values, grid, conjugate):
-    if a_values.shape[-1] != grid.size or b_values.shape[-1] != grid.size:
-        raise GridMismatchError("paired functions must be sampled on the grid")
+    if a_values.shape[-2:] != (2, grid.size) or b_values.shape[-2:] != (2, grid.size):
+        raise GridMismatchError("paired functions must be (..., 2, nx) arrays on the grid")
     b1 = b_values[..., 0, :]
     b2 = b_values[..., 1, :]
     if conjugate:
@@ -297,7 +281,7 @@ def pairings(a_values, b_values, grid, conjugate=True):
     return np.sum((a1 * b1 + a2 * b2) * w, axis=-1) / (2.0 * grid[-1])
 
 
-def reference_mode(params: Params, kind: BcKind, n: int, grid=None) -> GridFunction2:
+def reference_mode(params: Params, kind: BcKind, n: int, grid=None) -> np.ndarray:
     """Unperturbed (gamma = 0) eigenfunctions in closed form.
 
     Conservative: ``(e^{i pi n x/L}, -e^{-i pi n x/L})``. Damped: the
@@ -309,11 +293,9 @@ def reference_mode(params: Params, kind: BcKind, n: int, grid=None) -> GridFunct
     L = params.L
     if kind is BcKind.CONSERVATIVE:
         up = np.exp(1j * math.pi * n * x / L)
-        return GridFunction2(grid, np.stack([up, -1.0 / up]))
+        return np.stack([up, -1.0 / up])
     rate = params.mu + 1j * math.pi * n / L
-    return GridFunction2(
-        grid, np.stack([np.exp(rate * x), -np.exp(rate * (2 * L - x))])
-    )
+    return np.stack([np.exp(rate * x), -np.exp(rate * (2 * L - x))])
 
 
 def adjoint_values(params: Params, values):
@@ -360,9 +342,7 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
         vals = vals / phases[:, None, None]
         check_identity(gram_matrix(vals, vals, grid), "orthonormality")
     else:
-        refs = np.stack(
-            [reference_mode(params, BcKind.DAMPED, n, grid).values for n in n_list]
-        )
+        refs = np.stack([reference_mode(params, BcKind.DAMPED, n, grid) for n in n_list])
         vals = vals / pairings(vals, adjoint_values(params, refs), grid)[:, None, None]
         if with_duals:
             phi = adjoint_values(params, vals)
@@ -393,12 +373,6 @@ class WModes(ModeIndexed):
     psi: np.ndarray
     chi: np.ndarray
 
-    def psi_func(self, n) -> GridFunction2:
-        return GridFunction2(self.grid, self.psi[self.index(n)])
-
-    def chi_func(self, n) -> GridFunction2:
-        return GridFunction2(self.grid, self.chi[self.index(n)])
-
 
 def w_modes(params: Params, basis: Basis) -> WModes:
     """Derive the w-system families from the conservative basis.
@@ -413,12 +387,7 @@ def w_modes(params: Params, basis: Basis) -> WModes:
     ew = diagonal_weight(params, grid)
     psi_raw = basis.values / ew[None, None, :]
     chi_raw = np.conj(basis.values) * ew[None, None, :]
-    refs = np.stack(
-        [
-            reference_mode(params, BcKind.CONSERVATIVE, n, grid).values
-            for n in basis.n_list
-        ]
-    )
+    refs = np.stack([reference_mode(params, BcKind.CONSERVATIVE, n, grid) for n in basis.n_list])
     # Kato scales: <psi_raw, psi_n^(0)> sesquilinear = <psi_raw, chi_n^(0)> bilinear
     psi = psi_raw / pairings(psi_raw, refs, grid)[:, None, None]
     chi = chi_raw / pairings(chi_raw, refs, grid, conjugate=False)[:, None, None]
@@ -428,9 +397,10 @@ def w_modes(params: Params, basis: Basis) -> WModes:
     )
 
 
-def kato_psi(params: Params, basis: Basis, n: int) -> GridFunction2:
+def kato_psi(params: Params, basis: Basis, n: int) -> np.ndarray:
     """Kato-normalized w-system eigenfunction ``psi_n(gamma)`` for one mode."""
-    return w_modes(params, basis).psi_func(n)
+    modes = w_modes(params, basis)
+    return modes.psi[modes.index(n)]
 
 
 def j0_overlap(n: int, k: int) -> complex:
@@ -461,7 +431,7 @@ def _kato_series(params: Params, n: int, K: int):
     return np.array(ks), coefs
 
 
-def first_order_perturbation(params: Params, n: int, K: int = 2000) -> GridFunction2:
+def first_order_perturbation(params: Params, n: int, K: int = 2000) -> np.ndarray:
     """First-order Kato correction ``psi_n^(1)`` as a truncated mode series.
 
     ``psi_n^(1) = sum_{0 < |k-n| <= K} c_k psi_k^(0)``, ``c_k`` from
@@ -470,10 +440,9 @@ def first_order_perturbation(params: Params, n: int, K: int = 2000) -> GridFunct
     coefficients are folded modulo P and the series is one FFT per component.
     """
     ks, coefs = _kato_series(params, n, K)
-    grid = uniform_grid(params)
-    nx = grid.size
+    nx = params.grid_points
     P = 2 * (nx - 1)
     a = np.zeros(P, dtype=complex)
     np.add.at(a, ks % P, coefs)
-    return GridFunction2(grid, np.stack([P * np.fft.ifft(a)[:nx], -np.fft.fft(a)[:nx]]))
+    return np.stack([P * np.fft.ifft(a)[:nx], -np.fft.fft(a)[:nx]])
 

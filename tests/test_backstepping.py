@@ -17,7 +17,7 @@ from watertank.backstepping import (
 )
 from watertank.errors import NumericalError
 from watertank.feedback import FeedbackLaw, feedback_coefficients
-from watertank.model import GridFunction2, Params
+from watertank.model import Params, uniform_grid
 from watertank.spectral import Basis, BcKind, adjoint_values, pairings, reference_mode
 
 
@@ -155,14 +155,13 @@ class TestKnRelation:
         p = Params(gamma=0.0, mu=2.0, nu=0.5, n_modes=6, grid_points=2049)
         n, pp = 1, 3
         fn = reference_mode(p, BcKind.CONSERVATIVE, n)
-        phi = reference_mode(p, BcKind.DAMPED, pp)
-        phi = GridFunction2(phi.grid, adjoint_values(p, phi.values))
-        val = complex(pairings(fn.values, phi.values, fn.grid))
+        phi = adjoint_values(p, reference_mode(p, BcKind.DAMPED, pp))
+        val = complex(pairings(fn, phi, uniform_grid(p)))
         mu_n = 1j * math.pi * n / p.L
         mu_p = p.mu + 1j * math.pi * pp / p.L
         expect = (
             1.0
-            * np.conj(phi.f1[0])
+            * np.conj(phi[0, 0])
             * -math.expm1(-2 * p.mu * p.L)
             / (2 * p.L * (mu_p - mu_n))
         )
@@ -203,9 +202,8 @@ class TestTbResidual:
         # expansion converge to the Dirichlet jump mean (g1(0) - g2(0))*/2
         p = Params(gamma=0.0, mu=2.0, nu=0.5, n_modes=40, grid_points=4097)
         ba = basis_cache(p, BcKind.CONSERVATIVE, 40)
-        g = reference_mode(p, BcKind.DAMPED, 2)
-        g = GridFunction2(g.grid, adjoint_values(p, g.values))
-        target = np.conj(g.f1[0] - g.f2[0]) / 2.0
+        g = adjoint_values(p, reference_mode(p, BcKind.DAMPED, 2))
+        target = np.conj(g[0, 0] - g[1, 0]) / 2.0
         val = dirichlet_sum(ba, g)
         assert abs(val - target) < 5e-2
 
@@ -261,8 +259,8 @@ def law41(basis_cache):
 
 @pytest.fixture(scope="module")
 def spectrum41(basis_cache, law41):
-    p, ba, law = law41
-    eig = closed_loop_spectrum(p, ba, law)
+    p, _, law = law41
+    eig = closed_loop_spectrum(law)
     pd = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=12, grid_points=2049)
     bt = basis_cache(pd, BcKind.DAMPED, 12)
     return p, eig, bt
@@ -309,7 +307,7 @@ class TestClosedLoopSpectrum:
     def test_tail_matches_direct_partial_sum(self, law41):
         # the direct sum's own remainder is ~ |c| L |s| / (pi J), below 1e-5
         # for |s| < 7 at J = 4e5
-        p, ba, law = law41
+        p, _, law = law41
         mu = law.eigenvalues
         c = law.table * law.i_nu_moments
         c_inf = 0.5 * (c[0] + c[-1])
@@ -330,24 +328,24 @@ class TestClosedLoopSpectrum:
     def test_perturbed_table_misses_targets(self, spectrum41, law41, scale):
         # criterion 8 discriminates: a 2% error in the law moves the
         # closed-loop spectrum beyond its 0.1 mu tolerance
-        p, ba, law = law41
+        p, _, law = law41
         _, _, bt = spectrum41
-        eig = closed_loop_spectrum(p, ba, replace(law, table=law.table * scale))
+        eig = closed_loop_spectrum(replace(law, table=law.table * scale))
         targets = np.array([-bt.eigenvalue(k) for k in range(-10, 11)])
         assert float(np.max(match_spectrum(eig, targets))) > 0.1 * p.mu
 
     def test_diverging_seed_raises(self, law41):
         # doubling the table sends one real Galerkin seed off to nan
-        p, ba, law = law41
+        law = law41[2]
         with pytest.raises(NumericalError, match="did not converge"):
-            closed_loop_spectrum(p, ba, replace(law, table=2.0 * law.table))
+            closed_loop_spectrum(replace(law, table=2.0 * law.table))
 
     def test_seed_collision_raises(self, law41, monkeypatch):
-        p, ba, law = law41
+        law = law41[2]
         seed = galerkin_spectrum(law)[40]
         monkeypatch.setattr(
             backstepping, "galerkin_spectrum",
             lambda law: np.array([seed, seed + 1e-3]),
         )
         with pytest.raises(NumericalError, match="one closed-loop root"):
-            closed_loop_spectrum(p, ba, law)
+            closed_loop_spectrum(law)

@@ -1,6 +1,9 @@
 import json
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -71,12 +74,19 @@ class TestBadInput:
             ["finite-demo", "--set", "dim_max=13", "--set", "count=1"],
             ["finite-demo", "--set", "seed=-1"],
             ["simulate", "--set", "seed=-1"],
+            ["simulate", "--set", "law_file={tmp}/law.json", "--set", "gamma=0.045"],
+            ["simulate", "--set", "law_file={tmp}/law.json", "--set", "mu=3"],
+            ["spectrum", "--set", "ode_tol=1e-9"],
         ],
     )
     def test_exit2_with_one_line(self, args, tmp_path, capsys):
-        modes = [{"n": n, "re": float("nan") if n == 2 else 1.0, "im": 0.0}
-                 for n in range(-4, 5)]
-        (tmp_path / "nan_law.json").write_text(json.dumps({"law": {"modes": modes}}))
+        # both law files carry the config of a run at the FAST defaults
+        config = {"L": 1.0, "gamma": 0.03, "mu": 2.0, "nu": 0.5, "n_modes": 4,
+                  "grid_points": 257}
+        for name, bad in (("law.json", None), ("nan_law.json", 2)):
+            modes = [{"n": n, "re": float("nan") if n == bad else 1.0, "im": 0.0}
+                     for n in range(-4, 5)]
+            (tmp_path / name).write_text(json.dumps({"config": config, "law": {"modes": modes}}))
         (tmp_path / "run.cfg").write_text("gamma = 0.03\n")
         args = [a.replace("{tmp}", str(tmp_path)) for a in args]
         code = run(args + FAST, tmp_path)
@@ -92,6 +102,15 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("configuration error:") and err.count("\n") == 1
+
+
+def test_import_skips_unused_scipy_modules():
+    # a fresh process, so no other test's imports count
+    src = str(Path(cli.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import watertank.cli; "
+            "print([m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestSpectrumCommand:

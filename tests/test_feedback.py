@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from watertank.control import control_profile
 from watertank.errors import RegimeError, UncontrollableError
 from watertank.feedback import (
     FeedbackLaw,
-    control_profile,
     feedback_coefficients,
     physical_feedback,
     virtual_profile,
@@ -64,12 +64,10 @@ def pulled_back_table(law: FeedbackLaw, basis: Basis) -> np.ndarray:
     table = np.empty(law.n_list.size, dtype=complex)
     for i, n in enumerate(law.n_list):
         if n == 0:
-            f0 = basis.func(0)
-            h0, _v0 = zeta_to_physical(params, f0)
+            h0, _v0 = zeta_to_physical(params, basis.values[basis.index(0)])
             table[i] = -tanh4 * h0[0] ** 2 / (H0 * lg * params.nu)
             continue
-        fn = basis.func(n)
-        hn, vn = zeta_to_physical(params, fn)
+        hn, vn = zeta_to_physical(params, basis.values[i])
         denom = complex(np.sum(wq * Hx * vn))
         table[i] = tanh4 * sqH0 * hn[0] ** 2 / denom
     return table
@@ -85,19 +83,19 @@ class TestVirtualProfile:
     def test_nu_moment(self, p_std, basis_cache):
         basis = basis_cache(p_std, BcKind.CONSERVATIVE, 20)
         i_nu = virtual_profile(p_std, basis)
-        val = complex(pairings(i_nu.values, basis.func(0).values, basis.grid))
+        val = complex(pairings(i_nu, basis.values[basis.index(0)], basis.grid))
         assert val == pytest.approx(p_std.nu, abs=1e-8)
 
     def test_gamma0_profile_is_ones(self, p_gamma0):
         prof = control_profile(p_gamma0)
-        assert np.all(prof.f1 == 1.0)
-        assert np.all(prof.f2 == 1.0)
+        assert np.all(prof[0] == 1.0)
+        assert np.all(prof[1] == 1.0)
 
     def test_moment_band(self, p_std, basis_cache):
         basis = basis_cache(p_std, BcKind.CONSERVATIVE, 20)
         i_nu = virtual_profile(p_std, basis)
         nz = basis.n_list != 0
-        mom = pairings(i_nu.values, basis.values, basis.grid)
+        mom = pairings(i_nu, basis.values, basis.grid)
         band = np.abs(basis.eigenvalues[nz] * mom[nz])
         m, M = float(band.min()), float(band.max())
         assert 0 < m <= M < 10.0  # fitted constants, reported

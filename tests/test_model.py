@@ -3,7 +3,6 @@ import pytest
 
 from watertank.errors import ConfigError, DomainError, GridMismatchError
 from watertank.model import (
-    GridFunction2,
     Params,
     delta,
     diagonal_weight,
@@ -31,9 +30,9 @@ def exp_weight(params: Params, x):
     return height_root_profile(params, x) ** 1.5
 
 
-def inner_product(f: GridFunction2, g: GridFunction2) -> complex:
-    """The 1/(2L)-weighted product of two functions, through ``pairings``."""
-    return complex(pairings(f.values, g.values, f.grid))
+def inner_product(f, g, grid) -> complex:
+    """The 1/(2L)-weighted product of two (2, nx) functions, through ``pairings``."""
+    return complex(pairings(f, g, grid))
 
 
 def test_params_validation():
@@ -157,8 +156,8 @@ class TestCoordinateMaps:
         h = np.cos(2 * np.pi * g / p.L)
         v = np.sin(np.pi * g / p.L) * g * (p.L - g)
         zeta = physical_to_zeta(p, h, v)
-        assert np.allclose(zeta.f1, h + v, atol=1e-12)
-        assert np.allclose(zeta.f2, -h + v, atol=1e-12)
+        assert np.allclose(zeta[0], h + v, atol=1e-12)
+        assert np.allclose(zeta[1], -h + v, atol=1e-12)
 
     def test_round_trip(self):
         # monotone cubic flattens derivatives at interior data extrema
@@ -189,48 +188,51 @@ class TestCoordinateMaps:
         h = np.cos(np.pi * g / p.L)
         v = np.sin(np.pi * g / p.L)  # v(0) = v(L) = 0
         zeta = physical_to_zeta(p, h, v)
-        assert abs(zeta.f1[0] + zeta.f2[0]) < 1e-12
+        assert abs(zeta[0, 0] + zeta[1, 0]) < 1e-12
 
 
 class TestInnerProduct:
     def _mode(self, p, n):
         g = uniform_grid(p)
         up = np.exp(1j * np.pi * n * g / p.L)
-        return GridFunction2(g, np.stack([up, -1.0 / up]))
+        return np.stack([up, -1.0 / up])
 
     def test_normalized(self):
         p = Params(grid_points=257)
         e1 = self._mode(p, 1)
-        assert inner_product(e1, e1) == pytest.approx(1.0, abs=1e-14)
+        assert inner_product(e1, e1, uniform_grid(p)) == pytest.approx(1.0, abs=1e-14)
 
     def test_orthogonal(self):
         p = Params(grid_points=257)
-        assert abs(inner_product(self._mode(p, 1), self._mode(p, 2))) < 1e-12
+        assert abs(inner_product(self._mode(p, 1), self._mode(p, 2), uniform_grid(p))) < 1e-12
 
     def test_conjugate_symmetry(self):
         p = Params(grid_points=257)
         g = uniform_grid(p)
         rng = np.random.default_rng(0)
-        f = GridFunction2(g, rng.standard_normal((2, g.size))
-                          + 1j * rng.standard_normal((2, g.size)))
-        h = GridFunction2(g, rng.standard_normal((2, g.size))
-                          + 1j * rng.standard_normal((2, g.size)))
-        assert inner_product(f, h) == pytest.approx(
-            np.conj(inner_product(h, f)), abs=1e-12
+        f = rng.standard_normal((2, g.size)) + 1j * rng.standard_normal((2, g.size))
+        h = rng.standard_normal((2, g.size)) + 1j * rng.standard_normal((2, g.size))
+        assert inner_product(f, h, g) == pytest.approx(
+            np.conj(inner_product(h, f, g)), abs=1e-12
         )
 
     def test_grid_mismatch(self):
         p1 = Params(grid_points=257)
         p2 = Params(grid_points=513)
         with pytest.raises(GridMismatchError):
-            inner_product(self._mode(p1, 1), self._mode(p2, 1))
+            inner_product(self._mode(p1, 1), self._mode(p2, 1), uniform_grid(p1))
+
+    def test_component_axis_mismatch(self):
+        g = uniform_grid(Params(grid_points=257))
+        with pytest.raises(GridMismatchError):
+            inner_product(np.ones((3, g.size)), np.ones((3, g.size)), g)
 
 
 class TestMassFunctional:
     def test_equal_components(self):
         p = Params(gamma=0.05, grid_points=257)
         g = uniform_grid(p)
-        w = GridFunction2(g, np.stack([np.sin(g), np.sin(g)]))
+        w = np.stack([np.sin(g), np.sin(g)])
         assert abs(mass_functional(p, w)) < 1e-14
 
     def test_gamma0_reduction(self):
@@ -238,9 +240,17 @@ class TestMassFunctional:
         g = uniform_grid(p)
         w1 = np.cos(np.pi * g / p.L) ** 2
         w2 = np.sin(np.pi * g / p.L)
-        w = GridFunction2(g, np.stack([w1, w2]))
+        w = np.stack([w1, w2])
         plain = np.sum(simpson_weights(g) * (w1 - w2))
         assert mass_functional(p, w) == pytest.approx(plain, abs=1e-14)
+
+    @pytest.mark.parametrize("shape", [(2, 513), (3, 257)])
+    def test_off_grid_rejected(self, shape):
+        p = Params(gamma=0.05, grid_points=257)
+        with pytest.raises(GridMismatchError):
+            mass_functional(p, np.ones(shape))
+        with pytest.raises(GridMismatchError):
+            zeta_to_physical(p, np.ones(shape))
 
     def test_invariance_under_control(self, wmodes_cache, p_std):
         # mass is conserved along the w-system for ANY control

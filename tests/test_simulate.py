@@ -9,9 +9,9 @@ from watertank.control import dual_exponentials, input_gains, synthesize_open_lo
 from watertank.errors import ConfigError, DomainError, NumericalError
 from watertank.feedback import feedback_coefficients, zero_law
 from watertank.model import (
-    GridFunction2,
     Params,
     diagonal_weight,
+    gamma_s_threshold,
     mass_functional,
     simpson_weights,
     uniform_grid,
@@ -22,7 +22,6 @@ from watertank.simulate import (
     decay_rate_estimate,
     fd_simulate,
     fd_upwind_step,
-    gamma_s_threshold,
     integrate_closed_loop,
     integrate_open_loop_w,
     integrate_target,
@@ -45,9 +44,7 @@ class TestClosedLoopIntegration:
         assert np.max(np.abs(traj.mass - traj.mass[0])) < 1e-8
         # the recorded mass is the mass functional of each mode, contracted
         ew = diagonal_weight(p_std, basis.grid)
-        per_mode = np.array(
-            [mass_functional(p_std, GridFunction2(basis.grid, v / ew)) for v in basis.values]
-        )
+        per_mode = np.array([mass_functional(p_std, v / ew) for v in basis.values])
         assert np.max(np.abs(traj.mass - traj.coeffs @ per_mode)) < 1e-12
 
     def test_mode0_stays_dead(self, p_synth, basis_cache):
