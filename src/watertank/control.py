@@ -201,12 +201,6 @@ class DualBasis:
     grid: np.ndarray
     gram_condition: float
 
-    def evaluate(self, m: int, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        T = self.grid[-1]
-        E = np.exp(np.outer(self.eigenvalues, s - T))
-        return self.coeffs[:, m] @ E
-
 
 def dual_exponentials(eigenvalues, quadrature) -> DualBasis:
     """Solve the Gram system for the dual family of the exponentials.

@@ -118,7 +118,7 @@ class FeedbackLaw(ModeIndexed):
 def _tau(params: Params, basis: Basis) -> np.ndarray:
     """``tau_n = e^{int delta} f_{n,1}(L) / f_{n,1}(0) - 1``."""
     ew_L = float(diagonal_weight(params, np.array([params.L]))[0])
-    return ew_L * basis.f1_at_L / basis.f1_at_0 - 1.0
+    return ew_L * basis.values[:, 0, -1] / basis.f1_at_0 - 1.0
 
 
 def feedback_coefficients(params: Params, basis: Basis) -> FeedbackLaw:

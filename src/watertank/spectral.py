@@ -12,6 +12,10 @@ The integrator works on modulated variables ``g = (exp(-lambda x) f1,
 exp(lambda x) f2)``, which removes the stiff oscillation; at gamma = 0 the
 integration is exact to rounding, and for gamma > 0 the error scales like
 ``gamma * (2 |lambda| h)^4``.
+
+The eigenvalue search runs on fixed 512- and 1024-step marches, whatever the
+grid, and returns their Richardson value ``b + (b - a)/15``. Only the store
+pass of :func:`build_basis` marches on the grid, and its residual checks that root.
 """
 
 from __future__ import annotations
@@ -60,25 +64,23 @@ def _seed_eigenvalues(kind: BcKind, params: Params, n_list) -> np.ndarray:
     return base if kind is BcKind.CONSERVATIVE else params.mu + base
 
 
-_SUBSTEPS = 2  # RK4 steps per grid cell; the ODE error estimate reruns at 1
+_SUBSTEPS = 2  # RK4 steps per grid cell of the store pass; its error estimate reruns at 1
+_SEARCH_STEPS = 512  # RK4 steps of the coarse search march; the fine one takes twice as many
+_BLOCK_STEPS = 512  # RK4 steps per stage table, which bounds its memory at any step count
 _SECANT_TOL = 1e-10  # secant step below which an eigenvalue counts as converged
 
 
-def _march(C, h, seed, nx=None):
+def _march(C, h, g, out=None):
     """RK4 through a stage table whose rows alternate step ends and midpoints.
 
     ``C[i]`` is the (2, K) pair ``(c e^{-2 lam x_i}, c e^{2 lam x_i})``, so a
-    stage is ``C[i] * g[::-1]``. Returns the final (2, K) ``g``, or with
-    ``nx`` the (K, 2, nx) samples of g at the grid points (every
-    ``steps / (nx - 1)``-th step).
+    stage is ``C[i] * g[::-1]``. Marches the (2, K) state ``g`` and returns
+    the final one; with ``out`` (K, 2, m), also stores g in it after every
+    ``steps / m``-th step.
     """
     nsteps = (C.shape[0] - 1) // 2
-    g = np.empty(C.shape[1:], dtype=complex)
-    g[:] = np.asarray(seed)[:, None]
-    if nx is not None:
-        every = nsteps // (nx - 1)
-        out = np.empty((C.shape[2], 2, nx), dtype=complex)
-        out[:, :, 0] = g.T
+    if out is not None:
+        every = nsteps // out.shape[2]
 
     for k in range(nsteps):
         i0 = 2 * k
@@ -87,12 +89,12 @@ def _march(C, h, seed, nx=None):
         k3 = C[i0 + 1] * (g + 0.5 * h * k2)[::-1]
         k4 = C[i0 + 2] * (g + h * k3)[::-1]
         g = g + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if nx is not None and (k + 1) % every == 0:
-            out[:, :, (k + 1) // every] = g.T
-    return g if nx is None else out
+        if out is not None and (k + 1) % every == 0:
+            out[:, :, (k + 1) // every - 1] = g.T
+    return g
 
 
-def _integrate(params: Params, lams, seed, store=False):
+def _integrate(params: Params, lams, seed, nsteps, store=False):
     """Batch RK4 integration of the modulated shooting system.
 
     Parameters
@@ -101,6 +103,8 @@ def _integrate(params: Params, lams, seed, store=False):
         Shooting parameters (one integration per entry).
     seed : complex 2-vector
         Left boundary values (f1(0), f2(0)), shared by the batch.
+    nsteps : int
+        RK4 steps over [0, L]; with ``store`` a multiple of ``grid_points - 1``.
     store : bool
         If True, also sample f on the params grid and estimate its error.
 
@@ -114,31 +118,32 @@ def _integrate(params: Params, lams, seed, store=False):
         ``max |f - f_coarse| / max |f|`` against a pass at twice the step.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    nx = params.grid_points
-    nsteps = (nx - 1) * _SUBSTEPS
     h = params.L / nsteps
-    # stage abscissae: step endpoints and midpoints
-    xs = np.linspace(0.0, params.L, 2 * nsteps + 1)
+    xs = np.linspace(0.0, params.L, 2 * nsteps + 1)  # stage abscissae: step ends and midpoints
     c = -np.asarray(delta(params, xs))[:, None] / 3.0
-    E = np.outer(xs, lams)
-    E *= 2.0
-    np.exp(E, out=E)  # e^{2 lam x}, (S, K), formed in place
-    C = np.empty((xs.size, 2, lams.size), dtype=complex)
-    np.divide(c, E, out=C[:, 0])
-    np.multiply(c, E, out=C[:, 1])
-    del E
+    g = np.tile(np.asarray(seed, dtype=complex)[:, None], lams.size)  # (2, K)
+    if store:
+        per_cell = nsteps // (params.grid_points - 1)
+        vals = np.empty((lams.size, 2, params.grid_points), dtype=complex)
+        vals[:, :, 0] = g.T
+        coarse, g_coarse = vals.copy(), g
+    for s0 in range(0, nsteps, _BLOCK_STEPS):
+        s1 = min(s0 + _BLOCK_STEPS, nsteps)
+        rows = slice(2 * s0, 2 * s1 + 1)
+        E = np.exp(2.0 * np.outer(xs[rows], lams))  # e^{2 lam x}, (S, K)
+        C = np.stack([c[rows] / E, c[rows] * E], axis=1)
+        if store:
+            cells = slice(s0 // per_cell + 1, s1 // per_cell + 1)
+            # every other stage row is the stage table of the doubled step
+            g_coarse = _march(C[::2], 2.0 * h, g_coarse, coarse[:, :, cells])
+        g = _march(C, h, g, vals[:, :, cells] if store else None)
     eL = np.exp(lams * params.L)
     if not store:
-        g1, g2 = _march(C, h, seed)
-        return g1 * eL + g2 / eL
+        return g[0] * eL + g[1] / eL
 
-    vals = _march(C, h, seed, nx)
-    # every other stage row is the stage table of the doubled step
-    coarse = _march(C[::2], 2.0 * h, seed, nx)
-    del C
     residuals = vals[:, 0, -1] * eL + vals[:, 1, -1] / eL
     # back to f variables: f1 = e^{lam x} g1, f2 = e^{-lam x} g2
-    Eg = np.exp(np.outer(lams, np.linspace(0.0, params.L, nx)))  # (K, nx)
+    Eg = np.exp(np.outer(lams, uniform_grid(params)))  # (K, nx)
     for v in (vals, coarse):
         v[:, 0, :] *= Eg
         v[:, 1, :] /= Eg
@@ -147,27 +152,16 @@ def _integrate(params: Params, lams, seed, store=False):
     return np.abs(residuals) / scale, vals, ode_err
 
 
-def find_eigenvalues(params: Params, kind: BcKind, n_range):
-    """Operator eigenvalues for the requested mode indices.
-
-    Secant refinement in the complex plane, seeded at the unperturbed
-    eigenvalues (``i pi n / L``, shifted by ``mu`` for the damped kind).
-    Raises NumericalError on non-convergence or root collision.
-    """
-    n_list = np.asarray(list(n_range), dtype=int)
-    lam0 = _seed_eigenvalues(kind, params, n_list)
-    seed_vec = _left_seed(kind, params)
-
-    lam1 = lam0 + 0.02j / params.L
-    r0 = _integrate(params, lam0, seed_vec)
-    r1 = _integrate(params, lam1, seed_vec)
+def _secant(params: Params, kind: BcKind, n_list, lam_prev, lam_cur, nsteps):
+    """Secant roots of the ``nsteps``-step boundary residual, from ``(lam_prev, lam_cur)``."""
+    seed = _left_seed(kind, params)
+    # both starting points in one batch: the march acts entry by entry
+    r_prev, r_cur = _integrate(params, np.hstack([lam_prev, lam_cur]), seed, nsteps).reshape(2, -1)
     # freeze entries whose seed already solves the boundary condition
-    done = np.abs(r0) < 1e-13
-    lam1 = np.where(done, lam0, lam1)
-    r1 = np.where(done, r0, r1)
+    done = np.abs(r_prev) < 1e-13
+    lam_cur = np.where(done, lam_prev, lam_cur)
+    r_cur = np.where(done, r_prev, r_cur)
 
-    lam_prev, r_prev = lam0.copy(), r0.copy()
-    lam_cur, r_cur = lam1.copy(), r1.copy()
     max_step = 0.3 / params.L  # trust region: roots sit within 1/(2L) of seeds
     for _ in range(14):
         dr = r_cur - r_prev
@@ -179,16 +173,27 @@ def find_eigenvalues(params: Params, kind: BcKind, n_range):
         moved = np.abs(lam_new - lam_cur)
         done = done | (moved < _SECANT_TOL)
         if np.all(done):
-            lam_cur = lam_new
-            break
-        r_new = _integrate(params, lam_new, seed_vec)
+            return lam_new
+        r_new = _integrate(params, lam_new, seed, nsteps)
         lam_prev, r_prev = lam_cur, r_cur
         lam_cur, r_cur = lam_new, np.where(done, r_cur, r_new)
-    else:
-        bad = n_list[~done]
-        raise NumericalError(f"eigenvalue search did not converge for n in {bad.tolist()}")
+    bad = n_list[~done]
+    raise NumericalError(f"eigenvalue search did not converge for n in {bad.tolist()}")
 
-    roots = lam_cur
+
+def find_eigenvalues(params: Params, kind: BcKind, n_range):
+    """Operator eigenvalues for the requested mode indices.
+
+    Secant refinement in the complex plane from the unperturbed eigenvalues
+    (``i pi n / L``, plus ``mu`` if damped) on the 512- and 1024-step marches,
+    Richardson-extrapolated. Raises NumericalError on non-convergence or root collision.
+    """
+    n_list = np.asarray(list(n_range), dtype=int)
+    lam0 = _seed_eigenvalues(kind, params, n_list)
+    coarse = _secant(params, kind, n_list, lam0, lam0 + 0.02j / params.L, _SEARCH_STEPS)
+    fine = _secant(params, kind, n_list, coarse, coarse + 1e-6j / params.L, 2 * _SEARCH_STEPS)
+    roots = fine + (fine - coarse) / 15.0
+
     # collision guard: the spectrum is simple in-regime
     order = np.argsort(roots.imag)
     gaps = np.abs(np.diff(roots[order]))
@@ -243,10 +248,6 @@ class Basis(ModeIndexed):
     @property
     def f1_at_0(self):
         return self.values[:, 0, 0]
-
-    @property
-    def f1_at_L(self):
-        return self.values[:, 0, -1]
 
 
 def _slots(a_values, b_values, grid, conjugate):
@@ -325,7 +326,12 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
     n_list = np.arange(-N, N + 1)
     grid = uniform_grid(params)
     eigs = find_eigenvalues(params, kind, n_list)
-    bc_res, vals, ode_err = _integrate(params, eigs, _left_seed(kind, params), store=True)
+    nsteps = (params.grid_points - 1) * _SUBSTEPS
+    bc_res, vals, ode_err = _integrate(params, eigs, _left_seed(kind, params), nsteps, store=True)
+    bad = n_list[bc_res > np.maximum(1e-9, ode_err)]  # the grid march checks the extrapolated roots
+    if bad.size:
+        raise NumericalError(f"boundary residual of the grid march exceeds max(1e-9, its ODE "
+                             f"error) for n in {bad.tolist()}")
 
     def check_identity(G, what):
         dev = np.abs(G - np.eye(n_list.size))

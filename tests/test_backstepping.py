@@ -18,7 +18,14 @@ from watertank.backstepping import (
 from watertank.errors import NumericalError
 from watertank.feedback import FeedbackLaw, feedback_coefficients
 from watertank.model import Params, uniform_grid
-from watertank.spectral import Basis, BcKind, adjoint_values, pairings, reference_mode
+from watertank.spectral import (
+    Basis,
+    BcKind,
+    adjoint_values,
+    find_eigenvalues,
+    pairings,
+    reference_mode,
+)
 
 
 def column_norm_spread(transform: TransformMatrix) -> float:
@@ -258,12 +265,12 @@ def law41(basis_cache):
 
 
 @pytest.fixture(scope="module")
-def spectrum41(basis_cache, law41):
+def spectrum41(law41):
     p, _, law = law41
     eig = closed_loop_spectrum(law)
     pd = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=12, grid_points=2049)
-    bt = basis_cache(pd, BcKind.DAMPED, 12)
-    return p, eig, bt
+    targets = -find_eigenvalues(pd, BcKind.DAMPED, range(-10, 11))
+    return p, eig, targets
 
 
 class TestClosedLoopSpectrum:
@@ -272,32 +279,29 @@ class TestClosedLoopSpectrum:
         # the closed loop under the full law (tail |n| > N summed in closed
         # form) has the reflected target spectrum; the roots land within
         # ~2e-8 of the shooting targets
-        p, eig, bt = spectrum41
-        targets = np.array([-bt.eigenvalue(k) for k in range(-10, 11)])
+        p, eig, targets = spectrum41
         dist = match_spectrum(eig, targets)
         assert float(np.max(dist / np.abs(targets))) < 1e-6
 
     def test_galerkin_relative_distance(self, spectrum41, law41):
         # the N = 41 Galerkin matrix that the integrator propagates reaches
         # each target only to 10% of its modulus (shift O(|p|/N))
-        p, eig, bt = spectrum41
-        targets = np.array([-bt.eigenvalue(k) for k in range(-10, 11)])
+        p, eig, targets = spectrum41
         dist = match_spectrum(galerkin_spectrum(law41[2]), targets)
         assert float(np.max(dist / np.abs(targets))) < 0.1
         assert float(np.max(dist)) > 0.1 * p.mu
 
     def test_central_real_parts(self, spectrum41):
         # eigenvalues matched to central targets are damped at least mu/2
-        p, eig, bt = spectrum41
-        for k in range(-10, 11):
-            t = -bt.eigenvalue(k)
+        p, eig, targets = spectrum41
+        for t in targets:
             j = int(np.argmin(np.abs(eig.imag - t.imag)))
             assert eig[j].real <= -p.mu / 2.0
 
     def test_gamma_to_zero_docum(self, spectrum41, law41, capsys):
         # frozen-law degradation at gamma -> 0 is documented, not asserted:
         # the mode-0 handling rides on nu alone
-        p, eig, bt = spectrum41
+        p, eig, targets = spectrum41
         print(
             f"closed-loop spectrum note: max Re = {eig.real.max():.3f} "
             f"(Galerkin matrix: {galerkin_spectrum(law41[2]).real.max():.3f}, "
@@ -320,7 +324,7 @@ class TestClosedLoopSpectrum:
             assert abs(tail_sum(s, mu[-1], mu[0], c_inf, p.L) - direct) < 1e-5
 
     def test_roots_solve_characteristic_equation(self, spectrum41, law41):
-        p, eig, bt = spectrum41
+        p, eig, _ = spectrum41
         assert eig.size == law41[2].n_list.size
         assert float(np.max(np.abs(characteristic_function(law41[2], eig)))) < 1e-10
 
@@ -329,9 +333,8 @@ class TestClosedLoopSpectrum:
         # criterion 8 discriminates: a 2% error in the law moves the
         # closed-loop spectrum beyond its 0.1 mu tolerance
         p, _, law = law41
-        _, _, bt = spectrum41
+        _, _, targets = spectrum41
         eig = closed_loop_spectrum(replace(law, table=law.table * scale))
-        targets = np.array([-bt.eigenvalue(k) for k in range(-10, 11)])
         assert float(np.max(match_spectrum(eig, targets))) > 0.1 * p.mu
 
     def test_diverging_seed_raises(self, law41):

@@ -5,12 +5,16 @@ import pytest
 
 from watertank.errors import NumericalError
 from watertank.model import Params, delta, uniform_grid
+from watertank import spectral
 from watertank.spectral import (
+    _SECANT_TOL,
+    _SUBSTEPS,
     BcKind,
     _integrate,
     _kato_series,
     _left_seed,
     _march,
+    _seed_eigenvalues,
     adjoint_values,
     build_basis,
     find_eigenvalues,
@@ -27,10 +31,11 @@ from watertank.spectral import (
 def shoot(params: Params, kind: BcKind, lam) -> complex:
     """Boundary residual ``f1(L) + f2(L)`` of the shooting solution.
 
-    Integrates from x=0 with the kind's left seed; roots in ``lam`` are the
-    operator eigenvalues.
+    Integrates from x=0 with the kind's left seed on the grid march of the
+    store pass; roots in ``lam`` are the operator eigenvalues.
     """
-    return complex(_integrate(params, [lam], _left_seed(kind, params))[0])
+    nsteps = (params.grid_points - 1) * _SUBSTEPS
+    return complex(_integrate(params, [lam], _left_seed(kind, params), nsteps)[0])
 
 
 def l1_boundary(params: Params, n: int, K: int = 2000) -> complex:
@@ -106,25 +111,117 @@ def march_two_arrays(CEM, CEP, h, seed, nx):
     return (g1, g2), out
 
 
+def whole_table_march(params: Params, kind: BcKind, lams):
+    """Two-array march over one stage table for the whole grid march.
+
+    Returns the step, the final ``(g1, g2)`` and the (K, 2, nx) samples.
+    """
+    nsteps = (params.grid_points - 1) * _SUBSTEPS
+    xs = np.linspace(0.0, params.L, 2 * nsteps + 1)
+    c = -np.asarray(delta(params, xs))[:, None] / 3.0
+    E = np.exp(2.0 * np.outer(xs, lams))
+    C = np.stack([c / E, c * E], axis=1)
+    h = params.L / nsteps
+    return (h, C) + march_two_arrays(C[:, 0], C[:, 1], h, _left_seed(kind, params), params.grid_points)
+
+
 class TestMarch:
     @pytest.mark.parametrize("kind", list(BcKind))
     def test_stacked_march_matches_two_arrays(self, kind):
         # the stacked (2, K) march does the same arithmetic in the same order
         p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=3, grid_points=65)
         lams = find_eigenvalues(p, kind, range(-3, 4)) + 0.01
-        xs = np.linspace(0.0, p.L, 4 * (p.grid_points - 1) + 1)
-        c = -np.asarray(delta(p, xs))[:, None] / 3.0
-        E = np.exp(2.0 * np.outer(xs, lams))
-        C = np.stack([c / E, c * E], axis=1)
-        h = p.L / (2 * (p.grid_points - 1))
-        seed = _left_seed(kind, p)
-        (g1, g2), ref = march_two_arrays(C[:, 0], C[:, 1], h, seed, p.grid_points)
-        g = _march(C, h, seed)
+        h, C, (g1, g2), ref = whole_table_march(p, kind, lams)
+        g0 = np.tile(_left_seed(kind, p)[:, None], lams.size)
+        g = _march(C, h, g0)
         assert np.array_equal(g[0], g1) and np.array_equal(g[1], g2)
-        assert np.array_equal(_march(C, h, seed, p.grid_points), ref)
+        out = np.empty((lams.size, 2, p.grid_points - 1), dtype=complex)
+        _march(C, h, g0, out)
+        assert np.array_equal(out, ref[:, :, 1:])
+
+    @pytest.mark.parametrize("kind", list(BcKind))
+    def test_blocked_tables_match_whole_table(self, kind):
+        # the integrator builds its stage table _BLOCK_STEPS steps at a time;
+        # marching block after block is the march over the whole table
+        p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=3, grid_points=1025)
+        nsteps = (p.grid_points - 1) * _SUBSTEPS
+        assert nsteps > 2 * spectral._BLOCK_STEPS
+        lams = find_eigenvalues(p, kind, range(-3, 4)) + 0.01
+        _, _, (g1, g2), ref = whole_table_march(p, kind, lams)
+        seed = _left_seed(kind, p)
+        eL = np.exp(lams * p.L)
+        assert np.array_equal(_integrate(p, lams, seed, nsteps), g1 * eL + g2 / eL)
+        Eg = np.exp(np.outer(lams, uniform_grid(p)))
+        ref[:, 0, :] *= Eg
+        ref[:, 1, :] /= Eg
+        assert np.array_equal(_integrate(p, lams, seed, nsteps, store=True)[1], ref)
+
+
+def grid_march_eigenvalues(params: Params, kind: BcKind, n_range) -> np.ndarray:
+    """Secant roots of the boundary residual on the grid march of the store pass.
+
+    The search before it moved to a fixed march: one secant, seeded at the
+    unperturbed eigenvalues, at ``_SUBSTEPS`` RK4 steps per grid cell.
+    """
+    n_list = np.asarray(list(n_range), dtype=int)
+    nsteps = (params.grid_points - 1) * _SUBSTEPS
+    seed = _left_seed(kind, params)
+    lam_prev = _seed_eigenvalues(kind, params, n_list)
+    lam_cur = lam_prev + 0.02j / params.L
+    r_prev = _integrate(params, lam_prev, seed, nsteps)
+    r_cur = _integrate(params, lam_cur, seed, nsteps)
+    done = np.abs(r_prev) < 1e-13
+    lam_cur = np.where(done, lam_prev, lam_cur)
+    r_cur = np.where(done, r_prev, r_cur)
+    max_step = 0.3 / params.L
+    for _ in range(14):
+        dr = r_cur - r_prev
+        safe = np.abs(dr) > 0
+        step = np.where(safe, r_cur * (lam_cur - lam_prev) / np.where(safe, dr, 1.0), 0.0)
+        big = np.abs(step) > max_step
+        step = np.where(big, step * max_step / np.where(big, np.abs(step), 1.0), step)
+        lam_new = np.where(done, lam_cur, lam_cur - step)
+        done = done | (np.abs(lam_new - lam_cur) < _SECANT_TOL)
+        if np.all(done):
+            return lam_new
+        r_new = _integrate(params, lam_new, seed, nsteps)
+        lam_prev, r_prev = lam_cur, r_cur
+        lam_cur, r_cur = lam_new, np.where(done, r_cur, r_new)
+    raise AssertionError("grid-march secant did not converge")
 
 
 class TestFindEigenvalues:
+    @pytest.mark.parametrize("gamma", [0.01, 0.05])
+    @pytest.mark.parametrize("kind", list(BcKind))
+    def test_matches_grid_march_secant(self, kind, gamma):
+        # the extrapolated fixed-march roots agree with the secant run on
+        # the 4096-step grid march itself
+        p = Params(gamma=gamma, mu=2.0, nu=0.5, n_modes=20, grid_points=2049)
+        ev = find_eigenvalues(p, kind, range(-20, 21))
+        ref = grid_march_eigenvalues(p, kind, range(-20, 21))
+        assert np.max(np.abs(ev - ref)) < 1e-10
+
+    def test_search_steps_independent_of_grid(self, monkeypatch):
+        # the search marches the same step counts whatever the output grid;
+        # every block of a march has its step h = L / steps, and L = 1 here
+        steps = []
+        real = spectral._march
+
+        def counted(C, h, g, out=None):
+            steps.append(((C.shape[0] - 1) // 2, round(1.0 / h)))
+            return real(C, h, g, out)
+
+        monkeypatch.setattr(spectral, "_march", counted)
+        evs, runs = [], []
+        for nx in (2049, 4097):
+            steps.clear()
+            p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=3, grid_points=nx)
+            evs.append(find_eigenvalues(p, BcKind.DAMPED, range(-3, 4)))
+            runs.append(list(steps))
+        assert runs[0] == runs[1]
+        assert {n for _, n in runs[0]} == {spectral._SEARCH_STEPS, 2 * spectral._SEARCH_STEPS}
+        assert np.array_equal(evs[0], evs[1])
+
     def test_gamma0_exact(self, p_gamma0):
         ev = find_eigenvalues(p_gamma0, BcKind.CONSERVATIVE, range(-20, 21))
         exact = 1j * math.pi * np.arange(-20, 21) / p_gamma0.L
@@ -186,6 +283,27 @@ class TestEigenfunction:
 
 
 class TestBuildBasis:
+    @pytest.mark.parametrize("kind", list(BcKind))
+    def test_smaller_basis_is_rows_of_larger(self, kind):
+        # search and store act entry by entry: the N=12 family is bit for
+        # bit the |n| <= 12 rows of the N=20 family
+        p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=20, grid_points=257)
+        small, big = build_basis(p, kind, 12), build_basis(p, kind, 20)
+        rows = slice(big.index(-12), big.index(12) + 1)
+        for name in ("eigenvalues", "values", "dual_values", "bc_residuals", "ode_residuals"):
+            a, b = getattr(small, name), getattr(big, name)
+            assert (a is None and b is None) or np.array_equal(a, b[rows]), name
+
+    def test_store_pass_rejects_shifted_roots(self, monkeypatch):
+        p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=4, grid_points=257)
+        real = spectral.find_eigenvalues
+        monkeypatch.setattr(
+            spectral, "find_eigenvalues", lambda *args: real(*args) + 1e-6
+        )
+        for kind in BcKind:
+            with pytest.raises(NumericalError, match=r"n in \[-4, -3, -2, -1, 0, 1, 2, 3, 4\]"):
+                build_basis(p, kind, 4)
+
     def test_gamma0_gram_identity(self, p_gamma0, basis_cache):
         basis = basis_cache(p_gamma0, BcKind.CONSERVATIVE, 10)
         G = gram_matrix(basis.values, basis.values, basis.grid)
