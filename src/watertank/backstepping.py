@@ -9,7 +9,7 @@ dense change-of-basis matrix
 assembled over the shared truncation window |p|, |n| <= N. The kernel PDE
 is represented only through this coefficient system. The closed-loop
 spectrum is the exception to the window: it solves the characteristic
-equation of the full law, whose tail |n| > N is summed in closed form.
+equation of the full law, tail |n| > N in closed form, by ``spectral.secant``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from scipy.special import psi
 from watertank.errors import NumericalError, RegimeError
 from watertank.feedback import FeedbackLaw, virtual_profile
 from watertank.model import Params
-from watertank.spectral import Basis, ModeIndexed, pairings
+from watertank.spectral import Basis, ModeIndexed, collision, pairings, secant
 
 __all__ = [
     "TransformMatrix",
@@ -148,34 +148,21 @@ def closed_loop_spectrum(law: FeedbackLaw) -> np.ndarray:
     not converge to a root with ``|F| < 1e-10`` or two seeds reach one root.
     """
     seeds = galerkin_spectrum(law)
-    s_prev, s_cur = seeds, seeds + 1e-3 / law.params.L
-    done = np.zeros(seeds.size, dtype=bool)
-    with np.errstate(all="ignore"):  # a diverging seed turns to nan; caught below
-        f_prev = characteristic_function(law, s_prev)
-        f_cur = characteristic_function(law, s_cur)
-        for _ in range(40):
-            df = f_cur - f_prev
-            safe = ~done & (df != 0)
-            step = np.where(safe, f_cur * (s_cur - s_prev) / np.where(safe, df, 1.0), 0.0)
-            s_prev, f_prev = s_cur, f_cur
-            s_cur = s_cur - step
-            done = done | (np.abs(step) < 1e-12 * (1.0 + np.abs(s_cur)))
-            if np.all(done):
-                break
-            f_cur = np.where(done, f_prev, characteristic_function(law, s_cur))
-        residual = np.abs(characteristic_function(law, s_cur))
+    roots, done = secant(lambda s: characteristic_function(law, s), seeds,
+                         seeds + 1e-3 / law.params.L, lambda s: 1e-12 * (1.0 + np.abs(s)),
+                         max_iter=40)
+    with np.errstate(all="ignore"):  # nan where a seed diverged
+        residual = np.abs(characteristic_function(law, roots))
     bad = ~(done & (residual < 1e-10))
     if np.any(bad):
         raise NumericalError(
             f"closed-loop characteristic equation did not converge from "
             f"{int(bad.sum())} Galerkin seed(s), first at {complex(seeds[bad][0]):.4g}"
         )
-    roots = s_cur[np.argsort(s_cur.imag)]
-    close = np.abs(roots[:, None] - roots[None, :]) < 1e-8
-    if np.count_nonzero(close) > roots.size:
-        i = int(np.argmax(np.sum(close, axis=1)))
+    roots = roots[np.argsort(roots.imag)]
+    if pair := collision(roots):
         raise NumericalError(
-            f"two Galerkin seeds converged to one closed-loop root {complex(roots[i]):.4g}"
+            f"two Galerkin seeds converged to one closed-loop root {complex(roots[pair[0]]):.4g}"
         )
     return roots
 

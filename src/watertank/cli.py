@@ -395,8 +395,10 @@ def cmd_steer(cfg) -> int:
     params = params_from_config(cfg)
     if params.gamma <= 0:
         raise RegimeError("steering requires gamma > 0")
-    out = _outdir(cfg)
     target = cfg.get("target", {1: 1.0})
+    if not any(target.values()):
+        raise ConfigError("every target amplitude is zero: no terminal error to measure")
+    out = _outdir(cfg)
     basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes)
     modes = w_modes(params, basis)
     tq = np.linspace(0.0, 2 * params.L, 8 * (params.grid_points - 1) + 1)

@@ -3,9 +3,9 @@
 The w-system ``w_t + L w_x + delta(x) J0 w = u(t) (1,1)`` is steered through
 its moments: expanding on the eigenfamily ``psi_n`` with adjoint family
 ``chi_n``, each modal amplitude obeys an independent scalar ODE whose
-Duhamel integral is a moment ``int_0^{2L} e^{mu_n (s-2L)} u(s) ds``. A
-biorthogonal dual family of the exponentials turns prescribed terminal
-amplitudes into an explicit control.
+Duhamel integral is a moment ``int_0^{2L} e^{mu_n (s-2L)} u(s) ds``. The dual
+family of the exponentials, from their Gram matrix in closed form (no
+quadrature), turns prescribed terminal amplitudes into an explicit control.
 
 At gamma = 0 the even-mode moments vanish identically (the even subspace is
 unobservable from the control profile); for small gamma > 0 they are of
@@ -22,7 +22,7 @@ import numpy as np
 
 from watertank.errors import ConfigError, NumericalError, UncontrollableError
 from watertank.model import Params, diagonal_weight, simpson_weights, uniform_grid
-from watertank.spectral import Basis, WModes, gram_matrix, pairings
+from watertank.spectral import Basis, WModes, collision, gram_matrix, pairings
 
 __all__ = [
     "MomentReport",
@@ -193,7 +193,7 @@ class DualBasis:
     """Biorthogonal duals of ``{e^{mu_n (s - 2L)}}`` on L^2(0, 2L).
 
     ``coeffs[j, m]`` expresses dual p_m in the span of the exponentials;
-    ``grid`` is the quadrature grid used for the Gram system.
+    ``grid`` is the control's sample grid, whose end is the horizon T.
     """
 
     eigenvalues: np.ndarray
@@ -205,14 +205,14 @@ class DualBasis:
 def dual_exponentials(eigenvalues, quadrature) -> DualBasis:
     """Solve the Gram system for the dual family of the exponentials.
 
-    ``quadrature`` is an odd-size grid on [0, 2L]. Raises if the
-    eigenvalues are closer than 1e-8 (spectrum not simple) or if the Gram
+    ``quadrature`` is an odd-size grid on [0, T], T = 2L: the control's sample
+    grid and horizon. The Gram matrix is exact, ``G_ij = int_0^T e^{z (s-T)} ds
+    = -expm1(-z T)/z`` with ``z = mu_i + conj(mu_j)`` (``T`` at z = 0). Raises
+    if two eigenvalues lie within 1e-8 (spectrum not simple) or if the Gram
     matrix is ill-conditioned beyond 1e12 (truncation too large).
     """
     eigenvalues = np.asarray(eigenvalues, dtype=complex)
-    K = eigenvalues.size
-    d = np.abs(eigenvalues[:, None] - eigenvalues[None, :]) + np.eye(K)
-    if np.min(d) < 1e-8:
+    if collision(eigenvalues):
         raise NumericalError("eigenvalue collision below 1e-8: duals are singular")
     grid = np.asarray(quadrature, dtype=float)
     if grid.ndim == 0:
@@ -220,9 +220,8 @@ def dual_exponentials(eigenvalues, quadrature) -> DualBasis:
     if grid.size % 2 == 0:
         raise ConfigError("quadrature grid must have an odd number of points")
     T = grid[-1]
-    w = simpson_weights(grid)
-    E = np.exp(np.outer(eigenvalues, grid - T))  # (K, nq)
-    G = (E * w) @ np.conj(E).T
+    z = eigenvalues[:, None] + np.conj(eigenvalues)
+    G = np.where(z == 0, T, -np.expm1(-z * T) / np.where(z == 0, 1.0, z))
     cond = float(np.linalg.cond(G))
     if cond > 1e12:
         raise NumericalError(

@@ -31,7 +31,7 @@ from watertank.model import (
     simpson_weights,
     uniform_grid,
 )
-from watertank.spectral import Basis, BcKind, WModes
+from watertank.spectral import Basis, BcKind, WModes, pairings
 
 __all__ = [
     "Trajectory",
@@ -389,20 +389,13 @@ def lyapunov_functional(params: Params, basis: Basis, coeffs,
     """Quadratic functional ``V = sum_{k=0,1} ||Theta (A~^k z)||^2`` (p = 1).
 
     The operator power is applied modally (exact on the damped basis), the
-    weights come from the certificate.
+    weights come from the certificate, and each norm is the 1/(2L) pairing
+    of ``spectral.pairings``.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    z = np.tensordot(coeffs, basis.values, axes=(0, 0))
-    az = np.tensordot(coeffs * basis.eigenvalues, basis.values, axes=(0, 0))
-    w = simpson_weights(basis.grid)
-    L = params.L
-    val = 0.0
-    for comp in (z, az):
-        val += float(
-            np.sum(w * (cert.theta1 * np.abs(comp[0]) ** 2
-                        + cert.theta2 * np.abs(comp[1]) ** 2))
-        ) / (2.0 * L)
-    return val
+    comps = np.tensordot(np.stack([coeffs, coeffs * basis.eigenvalues]), basis.values, axes=(1, 0))
+    theta = np.stack([cert.theta1, cert.theta2])
+    return float(np.sum(pairings(comps * theta, comps, basis.grid).real))
 
 
 def decay_rate_estimate(traj: Trajectory, selector="da", window=None):

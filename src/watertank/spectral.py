@@ -16,6 +16,8 @@ integration is exact to rounding, and for gamma > 0 the error scales like
 The eigenvalue search runs on fixed 512- and 1024-step marches, whatever the
 grid, and returns their Richardson value ``b + (b - a)/15``. Only the store
 pass of :func:`build_basis` marches on the grid, and its residual checks that root.
+Every spectrum, this one and the closed loop's, is found by :func:`secant`, which
+never counts a non-finite residual as converged, and guarded by :func:`collision`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ __all__ = [
     "adjoint_values",
     "gram_matrix",
     "pairings",
+    "secant",
+    "collision",
 ]
 
 
@@ -152,33 +156,44 @@ def _integrate(params: Params, lams, seed, nsteps, store=False):
     return np.abs(residuals) / scale, vals, ode_err
 
 
-def _secant(params: Params, kind: BcKind, n_list, lam_prev, lam_cur, nsteps):
-    """Secant roots of the ``nsteps``-step boundary residual, from ``(lam_prev, lam_cur)``."""
-    seed = _left_seed(kind, params)
-    # both starting points in one batch: the march acts entry by entry
-    r_prev, r_cur = _integrate(params, np.hstack([lam_prev, lam_cur]), seed, nsteps).reshape(2, -1)
-    # freeze entries whose seed already solves the boundary condition
-    done = np.abs(r_prev) < 1e-13
-    lam_cur = np.where(done, lam_prev, lam_cur)
-    r_cur = np.where(done, r_prev, r_cur)
+def secant(f, z_prev, z_cur, tol, max_step=np.inf, max_iter=14):
+    """Vectorized secant roots of ``f`` (residuals entry by entry) from ``(z_prev, z_cur)``.
 
-    max_step = 0.3 / params.L  # trust region: roots sit within 1/(2L) of seeds
-    for _ in range(14):
-        dr = r_cur - r_prev
-        safe = np.abs(dr) > 0
-        step = np.where(safe, r_cur * (lam_cur - lam_prev) / np.where(safe, dr, 1.0), 0.0)
-        big = np.abs(step) > max_step
-        step = np.where(big, step * max_step / np.where(big, np.abs(step), 1.0), step)
-        lam_new = np.where(done, lam_cur, lam_cur - step)
-        moved = np.abs(lam_new - lam_cur)
-        done = done | (moved < _SECANT_TOL)
-        if np.all(done):
-            return lam_new
-        r_new = _integrate(params, lam_new, seed, nsteps)
-        lam_prev, r_prev = lam_cur, r_cur
-        lam_cur, r_cur = lam_new, np.where(done, r_cur, r_new)
-    bad = n_list[~done]
-    raise NumericalError(f"eigenvalue search did not converge for n in {bad.tolist()}")
+    An entry whose ``z_prev`` residual is below 1e-13 stays there. ``tol``, a number
+    or a function of the new points, bounds the step; ``max_step`` caps it. An entry
+    converges when its step is below ``tol`` and its residual is finite. Returns the
+    last iterates and the converged mask.
+    """
+    with np.errstate(all="ignore"):  # a diverging entry turns to nan; it never converges
+        r_prev, r_cur = f(np.concatenate([z_prev, z_cur])).reshape(2, -1)
+        done = np.abs(r_prev) < 1e-13
+        z_cur = np.where(done, z_prev, z_cur)
+        r_cur = np.where(done, r_prev, r_cur)
+        for _ in range(max_iter):
+            dr = r_cur - r_prev
+            safe = ~done & (dr != 0)
+            step = np.where(safe, r_cur * (z_cur - z_prev) / np.where(safe, dr, 1.0), 0.0)
+            big = np.abs(step) > max_step
+            step = np.where(big, step * max_step / np.where(big, np.abs(step), 1.0), step)
+            z_new = z_cur - step
+            bound = tol(z_new) if callable(tol) else tol
+            done = done | ((np.abs(z_new - z_cur) < bound) & np.isfinite(r_cur))
+            if np.all(done):
+                return z_new, done
+            r_new = f(z_new)
+            z_prev, r_prev = z_cur, r_cur
+            z_cur, r_cur = z_new, np.where(done, r_cur, r_new)
+    return z_cur, done
+
+
+def collision(z):
+    """Indices ``(i, j)``, ``i < j``, of the two closest entries of ``z``, every pair
+    compared, if they lie within 1e-8; else None."""
+    if len(z) < 2:
+        return None
+    d = np.abs(np.subtract.outer(z, z)) + np.diag(np.full(len(z), np.inf))
+    i, j = np.unravel_index(np.argmin(d), d.shape)
+    return (int(i), int(j)) if d[i, j] < 1e-8 else None
 
 
 def find_eigenvalues(params: Params, kind: BcKind, n_range):
@@ -190,16 +205,21 @@ def find_eigenvalues(params: Params, kind: BcKind, n_range):
     """
     n_list = np.asarray(list(n_range), dtype=int)
     lam0 = _seed_eigenvalues(kind, params, n_list)
-    coarse = _secant(params, kind, n_list, lam0, lam0 + 0.02j / params.L, _SEARCH_STEPS)
-    fine = _secant(params, kind, n_list, coarse, coarse + 1e-6j / params.L, 2 * _SEARCH_STEPS)
+    seed = _left_seed(kind, params)
+
+    def search(lam_prev, lam_cur, nsteps):  # the step cap is a trust region: roots sit within 1/(2L) of seeds
+        lam, ok = secant(lambda lam: _integrate(params, lam, seed, nsteps), lam_prev, lam_cur,
+                         _SECANT_TOL, max_step=0.3 / params.L)
+        if not np.all(ok):
+            raise NumericalError(f"eigenvalue search did not converge for n in {n_list[~ok].tolist()}")
+        return lam
+
+    coarse = search(lam0, lam0 + 0.02j / params.L, _SEARCH_STEPS)
+    fine = search(coarse, coarse + 1e-6j / params.L, 2 * _SEARCH_STEPS)
     roots = fine + (fine - coarse) / 15.0
 
-    # collision guard: the spectrum is simple in-regime
-    order = np.argsort(roots.imag)
-    gaps = np.abs(np.diff(roots[order]))
-    if roots.size > 1 and np.min(gaps) < 1e-8:
-        i = int(np.argmin(gaps))
-        a, b = n_list[order[i]], n_list[order[i + 1]]
+    if pair := collision(roots):  # the spectrum is simple in-regime
+        a, b = n_list[list(pair)]
         raise NumericalError(
             f"root collision between modes {a} and {b}: spectrum not simple at these parameters"
         )
@@ -328,14 +348,14 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
     eigs = find_eigenvalues(params, kind, n_list)
     nsteps = (params.grid_points - 1) * _SUBSTEPS
     bc_res, vals, ode_err = _integrate(params, eigs, _left_seed(kind, params), nsteps, store=True)
-    bad = n_list[bc_res > np.maximum(1e-9, ode_err)]  # the grid march checks the extrapolated roots
+    bad = n_list[~(bc_res <= np.maximum(1e-9, ode_err))]  # the grid march checks the roots; nan fails
     if bad.size:
         raise NumericalError(f"boundary residual of the grid march exceeds max(1e-9, its ODE "
                              f"error) for n in {bad.tolist()}")
 
     def check_identity(G, what):
         dev = np.abs(G - np.eye(n_list.size))
-        if np.max(dev) > 1e-6:
+        if not np.max(dev) <= 1e-6:  # nan fails too
             i, j = np.unravel_index(np.argmax(dev), dev.shape)
             raise NumericalError(
                 f"{what} failure at ({n_list[i]}, {n_list[j]}): {np.max(dev):.2e}"

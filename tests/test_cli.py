@@ -77,6 +77,7 @@ class TestBadInput:
             ["simulate", "--set", "law_file={tmp}/law.json", "--set", "gamma=0.045"],
             ["simulate", "--set", "law_file={tmp}/law.json", "--set", "mu=3"],
             ["spectrum", "--set", "ode_tol=1e-9"],
+            ["steer", "--set", "gamma=0.05", "--set", "target=1:0"],
         ],
     )
     def test_exit2_with_one_line(self, args, tmp_path, capsys):
@@ -127,6 +128,14 @@ class TestSpectrumCommand:
         assert code == 0
         doc = json.loads((tmp_path / "spectrum_summary.json").read_text())
         assert doc["drift_within_quarter"] is True
+
+    def test_overflowing_search_exit4(self, tmp_path, capsys):
+        # at mu = 400 the damped shooting march overflows to nan residuals
+        code = run(["spectrum", "--set", "mu=400"] + FAST, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert not (tmp_path / "spectrum_damped.csv").exists()
 
     def test_eigenfunction_dump(self, tmp_path):
         code = run(

@@ -17,6 +17,7 @@ from watertank.spectral import (
     _seed_eigenvalues,
     adjoint_values,
     build_basis,
+    collision,
     find_eigenvalues,
     first_order_perturbation,
     gram_matrix,
@@ -24,6 +25,7 @@ from watertank.spectral import (
     kato_psi,
     pairings,
     reference_mode,
+    secant,
     w_modes,
 )
 
@@ -160,34 +162,16 @@ class TestMarch:
 def grid_march_eigenvalues(params: Params, kind: BcKind, n_range) -> np.ndarray:
     """Secant roots of the boundary residual on the grid march of the store pass.
 
-    The search before it moved to a fixed march: one secant, seeded at the
-    unperturbed eigenvalues, at ``_SUBSTEPS`` RK4 steps per grid cell.
+    The search before it moved to a fixed march: the shared secant, seeded at
+    the unperturbed eigenvalues, at ``_SUBSTEPS`` RK4 steps per grid cell.
     """
-    n_list = np.asarray(list(n_range), dtype=int)
     nsteps = (params.grid_points - 1) * _SUBSTEPS
     seed = _left_seed(kind, params)
-    lam_prev = _seed_eigenvalues(kind, params, n_list)
-    lam_cur = lam_prev + 0.02j / params.L
-    r_prev = _integrate(params, lam_prev, seed, nsteps)
-    r_cur = _integrate(params, lam_cur, seed, nsteps)
-    done = np.abs(r_prev) < 1e-13
-    lam_cur = np.where(done, lam_prev, lam_cur)
-    r_cur = np.where(done, r_prev, r_cur)
-    max_step = 0.3 / params.L
-    for _ in range(14):
-        dr = r_cur - r_prev
-        safe = np.abs(dr) > 0
-        step = np.where(safe, r_cur * (lam_cur - lam_prev) / np.where(safe, dr, 1.0), 0.0)
-        big = np.abs(step) > max_step
-        step = np.where(big, step * max_step / np.where(big, np.abs(step), 1.0), step)
-        lam_new = np.where(done, lam_cur, lam_cur - step)
-        done = done | (np.abs(lam_new - lam_cur) < _SECANT_TOL)
-        if np.all(done):
-            return lam_new
-        r_new = _integrate(params, lam_new, seed, nsteps)
-        lam_prev, r_prev = lam_cur, r_cur
-        lam_cur, r_cur = lam_new, np.where(done, r_cur, r_new)
-    raise AssertionError("grid-march secant did not converge")
+    lam0 = _seed_eigenvalues(kind, params, list(n_range))
+    lam, ok = secant(lambda lam: _integrate(params, lam, seed, nsteps), lam0,
+                     lam0 + 0.02j / params.L, _SECANT_TOL, max_step=0.3 / params.L)
+    assert np.all(ok), "grid-march secant did not converge"
+    return lam
 
 
 class TestFindEigenvalues:
@@ -240,12 +224,34 @@ class TestFindEigenvalues:
         ev = find_eigenvalues(p_std, BcKind.CONSERVATIVE, [0])
         assert abs(ev[0]) == 0.0
 
+    def test_non_finite_residual_never_converges(self):
+        # at mu = 400 the damped march overflows to nan; a nan residual gives
+        # no secant step, which must not read as convergence
+        p = Params(mu=400.0, n_modes=2, grid_points=257)
+        with pytest.raises(NumericalError, match="did not converge"):
+            find_eigenvalues(p, BcKind.DAMPED, range(-2, 3))
+        with pytest.raises(NumericalError):
+            build_basis(p, BcKind.DAMPED, 2)
+
     def test_out_of_regime_raises(self):
         # the damped operator's perturbation constants grow like e^{2 mu L},
         # so even small gamma pushes its roots out of the localization window
         p = Params(gamma=0.01, mu=4.0, nu=0.5, n_modes=4, grid_points=513)
         with pytest.raises(NumericalError):
             find_eigenvalues(p, BcKind.DAMPED, range(-4, 5))
+
+
+class TestCollision:
+    def test_closest_pair_not_adjacent_in_imag_order(self):
+        # in imaginary-part order the entries read 0, 5 + 0.5e-9i, 1e-9i: the
+        # colliding pair 0 and 1e-9i is not adjacent, which a sorted-gap test misses
+        z = np.array([0.0, 5.0 + 0.5e-9j, 1e-9j])
+        assert np.min(np.abs(np.diff(z[np.argsort(z.imag)]))) > 1.0
+        assert collision(z) == (0, 2)
+
+    def test_distinct_values_pass(self):
+        assert collision(np.array([0.0, 1e-7, 1j])) is None
+        assert collision(np.array([1j])) is None
 
 
 class TestEigenfunction:
