@@ -268,9 +268,11 @@ def cmd_controllability(cfg) -> int:
     doc = {"config": _config_echo(cfg, params)}
     doc.update(report.to_dict())
     _write_json(out / "moment_report.json", doc)
-    if params.gamma == 0:
-        return 0 if report.expected_gamma_zero_pattern() else 4
-    return 0 if report.all_passed else 4
+    if report.expected_gamma_zero_pattern() if params.gamma == 0 else report.all_passed:
+        return 0
+    failed = [k for k, v in report.items.items() if not v["passed"]]
+    print(f"controllability items failed: {', '.join(failed)}", file=sys.stderr)
+    return 4
 
 
 def cmd_feedback(cfg) -> int:
@@ -385,10 +387,14 @@ def cmd_lyapunov(cfg) -> int:
         "gamma_s": gs,
         "feasible": bool(cert.feasible),
         "eta_L": float(cert.eta[-1]),
-        "eta_below_xi": bool(np.all(cert.eta <= cert.xi + 1e-12)),
+        "eta_below_xi": cert.eta_below_xi,
     }
     _write_json(out / "lyapunov_certificate.json", doc)
-    return 0 if cert.feasible else 3
+    if not cert.feasible:
+        why = (f"eta(L) = {cert.eta[-1]:.6g} > 1" if cert.blowup_x is None
+               else f"eta blows up at x = {cert.blowup_x:.6g}")
+        raise RegimeError(f"Lyapunov certificate infeasible: {why}")
+    return 0
 
 
 def cmd_steer(cfg) -> int:
@@ -396,30 +402,38 @@ def cmd_steer(cfg) -> int:
     if params.gamma <= 0:
         raise RegimeError("steering requires gamma > 0")
     target = cfg.get("target", {1: 1.0})
-    if not any(target.values()):
+    scale = max(abs(v) for v in target.values())
+    if scale == 0:
         raise ConfigError("every target amplitude is zero: no terminal error to measure")
     out = _outdir(cfg)
     basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes)
     modes = w_modes(params, basis)
     tq = np.linspace(0.0, 2 * params.L, 8 * (params.grid_points - 1) + 1)
     duals = dual_exponentials(modes.eigenvalues, tq)
-    sig = synthesize_open_loop(params, modes, duals, target)
-    _write_csv(out / "control.csv", ["t", "re_u", "im_u"], sig.to_csv_rows())
+    # steering is linear in the target: solve for it over its largest
+    # amplitude, so no amplitude reaches the ends of the float range inside
+    unit = {n: v / scale for n, v in target.items()}
+    sig = synthesize_open_loop(params, modes, duals, unit)
     init = np.zeros(modes.n_list.size, dtype=complex)
     traj = integrate_open_loop_w(params, modes, sig, init, t_final=2 * params.L)
     kvec = np.zeros(modes.n_list.size, dtype=complex)
-    for n, v in target.items():
+    for n, v in unit.items():
         kvec[modes.index(n)] = v
     err = float(np.linalg.norm(traj.coeffs[-1] - kvec) / np.linalg.norm(kvec))
+    rows = [(t, float(re) * scale, float(im) * scale) for t, re, im in sig.to_csv_rows()]
     summary = {
         "config": _config_echo(cfg, params),
         "target": {str(k): v for k, v in target.items()},
         "terminal_relative_error": err,
         "terminal_error_pass": bool(err < 5e-2),
-        "mass_drift": float(np.max(np.abs(traj.mass - traj.mass[0]))),
-        "control_l2_norm": sig.l2_norm(),
+        "mass_drift": float(np.max(np.abs(traj.mass - traj.mass[0]))) * scale,
+        "control_l2_norm": sig.l2_norm() * scale,
         "dual_gram_condition": duals.gram_condition,
     }
+    scaled = [summary["mass_drift"], summary["control_l2_norm"]] + [x for r in rows for x in r[1:]]
+    if not all(map(math.isfinite, scaled)):
+        raise ConfigError(f"target amplitude {scale:g} puts the control past the float range")
+    _write_csv(out / "control.csv", ["t", "re_u", "im_u"], rows)
     _write_json(out / "steer_summary.json", summary)
     return 0
 
@@ -469,7 +483,10 @@ def cmd_report(cfg) -> int:
     _write_json(out / "acceptance_report.json", doc)
     for r in results:
         print(f"criterion {r.cid}: {'PASS' if r.passed else 'FAIL'} - {r.title}")
-    return 0 if doc["all_passed"] else 4
+    if doc["all_passed"]:
+        return 0
+    print(f"acceptance criteria failed: {[r.cid for r in results if not r.passed]}", file=sys.stderr)
+    return 4
 
 
 _COMMANDS = {

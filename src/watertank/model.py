@@ -275,13 +275,14 @@ def gamma_s_threshold(params: Params, lam: float) -> float:
 
     ``min(7/(16L), 6 lambda (1 - e^{-2(mu-lambda)L}) / (e^{2 lambda L}-1))``
     with the free position in the second bound taken at x = L (worst case).
-    Decreasing in lambda on (0, mu).
+    Decreasing in lambda on (0, mu). The second bound is evaluated times
+    ``e^{-2 lambda L}`` above and below, so no exponential can overflow.
     """
     if not 0 < lam < params.mu:
         raise DomainError("lambda must lie in (0, mu)")
     L = params.L
     second = (
-        6.0 * lam * (1.0 - math.exp(-2.0 * (params.mu - lam) * L))
-        / (math.expm1(2.0 * lam * L))
+        6.0 * lam * math.exp(-2.0 * lam * L) * math.expm1(-2.0 * (params.mu - lam) * L)
+        / math.expm1(-2.0 * lam * L)
     )
     return min(7.0 / (16.0 * L), second)

@@ -31,7 +31,7 @@ from watertank.model import (
     simpson_weights,
     uniform_grid,
 )
-from watertank.spectral import Basis, BcKind, WModes, pairings
+from watertank.spectral import Basis, BcKind, WModes, gram_matrix, march
 
 __all__ = [
     "Trajectory",
@@ -319,83 +319,67 @@ class LyapunovCertificate:
     eta: np.ndarray
     xi: np.ndarray
     feasible: bool
+    eta_below_xi: bool
     theta1: np.ndarray
     theta2: np.ndarray
     blowup_x: float = None
 
 
 def lyapunov_certificate(params: Params, lam: float) -> LyapunovCertificate:
-    """Integrate the Riccati-type weight ODE and compare with its supersolution.
+    """Solve the Riccati-type weight ODE and compare with its supersolution.
 
     ``eta' = |delta/3| (e^{-2 lam (x-L)} - eta^2 e^{2 lam (x-L)})`` with
     ``eta(0) = e^{-2(mu-lam)L}``; feasible iff eta exists on [0, L] with
-    ``eta(L) <= 1``. The closed-form supersolution is
+    ``eta(L) <= 1``. The substitution ``eta = s e^{2 lam L} g1/g2``, with
+    ``s`` the sign of gamma (so ``|delta|/3 = -s delta/3``), makes it the
+    linear shooting system of :func:`spectral.march` at the real parameter
+    lam, seeded ``(eta(0), s e^{2 lam L})`` and marched one RK4 step per
+    grid cell; eta blows up where g2 crosses zero, and an exponential past
+    the float range counts as a blow-up. The closed-form supersolution is
     ``xi = eta(0) + (||delta||_inf / 6 lam)(e^{2 lam L} - e^{2 lam (L-x)})``,
-    and the quadratic weights are reconstructed as
-    ``theta1 = e^{-2 lam (x-L)}/eta``, ``theta2 = eta e^{2 lam (x-L)}``.
+    and the quadratic weights are ``theta2 = eta e^{2 lam (x-L)}`` and
+    ``theta1 = 1/theta2``.
     """
     if not 0 < lam < params.mu:
         raise DomainError("lambda must lie in (0, mu)")
     grid = uniform_grid(params)
-    L = params.L
-    h = grid[1] - grid[0]
-    eta0 = math.exp(-2.0 * (params.mu - lam) * L)
-
-    # stage data on the half-grid (step endpoints and midpoints)
-    xs = np.linspace(0.0, L, 2 * (grid.size - 1) + 1)
-    dabs = np.abs(delta(params, xs)) / 3.0
-    em = np.exp(-2.0 * lam * (xs - L))
-    ep = np.exp(2.0 * lam * (xs - L))
-
-    def rhs(j, e):
-        return dabs[j] * (em[j] - e * e * ep[j])
-
-    eta = np.empty(grid.size)
-    eta[0] = eta0
-    e = eta0
-    blowup = None
-    for i in range(grid.size - 1):
-        j = 2 * i
-        k1 = rhs(j, e)
-        k2 = rhs(j + 1, e + h / 2 * k1)
-        k3 = rhs(j + 1, e + h / 2 * k2)
-        k4 = rhs(j + 2, e + h * k3)
-        e = e + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not math.isfinite(e) or abs(e) > 1e6 or e <= 0:
-            blowup = float(grid[i + 1])
-            eta[i + 1 :] = np.nan
-            break
-        eta[i + 1] = e
-
+    eta0 = math.exp(-2.0 * (params.mu - lam) * params.L)
+    sign = -1.0 if params.gamma < 0 else 1.0
+    xs = np.linspace(0.0, params.L, 2 * grid.size - 1)  # step ends and midpoints
+    c = -delta(params, xs) / 3.0
     dmax = float(np.max(np.abs(delta(params, grid))))
-    xi = eta0 + (dmax / (6.0 * lam)) * (
-        math.exp(2.0 * lam * L) - np.exp(2.0 * lam * (L - grid))
-    )
+    g = np.empty((1, 2, grid.size))
+    with np.errstate(all="ignore"):
+        E = np.exp(2.0 * lam * xs)
+        g[0, :, 0] = eta0, sign * E[-1]
+        march(np.stack([c / E, c * E], axis=1)[:, :, None], grid[1], g[0, :, :1], g[:, :, 1:])
+        eta = sign * E[-1] * g[0, 0] / g[0, 1]
+        xi = eta0 + (dmax / (6.0 * lam)) * (E[-1] - np.exp(2.0 * lam * (params.L - grid)))
+    ok = np.logical_and.accumulate((eta > 0) & (eta <= 1e6))  # up to the first blow-up
+    eta[~ok] = np.nan
+    blowup = None if ok.all() else float(grid[ok.sum()])
     feasible = blowup is None and eta[-1] <= 1.0 + 1e-12
-    if feasible:
-        theta1 = np.exp(-2.0 * lam * (grid - L)) / eta
-        theta2 = eta * np.exp(2.0 * lam * (grid - L))
-    else:
-        theta1 = np.full(grid.size, np.nan)
-        theta2 = np.full(grid.size, np.nan)
+    theta2 = eta * np.exp(2.0 * lam * (grid - params.L)) if feasible else np.full(grid.size, np.nan)
     return LyapunovCertificate(
         lam=lam, grid=grid, eta=eta, xi=xi, feasible=feasible,
-        theta1=theta1, theta2=theta2, blowup_x=blowup,
+        eta_below_xi=bool(np.all(eta <= xi + 1e-12)),
+        theta1=1.0 / theta2, theta2=theta2, blowup_x=blowup,
     )
 
 
-def lyapunov_functional(params: Params, basis: Basis, coeffs,
-                        cert: LyapunovCertificate) -> float:
+def lyapunov_functional(basis: Basis, coeffs, cert: LyapunovCertificate):
     """Quadratic functional ``V = sum_{k=0,1} ||Theta (A~^k z)||^2`` (p = 1).
 
-    The operator power is applied modally (exact on the damped basis), the
-    weights come from the certificate, and each norm is the 1/(2L) pairing
-    of ``spectral.pairings``.
+    ``coeffs`` holds (..., K) damped-basis coefficients; returns V for each
+    row. The operator power is applied modally (exact on the damped basis),
+    and each norm is the quadratic form ``c^T G conj(c)`` of the weighted
+    Gram matrix ``G = <Theta f_m, f_n>`` of ``spectral.gram_matrix``, taken at
+    ``c`` and ``c * eigenvalues``.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    comps = np.tensordot(np.stack([coeffs, coeffs * basis.eigenvalues]), basis.values, axes=(1, 0))
-    theta = np.stack([cert.theta1, cert.theta2])
-    return float(np.sum(pairings(comps * theta, comps, basis.grid).real))
+    G = gram_matrix(basis.values * np.stack([cert.theta1, cert.theta2]), basis.values, basis.grid)
+    return sum(np.sum((c @ G) * np.conj(c), axis=-1).real
+               for c in (coeffs, coeffs * basis.eigenvalues))
 
 
 def decay_rate_estimate(traj: Trajectory, selector="da", window=None):

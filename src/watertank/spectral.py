@@ -18,6 +18,8 @@ grid, and returns their Richardson value ``b + (b - a)/15``. Only the store
 pass of :func:`build_basis` marches on the grid, and its residual checks that root.
 Every spectrum, this one and the closed loop's, is found by :func:`secant`, which
 never counts a non-finite residual as converged, and guarded by :func:`collision`.
+The same :func:`march`, at a real parameter, also solves the Lyapunov weight of
+``simulate.lyapunov_certificate``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from watertank.errors import DomainError, GridMismatchError, NumericalError
+from watertank.errors import DomainError, GridMismatchError, NumericalError, RegimeError
 from watertank.model import Params, delta, diagonal_weight, simpson_weights, uniform_grid
 
 __all__ = [
@@ -48,6 +50,7 @@ __all__ = [
     "pairings",
     "secant",
     "collision",
+    "march",
 ]
 
 
@@ -74,7 +77,7 @@ _BLOCK_STEPS = 512  # RK4 steps per stage table, which bounds its memory at any 
 _SECANT_TOL = 1e-10  # secant step below which an eigenvalue counts as converged
 
 
-def _march(C, h, g, out=None):
+def march(C, h, g, out=None):
     """RK4 through a stage table whose rows alternate step ends and midpoints.
 
     ``C[i]`` is the (2, K) pair ``(c e^{-2 lam x_i}, c e^{2 lam x_i})``, so a
@@ -139,8 +142,8 @@ def _integrate(params: Params, lams, seed, nsteps, store=False):
         if store:
             cells = slice(s0 // per_cell + 1, s1 // per_cell + 1)
             # every other stage row is the stage table of the doubled step
-            g_coarse = _march(C[::2], 2.0 * h, g_coarse, coarse[:, :, cells])
-        g = _march(C, h, g, vals[:, :, cells] if store else None)
+            g_coarse = march(C[::2], 2.0 * h, g_coarse, coarse[:, :, cells])
+        g = march(C, h, g, vals[:, :, cells] if store else None)
     eL = np.exp(lams * params.L)
     if not store:
         return g[0] * eL + g[1] / eL
@@ -201,7 +204,8 @@ def find_eigenvalues(params: Params, kind: BcKind, n_range):
 
     Secant refinement in the complex plane from the unperturbed eigenvalues
     (``i pi n / L``, plus ``mu`` if damped) on the 512- and 1024-step marches,
-    Richardson-extrapolated. Raises NumericalError on non-convergence or root collision.
+    Richardson-extrapolated. Raises NumericalError on non-convergence or root collision,
+    and RegimeError when a root drifts more than 1/(2L) from its seed.
     """
     n_list = np.asarray(list(n_range), dtype=int)
     lam0 = _seed_eigenvalues(kind, params, n_list)
@@ -226,7 +230,7 @@ def find_eigenvalues(params: Params, kind: BcKind, n_range):
     drift = np.abs(roots - lam0)
     if np.any(drift > 0.5 / params.L):
         bad = n_list[drift > 0.5 / params.L]
-        raise NumericalError(
+        raise RegimeError(
             f"eigenvalue drift exceeds 1/(2L) for n in {bad.tolist()}; gamma outside the perturbative regime"
         )
     return roots
@@ -358,7 +362,8 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
         if not np.max(dev) <= 1e-6:  # nan fails too
             i, j = np.unravel_index(np.argmax(dev), dev.shape)
             raise NumericalError(
-                f"{what} failure at ({n_list[i]}, {n_list[j]}): {np.max(dev):.2e}"
+                f"{what} failure at ({n_list[i]}, {n_list[j]}): {np.max(dev):.2e}; "
+                f"grid_points = {params.grid_points} may be too coarse for n_modes = {N}: raise grid_points"
             )
 
     dual_values = None

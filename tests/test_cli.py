@@ -1,13 +1,15 @@
 import json
 import subprocess
 import sys
+import time
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from watertank import cli, spectral
+from watertank import acceptance, cli, spectral
 from watertank.cli import main
 
 FAST = [
@@ -78,6 +80,7 @@ class TestBadInput:
             ["simulate", "--set", "law_file={tmp}/law.json", "--set", "mu=3"],
             ["spectrum", "--set", "ode_tol=1e-9"],
             ["steer", "--set", "gamma=0.05", "--set", "target=1:0"],
+            ["steer", "--set", "gamma=0.05", "--set", "target=1:1.7e308"],
         ],
     )
     def test_exit2_with_one_line(self, args, tmp_path, capsys):
@@ -137,6 +140,13 @@ class TestSpectrumCommand:
         assert err.startswith("numerical failure:") and err.count("\n") == 1
         assert not (tmp_path / "spectrum_damped.csv").exists()
 
+    def test_drift_outside_regime_exit3(self, tmp_path, capsys):
+        code = run(["spectrum", "--set", "gamma=0.6"] + FAST, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("regime violation:") and err.count("\n") == 1
+        assert "drift" in err
+
     def test_eigenfunction_dump(self, tmp_path):
         code = run(
             ["spectrum", "--set", "gamma=0.05", "--set", "modes=0,1"] + FAST,
@@ -182,6 +192,15 @@ class TestControllabilityCommand:
     def test_negative_gamma_rejected(self, tmp_path):
         code = run(["controllability", "--set", "gamma=-0.05"] + FAST, tmp_path)
         assert code == 3
+
+    def test_failed_items_named_exit4(self, tmp_path, capsys):
+        # far outside the perturbative regime the family is ill-conditioned
+        # and the eigenvalues leave the 1/(4L) window
+        code = run(["controllability", "--set", "gamma=1.9"] + FAST, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.count("\n") == 1 and "riesz_gram" in err and "eigenvalue_drift" in err
+        assert (tmp_path / "moment_report.json").exists()
 
 
 class TestFeedbackCommand:
@@ -269,6 +288,33 @@ class TestLyapunovCommand:
         assert code == 3
         assert "gamma_s" in capsys.readouterr().err
 
+    def test_infeasible_names_eta_L_exit3(self, tmp_path, capsys):
+        code = run(["lyapunov", "--set", "gamma=-1.0", "--set", "lam=1.0"] + FAST, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("regime violation:") and err.count("\n") == 1
+        assert "eta(L) = 1.00577" in err
+        doc = json.loads((tmp_path / "lyapunov_certificate.json").read_text())
+        assert doc["feasible"] is False
+        assert (tmp_path / "eta_xi.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["feedback", "--set", "mu=1000"],
+        ["simulate", "--set", "mu=1000"],
+        ["lyapunov", "--set", "mu=400", "--set", "lam=399"],
+        # gamma < 0 passes the threshold; e^{2 lam L} then overflows to a blow-up
+        ["lyapunov", "--set", "gamma=-0.03", "--set", "mu=400", "--set", "lam=399"],
+    ],
+)
+def test_large_lam_L_exit3(args, tmp_path, capsys):
+    code = run(args + FAST, tmp_path)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("regime violation:") and err.count("\n") == 1
+
 
 class TestSteerCommand:
     def test_single_mode_summary(self, tmp_path):
@@ -286,6 +332,19 @@ class TestSteerCommand:
     def test_gamma0_rejected(self, tmp_path):
         code = run(["steer", "--set", "gamma=0.0"] + FAST, tmp_path)
         assert code == 3
+
+    @pytest.mark.parametrize("amplitude", [1e-300, 1e300])
+    def test_extreme_amplitude_scales(self, amplitude, tmp_path):
+        # the same relative error as a unit target, and the control scales with it
+        unit, extreme = tmp_path / "unit", tmp_path / "extreme"
+        args = ["steer", "--set", "gamma=0.05"] + FAST
+        assert run(args + ["--set", "target=1:1.0"], unit) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(args + ["--set", f"target=1:{amplitude!r}"], extreme) == 0
+        a, b = (json.loads((d / "steer_summary.json").read_text()) for d in (unit, extreme))
+        assert b["terminal_relative_error"] == a["terminal_relative_error"]
+        assert b["control_l2_norm"] == pytest.approx(a["control_l2_norm"] * amplitude, rel=1e-14)
 
 
 class TestFiniteDemoCommand:
@@ -306,3 +365,49 @@ class TestReportCommand:
         assert [c["id"] for c in doc["criteria"]] == [1, 11]
         out = capsys.readouterr().out
         assert "criterion 1: PASS" in out
+
+    def test_red_criteria_named_exit4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(acceptance.CRITERIA, 1, ("always red", lambda: (False, {})))
+        code = run(["report", "--set", "criteria=1,11"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err == "acceptance criteria failed: [1]\n"
+        assert (tmp_path / "acceptance_report.json").exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+SWEEP = [
+    [command, "--set", setting]
+    for command in sorted(set(cli._COMMANDS) - {"report"})
+    for setting in ("mu=1000", "gamma=-1.9")
+] + [
+    ["lyapunov", "--set", "mu=400", "--set", "lam=399"],
+    ["lyapunov", "--set", "gamma=-0.03", "--set", "mu=400", "--set", "lam=399"],
+    ["lyapunov", "--set", "gamma=-1.0", "--set", "lam=1.0"],
+    ["steer", "--set", "gamma=0.05", "--set", "target=1:1e-300"],
+    ["steer", "--set", "gamma=0.05", "--set", "target=1:1e300"],
+    ["steer", "--set", "gamma=0.05", "--set", "target=1:1.7e308"],
+]
+
+
+def test_extreme_sweep_exits_cleanly(tmp_path, capsys):
+    # every subcommand at the edges of its parameters, in this process so no
+    # child processes start: a known exit code, one stderr line on failure,
+    # and no warning, NaN or Infinity on success
+    t0 = time.perf_counter()
+    for i, args in enumerate(SWEEP):
+        out = tmp_path / str(i)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(args + FAST, out)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), args
+        assert not caught, (args, [str(w.message) for w in caught])
+        assert err.count("\n") == (code != 0) and "Traceback" not in err, (args, err)
+        if code == 0:
+            for path in out.glob("*.json"):
+                json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert time.perf_counter() - t0 < 10.0

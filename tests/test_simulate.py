@@ -10,6 +10,7 @@ from watertank.errors import ConfigError, DomainError, NumericalError
 from watertank.feedback import feedback_coefficients, zero_law
 from watertank.model import (
     Params,
+    delta,
     diagonal_weight,
     gamma_s_threshold,
     mass_functional,
@@ -29,7 +30,7 @@ from watertank.simulate import (
     lyapunov_functional,
     real_initial_datum,
 )
-from watertank.spectral import BcKind, w_modes
+from watertank.spectral import BcKind, pairings, w_modes
 
 
 class TestClosedLoopIntegration:
@@ -293,7 +294,64 @@ class TestUpwind:
         assert all(0.7 < o < 1.3 for o in orders)
 
 
+def riccati_weight(params: Params, lam: float):
+    """The Riccati weight ODE of ``lyapunov_certificate`` by RK4 on eta itself.
+
+    ``eta' = |delta/3| (e^{-2 lam (x-L)} - eta^2 e^{2 lam (x-L)})``, one step
+    per grid cell, stopped where eta turns non-finite, exceeds 1e6 or leaves
+    eta > 0. Returns eta on the grid (nan from the blow-up on) and the
+    blow-up position or None.
+    """
+    grid = uniform_grid(params)
+    L = params.L
+    h = grid[1] - grid[0]
+    xs = np.linspace(0.0, L, 2 * (grid.size - 1) + 1)
+    dabs = np.abs(delta(params, xs)) / 3.0
+    em = np.exp(-2.0 * lam * (xs - L))
+    ep = np.exp(2.0 * lam * (xs - L))
+
+    def rhs(j, e):
+        return dabs[j] * (em[j] - e * e * ep[j])
+
+    eta = np.full(grid.size, np.nan)
+    e = eta[0] = math.exp(-2.0 * (params.mu - lam) * L)
+    for i in range(grid.size - 1):
+        j = 2 * i
+        k1 = rhs(j, e)
+        k2 = rhs(j + 1, e + h / 2 * k1)
+        k3 = rhs(j + 1, e + h / 2 * k2)
+        k4 = rhs(j + 2, e + h * k3)
+        e = e + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not math.isfinite(e) or abs(e) > 1e6 or e <= 0:
+            return eta, float(grid[i + 1])
+        eta[i + 1] = e
+    return eta, None
+
+
 class TestLyapunov:
+    @pytest.mark.parametrize(
+        "gamma, lam, mu, nx",
+        [
+            (0.03, 1.0, 2.0, 2049),
+            (-0.03, 1.0, 2.0, 2049),
+            (0.0, 1.0, 2.0, 2049),
+            (0.6, 1.9, 2.0, 1025),
+            (0.42, 1.9, 2.0, 1025),
+            (0.03, 30.0, 40.0, 2049),  # stiff: blows up in the first cell
+        ],
+    )
+    def test_matches_riccati_reference(self, gamma, lam, mu, nx):
+        # the weight solved as the linear shooting system is the one the
+        # Riccati ODE gives directly
+        p = Params(gamma=gamma, mu=mu, nu=0.5, n_modes=4, grid_points=nx)
+        cert = lyapunov_certificate(p, lam)
+        ref, blowup = riccati_weight(p, lam)
+        assert np.array_equal(np.isnan(cert.eta), np.isnan(ref))
+        ok = ~np.isnan(ref)
+        assert np.max(np.abs(cert.eta[ok] - ref[ok]) / ref[ok]) < 1e-12
+        assert cert.blowup_x == blowup
+        assert cert.feasible == (blowup is None and ref[-1] <= 1.0 + 1e-12)
+
     def test_gamma0_eta_constant(self):
         p = Params(gamma=0.0, mu=2.0, nu=0.5, n_modes=4, grid_points=513)
         lam = 1.0
@@ -312,6 +370,15 @@ class TestLyapunov:
         gs = [gamma_s_threshold(p_synth, l) for l in lams]
         assert all(np.diff(gs) <= 1e-12)
 
+    def test_gamma_s_without_overflow(self):
+        # e^{2 lam L} overflows a float past lam L ~ 355; the bound tends to 0
+        p = Params(mu=1000.0)
+        assert gamma_s_threshold(p, 999.0) == 0.0
+        p = Params(mu=3.0)
+        lam = 2.25
+        direct = 6 * lam * (1 - math.exp(-2 * (p.mu - lam))) / math.expm1(2 * lam)
+        assert gamma_s_threshold(p, lam) == pytest.approx(direct, rel=1e-14)
+
     def test_lambda_domain(self, p_synth):
         with pytest.raises(DomainError):
             gamma_s_threshold(p_synth, p_synth.mu)
@@ -328,12 +395,25 @@ class TestLyapunov:
         ) ** 2
         traj = integrate_target(p_synth, bt, c0, t_final=10 / p_synth.mu,
                                 n_samples=120)
-        V = np.array(
-            [lyapunov_functional(p_synth, bt, traj.coeffs[i], cert)
-             for i in range(traj.times.size)]
-        )
-        Ve = V * np.exp(2 * lam * traj.times)
+        Ve = lyapunov_functional(bt, traj.coeffs, cert) * np.exp(2 * lam * traj.times)
         assert float(np.max(Ve / Ve[0])) - 1.0 < 1e-3
+
+    def test_functional_matches_per_record_pairings(self, p_synth, basis_cache):
+        # the Gram quadratic form equals ||Theta z||^2 + ||Theta A z||^2
+        # summed from the grid functions of each record
+        cert = lyapunov_certificate(p_synth, 1.0)
+        bt = basis_cache(p_synth, BcKind.DAMPED, 10)
+        rng = np.random.default_rng(5)
+        coeffs = rng.standard_normal((7, 21)) + 1j * rng.standard_normal((7, 21))
+        theta = np.stack([cert.theta1, cert.theta2])
+        ref = []
+        for c in coeffs:
+            z = np.tensordot(np.stack([c, c * bt.eigenvalues]), bt.values, axes=(1, 0))
+            ref.append(np.sum(pairings(z * theta, z, bt.grid).real))
+        V = lyapunov_functional(bt, coeffs, cert)
+        assert V.shape == (7,)
+        assert np.max(np.abs(V - ref) / np.abs(ref)) < 1e-12
+        assert lyapunov_functional(bt, coeffs[3], cert) == pytest.approx(V[3], rel=1e-14)
 
     def test_infeasible_at_large_gamma(self):
         # eta blow-up (or eta(L) > 1) flags infeasibility with a location

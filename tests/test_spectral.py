@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from watertank.errors import NumericalError
+from watertank.errors import NumericalError, RegimeError
 from watertank.model import Params, delta, uniform_grid
 from watertank import spectral
 from watertank.spectral import (
@@ -13,7 +13,6 @@ from watertank.spectral import (
     _integrate,
     _kato_series,
     _left_seed,
-    _march,
     _seed_eigenvalues,
     adjoint_values,
     build_basis,
@@ -23,6 +22,7 @@ from watertank.spectral import (
     gram_matrix,
     j0_overlap,
     kato_psi,
+    march,
     pairings,
     reference_mode,
     secant,
@@ -135,10 +135,10 @@ class TestMarch:
         lams = find_eigenvalues(p, kind, range(-3, 4)) + 0.01
         h, C, (g1, g2), ref = whole_table_march(p, kind, lams)
         g0 = np.tile(_left_seed(kind, p)[:, None], lams.size)
-        g = _march(C, h, g0)
+        g = march(C, h, g0)
         assert np.array_equal(g[0], g1) and np.array_equal(g[1], g2)
         out = np.empty((lams.size, 2, p.grid_points - 1), dtype=complex)
-        _march(C, h, g0, out)
+        march(C, h, g0, out)
         assert np.array_equal(out, ref[:, :, 1:])
 
     @pytest.mark.parametrize("kind", list(BcKind))
@@ -189,13 +189,13 @@ class TestFindEigenvalues:
         # the search marches the same step counts whatever the output grid;
         # every block of a march has its step h = L / steps, and L = 1 here
         steps = []
-        real = spectral._march
+        real = spectral.march
 
         def counted(C, h, g, out=None):
             steps.append(((C.shape[0] - 1) // 2, round(1.0 / h)))
             return real(C, h, g, out)
 
-        monkeypatch.setattr(spectral, "_march", counted)
+        monkeypatch.setattr(spectral, "march", counted)
         evs, runs = [], []
         for nx in (2049, 4097):
             steps.clear()
@@ -237,7 +237,7 @@ class TestFindEigenvalues:
         # the damped operator's perturbation constants grow like e^{2 mu L},
         # so even small gamma pushes its roots out of the localization window
         p = Params(gamma=0.01, mu=4.0, nu=0.5, n_modes=4, grid_points=513)
-        with pytest.raises(NumericalError):
+        with pytest.raises(RegimeError):
             find_eigenvalues(p, BcKind.DAMPED, range(-4, 5))
 
 
@@ -309,6 +309,11 @@ class TestBuildBasis:
         for kind in BcKind:
             with pytest.raises(NumericalError, match=r"n in \[-4, -3, -2, -1, 0, 1, 2, 3, 4\]"):
                 build_basis(p, kind, 4)
+
+    def test_coarse_grid_failure_names_grid_points(self):
+        p = Params(gamma=0.03, n_modes=8, grid_points=17)
+        with pytest.raises(NumericalError, match="orthonormality failure .*raise grid_points"):
+            build_basis(p, BcKind.CONSERVATIVE, 8)
 
     def test_gamma0_gram_identity(self, p_gamma0, basis_cache):
         basis = basis_cache(p_gamma0, BcKind.CONSERVATIVE, 10)
