@@ -309,6 +309,7 @@ def cmd_feedback(cfg) -> int:
             "relative_distance_pass": bool(np.max(dist / np.abs(targets)) < 0.1),
             "compared_modes": int(n_cmp),
         },
+        "diagnostics": basis.diagnostics(),
         "law": law.to_json_dict(),
         "physical": {
             "mu_phys": phys.mu_phys,

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from watertank.control import ControlSignal, input_gains
-from watertank.errors import ConfigError, DomainError, NumericalError
+from watertank.errors import ConfigError, DomainError, NumericalError, RegimeError
 from watertank.feedback import FeedbackLaw
 from watertank.model import (
     Params,
@@ -31,7 +31,7 @@ from watertank.model import (
     simpson_weights,
     uniform_grid,
 )
-from watertank.spectral import Basis, BcKind, WModes, gram_matrix, march
+from watertank.spectral import Basis, BcKind, WModes, gram_matrix, march, step_tables
 
 __all__ = [
     "Trajectory",
@@ -333,28 +333,32 @@ def lyapunov_certificate(params: Params, lam: float) -> LyapunovCertificate:
     ``eta(L) <= 1``. The substitution ``eta = s e^{2 lam L} g1/g2``, with
     ``s`` the sign of gamma (so ``|delta|/3 = -s delta/3``), makes it the
     linear shooting system of :func:`spectral.march` at the real parameter
-    lam, seeded ``(eta(0), s e^{2 lam L})`` and marched one RK4 step per
-    grid cell; eta blows up where g2 crosses zero, and an exponential past
-    the float range counts as a blow-up. The closed-form supersolution is
+    lam, seeded ``(eta(0), s e^{2 lam L})`` and marched one Filon–Magnus
+    step per grid cell; eta blows up where g2 crosses zero. An
+    ``e^{2 lam L}`` past the float range raises RegimeError. The closed-form
+    supersolution is
     ``xi = eta(0) + (||delta||_inf / 6 lam)(e^{2 lam L} - e^{2 lam (L-x)})``,
     and the quadratic weights are ``theta2 = eta e^{2 lam (x-L)}`` and
     ``theta1 = 1/theta2``.
     """
     if not 0 < lam < params.mu:
         raise DomainError("lambda must lie in (0, mu)")
+    try:
+        e2L = math.exp(2.0 * lam * params.L)
+    except OverflowError:
+        raise RegimeError(f"e^{{2 lam L}} = e^{2.0 * lam * params.L:.6g} leaves the float range: "
+                          "the Lyapunov weights are not representable") from None
     grid = uniform_grid(params)
     eta0 = math.exp(-2.0 * (params.mu - lam) * params.L)
     sign = -1.0 if params.gamma < 0 else 1.0
     xs = np.linspace(0.0, params.L, 2 * grid.size - 1)  # step ends and midpoints
-    c = -delta(params, xs) / 3.0
     dmax = float(np.max(np.abs(delta(params, grid))))
-    g = np.empty((1, 2, grid.size))
+    g = np.empty((grid.size, 2, 1), dtype=complex)
+    g[0, :, 0] = eta0, sign * e2L
     with np.errstate(all="ignore"):
-        E = np.exp(2.0 * lam * xs)
-        g[0, :, 0] = eta0, sign * E[-1]
-        march(np.stack([c / E, c * E], axis=1)[:, :, None], grid[1], g[0, :, :1], g[:, :, 1:])
-        eta = sign * E[-1] * g[0, 0] / g[0, 1]
-        xi = eta0 + (dmax / (6.0 * lam)) * (E[-1] - np.exp(2.0 * lam * (params.L - grid)))
+        march(step_tables(xs, -delta(params, xs) / 3.0, [lam], grid[1]), g[0], g[1:])
+        eta = sign * e2L * (g[:, 0, 0] / g[:, 1, 0]).real
+        xi = eta0 + (dmax / (6.0 * lam)) * (e2L - np.exp(2.0 * lam * (params.L - grid)))
     ok = np.logical_and.accumulate((eta > 0) & (eta <= 1e6))  # up to the first blow-up
     eta[~ok] = np.nan
     blowup = None if ok.all() else float(grid[ok.sum()])

@@ -9,17 +9,19 @@ adjoint family is not shot: the component swap ``S`` anticommutes with
 eigenvalue ``conj(mu_n)`` (:func:`adjoint_values`).
 
 The integrator works on modulated variables ``g = (exp(-lambda x) f1,
-exp(lambda x) f2)``, which removes the stiff oscillation; at gamma = 0 the
-integration is exact to rounding, and for gamma > 0 the error scales like
-``gamma * (2 |lambda| h)^4``.
+exp(lambda x) f2)``, which removes the stiff oscillation, and marches them by
+a fourth-order Filon–Magnus method (:func:`step_tables`, :func:`march`): each
+step is the exponential of a traceless 2x2 exponent whose oscillatory
+integrals are taken exactly against a quadratic interpolant of the coupling.
+At gamma = 0 the march is exact to rounding.
 
-The eigenvalue search runs on fixed 512- and 1024-step marches, whatever the
+The eigenvalue search runs on fixed 64- and 128-step marches, whatever the
 grid, and returns their Richardson value ``b + (b - a)/15``. Only the store
-pass of :func:`build_basis` marches on the grid, and its residual checks that root.
-Every spectrum, this one and the closed loop's, is found by :func:`secant`, which
-never counts a non-finite residual as converged, and guarded by :func:`collision`.
-The same :func:`march`, at a real parameter, also solves the Lyapunov weight of
-``simulate.lyapunov_certificate``.
+pass of :func:`build_basis` marches on the grid, one step per cell, and its
+residual checks that root. Every spectrum, this one and the closed loop's, is
+found by :func:`secant`, which never counts a non-finite residual as
+converged, and guarded by :func:`collision`. The same :func:`march`, at a real
+parameter, also solves the Lyapunov weight of ``simulate.lyapunov_certificate``.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "pairings",
     "secant",
     "collision",
+    "step_tables",
     "march",
 ]
 
@@ -71,38 +74,104 @@ def _seed_eigenvalues(kind: BcKind, params: Params, n_list) -> np.ndarray:
     return base if kind is BcKind.CONSERVATIVE else params.mu + base
 
 
-_SUBSTEPS = 2  # RK4 steps per grid cell of the store pass; its error estimate reruns at 1
-_SEARCH_STEPS = 512  # RK4 steps of the coarse search march; the fine one takes twice as many
-_BLOCK_STEPS = 512  # RK4 steps per stage table, which bounds its memory at any step count
+_SEARCH_STEPS = 64  # Magnus steps of the coarse search march; the fine one takes twice as many
+_BLOCK_STEPS = 512  # Magnus steps per step table, which bounds its memory at any step count
 _SECANT_TOL = 1e-10  # secant step below which an eigenvalue counts as converged
 
 
-def march(C, h, g, out=None):
-    """RK4 through a stage table whose rows alternate step ends and midpoints.
+def _filon_moments(z):
+    """``M_k(z) = int_0^1 t^k e^{z t} dt`` for k = 0, 1, 2, stacked on a new first axis.
 
-    ``C[i]`` is the (2, K) pair ``(c e^{-2 lam x_i}, c e^{2 lam x_i})``, so a
-    stage is ``C[i] * g[::-1]``. Marches the (2, K) state ``g`` and returns
-    the final one; with ``out`` (K, 2, m), also stores g in it after every
-    ``steps / m``-th step.
+    The recurrence ``M_k = (e^z - k M_{k-1})/z`` cancels for small z, so below
+    |z| = 1 (z = 0 included) the series ``sum_j z^j / (j! (j + k + 1))`` is used.
     """
-    nsteps = (C.shape[0] - 1) // 2
-    if out is not None:
-        every = nsteps // out.shape[2]
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 1.0
+    zc = np.where(small, 1.0, z)
+    e = np.exp(zc)
+    m0 = np.expm1(zc) / zc
+    m1 = (e - m0) / zc
+    closed = np.stack([m0, m1, (e - 2.0 * m1) / zc])
+    j = np.arange(20)  # the series remainder is below 1/20! < 1e-18
+    terms = np.where(small, z, 0.0)[..., None] ** j / np.cumprod(np.maximum(j, 1.0))
+    series = np.stack([np.sum(terms / (j + k + 1), axis=-1) for k in range(3)])
+    return np.where(small, series, closed)
 
-    for k in range(nsteps):
-        i0 = 2 * k
-        k1 = C[i0] * g[::-1]
-        k2 = C[i0 + 1] * (g + 0.5 * h * k1)[::-1]
-        k3 = C[i0 + 1] * (g + 0.5 * h * k2)[::-1]
-        k4 = C[i0 + 2] * (g + h * k3)[::-1]
-        g = g + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if out is not None and (k + 1) % every == 0:
-            out[:, :, (k + 1) // every - 1] = g.T
+
+def _sinh_minus(z):
+    """``(sinh z - z) / z^2``, by the series ``sum_j z^{2j+1} / (2j+3)!`` below |z| = 1."""
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 1.0
+    zc = np.where(small, 1.0, z)
+    j = np.arange(10)  # the series remainder is below 1/23! < 1e-22
+    zs = np.where(small, z, 0.0)[..., None]
+    series = np.sum(zs ** (2 * j + 1) / np.cumprod(np.arange(1.0, 22.0))[2 * j + 2], axis=-1)
+    return np.where(small, series, (np.sinh(zc) - zc) / zc**2)
+
+
+def _cosh_sinhc(q):
+    """``cosh(s)`` and ``sinh(s)/s`` at ``s^2 = q``; both are even in s.
+
+    Below |q| = 0.01 (q = 0 included), where nearly every step lies, their
+    Taylor series in q through q^5, whose remainder is below 3e-21; elsewhere
+    the closed forms.
+    """
+    ch = 1.0 + q * (1 / 2 + q * (1 / 24 + q * (1 / 720 + q * (1 / 40320 + q / 3628800))))
+    sinhc = 1.0 + q * (1 / 6 + q * (1 / 120 + q * (1 / 5040 + q * (1 / 362880 + q / 39916800))))
+    far = ~(np.abs(q) < 0.01)  # nan lands here too
+    if np.any(far):
+        s = np.sqrt(q[far])
+        ch[far], sinhc[far] = np.cosh(s), np.sinh(s) / s
+    return ch, sinhc
+
+
+def step_tables(x, c, lams, h):
+    """Filon–Magnus step matrices of ``g' = [[0, c e^{-2 lam x}], [c e^{2 lam x}, 0]] g``.
+
+    ``x`` and ``c`` are sampled at the step ends and midpoints (2S + 1 points,
+    step ``h``). Step k is ``exp(Omega1 + Omega2)``: ``Omega1`` has the
+    off-diagonal entries ``int c e^{-/+ 2 lam s} ds`` over the step, with c
+    interpolated quadratically, which needs only the moments ``M_k(-/+ 2 lam h)``;
+    ``Omega2 = diag(w, -w)`` is the commutator term at the midpoint value of c.
+    The exponent is traceless, so its exponential is ``cosh(s) I + (sinh(s)/s)
+    Omega`` with ``s^2 = w^2 + alpha beta``. Returns P of shape (S, 2, 2, K):
+    ``P[k, 0]`` holds the diagonal ``(P11, P22)`` of step k, ``P[k, 1]`` the
+    off-diagonal ``(P12, P21)``.
+    """
+    lams = np.asarray(lams, dtype=complex)
+    c = np.asarray(c, dtype=float)[:, None]
+    c0, cm, c1 = c[:-1:2], c[1::2], c[2::2]
+    a = (c0, 4.0 * cm - 3.0 * c0 - c1, 2.0 * (c0 + c1) - 4.0 * cm)  # c(x0 + t h) = sum a_k t^k
+    z = 2.0 * h * lams
+    m_minus, m_plus = h * _filon_moments(-z), h * _filon_moments(z)
+    E = np.exp(2.0 * np.outer(x[:-1:2], lams))  # e^{2 lam x0} at each step start
+    alpha = (a[0] * m_minus[0] + a[1] * m_minus[1] + a[2] * m_minus[2]) / E
+    beta = (a[0] * m_plus[0] + a[1] * m_plus[1] + a[2] * m_plus[2]) * E
+    w = -((h * cm) ** 2) * _sinh_minus(z)
+    ch, sinhc = _cosh_sinhc(w * w + alpha * beta)
+    P = np.empty((ch.shape[0], 2, 2, ch.shape[1]), dtype=complex)
+    w *= sinhc
+    np.add(ch, w, out=P[:, 0, 0])
+    np.subtract(ch, w, out=P[:, 0, 1])
+    np.multiply(sinhc, alpha, out=P[:, 1, 0])
+    np.multiply(sinhc, beta, out=P[:, 1, 1])
+    return P
+
+
+def march(P, g, out=None):
+    """March the (2, K) state ``g`` through the step matrices ``P`` of :func:`step_tables`.
+
+    Each step is ``g <- P[k, 0] * g + P[k, 1] * g[::-1]``, four multiplies.
+    Returns the final state; with ``out`` (S, 2, K), also stores g in
+    ``out[k]`` after step k.
+    """
+    for k, (diag, off) in enumerate(P):
+        g = np.add(diag * g, off * g[::-1], out=None if out is None else out[k])
     return g
 
 
-def _integrate(params: Params, lams, seed, nsteps, store=False):
-    """Batch RK4 integration of the modulated shooting system.
+def _integrate(params: Params, lams, seed, nsteps=None):
+    """Batch shooting of the modulated system by the Filon–Magnus march.
 
     Parameters
     ----------
@@ -110,53 +179,54 @@ def _integrate(params: Params, lams, seed, nsteps, store=False):
         Shooting parameters (one integration per entry).
     seed : complex 2-vector
         Left boundary values (f1(0), f2(0)), shared by the batch.
-    nsteps : int
-        RK4 steps over [0, L]; with ``store`` a multiple of ``grid_points - 1``.
-    store : bool
-        If True, also sample f on the params grid and estimate its error.
+    nsteps : int or None
+        Magnus steps over [0, L]. None is the store pass: one step per grid
+        cell, which also samples f on the params grid and estimates its error.
 
     Returns
     -------
     residuals : array (K,)
-        ``f1(L) + f2(L)`` per batch entry; with ``store``, relative to
+        ``f1(L) + f2(L)`` per batch entry; in the store pass, relative to
         ``max |f|``.
-    values : array (K, 2, nx), only if store.
-    ode_err : array (K,), only if store
-        ``max |f - f_coarse| / max |f|`` against a pass at twice the step.
+    values : array (K, 2, nx), store pass only.
+    ode_err : array (K,), store pass only
+        ``max |f - f_coarse| / max |f|`` on the even grid nodes, against the
+        march at two cells per step.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    h = params.L / nsteps
-    xs = np.linspace(0.0, params.L, 2 * nsteps + 1)  # stage abscissae: step ends and midpoints
-    c = -np.asarray(delta(params, xs))[:, None] / 3.0
-    g = np.tile(np.asarray(seed, dtype=complex)[:, None], lams.size)  # (2, K)
+    store = nsteps is None
     if store:
-        per_cell = nsteps // (params.grid_points - 1)
-        vals = np.empty((lams.size, 2, params.grid_points), dtype=complex)
-        vals[:, :, 0] = g.T
-        coarse, g_coarse = vals.copy(), g
+        nsteps = params.grid_points - 1
+    h = params.L / nsteps
+    xs = np.linspace(0.0, params.L, 2 * nsteps + 1)  # step ends and midpoints
+    c = -np.asarray(delta(params, xs)) / 3.0
+    g = np.tile(np.asarray(seed, dtype=complex)[:, None], lams.size)  # (2, K)
+    if store:  # node-major samples (nx, 2, K), so each step writes one block
+        vals = np.empty((nsteps + 1, 2, lams.size), dtype=complex)
+        coarse = np.empty((nsteps // 2 + 1, 2, lams.size), dtype=complex)
+        vals[0] = coarse[0] = g
+        g_coarse = g
     for s0 in range(0, nsteps, _BLOCK_STEPS):
         s1 = min(s0 + _BLOCK_STEPS, nsteps)
         rows = slice(2 * s0, 2 * s1 + 1)
-        E = np.exp(2.0 * np.outer(xs[rows], lams))  # e^{2 lam x}, (S, K)
-        C = np.stack([c[rows] / E, c[rows] * E], axis=1)
-        if store:
-            cells = slice(s0 // per_cell + 1, s1 // per_cell + 1)
-            # every other stage row is the stage table of the doubled step
-            g_coarse = march(C[::2], 2.0 * h, g_coarse, coarse[:, :, cells])
-        g = march(C, h, g, vals[:, :, cells] if store else None)
+        if store:  # the grid nodes are the ends and midpoints of the doubled steps
+            g_coarse = march(step_tables(xs[rows][::2], c[rows][::2], lams, 2.0 * h), g_coarse,
+                             coarse[s0 // 2 + 1:s1 // 2 + 1])
+        g = march(step_tables(xs[rows], c[rows], lams, h), g, vals[s0 + 1:s1 + 1] if store else None)
     eL = np.exp(lams * params.L)
     if not store:
         return g[0] * eL + g[1] / eL
 
-    residuals = vals[:, 0, -1] * eL + vals[:, 1, -1] / eL
+    residuals = vals[-1, 0] * eL + vals[-1, 1] / eL
     # back to f variables: f1 = e^{lam x} g1, f2 = e^{-lam x} g2
-    Eg = np.exp(np.outer(lams, uniform_grid(params)))  # (K, nx)
-    for v in (vals, coarse):
-        v[:, 0, :] *= Eg
-        v[:, 1, :] /= Eg
-    scale = np.max(np.abs(vals), axis=(1, 2))
-    ode_err = np.max(np.abs(vals - coarse), axis=(1, 2)) / scale
-    return np.abs(residuals) / scale, vals, ode_err
+    Eg = np.exp(np.outer(uniform_grid(params), lams))  # (nx, K)
+    vals[:, 0] *= Eg
+    vals[:, 1] /= Eg
+    coarse[:, 0] *= Eg[::2]
+    coarse[:, 1] /= Eg[::2]
+    scale = np.max(np.abs(vals), axis=(0, 1))
+    ode_err = np.max(np.abs(vals[::2] - coarse), axis=(0, 1)) / scale
+    return np.abs(residuals) / scale, np.ascontiguousarray(vals.transpose(2, 1, 0)), ode_err
 
 
 def secant(f, z_prev, z_cur, tol, max_step=np.inf, max_iter=14):
@@ -203,8 +273,8 @@ def find_eigenvalues(params: Params, kind: BcKind, n_range):
     """Operator eigenvalues for the requested mode indices.
 
     Secant refinement in the complex plane from the unperturbed eigenvalues
-    (``i pi n / L``, plus ``mu`` if damped) on the 512- and 1024-step marches,
-    Richardson-extrapolated. Raises NumericalError on non-convergence or root collision,
+    (``i pi n / L``, plus ``mu`` if damped) on the 64- and 128-step Magnus
+    marches, Richardson-extrapolated. Raises NumericalError on non-convergence or root collision,
     and RegimeError when a root drifts more than 1/(2L) from its seed.
     """
     n_list = np.asarray(list(n_range), dtype=int)
@@ -268,6 +338,14 @@ class Basis(ModeIndexed):
 
     def eigenvalue(self, n: int) -> complex:
         return complex(self.eigenvalues[self.index(n)])
+
+    def diagnostics(self) -> dict:
+        """Shooting health: the search's step counts and the store pass's worst residuals."""
+        return {
+            "search_steps": [_SEARCH_STEPS, 2 * _SEARCH_STEPS],
+            "bc_residual_max": float(np.max(self.bc_residuals)),
+            "ode_error_max": float(np.max(self.ode_residuals)),
+        }
 
     @property
     def f1_at_0(self):
@@ -350,8 +428,7 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
     n_list = np.arange(-N, N + 1)
     grid = uniform_grid(params)
     eigs = find_eigenvalues(params, kind, n_list)
-    nsteps = (params.grid_points - 1) * _SUBSTEPS
-    bc_res, vals, ode_err = _integrate(params, eigs, _left_seed(kind, params), nsteps, store=True)
+    bc_res, vals, ode_err = _integrate(params, eigs, _left_seed(kind, params))
     bad = n_list[~(bc_res <= np.maximum(1e-9, ode_err))]  # the grid march checks the roots; nan fails
     if bad.size:
         raise NumericalError(f"boundary residual of the grid march exceeds max(1e-9, its ODE "

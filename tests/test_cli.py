@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import time
@@ -212,6 +213,17 @@ class TestFeedbackCommand:
         assert set(mode) == {"n", "re", "im", "tau_re", "tau_im", "h_re", "h_im"}
         assert doc["physical"]["mu_internal"] == pytest.approx(2.0)
 
+    def test_shooting_diagnostics(self, tmp_path):
+        # the search's step counts and the store pass's worst residuals; the
+        # law file still reads back into simulate
+        assert run(["feedback", "--set", "gamma=0.03"] + FAST, tmp_path) == 0
+        diag = json.loads((tmp_path / "feedback.json").read_text())["diagnostics"]
+        assert diag["search_steps"] == [64, 128]
+        for key in ("bc_residual_max", "ode_error_max"):
+            assert math.isfinite(diag[key]) and 0.0 <= diag[key] <= 1e-9, key
+        law = ["--set", f"law_file={tmp_path}/feedback.json"]
+        assert run(["simulate", "--set", "gamma=0.03"] + law + FAST, tmp_path) == 0
+
     def test_regime_violation_exit3(self, tmp_path):
         code = run(["feedback", "--set", "gamma=0.35"] + FAST, tmp_path)
         assert code == 3
@@ -305,7 +317,7 @@ class TestLyapunovCommand:
         ["feedback", "--set", "mu=1000"],
         ["simulate", "--set", "mu=1000"],
         ["lyapunov", "--set", "mu=400", "--set", "lam=399"],
-        # gamma < 0 passes the threshold; e^{2 lam L} then overflows to a blow-up
+        # gamma < 0 passes the threshold; e^{2 lam L} then leaves the float range
         ["lyapunov", "--set", "gamma=-0.03", "--set", "mu=400", "--set", "lam=399"],
     ],
 )
@@ -314,6 +326,16 @@ def test_large_lam_L_exit3(args, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("regime violation:") and err.count("\n") == 1
+
+
+def test_weight_past_float_range_exit3(tmp_path, capsys):
+    # at gamma = 0 the threshold has not underflowed yet, but e^{2 lam L} = e^720
+    # is past the float range: the message says so instead of a blow-up at x = 0
+    code = run(["lyapunov", "--set", "gamma=0", "--set", "mu=400", "--set", "lam=360"] + FAST, tmp_path)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("regime violation:") and err.count("\n") == 1
+    assert "e^{2 lam L} = e^720 leaves the float range" in err and "blows up" not in err
 
 
 class TestSteerCommand:

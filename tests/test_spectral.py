@@ -8,12 +8,14 @@ from watertank.model import Params, delta, uniform_grid
 from watertank import spectral
 from watertank.spectral import (
     _SECANT_TOL,
-    _SUBSTEPS,
     BcKind,
+    _cosh_sinhc,
+    _filon_moments,
     _integrate,
     _kato_series,
     _left_seed,
     _seed_eigenvalues,
+    _sinh_minus,
     adjoint_values,
     build_basis,
     collision,
@@ -26,18 +28,59 @@ from watertank.spectral import (
     pairings,
     reference_mode,
     secant,
+    step_tables,
     w_modes,
 )
+
+
+_RK4_SUBSTEPS = 2  # RK4 steps per grid cell of the reference march
+
+
+def march_two_arrays(CEM, CEP, h, seed):
+    """RK4 of the shooting march on separate ``(g1, g2)`` arrays and stage tables.
+
+    ``CEM`` and ``CEP`` are the (2S + 1, K) stage rows ``c e^{-2 lam x}`` and
+    ``c e^{2 lam x}`` at the step ends and midpoints; returns the final
+    ``(g1, g2)``.
+    """
+    g1 = np.full(CEP.shape[1], seed[0], dtype=complex)
+    g2 = np.full(CEP.shape[1], seed[1], dtype=complex)
+    for k in range((CEP.shape[0] - 1) // 2):
+        i0 = 2 * k
+        a1, b1 = CEM[i0] * g2, CEP[i0] * g1
+        a2, b2 = CEM[i0 + 1] * (g2 + 0.5 * h * b1), CEP[i0 + 1] * (g1 + 0.5 * h * a1)
+        a3, b3 = CEM[i0 + 1] * (g2 + 0.5 * h * b2), CEP[i0 + 1] * (g1 + 0.5 * h * a2)
+        a4, b4 = CEM[i0 + 2] * (g2 + h * b3), CEP[i0 + 2] * (g1 + h * a3)
+        g1 = g1 + (h / 6.0) * (a1 + 2.0 * (a2 + a3) + a4)
+        g2 = g2 + (h / 6.0) * (b1 + 2.0 * (b2 + b3) + b4)
+    return g1, g2
+
+
+def rk4_residuals(params: Params, kind: BcKind, lams, nsteps=None) -> np.ndarray:
+    """Boundary residuals ``f1(L) + f2(L)`` by the RK4 reference march.
+
+    Independent of the package's march: RK4 on the modulated variables from
+    the kind's left seed, ``nsteps`` steps over [0, L] (default
+    ``_RK4_SUBSTEPS`` per grid cell).
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    if nsteps is None:
+        nsteps = (params.grid_points - 1) * _RK4_SUBSTEPS
+    xs = np.linspace(0.0, params.L, 2 * nsteps + 1)
+    c = -np.asarray(delta(params, xs))[:, None] / 3.0
+    E = np.exp(2.0 * np.outer(xs, lams))
+    g1, g2 = march_two_arrays(c / E, c * E, params.L / nsteps, _left_seed(kind, params))
+    eL = np.exp(lams * params.L)
+    return g1 * eL + g2 / eL
 
 
 def shoot(params: Params, kind: BcKind, lam) -> complex:
     """Boundary residual ``f1(L) + f2(L)`` of the shooting solution.
 
-    Integrates from x=0 with the kind's left seed on the grid march of the
-    store pass; roots in ``lam`` are the operator eigenvalues.
+    Integrates from x=0 with the kind's left seed on the RK4 reference march;
+    roots in ``lam`` are the operator eigenvalues.
     """
-    nsteps = (params.grid_points - 1) * _SUBSTEPS
-    return complex(_integrate(params, [lam], _left_seed(kind, params), nsteps)[0])
+    return complex(rk4_residuals(params, kind, [lam])[0])
 
 
 def l1_boundary(params: Params, n: int, K: int = 2000) -> complex:
@@ -88,43 +131,27 @@ class TestShoot:
         assert abs(d_re - d_im) < 1e-6 * max(1.0, abs(d_re))
 
 
-def march_two_arrays(CEM, CEP, h, seed, nx):
-    """RK4 of the shooting march on separate ``(g1, g2)`` arrays and stage tables.
+def magnus_two_arrays(P, seed):
+    """The Magnus march on separate ``(g1, g2)`` arrays, storing every step.
 
-    ``CEM`` and ``CEP`` are the (S, K) rows of the stage table; returns the
-    final ``(g1, g2)`` and the (K, 2, nx) grid samples.
+    ``P`` is a table of :func:`spectral.step_tables`; returns the final
+    ``(g1, g2)`` and the (K, 2, S + 1) samples, seed included.
     """
-    nsteps = (CEP.shape[0] - 1) // 2
-    g1 = np.full(CEP.shape[1], seed[0], dtype=complex)
-    g2 = np.full(CEP.shape[1], seed[1], dtype=complex)
-    every = nsteps // (nx - 1)
-    out = np.empty((CEP.shape[1], 2, nx), dtype=complex)
+    g1 = np.full(P.shape[-1], seed[0], dtype=complex)
+    g2 = np.full(P.shape[-1], seed[1], dtype=complex)
+    out = np.empty((P.shape[-1], 2, P.shape[0] + 1), dtype=complex)
     out[:, 0, 0], out[:, 1, 0] = g1, g2
-    for k in range(nsteps):
-        i0 = 2 * k
-        a1, b1 = CEM[i0] * g2, CEP[i0] * g1
-        a2, b2 = CEM[i0 + 1] * (g2 + 0.5 * h * b1), CEP[i0 + 1] * (g1 + 0.5 * h * a1)
-        a3, b3 = CEM[i0 + 1] * (g2 + 0.5 * h * b2), CEP[i0 + 1] * (g1 + 0.5 * h * a2)
-        a4, b4 = CEM[i0 + 2] * (g2 + h * b3), CEP[i0 + 2] * (g1 + h * a3)
-        g1 = g1 + (h / 6.0) * (a1 + 2.0 * (a2 + a3) + a4)
-        g2 = g2 + (h / 6.0) * (b1 + 2.0 * (b2 + b3) + b4)
-        if (k + 1) % every == 0:
-            out[:, 0, (k + 1) // every], out[:, 1, (k + 1) // every] = g1, g2
+    for k in range(P.shape[0]):
+        (d1, d2), (o1, o2) = P[k]
+        g1, g2 = d1 * g1 + o1 * g2, d2 * g2 + o2 * g1
+        out[:, 0, k + 1], out[:, 1, k + 1] = g1, g2
     return (g1, g2), out
 
 
-def whole_table_march(params: Params, kind: BcKind, lams):
-    """Two-array march over one stage table for the whole grid march.
-
-    Returns the step, the final ``(g1, g2)`` and the (K, 2, nx) samples.
-    """
-    nsteps = (params.grid_points - 1) * _SUBSTEPS
+def whole_table(params: Params, lams, nsteps):
+    """The step table of an ``nsteps`` march over [0, L], built in one piece."""
     xs = np.linspace(0.0, params.L, 2 * nsteps + 1)
-    c = -np.asarray(delta(params, xs))[:, None] / 3.0
-    E = np.exp(2.0 * np.outer(xs, lams))
-    C = np.stack([c / E, c * E], axis=1)
-    h = params.L / nsteps
-    return (h, C) + march_two_arrays(C[:, 0], C[:, 1], h, _left_seed(kind, params), params.grid_points)
+    return step_tables(xs, -np.asarray(delta(params, xs)) / 3.0, lams, params.L / nsteps)
 
 
 class TestMarch:
@@ -133,43 +160,123 @@ class TestMarch:
         # the stacked (2, K) march does the same arithmetic in the same order
         p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=3, grid_points=65)
         lams = find_eigenvalues(p, kind, range(-3, 4)) + 0.01
-        h, C, (g1, g2), ref = whole_table_march(p, kind, lams)
+        P = whole_table(p, lams, p.grid_points - 1)
+        (g1, g2), ref = magnus_two_arrays(P, _left_seed(kind, p))
         g0 = np.tile(_left_seed(kind, p)[:, None], lams.size)
-        g = march(C, h, g0)
+        g = march(P, g0)
         assert np.array_equal(g[0], g1) and np.array_equal(g[1], g2)
-        out = np.empty((lams.size, 2, p.grid_points - 1), dtype=complex)
-        march(C, h, g0, out)
-        assert np.array_equal(out, ref[:, :, 1:])
+        out = np.empty((p.grid_points - 1, 2, lams.size), dtype=complex)
+        march(P, g0, out)
+        assert np.array_equal(out, ref[:, :, 1:].transpose(2, 1, 0))
 
     @pytest.mark.parametrize("kind", list(BcKind))
     def test_blocked_tables_match_whole_table(self, kind):
-        # the integrator builds its stage table _BLOCK_STEPS steps at a time;
+        # the integrator builds its step table _BLOCK_STEPS steps at a time;
         # marching block after block is the march over the whole table
-        p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=3, grid_points=1025)
-        nsteps = (p.grid_points - 1) * _SUBSTEPS
+        p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=3, grid_points=2049)
+        nsteps = p.grid_points - 1
         assert nsteps > 2 * spectral._BLOCK_STEPS
         lams = find_eigenvalues(p, kind, range(-3, 4)) + 0.01
-        _, _, (g1, g2), ref = whole_table_march(p, kind, lams)
+        (g1, g2), ref = magnus_two_arrays(whole_table(p, lams, nsteps), _left_seed(kind, p))
         seed = _left_seed(kind, p)
         eL = np.exp(lams * p.L)
         assert np.array_equal(_integrate(p, lams, seed, nsteps), g1 * eL + g2 / eL)
         Eg = np.exp(np.outer(lams, uniform_grid(p)))
         ref[:, 0, :] *= Eg
         ref[:, 1, :] /= Eg
-        assert np.array_equal(_integrate(p, lams, seed, nsteps, store=True)[1], ref)
+        assert np.array_equal(_integrate(p, lams, seed)[1], ref)
+
+    @pytest.mark.parametrize("lam", [0.3 + 2.0j, 2.0 + 40.0j, 1.5])
+    def test_step_is_exponential_of_magnus_exponent(self, lam):
+        # each step matrix is expm([[w, alpha], [beta, -w]]), alpha and beta the
+        # integrals of the quadratic interpolant of c against e^{-/+ 2 lam s}
+        from scipy.linalg import expm
+
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        p = Params(gamma=0.05, mu=2.0, nu=0.5, grid_points=65)
+        nsteps, h = 16, p.L / 16
+        P = whole_table(p, [lam], nsteps)
+        xs = np.linspace(0.0, p.L, 2 * nsteps + 1)
+        c = -np.asarray(delta(p, xs)) / 3.0
+        for k in (0, 7, 15):
+            c0, cm, c1 = (mpmath.mpf(float(v)) for v in c[2 * k: 2 * k + 3])
+            x0 = mpmath.mpf(float(xs[2 * k]))
+
+            def integral(sign):  # the interpolant through (0, c0), (1/2, cm), (1, c1) in t = s/h
+                poly = lambda t: c0 * (1 - t) * (1 - 2 * t) + 4 * cm * t * (1 - t) - c1 * t * (1 - 2 * t)
+                f = lambda t: poly(t) * mpmath.exp(sign * 2 * lam * (x0 + t * h))
+                return complex(h * mpmath.quad(f, [0, 1]))
+
+            z = 2 * lam * h
+            w = complex(-cm**2 * (mpmath.sinh(z) - z) / (2 * mpmath.mpmathify(lam)) ** 2)
+            expect = expm(np.array([[w, integral(-1)], [integral(1), -w]]))
+            got = np.array([[P[k, 0, 0, 0], P[k, 1, 0, 0]], [P[k, 1, 1, 0], P[k, 0, 1, 0]]])
+            assert np.max(np.abs(got - expect)) < 1e-14
+
+    @pytest.mark.parametrize("kind", list(BcKind))
+    def test_fourth_order(self, kind):
+        # against a fine RK4 reference, halving the step cuts the error about 16x
+        p = Params(gamma=0.1, mu=2.0, nu=0.5, grid_points=257)
+        lams = _seed_eigenvalues(kind, p, [1, 5, 12]) + 0.05
+        ref = rk4_residuals(p, kind, lams, nsteps=8192)
+        errs = [np.abs(_integrate(p, lams, _left_seed(kind, p), n) - ref) for n in (32, 64)]
+        ratio = errs[0] / errs[1]
+        assert np.all((ratio > 12.0) & (ratio < 20.0)), ratio
+
+
+class TestFilonMoments:
+    POINTS = [0.0, 0.5, -0.5, 3j, -3j, 40.0, -40.0]
+
+    @pytest.mark.parametrize("z", POINTS)
+    def test_moments_match_quadrature(self, z):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        got = _filon_moments(np.array([z]))[:, 0]
+        for k in range(3):
+            ref = complex(mpmath.quad(lambda t: t**k * mpmath.exp(z * t), [0, 1]))
+            assert abs(got[k] - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("z", POINTS)
+    def test_sinh_minus_matches_reference(self, z):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        got = complex(_sinh_minus(np.array([z]))[0])
+        ref = 0j if z == 0 else complex((mpmath.sinh(z) - z) / mpmath.mpmathify(z) ** 2)
+        assert abs(got - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("q", [0.0, 1e-6, -0.0099, 0.0099j, 0.0101, -0.5, 3j, 40.0])
+    def test_cosh_sinhc_match_reference(self, q):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        s = mpmath.sqrt(mpmath.mpmathify(q))
+        ref = (1.0, 1.0) if q == 0 else (complex(mpmath.cosh(s)), complex(mpmath.sinh(s) / s))
+        got = _cosh_sinhc(np.array([q], dtype=complex))
+        for g, r in zip(got, ref):
+            assert abs(g[0] - r) <= 1e-15 * abs(r)
+
+    @pytest.mark.parametrize("f, radius", [
+        (_filon_moments, 1.0),
+        (_sinh_minus, 1.0),
+        (lambda q: np.stack(_cosh_sinhc(q)), 0.01),
+    ])
+    def test_branches_agree_at_switch(self, f, radius):
+        # the series gives way to the closed form at |argument| = radius
+        u = radius * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 9))
+        inside, outside = f(u * (1.0 - 1e-15)), f(u * (1.0 + 1e-15))
+        assert np.max(np.abs(inside - outside) / np.abs(outside)) < 1e-14
 
 
 def grid_march_eigenvalues(params: Params, kind: BcKind, n_range) -> np.ndarray:
-    """Secant roots of the boundary residual on the grid march of the store pass.
+    """Secant roots of the boundary residual on the RK4 reference march.
 
-    The search before it moved to a fixed march: the shared secant, seeded at
-    the unperturbed eigenvalues, at ``_SUBSTEPS`` RK4 steps per grid cell.
+    The shared secant, seeded at the unperturbed eigenvalues, at
+    ``_RK4_SUBSTEPS`` RK4 steps per grid cell: independent of the package's
+    march and of its step counts.
     """
-    nsteps = (params.grid_points - 1) * _SUBSTEPS
-    seed = _left_seed(kind, params)
-    lam0 = _seed_eigenvalues(kind, params, list(n_range))
-    lam, ok = secant(lambda lam: _integrate(params, lam, seed, nsteps), lam0,
-                     lam0 + 0.02j / params.L, _SECANT_TOL, max_step=0.3 / params.L)
+    seed_lams = _seed_eigenvalues(kind, params, list(n_range))
+    lam, ok = secant(lambda lam: rk4_residuals(params, kind, lam), seed_lams,
+                     seed_lams + 0.02j / params.L, _SECANT_TOL, max_step=0.3 / params.L)
     assert np.all(ok), "grid-march secant did not converge"
     return lam
 
@@ -179,7 +286,7 @@ class TestFindEigenvalues:
     @pytest.mark.parametrize("kind", list(BcKind))
     def test_matches_grid_march_secant(self, kind, gamma):
         # the extrapolated fixed-march roots agree with the secant run on
-        # the 4096-step grid march itself
+        # the 4096-step RK4 reference march
         p = Params(gamma=gamma, mu=2.0, nu=0.5, n_modes=20, grid_points=2049)
         ev = find_eigenvalues(p, kind, range(-20, 21))
         ref = grid_march_eigenvalues(p, kind, range(-20, 21))
@@ -187,15 +294,15 @@ class TestFindEigenvalues:
 
     def test_search_steps_independent_of_grid(self, monkeypatch):
         # the search marches the same step counts whatever the output grid;
-        # every block of a march has its step h = L / steps, and L = 1 here
+        # every table of a march has its step h = L / steps, and L = 1 here
         steps = []
-        real = spectral.march
+        real = spectral.step_tables
 
-        def counted(C, h, g, out=None):
-            steps.append(((C.shape[0] - 1) // 2, round(1.0 / h)))
-            return real(C, h, g, out)
+        def counted(x, c, lams, h):
+            steps.append(((x.size - 1) // 2, round(1.0 / h)))
+            return real(x, c, lams, h)
 
-        monkeypatch.setattr(spectral, "march", counted)
+        monkeypatch.setattr(spectral, "step_tables", counted)
         evs, runs = [], []
         for nx in (2049, 4097):
             steps.clear()
@@ -203,7 +310,8 @@ class TestFindEigenvalues:
             evs.append(find_eigenvalues(p, BcKind.DAMPED, range(-3, 4)))
             runs.append(list(steps))
         assert runs[0] == runs[1]
-        assert {n for _, n in runs[0]} == {spectral._SEARCH_STEPS, 2 * spectral._SEARCH_STEPS}
+        assert {n for _, n in runs[0]} == {64, 128}
+        assert all(rows == n for rows, n in runs[0])
         assert np.array_equal(evs[0], evs[1])
 
     def test_gamma0_exact(self, p_gamma0):
