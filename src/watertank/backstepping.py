@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import psi
 
 from watertank.errors import NumericalError, RegimeError
 from watertank.feedback import FeedbackLaw, virtual_profile
@@ -109,16 +108,44 @@ def galerkin_spectrum(law: FeedbackLaw) -> np.ndarray:
     return eig[np.argsort(eig.imag)]
 
 
+_DIGAMMA_SERIES = (-1 / 12, 1 / 120, -1 / 252, 1 / 240, -1 / 132, 691 / 32760, -1 / 12)  # -B_2k/(2k)
+
+
+def _digamma(z):
+    """Complex digamma ``psi(z)``, entry by entry; non-finite at the poles 0, -1, -2, ...
+
+    ``Re z < 0.5`` reflects through ``psi(z) = psi(1 - z) - pi cot(pi f)``
+    with ``f = z - round(Re z)``: cot has period 1, and the reduced argument
+    keeps it accurate near the negative real axis. Then ``psi(w) =
+    psi(w + 10) - sum_{k<10} 1/(w + k)`` and the asymptotic series of
+    ``psi(w + 10)`` through ``B_14``.
+    """
+    z = np.asarray(z, dtype=complex)
+    reflect = z.real < 0.5
+    w = np.where(reflect, 1.0 - z, z)
+    shift = sum(1.0 / (w + k) for k in range(10))
+    w = w + 10.0
+    r = 1.0 / (w * w)
+    series = 0.0
+    for c in reversed(_DIGAMMA_SERIES):
+        series = (series + c) * r
+    psi = np.log(w) - 0.5 / w + series - shift
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pi_cot = math.pi / np.tan(math.pi * (z - np.round(z.real)))
+    return np.where(reflect, psi - pi_cot, psi)
+
+
 def tail_sum(s, mu_plus, mu_minus, c_inf, L: float):
     """Closed form of ``sum_{j>=1} c_inf [1/(s + mu_+ + j i pi/L)
     + 1/(s + mu_- - j i pi/L)]``.
 
     With ``x_+- = (s + mu_+-) L / (i pi)`` the sum is
-    ``(L c_inf / (i pi)) [psi(1 - x_-) - psi(1 + x_+)]``.
+    ``(L c_inf / (i pi)) [psi(1 - x_-) - psi(1 + x_+)]``, with the digamma
+    ``psi`` from ``_digamma``.
     """
     xp = (s + mu_plus) * L / (1j * math.pi)
     xm = (s + mu_minus) * L / (1j * math.pi)
-    return L * c_inf / (1j * math.pi) * (psi(1.0 - xm) - psi(1.0 + xp))
+    return L * c_inf / (1j * math.pi) * (_digamma(1.0 - xm) - _digamma(1.0 + xp))
 
 
 def characteristic_function(law: FeedbackLaw, s) -> np.ndarray:

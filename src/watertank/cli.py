@@ -91,10 +91,6 @@ _COMMAND_KEYS = {
 }
 
 
-def _fmt(x) -> str:
-    return f"{x:.17g}"
-
-
 def load_config(path, overrides, command):
     """Merge a key=value file with command-line overrides; reject unknowns."""
     allowed = dict(_PARAM_KEYS)
@@ -174,10 +170,12 @@ def _outdir(cfg) -> Path:
 
 
 def _write_csv(path: Path, header, rows):
+    """Write numeric rows, one %-format per row: each value as ``%.17g``, so a
+    float keeps 17 significant digits and a mode index prints as itself."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def _write_json(path: Path, obj):
@@ -227,8 +225,7 @@ def cmd_spectrum(cfg) -> int:
             f1, f2 = basis.values[basis.index(n)]
             header += [f"re_f1_{n}", f"im_f1_{n}", f"re_f2_{n}", f"im_f2_{n}"]
             cols += [f1.real, f1.imag, f2.real, f2.imag]
-        rows = zip(*[list(map(float, c)) for c in cols])
-        _write_csv(out / "eigenfunctions.csv", header, rows)
+        _write_csv(out / "eigenfunctions.csv", header, np.column_stack(cols).tolist())
     drift_max = max(r[3] for r in rows_c)
     summary = {
         "config": _config_echo(cfg, params),
@@ -376,10 +373,7 @@ def cmd_lyapunov(cfg) -> int:
     if params.gamma >= gs:
         raise RegimeError(f"gamma = {params.gamma} >= gamma_s(lambda) = {gs:.6g}")
     cert = lyapunov_certificate(params, lam)
-    rows = zip(
-        map(float, cert.grid), map(float, cert.eta), map(float, cert.xi),
-        map(float, cert.theta1), map(float, cert.theta2),
-    )
+    rows = np.column_stack([cert.grid, cert.eta, cert.xi, cert.theta1, cert.theta2]).tolist()
     _write_csv(out / "eta_xi.csv", ["x", "eta", "xi", "theta1", "theta2"], rows)
     doc = {
         "config": _config_echo(cfg, params),

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from watertank.control import ControlSignal, input_gains
 from watertank.errors import ConfigError, DomainError, NumericalError, RegimeError
@@ -72,27 +71,62 @@ class Trajectory:
             return self.norm_da
         raise ConfigError(f"unknown norm selector {selector!r}")
 
-    def csv_rows(self):
-        for i, t in enumerate(self.times):
-            row = [t]
-            row.extend(np.abs(self.coeffs[i]))
-            row.extend([self.zeta0[i].real, self.zeta0[i].imag])
-            row.extend([self.norm_l2[i], self.norm_da[i]])
-            row.extend([self.mass[i].real, self.mass[i].imag])
-            row.extend([self.control[i].real, self.control[i].imag])
-            yield row
+    def csv_rows(self) -> list:
+        """One list of floats per record: t, |c_n|, zeta0, both norms, mass and control (re, im)."""
+        return np.column_stack([
+            self.times, np.abs(self.coeffs), self.zeta0.real, self.zeta0.imag,
+            self.norm_l2, self.norm_da, self.mass.real, self.mass.imag,
+            self.control.real, self.control.imag,
+        ]).tolist()
+
+
+_PADE13 = (64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800, 129060195264000,
+           10559470521600, 670442572800, 33522128640, 1323241920, 40840800, 960960, 16380, 182, 1)
+
+
+def _expm(A):
+    """Matrix exponential by the degree-13 Pade approximant with scaling and squaring.
+
+    The approximant is Higham's (2005). The scaling ``s`` is Al-Mohy and
+    Higham's (2009): from ``eta = min(max(d6, d8), max(d8, d10))`` with the
+    exact ``d_k = ||A^k||_1^(1/k)``, then raised by their backward-error
+    correction, whose ``||(|2^-s A|)^27||_1`` is 27 products with a ones vector.
+    """
+    b = _PADE13
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A2 @ A4
+    A8 = A4 @ A4
+    d6, d8, d10 = (np.linalg.norm(X, 1) ** (1.0 / k) for X, k in ((A6, 6), (A8, 8), (A4 @ A6, 10)))
+    eta = min(max(d6, d8), max(d8, d10))
+    s = max(math.ceil(math.log2(eta / 4.25)), 0) if eta > 0 else 0
+    X = np.abs(A) * 2.0 ** -s
+    v = np.ones(A.shape[0])
+    for _ in range(27):
+        v = v @ X  # column sums of X^k: for X >= 0 their max is ||X^k||_1
+    if v.max() > 0:  # c = (2m)! (2m+1)! / (m!)^2 at m = 13; u = 2^-53
+        alpha = v.max() / (np.linalg.norm(X, 1) * 113250775606021113483283660800000000.0)
+        s += max(math.ceil((math.log2(alpha) + 53) / 26), 0)
+    A, A2, A4, A6 = (P * 2.0 ** (-k * s) for P, k in ((A, 1), (A2, 2), (A4, 4), (A6, 6)))
+    I = np.eye(A.shape[0])
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I
+    R = np.linalg.solve(V - U, 2.0 * U) + I  # (V - U)^-1 (V + U), with the identity split off
+    for _ in range(s):
+        R = R @ R
+    return R
 
 
 def _propagate(M, y0, t_final, n_steps):
     """Record ``y' = M y`` from ``y0`` at ``n_steps`` equal steps of ``t_final``.
 
-    Forms the exact propagator ``expm(M t_final / n_steps)`` once; returns the
+    Forms the exact propagator ``_expm(M t_final / n_steps)`` once; returns the
     record times and the (n_steps + 1, size) records. Raises NumericalError on
     a non-finite generator or state.
     """
     if not np.all(np.isfinite(M)):
         raise NumericalError("generator has non-finite entries")
-    P = expm(M * (t_final / n_steps))
+    P = _expm(M * (t_final / n_steps))
     y = np.empty((n_steps + 1, y0.size), dtype=complex)
     y[0] = y0
     for k in range(n_steps):
@@ -150,7 +184,7 @@ def integrate_closed_loop(params: Params, law: FeedbackLaw, init,
     The extended system is linear with constant coefficients, ``y' = M y``
     with ``M = diag(-mu_n, 0) + (<I, f_n>, nu) (table, table[0])``, so the
     state is recorded at ``RECORD_INTERVALS`` equal steps of ``t_final`` by
-    the exact propagator ``expm(M t_final / RECORD_INTERVALS)``.
+    the exact propagator ``_expm(M t_final / RECORD_INTERVALS)``.
     """
     basis = law.basis
     if basis is None:

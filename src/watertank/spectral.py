@@ -275,16 +275,24 @@ def find_eigenvalues(params: Params, kind: BcKind, n_range):
     Secant refinement in the complex plane from the unperturbed eigenvalues
     (``i pi n / L``, plus ``mu`` if damped) on the 64- and 128-step Magnus
     marches, Richardson-extrapolated. Raises NumericalError on non-convergence or root collision,
-    and RegimeError when a root drifts more than 1/(2L) from its seed.
+    and RegimeError when a root, or the last iterate of a search that failed,
+    drifts more than 1/(2L) from its seed.
     """
     n_list = np.asarray(list(n_range), dtype=int)
     lam0 = _seed_eigenvalues(kind, params, n_list)
     seed = _left_seed(kind, params)
 
+    def drift_guard(lam, among):
+        bad = among & (np.abs(lam - lam0) > 0.5 / params.L)
+        if np.any(bad):
+            raise RegimeError(f"eigenvalue drift exceeds 1/(2L) for n in {n_list[bad].tolist()}; "
+                              "gamma outside the perturbative regime")
+
     def search(lam_prev, lam_cur, nsteps):  # the step cap is a trust region: roots sit within 1/(2L) of seeds
         lam, ok = secant(lambda lam: _integrate(params, lam, seed, nsteps), lam_prev, lam_cur,
                          _SECANT_TOL, max_step=0.3 / params.L)
         if not np.all(ok):
+            drift_guard(lam, ~ok)  # a failed search that wandered off is out of regime, not a numerical fault
             raise NumericalError(f"eigenvalue search did not converge for n in {n_list[~ok].tolist()}")
         return lam
 
@@ -297,12 +305,7 @@ def find_eigenvalues(params: Params, kind: BcKind, n_range):
         raise NumericalError(
             f"root collision between modes {a} and {b}: spectrum not simple at these parameters"
         )
-    drift = np.abs(roots - lam0)
-    if np.any(drift > 0.5 / params.L):
-        bad = n_list[drift > 0.5 / params.L]
-        raise RegimeError(
-            f"eigenvalue drift exceeds 1/(2L) for n in {bad.tolist()}; gamma outside the perturbative regime"
-        )
+    drift_guard(roots, True)
     return roots
 
 

@@ -1,12 +1,15 @@
 import math
+import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
 from watertank import backstepping
 from watertank.backstepping import (
     TransformMatrix,
+    _digamma,
     build_transform,
     characteristic_function,
     closed_loop_spectrum,
@@ -352,3 +355,41 @@ class TestClosedLoopSpectrum:
         )
         with pytest.raises(NumericalError, match="one closed-loop root"):
             closed_loop_spectrum(law)
+
+
+class TestDigamma:
+    """``_digamma`` against mpmath's digamma as the independent reference."""
+
+    @staticmethod
+    def error(z, floor=0.0):
+        with mpmath.workdps(30):
+            want = np.array([complex(mpmath.digamma(complex(x))) for x in z])
+        return float(np.max(np.abs(_digamma(z) - want) / np.maximum(np.abs(want), floor)))
+
+    def test_grid_through_reflection(self):
+        # Re z from -60 to 60, so the reflected half-plane Re z < 0.5 is
+        # half the grid; offsets keep the poles off it
+        x, y = np.meshgrid(np.linspace(-60.0, 60.0, 41) + 0.3, np.linspace(-60.0, 60.0, 41) + 0.1)
+        z = (x + 1j * y).ravel()
+        assert np.count_nonzero(z.real < 0.5) > 700
+        assert self.error(z) < 1e-14
+
+    def test_near_real_axis(self):
+        # within 1e-3 of the axis; psi has a real zero in each negative unit
+        # interval, where no implementation is relatively accurate, so the
+        # error is relative to max(|psi|, 1)
+        rng = np.random.default_rng(3)
+        z = rng.uniform(-30.0, 30.0, 600) + 1j * rng.uniform(-1e-3, 1e-3, 600)
+        assert self.error(z, floor=1.0) < 1e-14
+
+    def test_large_imaginary_part(self):
+        rng = np.random.default_rng(4)
+        z = rng.uniform(-50.0, 50.0, 400) + 1j * rng.uniform(-500.0, 500.0, 400)
+        z = np.concatenate([z, 1.0 + 1j * np.linspace(-500.0, 500.0, 101)])
+        assert self.error(z) < 1e-14
+
+    def test_poles_non_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = _digamma(np.array([0.0, -1.0, -7.0], dtype=complex))
+        assert not np.any(np.isfinite(psi))

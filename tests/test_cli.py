@@ -12,6 +12,7 @@ import pytest
 
 from watertank import acceptance, cli, spectral
 from watertank.cli import main
+from watertank.simulate import integrate_closed_loop
 
 FAST = [
     "--set", "n_modes=4",
@@ -110,10 +111,10 @@ class TestBadInput:
 
 
 def test_import_skips_unused_scipy_modules():
-    # a fresh process, so no other test's imports count
+    # a fresh process, so no other test's imports count; no run-time path needs scipy
     src = str(Path(cli.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import watertank.cli; "
-            "print([m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules])")
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
@@ -147,6 +148,15 @@ class TestSpectrumCommand:
         assert code == 3
         assert err.startswith("regime violation:") and err.count("\n") == 1
         assert "drift" in err
+
+    def test_failed_search_that_drifted_exit3(self, tmp_path, capsys):
+        # the damped n = 0 secant fails after wandering to the n = 1 root,
+        # 2.83/L from its seed: a regime violation, not a numerical failure
+        code = run(["spectrum", "--set", "gamma=1.9"] + FAST, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("regime violation:") and err.count("\n") == 1
+        assert "drift" in err and "[0]" in err
 
     def test_eigenfunction_dump(self, tmp_path):
         code = run(
@@ -257,6 +267,21 @@ class TestSimulateCommand:
         assert (d1 / "simulate_summary.json").read_bytes() == (
             d2 / "simulate_summary.json"
         ).read_bytes()
+
+    def test_trajectory_csv_renders_each_value(self, tmp_path, monkeypatch):
+        # one %-format per row gives the same bytes as formatting value by value
+        trajs = []
+
+        def recording(*args, **kwargs):
+            trajs.append(integrate_closed_loop(*args, **kwargs))
+            return trajs[-1]
+
+        monkeypatch.setattr(cli, "integrate_closed_loop", recording)
+        assert run(["simulate", "--set", "gamma=0.03"] + FAST, tmp_path) == 0
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines(keepends=True)
+        rows = trajs[0].csv_rows()
+        assert len(lines) == 1 + len(rows) and lines[0].count(",") == len(rows[0]) - 1
+        assert lines[1:] == [",".join(f"{v:.17g}" for v in row) + "\n" for row in rows]
 
     def test_open_loop_flag(self, tmp_path):
         code = run(
