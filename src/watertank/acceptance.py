@@ -32,24 +32,20 @@ from watertank.backstepping import (
     dirichlet_sum,
     galerkin_spectrum,
     match_spectrum,
+    target_distances,
 )
-from watertank.control import (
-    controllability_report,
-    dual_exponentials,
-    plain_moments,
-    synthesize_open_loop,
-)
+from watertank.control import controllability_report, plain_moments
 from watertank.feedback import feedback_coefficients
-from watertank.finite_dim import random_backstep_pairs
+from watertank.finite_dim import placement_mismatch, random_backstep_pairs
 from watertank.model import Params, gamma_s_threshold
 from watertank.simulate import (
     decay_rate_estimate,
     integrate_closed_loop,
-    integrate_open_loop_w,
     integrate_target,
     lyapunov_certificate,
     lyapunov_functional,
     real_initial_datum,
+    steer,
 )
 from watertank.spectral import (
     BcKind,
@@ -212,21 +208,11 @@ def _c5():
 def _c6():
     p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=12, grid_points=2049)
     modes = w_modes(p, cached_basis(p, BcKind.CONSERVATIVE, 12))
-    # 8x oversampling relative to the spatial grid for the dual quadrature
-    tq = np.linspace(0.0, 2 * p.L, 8 * (p.grid_points - 1) + 1)
-    duals = dual_exponentials(modes.eigenvalues, tq)
     errs = {}
     drifts = {}
     for nt in (1, 2, 3):
-        sig = synthesize_open_loop(p, modes, duals, {nt: 1.0})
-        init = np.zeros(modes.n_list.size, dtype=complex)
-        traj = integrate_open_loop_w(p, modes, sig, init, t_final=2 * p.L, dt=1e-3)
-        kvec = np.zeros(modes.n_list.size, dtype=complex)
-        kvec[modes.index(nt)] = 1.0
-        errs[nt] = float(
-            np.linalg.norm(traj.coeffs[-1] - kvec) / np.linalg.norm(kvec)
-        )
-        drifts[nt] = float(np.max(np.abs(traj.mass - traj.mass[0])))
+        _, traj, errs[nt], _ = steer(p, modes, {nt: 1.0})
+        drifts[nt] = traj.mass_drift
     passed = all(e < 5e-2 for e in errs.values()) and all(
         d < 1e-6 for d in drifts.values()
     )
@@ -260,11 +246,8 @@ def _c8():
     t0 = time.time()
     p = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=41, grid_points=4097)
     law = _law(p, 41)
-    eig = closed_loop_spectrum(law)
+    eig, targets, dist = target_distances(law, 10)
     galerkin = galerkin_spectrum(law)
-    ptab = np.arange(-10, 11)
-    targets = -find_eigenvalues(p, BcKind.DAMPED, ptab)  # the search reads neither n_modes nor grid_points
-    dist = match_spectrum(eig, targets)
     rel = dist / np.abs(targets)
     elapsed = time.time() - t0
     tol = 0.1 * p.mu
@@ -272,7 +255,7 @@ def _c8():
     return passed, {
         "tolerance_abs": tol,
         "max_distance": float(np.max(dist)),
-        "distance_by_p": {int(k): float(d) for k, d in zip(ptab, dist)},
+        "distance_by_p": {int(k): float(d) for k, d in zip(range(-10, 11), dist)},
         "relative_distance_max": float(np.max(rel)),
         "max_real_part": float(eig.real.max()),
         "max_characteristic_residual": float(
@@ -361,9 +344,7 @@ def _c11():
         r1 = np.max(np.abs(T @ A + np.outer(B, Kg) - At @ T))
         r2 = np.max(np.abs(T @ B - B))
         worst_res = max(worst_res, float(r1), float(r2))
-        e1 = np.sort_complex(np.linalg.eigvals(A + np.outer(B, Kg)))
-        e2 = np.sort_complex(np.linalg.eigvals(At))
-        worst_eig = max(worst_eig, float(np.max(np.abs(e1 - e2))))
+        worst_eig = max(worst_eig, placement_mismatch(pa, pt, Kg))
     passed = worst_res < 1e-10 * 10 and worst_eig < 1e-8
     return passed, {
         "pairs": 100,
@@ -381,11 +362,7 @@ def _c12():
     neg, pos = basis.values[basis.index(0)::-1], basis.values[basis.index(0):]
     sym_conj = float(np.max(np.abs(neg - np.conj(pos))))
     sym_swap = float(np.max(np.abs(neg[:, 0] + pos[:, 1])))
-    law = _law(p, 20)
-    tab_sym = max(
-        float(abs(law.value(-n) - np.conj(law.value(n))) / abs(law.value(n)))
-        for n in range(0, 21)
-    )
+    tab_sym = _law(p, 20).reality_defect()
     # short closed-loop run from real data stays real
     pr = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=21, grid_points=2049)
     lawr = _law(pr, 21)

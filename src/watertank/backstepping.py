@@ -22,7 +22,7 @@ import numpy as np
 from watertank.errors import NumericalError, RegimeError
 from watertank.feedback import FeedbackLaw, virtual_profile
 from watertank.model import Params
-from watertank.spectral import Basis, ModeIndexed, collision, pairings, secant
+from watertank.spectral import Basis, BcKind, ModeIndexed, collision, find_eigenvalues, pairings, secant
 
 __all__ = [
     "TransformMatrix",
@@ -33,6 +33,7 @@ __all__ = [
     "characteristic_function",
     "closed_loop_spectrum",
     "match_spectrum",
+    "target_distances",
 ]
 
 
@@ -197,3 +198,11 @@ def closed_loop_spectrum(law: FeedbackLaw) -> np.ndarray:
 def match_spectrum(eig: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Distance from each target to the nearest computed eigenvalue."""
     return np.array([np.min(np.abs(eig - t)) for t in targets])
+
+
+def target_distances(law: FeedbackLaw, n: int):
+    """``(eig, targets, dist)``: :func:`closed_loop_spectrum`, the reflected damped targets
+    ``-mu~_p`` for p = -n..n, and each target's distance to the nearest eigenvalue."""
+    eig = closed_loop_spectrum(law)
+    targets = -find_eigenvalues(law.params, BcKind.DAMPED, np.arange(-n, n + 1))
+    return eig, targets, match_spectrum(eig, targets)

@@ -20,12 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from watertank import acceptance
-from watertank.backstepping import closed_loop_spectrum, match_spectrum
-from watertank.control import (
-    controllability_report,
-    dual_exponentials,
-    synthesize_open_loop,
-)
+from watertank.backstepping import target_distances
+from watertank.control import controllability_report
 from watertank.errors import (
     ConfigError,
     DomainError,
@@ -34,14 +30,14 @@ from watertank.errors import (
     RegimeError,
 )
 from watertank.feedback import feedback_coefficients, physical_feedback, zero_law
-from watertank.finite_dim import random_backstep_pairs
+from watertank.finite_dim import placement_mismatch, random_backstep_pairs
 from watertank.model import Params, gamma_s_threshold
 from watertank.simulate import (
     decay_rate_estimate,
     integrate_closed_loop,
-    integrate_open_loop_w,
     lyapunov_certificate,
     real_initial_datum,
+    steer,
 )
 from watertank.spectral import BcKind, build_basis, find_eigenvalues, w_modes
 
@@ -279,27 +275,18 @@ def cmd_feedback(cfg) -> int:
     law = feedback_coefficients(params, basis)
     phys = physical_feedback(law)
     c, C = law.growth_window()
-    # closed-loop spectrum report against the reflected target eigenvalues
-    eig = closed_loop_spectrum(law)
     n_cmp = min(10, params.n_modes)
-    cmp_modes = np.arange(-n_cmp, n_cmp + 1)
-    ev_d = find_eigenvalues(params, BcKind.DAMPED, cmp_modes)
-    targets = -ev_d
-    dist = match_spectrum(eig, targets)
+    eig, targets, dist = target_distances(law, n_cmp)
     _write_csv(
         out / "closed_loop_spectrum.csv",
         ["re", "im"],
         [(float(e.real), float(e.imag)) for e in eig],
     )
-    reality = max(
-        float(abs(law.value(-n) - np.conj(law.value(n))) / abs(law.value(n)))
-        for n in range(0, params.n_modes + 1)
-    )
     doc = {
         "config": _config_echo(cfg, params),
         "tolerances": {"reality_symmetry": 1e-10, "relative_spectrum_distance": 0.1},
         "growth_window": {"c": c, "C": C},
-        "reality_symmetric": bool(reality < 1e-10),
+        "reality_symmetric": bool(law.reality_defect() < 1e-10),
         "closed_loop": {
             "max_real_part": float(eig.real.max()),
             "relative_distance_max": float(np.max(dist / np.abs(targets))),
@@ -350,15 +337,14 @@ def cmd_simulate(cfg) -> int:
         b = min(15.0 / params.mu, params.t_final)
         window = (min(5.0 / params.mu, 0.5 * b), b)
     rate, r2 = decay_rate_estimate(traj, "da", window)
-    mass_drift = float(np.max(np.abs(traj.mass - traj.mass[0])))
     summary = {
         "config": _config_echo(cfg, params),
         "tolerances": {"mass_drift": 1e-6},
         "fit_window": list(window),
         "fitted_rate": rate,
         "r_squared": r2,
-        "mass_drift": mass_drift,
-        "mass_conserved": bool(mass_drift < 1e-6),
+        "mass_drift": traj.mass_drift,
+        "mass_conserved": bool(traj.mass_drift < 1e-6),
         "open_loop": bool(cfg.get("open_loop")),
     }
     _write_json(out / "simulate_summary.json", summary)
@@ -402,26 +388,17 @@ def cmd_steer(cfg) -> int:
         raise ConfigError("every target amplitude is zero: no terminal error to measure")
     out = _outdir(cfg)
     basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes)
-    modes = w_modes(params, basis)
-    tq = np.linspace(0.0, 2 * params.L, 8 * (params.grid_points - 1) + 1)
-    duals = dual_exponentials(modes.eigenvalues, tq)
     # steering is linear in the target: solve for it over its largest
     # amplitude, so no amplitude reaches the ends of the float range inside
-    unit = {n: v / scale for n, v in target.items()}
-    sig = synthesize_open_loop(params, modes, duals, unit)
-    init = np.zeros(modes.n_list.size, dtype=complex)
-    traj = integrate_open_loop_w(params, modes, sig, init, t_final=2 * params.L)
-    kvec = np.zeros(modes.n_list.size, dtype=complex)
-    for n, v in unit.items():
-        kvec[modes.index(n)] = v
-    err = float(np.linalg.norm(traj.coeffs[-1] - kvec) / np.linalg.norm(kvec))
+    sig, traj, err, duals = steer(params, w_modes(params, basis),
+                                  {n: v / scale for n, v in target.items()})
     rows = [(t, float(re) * scale, float(im) * scale) for t, re, im in sig.to_csv_rows()]
     summary = {
         "config": _config_echo(cfg, params),
         "target": {str(k): v for k, v in target.items()},
         "terminal_relative_error": err,
         "terminal_error_pass": bool(err < 5e-2),
-        "mass_drift": float(np.max(np.abs(traj.mass - traj.mass[0]))) * scale,
+        "mass_drift": traj.mass_drift * scale,
         "control_l2_norm": sig.l2_norm() * scale,
         "dual_gram_condition": duals.gram_condition,
     }
@@ -442,12 +419,10 @@ def cmd_finite_demo(cfg) -> int:
     draws = random_backstep_pairs(np.random.default_rng(cfg.get("seed", 0)), dim_max)
     runs = []
     for pa, pt, T, K in itertools.islice(draws, count):
-        e1 = np.sort_complex(np.linalg.eigvals(pa.A + np.outer(pa.B, K)))
-        e2 = np.sort_complex(np.linalg.eigvals(pt.A))
         runs.append(
             {
                 "n": pa.n,
-                "spectrum_mismatch": float(np.max(np.abs(e1 - e2))),
+                "spectrum_mismatch": placement_mismatch(pa, pt, K),
                 "cond_T": float(np.linalg.cond(T)),
             }
         )
@@ -519,6 +494,9 @@ def main(argv=None) -> int:
         return 3
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 4
 
 

@@ -52,8 +52,6 @@ def virtual_profile(params: Params, basis: Basis) -> np.ndarray:
     The nu-component restores controllability of the conserved direction;
     ``<I_nu, f_0> = nu`` exactly (I is orthogonal to f_0).
     """
-    if params.nu == 0:
-        raise RegimeError("nu must be nonzero for the virtual extension")
     return control_profile(params) + params.nu * basis.values[basis.index(0)]
 
 
@@ -78,18 +76,14 @@ class FeedbackLaw(ModeIndexed):
     i_nu_moments: np.ndarray   # <I_nu, f_n>
     i_moments: np.ndarray      # <I, f_n>
     eigenvalues: np.ndarray
-    f1_at_0: np.ndarray
     tau: np.ndarray            # tau_n = e^{int delta} f1(L)/f1(0) - 1
     singular: np.ndarray       # h_n
-    mu_internal: float
-    nu: float
-    basis: Basis = None
+    basis: Basis
 
-    def value(self, n: int) -> complex:
-        return complex(self.table[self.index(n)])
-
-    def apply(self, coeffs) -> complex:
-        return complex(np.dot(self.table, coeffs))
+    def reality_defect(self) -> float:
+        """``max |table[-n] - conj table[n]| / |table[n]|``, n = 0..N: 0 when real states get real controls."""
+        pos, neg = self.table[self.index(0):], self.table[self.index(0)::-1]
+        return float(np.max(np.abs(neg - np.conj(pos)) / np.abs(pos)))
 
     def growth_window(self):
         """Fitted (c, C) with c(1+|n|) <= |table| <= C(1+|n|)."""
@@ -98,8 +92,8 @@ class FeedbackLaw(ModeIndexed):
 
     def to_json_dict(self) -> dict:
         return {
-            "mu_internal": self.mu_internal,
-            "nu": self.nu,
+            "mu_internal": self.params.mu,
+            "nu": self.params.nu,
             "modes": [
                 {
                     "n": int(n),
@@ -148,9 +142,7 @@ def feedback_coefficients(params: Params, basis: Basis) -> FeedbackLaw:
     return FeedbackLaw(
         params=params, n_list=basis.n_list.copy(), table=table,
         i_nu_moments=inu_m, i_moments=i_moments(params, basis),
-        eigenvalues=basis.eigenvalues.copy(),
-        f1_at_0=f1_0.copy(), tau=tau, singular=h,
-        mu_internal=params.mu, nu=params.nu, basis=basis,
+        eigenvalues=basis.eigenvalues.copy(), tau=tau, singular=h, basis=basis,
     )
 
 
@@ -161,8 +153,7 @@ def zero_law(params: Params, basis: Basis) -> FeedbackLaw:
     return FeedbackLaw(
         params=params, n_list=basis.n_list.copy(), table=zeros,
         i_nu_moments=i_m.copy(), i_moments=i_m, eigenvalues=basis.eigenvalues.copy(),
-        f1_at_0=basis.f1_at_0.copy(), tau=_tau(params, basis), singular=zeros.copy(),
-        mu_internal=params.mu, nu=params.nu, basis=basis,
+        tau=_tau(params, basis), singular=zeros.copy(), basis=basis,
     )
 
 

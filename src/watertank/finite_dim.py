@@ -15,7 +15,8 @@ import numpy as np
 
 from watertank.errors import ConfigError, NumericalError
 
-__all__ = ["LinearPair", "ctrb", "to_canonical", "backstep_pair", "random_backstep_pairs"]
+__all__ = ["LinearPair", "ctrb", "to_canonical", "backstep_pair", "placement_mismatch",
+           "random_backstep_pairs"]
 
 _MAX_N = 12
 
@@ -112,6 +113,13 @@ def backstep_pair(pairA: LinearPair, pairAtilde: LinearPair):
             f"backstepping residuals too large: {r1:.2e}, {r2:.2e} (cond T = {cond:.2e})"
         )
     return T, K
+
+
+def placement_mismatch(pairA: LinearPair, pairAtilde: LinearPair, K) -> float:
+    """Largest distance between the sorted spectra of ``A + B K`` and ``A~``: 0 for exact placement."""
+    placed, target = (np.sort_complex(np.linalg.eigvals(M))
+                      for M in (pairA.A + np.outer(pairA.B, K), pairAtilde.A))
+    return float(np.max(np.abs(placed - target)))
 
 
 def random_backstep_pairs(rng, dim_max: int = 6):

@@ -33,8 +33,6 @@ __all__ = [
     "diagonal_weight",
     "height_root_profile",
     "z_of_x",
-    "x_of_z",
-    "physical_to_zeta",
     "zeta_to_physical",
     "mass_functional",
     "gamma_s_threshold",
@@ -140,8 +138,6 @@ def l_gamma(params: Params) -> float:
     even in gamma and tends to L as gamma -> 0. ``L_gamma = L + O(gamma^2)``.
     """
     u = params.gamma * params.L / 2.0
-    if abs(u) >= 1.0:
-        raise DomainError("|gamma|*L/2 must be < 1")
     return 2.0 * params.L / (math.sqrt(1.0 + u) + math.sqrt(1.0 - u))
 
 
@@ -157,8 +153,6 @@ def height_root_profile(params: Params, z):
     w = math.sqrt(1.0 + params.gamma * params.L / 2.0) - (
         params.gamma / 2.0
     ) * (lg / params.L) * z
-    if np.any(np.asarray(w) <= 0):
-        raise DomainError("height-root profile hit zero: gamma out of range")
     return w
 
 
@@ -192,18 +186,6 @@ def z_of_x(params: Params, x):
     return (params.L / lg) * y
 
 
-def x_of_z(params: Params, z):
-    """Inverse of :func:`z_of_x`, in closed form (no iteration).
-
-    ``x = (L_gamma/L) z sqrt(1+gamma L/2) - gamma L_gamma^2 z^2 / (4 L^2)``.
-    """
-    z = _check_x(params, z)
-    lg = l_gamma(params)
-    a = math.sqrt(1.0 + params.gamma * params.L / 2.0)
-    x = (lg / params.L) * z * a - params.gamma * lg * lg * z * z / (4.0 * params.L**2)
-    return x
-
-
 def _resample(values, src_grid, dst_points):
     """Monotone cubic (PCHIP) resampling of complex samples."""
     # imported here: no CLI path resamples, so the CLI never pays for this import
@@ -216,32 +198,13 @@ def _resample(values, src_grid, dst_points):
     return PchipInterpolator(src_grid, values)(dst_points)
 
 
-def physical_to_zeta(params: Params, h, v) -> np.ndarray:
-    """Map physical perturbations (h, v) on the x-grid to zeta on the z-grid.
-
-    Applies the Riemann diagonalization ``xi = S(x) (h, v)`` with
-    ``S = [[H^(-1/2), 1], [-H^(-1/2), 1]]``, resamples through the space map
-    x(z) (monotone cubic), and multiplies by ``exp(int_0^x delta)``.
-    """
-    grid = uniform_grid(params)
-    h = np.asarray(h)
-    v = np.asarray(v)
-    if h.shape != grid.shape or v.shape != grid.shape:
-        raise GridMismatchError("h, v must be sampled on the params grid")
-    s = 1.0 / np.sqrt(steady_state_height(params, grid))
-    xi1 = s * h + v
-    xi2 = -s * h + v
-    xq = x_of_z(params, grid)
-    # x(z) in [0, L] analytically; clamp rounding spill at the endpoints
-    xq = np.clip(xq, 0.0, params.L)
-    w1 = _resample(xi1, grid, xq)
-    w2 = _resample(xi2, grid, xq)
-    ew = diagonal_weight(params, grid)
-    return np.stack([ew * w1, ew * w2])
-
-
 def zeta_to_physical(params: Params, zeta):
-    """Inverse of :func:`physical_to_zeta`; returns (h, v) on the x-grid."""
+    """Map zeta on the z-grid to physical perturbations (h, v) on the x-grid.
+
+    Divides by ``exp(int_0^x delta)``, resamples through the space map z(x)
+    (monotone cubic) and inverts the Riemann diagonalization
+    ``xi = S(x) (h, v)``, ``S = [[H^(-1/2), 1], [-H^(-1/2), 1]]``.
+    """
     zeta = _sampled(params, zeta, "zeta")
     grid = uniform_grid(params)
     ew = diagonal_weight(params, grid)

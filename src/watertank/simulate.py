@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from watertank.control import ControlSignal, input_gains
+from watertank.control import ControlSignal, dual_exponentials, input_gains, synthesize_open_loop
 from watertank.errors import ConfigError, DomainError, NumericalError, RegimeError
 from watertank.feedback import FeedbackLaw
 from watertank.model import (
@@ -30,7 +30,7 @@ from watertank.model import (
     simpson_weights,
     uniform_grid,
 )
-from watertank.spectral import Basis, BcKind, WModes, gram_matrix, march, step_tables
+from watertank.spectral import Basis, BcKind, WModes, gram_matrix, march, reflection, step_tables
 
 __all__ = [
     "Trajectory",
@@ -40,6 +40,7 @@ __all__ = [
     "integrate_closed_loop",
     "integrate_target",
     "integrate_open_loop_w",
+    "steer",
     "fd_upwind_step",
     "fd_simulate",
     "lyapunov_certificate",
@@ -78,6 +79,11 @@ class Trajectory:
             self.norm_l2, self.norm_da, self.mass.real, self.mass.imag,
             self.control.real, self.control.imag,
         ]).tolist()
+
+    @property
+    def mass_drift(self) -> float:
+        """``max |mass - mass[0]|``: how far the conserved mass moved over the run."""
+        return float(np.max(np.abs(self.mass - self.mass[0])))
 
 
 _PADE13 = (64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800, 129060195264000,
@@ -126,11 +132,12 @@ def _propagate(M, y0, t_final, n_steps):
     """
     if not np.all(np.isfinite(M)):
         raise NumericalError("generator has non-finite entries")
-    P = _expm(M * (t_final / n_steps))
     y = np.empty((n_steps + 1, y0.size), dtype=complex)
     y[0] = y0
-    for k in range(n_steps):
-        y[k + 1] = P @ y[k]
+    with np.errstate(all="ignore"):  # a state past the float range raises below
+        P = _expm(M * (t_final / n_steps))
+        for k in range(n_steps):
+            y[k + 1] = P @ y[k]
     if not np.all(np.isfinite(y)):
         raise NumericalError("propagated state is not finite")
     return np.linspace(0.0, t_final, n_steps + 1), y
@@ -186,9 +193,6 @@ def integrate_closed_loop(params: Params, law: FeedbackLaw, init,
     state is recorded at ``RECORD_INTERVALS`` equal steps of ``t_final`` by
     the exact propagator ``_expm(M t_final / RECORD_INTERVALS)``.
     """
-    basis = law.basis
-    if basis is None:
-        raise ConfigError("integrate_closed_loop needs a law carrying its basis")
     n_list = law.n_list
     K = n_list.size
     init = np.asarray(init, dtype=complex)
@@ -202,14 +206,14 @@ def integrate_closed_loop(params: Params, law: FeedbackLaw, init,
 
     eigs = law.eigenvalues
     table_ext = np.concatenate([law.table, [law.table[i0]]])
-    force_ext = np.concatenate([law.i_moments, [law.nu]])
+    force_ext = np.concatenate([law.i_moments, [law.params.nu]])
     M = np.diag(np.concatenate([-eigs, [0.0]])) + np.outer(force_ext, table_ext)
     times, y = _propagate(M, np.concatenate([init, [zeta0_init]]), t_final, RECORD_INTERVALS)
 
     coeffs, zeta0 = y[:, :K], y[:, K]
     zc = coeffs.copy()
     zc[:, i0] += zeta0
-    masses = _mode_masses(params, basis.values, diagonal_weight(params, basis.grid))
+    masses = _mode_masses(params, law.basis.values, diagonal_weight(params, law.basis.grid))
     return Trajectory(
         params=params, n_list=n_list.copy(), times=times, coeffs=coeffs, zeta0=zeta0,
         **_norms(zc, eigs), mass=coeffs @ masses, control=y @ table_ext,
@@ -274,6 +278,26 @@ def integrate_open_loop_w(params: Params, modes: WModes, control: ControlSignal,
     )
 
 
+def steer(params: Params, modes: WModes, target: dict):
+    """Steer the w-system from rest to the psi_n amplitudes ``target`` (n -> amplitude) at 2L.
+
+    Returns ``(control, trajectory, error, duals)``, ``error`` relative to the
+    target's norm. The Gram matrix of the duals is exact, so the control's
+    ``8 (nx - 1) + 1`` samples on [0, 2L] set only its samples and the Simpson
+    quadrature of its L2 norm.
+    """
+    tq = np.linspace(0.0, 2 * params.L, 8 * (params.grid_points - 1) + 1)
+    duals = dual_exponentials(modes.eigenvalues, tq)
+    sig = synthesize_open_loop(params, modes, duals, target)
+    traj = integrate_open_loop_w(params, modes, sig, np.zeros(modes.n_list.size, dtype=complex),
+                                 t_final=2 * params.L)
+    kvec = np.zeros(modes.n_list.size, dtype=complex)
+    for n, v in target.items():
+        kvec[modes.index(n)] = v
+    err = float(np.linalg.norm(traj.coeffs[-1] - kvec) / np.linalg.norm(kvec))
+    return sig, traj, err, duals
+
+
 def _upwind(state, u, dt, cfl, c, ew, r0):
     """One upwind step on precomputed grid data.
 
@@ -300,13 +324,7 @@ def _upwind_setup(params: Params, state, kind: BcKind, dt: float):
     cfl = dt / (grid[1] - grid[0])
     if cfl > 1.0 + 1e-12:
         raise ConfigError(f"CFL violation: dt/dx = {cfl:.3f} > 1")
-    if kind is BcKind.CONSERVATIVE:
-        r0 = -1.0
-    elif kind is BcKind.DAMPED:
-        r0 = -math.exp(-2.0 * params.mu * params.L)
-    else:
-        raise ConfigError("fd_upwind_step supports conservative/damped kinds")
-    return cfl, -delta(params, grid) / 3.0, diagonal_weight(params, grid), r0
+    return cfl, -delta(params, grid) / 3.0, diagonal_weight(params, grid), reflection(kind, params)
 
 
 def fd_upwind_step(params: Params, state: np.ndarray, kind: BcKind, u,

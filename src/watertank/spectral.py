@@ -47,6 +47,7 @@ __all__ = [
     "j0_overlap",
     "first_order_perturbation",
     "reference_mode",
+    "reflection",
     "adjoint_values",
     "gram_matrix",
     "pairings",
@@ -62,10 +63,15 @@ class BcKind(Enum):
     DAMPED = "damped"
 
 
+def reflection(kind: BcKind, params: Params) -> float:
+    """Inflow law at x = 0, ``f1(0) = r f2(0)``: ``r = -1`` conservative, ``-e^{-2 mu L}`` damped."""
+    return -1.0 if kind is BcKind.CONSERVATIVE else -math.exp(-2.0 * params.mu * params.L)
+
+
 def _left_seed(kind: BcKind, params: Params) -> np.ndarray:
-    if kind is BcKind.CONSERVATIVE:
+    if kind is BcKind.CONSERVATIVE:  # not [reflection, 1] = -[1, -1]: samples would print -0 for 0
         return np.array([1.0, -1.0], dtype=complex)
-    return np.array([-math.exp(-2.0 * params.mu * params.L), 1.0], dtype=complex)
+    return np.array([reflection(kind, params), 1.0], dtype=complex)
 
 
 def _seed_eigenvalues(kind: BcKind, params: Params, n_list) -> np.ndarray:
@@ -300,12 +306,12 @@ def find_eigenvalues(params: Params, kind: BcKind, n_range):
     fine = search(coarse, coarse + 1e-6j / params.L, 2 * _SEARCH_STEPS)
     roots = fine + (fine - coarse) / 15.0
 
-    if pair := collision(roots):  # the spectrum is simple in-regime
+    drift_guard(roots, True)  # first: two roots within 1/(2L) of distinct seeds cannot collide
+    if pair := collision(roots):
         a, b = n_list[list(pair)]
         raise NumericalError(
             f"root collision between modes {a} and {b}: spectrum not simple at these parameters"
         )
-    drift_guard(roots, True)
     return roots
 
 
@@ -338,9 +344,6 @@ class Basis(ModeIndexed):
     dual_values: np.ndarray = None
     bc_residuals: np.ndarray = None
     ode_residuals: np.ndarray = None
-
-    def eigenvalue(self, n: int) -> complex:
-        return complex(self.eigenvalues[self.index(n)])
 
     def diagnostics(self) -> dict:
         """Shooting health: the search's step counts and the store pass's worst residuals."""
@@ -414,7 +417,7 @@ def adjoint_values(params: Params, values):
     damped pair onto the closed-form adjoint pair ``(e^{r x}, -e^{r(2L-x)})``,
     ``r = -mu + i pi n/L``, the duals of (39).
     """
-    return -math.exp(-2.0 * params.mu * params.L) * np.conj(values[..., ::-1, :])
+    return reflection(BcKind.DAMPED, params) * np.conj(values[..., ::-1, :])
 
 
 def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
@@ -428,6 +431,9 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
     """
     if N is None:
         N = params.n_modes
+    if 2 * N + 1 > params.grid_points:  # more modes than samples: the Gram check would fail
+        raise NumericalError(f"n_modes = {N} needs grid_points >= 2 n_modes + 1 = {2 * N + 1}, "
+                             f"not {params.grid_points}: raise grid_points")
     n_list = np.arange(-N, N + 1)
     grid = uniform_grid(params)
     eigs = find_eigenvalues(params, kind, n_list)

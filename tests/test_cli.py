@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 import time
@@ -110,6 +112,24 @@ class TestBadInput:
         assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["feedback", "spectrum"])
+def test_too_large_for_memory_exit4(command, tmp_path):
+    # one child at a time, its address space capped at 1.5 GB: the search over
+    # 200001 modes needs more, and a basis of them would need about 13 GB
+    cap = 1536 << 20
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-m", "watertank", command, "--set", "n_modes=100000",
+         "--set", f"outdir={tmp_path}"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert out.returncode == 4, out.stderr
+    assert out.stderr.startswith("numerical failure:") and out.stderr.count("\n") == 1
+    assert "Traceback" not in out.stderr
+    if command == "feedback":  # refused before any shooting
+        assert "n_modes = 100000" in out.stderr and "grid_points" in out.stderr
+
+
 def test_import_skips_unused_scipy_modules():
     # a fresh process, so no other test's imports count; no run-time path needs scipy
     src = str(Path(cli.__file__).parents[1])
@@ -144,6 +164,15 @@ class TestSpectrumCommand:
 
     def test_drift_outside_regime_exit3(self, tmp_path, capsys):
         code = run(["spectrum", "--set", "gamma=0.6"] + FAST, tmp_path)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("regime violation:") and err.count("\n") == 1
+        assert "drift" in err
+
+    def test_drifted_roots_that_meet_exit3(self, tmp_path, capsys):
+        # at mu = 4 the damped roots drift past 1/(2L) and the n = 0 and n = 1
+        # roots meet: a regime violation, not a root collision
+        code = run(["spectrum", "--set", "gamma=0.03", "--set", "mu=4"] + FAST, tmp_path)
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("regime violation:") and err.count("\n") == 1
@@ -255,6 +284,15 @@ class TestFeedbackCommand:
 
 
 class TestSimulateCommand:
+    def test_state_past_float_range_exit4(self, tmp_path, capsys):
+        # over t_final = 1e300 the propagated state overflows: one line, no warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["simulate"] + FAST + ["--set", "t_final=1e300"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 4 and not caught
+        assert err == "numerical failure: propagated state is not finite\n"
+
     def test_deterministic_outputs(self, tmp_path):
         args = ["simulate", "--set", "gamma=0.03", "--set", "seed=3"] + FAST
         d1 = tmp_path / "a"

@@ -60,7 +60,6 @@ def test_unused_import_check_flags_one():
 
 # Exported names no pipeline stage reads, each with its reason.
 UNREAD_EXPORTS = {
-    "physical_to_zeta": "reference implementation the tests compare zeta_to_physical against",
     "mass_functional": "reference implementation the tests compare the recorded mass against",
     "fd_upwind_step": "reference implementation the tests replay the closed loop with",
     "build_transform": "the paper's backstepping transform, not yet reported by any stage",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -106,9 +107,19 @@ class TestFeedbackCoefficients:
     def test_reality_symmetry(self, law_std):
         law, _ = law_std
         for n in range(0, 21):
-            a = law.value(n)
-            b = law.value(-n)
+            a = law.table[law.index(n)]
+            b = law.table[law.index(-n)]
             assert abs(b - np.conj(a)) <= 1e-10 * abs(a)
+
+    def test_reality_defect_is_the_worst_pair(self, law_std):
+        law, _ = law_std
+        t = law.table
+        worst = max(abs(t[law.index(-n)] - np.conj(t[law.index(n)])) / abs(t[law.index(n)])
+                    for n in range(0, 21))
+        assert law.reality_defect() == worst
+        skewed = dataclasses.replace(law, table=t.copy())
+        skewed.table[law.index(-3)] *= 1.5
+        assert skewed.reality_defect() == pytest.approx(0.5, rel=1e-9)
 
     def test_growth_window(self, law_std):
         # |table| / (1+|n|) within fitted [c, C]; the spread is dominated by
@@ -128,7 +139,7 @@ class TestFeedbackCoefficients:
         expect = -2 * math.tanh(p_std.mu * p_std.L) * f010**2 / (
             2 * p_std.L * p_std.nu
         )
-        assert law.value(0) == pytest.approx(expect, rel=1e-9)
+        assert law.table[law.index(0)] == pytest.approx(expect, rel=1e-9)
 
     def test_purely_imaginary_for_nonzero_modes(self, law_std):
         law, _ = law_std
@@ -189,7 +200,7 @@ class TestApplyFeedback:
         law, _ = law_std
         coeffs = np.zeros(41, dtype=complex)
         coeffs[law.index(3)] = 1.0
-        assert law.apply(coeffs) == law.value(3)
+        assert complex(np.dot(law.table, coeffs)) == law.table[law.index(3)]
 
     def test_real_state_real_output(self, law_std):
         law, _ = law_std
@@ -200,7 +211,7 @@ class TestApplyFeedback:
             coeffs[law.index(n)] = a
             coeffs[law.index(-n)] = np.conj(a)
         coeffs[law.index(0)] = rng.standard_normal()
-        u = law.apply(coeffs)
+        u = complex(np.dot(law.table, coeffs))
         assert abs(u.imag) < 1e-10 * max(1.0, abs(u))
 
     def test_linearity(self, law_std):
@@ -208,8 +219,8 @@ class TestApplyFeedback:
         rng = np.random.default_rng(1)
         a = rng.standard_normal(41) + 1j * rng.standard_normal(41)
         b = rng.standard_normal(41) + 1j * rng.standard_normal(41)
-        lhs = law.apply(2.0 * a + 3.0 * b)
-        rhs = 2.0 * law.apply(a) + 3.0 * law.apply(b)
+        lhs = complex(np.dot(law.table, 2.0 * a + 3.0 * b))
+        rhs = 2.0 * complex(np.dot(law.table, a)) + 3.0 * complex(np.dot(law.table, b))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 

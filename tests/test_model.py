@@ -1,15 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from watertank.errors import ConfigError, DomainError, GridMismatchError
 from watertank.model import (
     Params,
+    _check_x,
+    _resample,
     delta,
     diagonal_weight,
     height_root_profile,
     l_gamma,
     mass_functional,
-    physical_to_zeta,
     simpson_weights,
     steady_state_height,
     uniform_grid,
@@ -28,6 +31,42 @@ def exp_weight(params: Params, x):
     ungauged exponential used by the coordinate maps and control profile.
     """
     return height_root_profile(params, x) ** 1.5
+
+
+def x_of_z(params: Params, z):
+    """Inverse of ``model.z_of_x``, in closed form (no iteration).
+
+    ``x = (L_gamma/L) z sqrt(1+gamma L/2) - gamma L_gamma^2 z^2 / (4 L^2)``.
+    """
+    z = _check_x(params, z)
+    lg = l_gamma(params)
+    a = math.sqrt(1.0 + params.gamma * params.L / 2.0)
+    x = (lg / params.L) * z * a - params.gamma * lg * lg * z * z / (4.0 * params.L**2)
+    return x
+
+
+def physical_to_zeta(params: Params, h, v) -> np.ndarray:
+    """Map physical perturbations (h, v) on the x-grid to zeta on the z-grid.
+
+    The reference inverse of ``model.zeta_to_physical``. Applies the Riemann diagonalization ``xi = S(x) (h, v)`` with
+    ``S = [[H^(-1/2), 1], [-H^(-1/2), 1]]``, resamples through the space map
+    x(z) (monotone cubic), and multiplies by ``exp(int_0^x delta)``.
+    """
+    grid = uniform_grid(params)
+    h = np.asarray(h)
+    v = np.asarray(v)
+    if h.shape != grid.shape or v.shape != grid.shape:
+        raise GridMismatchError("h, v must be sampled on the params grid")
+    s = 1.0 / np.sqrt(steady_state_height(params, grid))
+    xi1 = s * h + v
+    xi2 = -s * h + v
+    xq = x_of_z(params, grid)
+    # x(z) in [0, L] analytically; clamp rounding spill at the endpoints
+    xq = np.clip(xq, 0.0, params.L)
+    w1 = _resample(xi1, grid, xq)
+    w2 = _resample(xi2, grid, xq)
+    ew = diagonal_weight(params, grid)
+    return np.stack([ew * w1, ew * w2])
 
 
 def inner_product(f, g, grid) -> complex:

@@ -1,0 +1,83 @@
+"""Invariants of the eigenfamilies and the closed loop across the synthesis regime.
+
+Hypothesis draws mu, nu, gamma in (0, gamma_s(3 mu / 4)), N <= 8 and
+nx in {257, 513}, derandomized with a fixed number of examples so the module
+runs the same draws in a few seconds every time. At each draw both bases
+are built for N and for a smaller M, and the closed loop runs from real data.
+A construction may refuse a draw only with a RegimeError: the damped
+spectrum leaves the perturbative regime well inside (0, gamma_s(3 mu / 4))
+at large mu, and a law is uncontrollable when gamma is so small that its
+even-mode moments vanish. Any other exception fails the test.
+"""
+
+import time
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from test_spectral import grid_march_eigenvalues
+from watertank.errors import RegimeError
+from watertank.feedback import feedback_coefficients
+from watertank.model import Params, gamma_s_threshold
+from watertank.simulate import integrate_closed_loop, real_initial_datum
+from watertank.spectral import BcKind, build_basis, gram_matrix
+
+
+@st.composite
+def regime_points(draw):
+    mu = draw(st.floats(0.25, 8.0))
+    nu = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.05, 0.95))
+    p = Params(mu=mu, nu=nu, n_modes=draw(st.integers(1, 8)),
+               grid_points=draw(st.sampled_from([257, 513])))
+    gamma_s = gamma_s_threshold(p, 0.75 * mu)
+    return replace(p, gamma=draw(st.floats(0.0, gamma_s, exclude_min=True, exclude_max=True)))
+
+
+def check_family(p: Params, kind: BcKind):
+    """The family's identity, conjugate pairs, nesting and eigenvalues, or None if refused."""
+    N = p.n_modes
+    try:
+        basis = build_basis(p, kind, N)
+    except RegimeError:
+        return None
+    K = 2 * N + 1
+    partner = basis.values if kind is BcKind.CONSERVATIVE else basis.dual_values
+    assert np.max(np.abs(gram_matrix(basis.values, partner, basis.grid) - np.eye(K))) <= 1e-6
+    scale = np.max(np.abs(basis.values))
+    assert np.max(np.abs(basis.values[::-1] - np.conj(basis.values))) <= 1e-8 * scale
+    M = N // 2
+    rows = slice(N - M, N + M + 1)
+    small = build_basis(p, kind, M)
+    assert np.array_equal(small.eigenvalues, basis.eigenvalues[rows])
+    assert np.max(np.abs(small.values - basis.values[rows])) <= 1e-12 * scale
+    ref = grid_march_eigenvalues(p, kind, range(-N, N + 1))
+    assert np.max(np.abs(basis.eigenvalues - ref)) <= 1e-9
+    return basis
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(regime_points())
+def invariants_hold(p):
+    basis = check_family(p, BcKind.CONSERVATIVE)
+    check_family(p, BcKind.DAMPED)
+    assert basis is not None  # the conservative spectrum stays perturbative for |gamma| < 7/16
+    try:
+        law = feedback_coefficients(p, basis)
+    except RegimeError:
+        return
+    c0 = real_initial_datum(np.random.default_rng(3), p.n_modes)
+    traj = integrate_closed_loop(p, law, c0, t_final=2.0)
+    assert traj.mass_drift <= 1e-8
+    c = traj.coeffs.copy()
+    c[:, law.index(0)] += traj.zeta0
+    assert np.max(np.abs(c - np.conj(c[:, ::-1]))) <= 1e-10 * max(1.0, np.max(np.abs(c)))
+    assert np.max(np.abs(traj.control.imag)) <= 1e-10 * max(1.0, np.max(np.abs(traj.control)))
+
+
+def test_invariants_hold_across_the_regime():
+    t0 = time.perf_counter()
+    invariants_hold()
+    assert time.perf_counter() - t0 < 10.0

@@ -122,7 +122,7 @@ class TestClosedLoopPropagator:
         traj = integrate_closed_loop(self.P8, law, c0, zeta0_init=0.1, t_final=3.0)
         i0 = law.index(0)
         table_ext = np.append(law.table, law.table[i0])
-        force_ext = np.append(law.i_moments, law.nu)
+        force_ext = np.append(law.i_moments, law.params.nu)
         M = np.diag(np.append(-law.eigenvalues, 0.0)) + np.outer(force_ext, table_ext)
         ref = solve_ivp(lambda t, y: M @ y, (0.0, 3.0), np.append(c0, 0.1 + 0j),
                         method="DOP853", t_eval=traj.times, rtol=1e-12, atol=1e-14)
@@ -286,7 +286,7 @@ class TestTargetIntegration:
         c0 = np.zeros(21, dtype=complex)
         c0[bt.index(2)] = 1.0
         traj = integrate_target(p_synth, bt, c0, t_final=2.0, n_samples=60)
-        mu_t = bt.eigenvalue(2)
+        mu_t = bt.eigenvalues[bt.index(2)]
         expect = np.abs(np.exp(-mu_t * traj.times))
         got = np.abs(traj.coeffs[:, bt.index(2)])
         assert np.max(np.abs(got - expect)) < 1e-13
@@ -523,7 +523,7 @@ class TestDecayRateEstimate:
         c0[bt.index(1)] = 1.0
         traj = integrate_target(p_synth, bt, c0, t_final=2.0)
         rate, _ = decay_rate_estimate(traj, "l2")
-        assert rate == pytest.approx(bt.eigenvalue(1).real, abs=1e-3)
+        assert rate == pytest.approx(bt.eigenvalues[bt.index(1)].real, abs=1e-3)
 
     def test_window_too_small(self):
         traj = self._synthetic(1.0)

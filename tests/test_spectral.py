@@ -423,6 +423,12 @@ class TestBuildBasis:
         with pytest.raises(NumericalError, match="orthonormality failure .*raise grid_points"):
             build_basis(p, BcKind.CONSERVATIVE, 8)
 
+    def test_more_modes_than_samples_refused_before_shooting(self, monkeypatch):
+        monkeypatch.setattr(spectral, "find_eigenvalues", None)  # a search would raise TypeError
+        p = Params(gamma=0.03, n_modes=9, grid_points=17)
+        with pytest.raises(NumericalError, match=r"n_modes = 9 needs grid_points >= 2 n_modes \+ 1 = 19"):
+            build_basis(p, BcKind.CONSERVATIVE)
+
     def test_gamma0_gram_identity(self, p_gamma0, basis_cache):
         basis = basis_cache(p_gamma0, BcKind.CONSERVATIVE, 10)
         G = gram_matrix(basis.values, basis.values, basis.grid)
@@ -490,15 +496,16 @@ class TestBuildBasis:
     def test_eigenvalue_pairing(self, p_std, basis_cache):
         basis = basis_cache(p_std, BcKind.CONSERVATIVE, 20)
         for n in (1, 5, 20):
-            mu_p = basis.eigenvalue(n)
-            mu_m = basis.eigenvalue(-n)
+            mu_p = basis.eigenvalues[basis.index(n)]
+            mu_m = basis.eigenvalues[basis.index(-n)]
             assert abs(mu_m + mu_p) < 1e-10
             assert abs(mu_m - np.conj(mu_p)) < 1e-10
 
     def test_damped_conjugate_pairing(self, p_std, basis_cache):
         basis = basis_cache(p_std, BcKind.DAMPED, 10)
         for n in (1, 6):
-            assert abs(basis.eigenvalue(-n) - np.conj(basis.eigenvalue(n))) < 1e-9
+            ev = basis.eigenvalues
+            assert abs(ev[basis.index(-n)] - np.conj(ev[basis.index(n)])) < 1e-9
 
     def test_damped_real_part_band(self, p_std, basis_cache):
         basis = basis_cache(p_std, BcKind.DAMPED, 20)
