@@ -74,24 +74,23 @@ def _seed(text):
     return seed
 
 
-_COMMON_KEYS = {"seed": _seed, "outdir": str}
+# the keys each command reads, besides ``outdir``: the six that build Params take its fields
 _COMMAND_KEYS = {
-    "spectrum": {"modes": _int_list},
-    "controllability": {},
-    "feedback": {},
-    "simulate": {"open_loop": int, "law_file": str, "fit_window": _window},
-    "lyapunov": {"lam": float},
-    "steer": {"target": _target_map},
-    "finite-demo": {"count": int, "dim_max": int},
+    "spectrum": {**_PARAM_KEYS, "modes": _int_list},
+    "controllability": _PARAM_KEYS,
+    "feedback": _PARAM_KEYS,
+    "simulate": {**_PARAM_KEYS, "seed": _seed, "open_loop": int, "law_file": str,
+                 "fit_window": _window},
+    "lyapunov": {**_PARAM_KEYS, "lam": float},
+    "steer": {**_PARAM_KEYS, "target": _target_map},
+    "finite-demo": {"seed": _seed, "count": int, "dim_max": int},
     "report": {"criteria": _int_list},
 }
 
 
 def load_config(path, overrides, command):
-    """Merge a key=value file with command-line overrides; reject unknowns."""
-    allowed = dict(_PARAM_KEYS)
-    allowed.update(_COMMON_KEYS)
-    allowed.update(_COMMAND_KEYS.get(command, {}))
+    """Merge a key=value file with command-line overrides; reject keys the command does not read."""
+    allowed = {**_COMMAND_KEYS[command], "outdir": str}
     cfg = {}
 
     def absorb(key, value, origin):
@@ -132,8 +131,28 @@ def params_from_config(cfg) -> Params:
 _LAW_KEYS = ("L", "gamma", "mu", "nu", "n_modes", "grid_points")
 
 
+def _law_doc(law) -> dict:
+    """The ``law`` block of ``feedback.json``, which :func:`_read_law_table` reads back."""
+    return {
+        "mu_internal": law.params.mu,
+        "nu": law.params.nu,
+        "modes": [
+            {
+                "n": int(n),
+                "re": float(t.real),
+                "im": float(t.imag),
+                "tau_re": float(tau.real),
+                "tau_im": float(tau.imag),
+                "h_re": float(h.real),
+                "h_im": float(h.imag),
+            }
+            for n, t, tau, h in zip(law.n_list, law.table, law.tau, law.singular)
+        ],
+    }
+
+
 def _read_law_table(path, params: Params) -> np.ndarray:
-    """The modal table stored by ``watertank feedback`` in ``feedback.json``.
+    """The modal table :func:`_law_doc` stored in ``feedback.json``.
 
     The file's ``config`` must carry exactly the model parameters of this
     run: a table is only the law of the parameters it was built at.
@@ -165,13 +184,21 @@ def _outdir(cfg) -> Path:
     return out
 
 
-def _write_csv(path: Path, header, rows):
-    """Write numeric rows, one %-format per row: each value as ``%.17g``, so a
-    float keeps 17 significant digits and a mode index prints as itself."""
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+def _write_csv(path: Path, columns: dict):
+    """Write every CSV file of the CLI from named columns, each value as ``%.17g`` (a float keeps
+    all 17 digits, an integer index prints as itself). A complex column ``name`` is written as
+    ``re_name, im_name``, or as ``re, im`` when the name is empty."""
+    cols = {}
+    for name, col in columns.items():
+        if np.iscomplexobj(col):
+            sep = "_" if name else ""
+            cols.update({f"re{sep}{name}": col.real, f"im{sep}{name}": col.imag})
+        else:
+            cols[name] = col
+    line = ",".join(["%.17g"] * len(cols)) + "\n"
     with path.open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(row) for row in rows)
+        fh.write(",".join(cols) + "\n")
+        fh.writelines(line % tuple(row) for row in np.column_stack(list(cols.values())).tolist())
 
 
 def _write_json(path: Path, obj):
@@ -204,25 +231,16 @@ def cmd_spectrum(cfg) -> int:
     else:
         ev_c = find_eigenvalues(params, BcKind.CONSERVATIVE, n_list)
     ev_d = find_eigenvalues(params, BcKind.DAMPED, n_list)
-    rows_c = [
-        (int(n), float(e.real), float(e.imag), float(abs(e - s)))
-        for n, e, s in zip(n_list, ev_c, seeds)
-    ]
-    rows_d = [
-        (int(n), float(e.real), float(e.imag), float(abs(e - params.mu - s)))
-        for n, e, s in zip(n_list, ev_d, seeds)
-    ]
-    _write_csv(out / "spectrum_conservative.csv", ["n", "re", "im", "drift"], rows_c)
-    _write_csv(out / "spectrum_damped.csv", ["n", "re", "im", "drift"], rows_d)
+    d_c, d_d = ev_c - seeds, ev_d - params.mu - seeds
+    drift_c = np.hypot(d_c.real, d_c.imag)  # np.abs would round some drifts differently
+    _write_csv(out / "spectrum_conservative.csv", {"n": n_list, "": ev_c, "drift": drift_c})
+    _write_csv(out / "spectrum_damped.csv", {"n": n_list, "": ev_d, "drift": np.hypot(d_d.real, d_d.imag)})
     if wanted:
-        header = ["x"]
-        cols = [basis.grid]
+        cols = {"x": basis.grid}
         for n in wanted:
-            f1, f2 = basis.values[basis.index(n)]
-            header += [f"re_f1_{n}", f"im_f1_{n}", f"re_f2_{n}", f"im_f2_{n}"]
-            cols += [f1.real, f1.imag, f2.real, f2.imag]
-        _write_csv(out / "eigenfunctions.csv", header, np.column_stack(cols).tolist())
-    drift_max = max(r[3] for r in rows_c)
+            cols[f"f1_{n}"], cols[f"f2_{n}"] = basis.values[basis.index(n)]
+        _write_csv(out / "eigenfunctions.csv", cols)
+    drift_max = float(np.max(drift_c))
     summary = {
         "config": _config_echo(cfg, params),
         "tolerances": {"drift_bound": 0.25 / params.L},
@@ -241,23 +259,8 @@ def cmd_controllability(cfg) -> int:
     basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes)
     modes = w_modes(params, basis)
     report = controllability_report(params, basis, modes)
-    rows = [
-        (
-            int(n),
-            float(b.real), float(b.imag),
-            float(a.real), float(a.imag),
-            float(i.real), float(i.imag),
-            float(e.real), float(e.imag),
-        )
-        for n, b, a, i, e in zip(
-            report.n_list, report.b, report.a, report.i_mom, report.eigenvalues
-        )
-    ]
-    _write_csv(
-        out / "moments.csv",
-        ["n", "re_b", "im_b", "re_a", "im_a", "re_i", "im_i", "re_mu", "im_mu"],
-        rows,
-    )
+    _write_csv(out / "moments.csv", {"n": report.n_list, "b": report.b, "a": report.a,
+                                     "i": report.i_mom, "mu": report.eigenvalues})
     doc = {"config": _config_echo(cfg, params)}
     doc.update(report.to_dict())
     _write_json(out / "moment_report.json", doc)
@@ -277,11 +280,7 @@ def cmd_feedback(cfg) -> int:
     c, C = law.growth_window()
     n_cmp = min(10, params.n_modes)
     eig, targets, dist = target_distances(law, n_cmp)
-    _write_csv(
-        out / "closed_loop_spectrum.csv",
-        ["re", "im"],
-        [(float(e.real), float(e.imag)) for e in eig],
-    )
+    _write_csv(out / "closed_loop_spectrum.csv", {"": eig})
     doc = {
         "config": _config_echo(cfg, params),
         "tolerances": {"reality_symmetry": 1e-10, "relative_spectrum_distance": 0.1},
@@ -294,7 +293,7 @@ def cmd_feedback(cfg) -> int:
             "compared_modes": int(n_cmp),
         },
         "diagnostics": basis.diagnostics(),
-        "law": law.to_json_dict(),
+        "law": _law_doc(law),
         "physical": {
             "mu_phys": phys.mu_phys,
             "mu_internal": phys.mu_internal,
@@ -325,13 +324,12 @@ def cmd_simulate(cfg) -> int:
             law.table = table
     init = real_initial_datum(np.random.default_rng(cfg.get("seed", 0)), params.n_modes)
     traj = integrate_closed_loop(params, law, init)
-    header = (
-        ["t"]
-        + [f"abs_c_{int(n)}" for n in law.n_list]
-        + ["re_zeta0", "im_zeta0", "norm_l2", "norm_da", "re_mass", "im_mass",
-           "re_u", "im_u"]
-    )
-    _write_csv(out / "trajectory.csv", header, traj.csv_rows())
+    _write_csv(out / "trajectory.csv", {
+        "t": traj.times,
+        **{f"abs_c_{int(n)}": c for n, c in zip(law.n_list, np.abs(traj.coeffs).T)},
+        "zeta0": traj.zeta0, "norm_l2": traj.norm_l2, "norm_da": traj.norm_da,
+        "mass": traj.mass, "u": traj.control,
+    })
     window = cfg.get("fit_window")
     if window is None:
         b = min(15.0 / params.mu, params.t_final)
@@ -359,8 +357,8 @@ def cmd_lyapunov(cfg) -> int:
     if params.gamma >= gs:
         raise RegimeError(f"gamma = {params.gamma} >= gamma_s(lambda) = {gs:.6g}")
     cert = lyapunov_certificate(params, lam)
-    rows = np.column_stack([cert.grid, cert.eta, cert.xi, cert.theta1, cert.theta2]).tolist()
-    _write_csv(out / "eta_xi.csv", ["x", "eta", "xi", "theta1", "theta2"], rows)
+    _write_csv(out / "eta_xi.csv", {"x": cert.grid, "eta": cert.eta, "xi": cert.xi,
+                                    "theta1": cert.theta1, "theta2": cert.theta2})
     doc = {
         "config": _config_echo(cfg, params),
         "tolerances": {"eta_terminal": 1.0},
@@ -392,7 +390,8 @@ def cmd_steer(cfg) -> int:
     # amplitude, so no amplitude reaches the ends of the float range inside
     sig, traj, err, duals = steer(params, w_modes(params, basis),
                                   {n: v / scale for n, v in target.items()})
-    rows = [(t, float(re) * scale, float(im) * scale) for t, re, im in sig.to_csv_rows()]
+    with np.errstate(over="ignore"):  # a control past the float range is refused below
+        u = (sig.u.view(float) * scale).view(complex)  # a complex product would add 0 * the other part
     summary = {
         "config": _config_echo(cfg, params),
         "target": {str(k): v for k, v in target.items()},
@@ -402,10 +401,9 @@ def cmd_steer(cfg) -> int:
         "control_l2_norm": sig.l2_norm() * scale,
         "dual_gram_condition": duals.gram_condition,
     }
-    scaled = [summary["mass_drift"], summary["control_l2_norm"]] + [x for r in rows for x in r[1:]]
-    if not all(map(math.isfinite, scaled)):
+    if not (np.all(np.isfinite(u)) and math.isfinite(summary["mass_drift"] + summary["control_l2_norm"])):
         raise ConfigError(f"target amplitude {scale:g} puts the control past the float range")
-    _write_csv(out / "control.csv", ["t", "re_u", "im_u"], rows)
+    _write_csv(out / "control.csv", {"t": sig.t, "u": u})
     _write_json(out / "steer_summary.json", summary)
     return 0
 

@@ -262,10 +262,6 @@ class ControlSignal:
         w = simpson_weights(self.t)
         return math.sqrt(float(np.sum(w * np.abs(self.u) ** 2)))
 
-    def to_csv_rows(self):
-        for ti, ui in zip(self.t, self.u):
-            yield ti, ui.real, ui.imag
-
 
 def synthesize_open_loop(params: Params, modes: WModes, duals: DualBasis,
                          target: dict) -> ControlSignal:

@@ -90,24 +90,6 @@ class FeedbackLaw(ModeIndexed):
         g = np.abs(self.table) / (1.0 + np.abs(self.n_list))
         return float(np.min(g)), float(np.max(g))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mu_internal": self.params.mu,
-            "nu": self.params.nu,
-            "modes": [
-                {
-                    "n": int(n),
-                    "re": float(t.real),
-                    "im": float(t.imag),
-                    "tau_re": float(tau.real),
-                    "tau_im": float(tau.imag),
-                    "h_re": float(h.real),
-                    "h_im": float(h.imag),
-                }
-                for n, t, tau, h in zip(self.n_list, self.table, self.tau, self.singular)
-            ],
-        }
-
 
 def _tau(params: Params, basis: Basis) -> np.ndarray:
     """``tau_n = e^{int delta} f_{n,1}(L) / f_{n,1}(0) - 1``."""

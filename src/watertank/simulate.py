@@ -30,7 +30,7 @@ from watertank.model import (
     simpson_weights,
     uniform_grid,
 )
-from watertank.spectral import Basis, BcKind, WModes, gram_matrix, march, reflection, step_tables
+from watertank.spectral import Basis, BcKind, WModes, gram_matrix, reflection, shoot
 
 __all__ = [
     "Trajectory",
@@ -71,14 +71,6 @@ class Trajectory:
         if selector == "da":
             return self.norm_da
         raise ConfigError(f"unknown norm selector {selector!r}")
-
-    def csv_rows(self) -> list:
-        """One list of floats per record: t, |c_n|, zeta0, both norms, mass and control (re, im)."""
-        return np.column_stack([
-            self.times, np.abs(self.coeffs), self.zeta0.real, self.zeta0.imag,
-            self.norm_l2, self.norm_da, self.mass.real, self.mass.imag,
-            self.control.real, self.control.imag,
-        ]).tolist()
 
     @property
     def mass_drift(self) -> float:
@@ -384,7 +376,7 @@ def lyapunov_certificate(params: Params, lam: float) -> LyapunovCertificate:
     ``eta(0) = e^{-2(mu-lam)L}``; feasible iff eta exists on [0, L] with
     ``eta(L) <= 1``. The substitution ``eta = s e^{2 lam L} g1/g2``, with
     ``s`` the sign of gamma (so ``|delta|/3 = -s delta/3``), makes it the
-    linear shooting system of :func:`spectral.march` at the real parameter
+    linear shooting system of :func:`spectral.shoot` at the real parameter
     lam, seeded ``(eta(0), s e^{2 lam L})`` and marched one Filon–Magnus
     step per grid cell; eta blows up where g2 crosses zero. An
     ``e^{2 lam L}`` past the float range raises RegimeError. The closed-form
@@ -403,12 +395,11 @@ def lyapunov_certificate(params: Params, lam: float) -> LyapunovCertificate:
     grid = uniform_grid(params)
     eta0 = math.exp(-2.0 * (params.mu - lam) * params.L)
     sign = -1.0 if params.gamma < 0 else 1.0
-    xs = np.linspace(0.0, params.L, 2 * grid.size - 1)  # step ends and midpoints
     dmax = float(np.max(np.abs(delta(params, grid))))
     g = np.empty((grid.size, 2, 1), dtype=complex)
     g[0, :, 0] = eta0, sign * e2L
     with np.errstate(all="ignore"):
-        march(step_tables(xs, -delta(params, xs) / 3.0, [lam], grid[1]), g[0], g[1:])
+        shoot(params, lam, g[0, :, 0], grid.size - 1, g[1:])
         eta = sign * e2L * (g[:, 0, 0] / g[:, 1, 0]).real
         xi = eta0 + (dmax / (6.0 * lam)) * (e2L - np.exp(2.0 * lam * (params.L - grid)))
     ok = np.logical_and.accumulate((eta > 0) & (eta <= 1e6))  # up to the first blow-up

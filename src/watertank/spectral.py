@@ -20,8 +20,9 @@ grid, and returns their Richardson value ``b + (b - a)/15``. Only the store
 pass of :func:`build_basis` marches on the grid, one step per cell, and its
 residual checks that root. Every spectrum, this one and the closed loop's, is
 found by :func:`secant`, which never counts a non-finite residual as
-converged, and guarded by :func:`collision`. The same :func:`march`, at a real
-parameter, also solves the Lyapunov weight of ``simulate.lyapunov_certificate``.
+converged, and guarded by :func:`collision`. Every march over [0, L] is one
+:func:`shoot`; at a real parameter it also solves the Lyapunov weight of
+``simulate.lyapunov_certificate``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "build_basis",
     "w_modes",
     "kato_psi",
-    "j0_overlap",
     "first_order_perturbation",
     "reference_mode",
     "reflection",
@@ -55,6 +55,7 @@ __all__ = [
     "collision",
     "step_tables",
     "march",
+    "shoot",
 ]
 
 
@@ -176,54 +177,46 @@ def march(P, g, out=None):
     return g
 
 
-def _integrate(params: Params, lams, seed, nsteps=None):
-    """Batch shooting of the modulated system by the Filon–Magnus march.
+def shoot(params: Params, lams, seed, nsteps, out=None):
+    """March the modulated system over [0, L] from ``seed`` in ``nsteps`` Filon–Magnus steps.
 
-    Parameters
-    ----------
-    lams : array of complex
-        Shooting parameters (one integration per entry).
-    seed : complex 2-vector
-        Left boundary values (f1(0), f2(0)), shared by the batch.
-    nsteps : int or None
-        Magnus steps over [0, L]. None is the store pass: one step per grid
-        cell, which also samples f on the params grid and estimates its error.
-
-    Returns
-    -------
-    residuals : array (K,)
-        ``f1(L) + f2(L)`` per batch entry; in the store pass, relative to
-        ``max |f|``.
-    values : array (K, 2, nx), store pass only.
-    ode_err : array (K,), store pass only
-        ``max |f - f_coarse| / max |f|`` on the even grid nodes, against the
-        march at two cells per step.
+    One march per entry of ``lams``, all from the left boundary values ``seed``
+    (a 2-vector). The step table is built ``_BLOCK_STEPS`` steps at a time, which
+    bounds its memory at any step count. Returns the final (2, K) state; with
+    ``out`` (nsteps, 2, K), also stores the state after each step.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    store = nsteps is None
-    if store:
-        nsteps = params.grid_points - 1
     h = params.L / nsteps
     xs = np.linspace(0.0, params.L, 2 * nsteps + 1)  # step ends and midpoints
     c = -np.asarray(delta(params, xs)) / 3.0
     g = np.tile(np.asarray(seed, dtype=complex)[:, None], lams.size)  # (2, K)
-    if store:  # node-major samples (nx, 2, K), so each step writes one block
-        vals = np.empty((nsteps + 1, 2, lams.size), dtype=complex)
-        coarse = np.empty((nsteps // 2 + 1, 2, lams.size), dtype=complex)
-        vals[0] = coarse[0] = g
-        g_coarse = g
     for s0 in range(0, nsteps, _BLOCK_STEPS):
         s1 = min(s0 + _BLOCK_STEPS, nsteps)
         rows = slice(2 * s0, 2 * s1 + 1)
-        if store:  # the grid nodes are the ends and midpoints of the doubled steps
-            g_coarse = march(step_tables(xs[rows][::2], c[rows][::2], lams, 2.0 * h), g_coarse,
-                             coarse[s0 // 2 + 1:s1 // 2 + 1])
-        g = march(step_tables(xs[rows], c[rows], lams, h), g, vals[s0 + 1:s1 + 1] if store else None)
-    eL = np.exp(lams * params.L)
-    if not store:
-        return g[0] * eL + g[1] / eL
+        g = march(step_tables(xs[rows], c[rows], lams, h), g, None if out is None else out[s0:s1])
+    return g
 
-    residuals = vals[-1, 0] * eL + vals[-1, 1] / eL
+
+def _residual(params: Params, lams, seed, nsteps):
+    """Boundary residual ``f1(L) + f2(L)`` of the ``nsteps`` march, per entry of ``lams``."""
+    g = shoot(params, lams, seed, nsteps)
+    eL = np.exp(lams * params.L)
+    return g[0] * eL + g[1] / eL
+
+
+def _store_pass(params: Params, lams, seed):
+    """Sample the eigenfunctions at ``lams`` on the params grid, one march step per cell.
+
+    Returns the boundary residuals ``|f1(L) + f2(L)| / max |f|``, the (K, 2, nx)
+    samples and the ODE error ``max |f - f_coarse| / max |f|`` on the even grid
+    nodes, against the march at two cells per step.
+    """
+    nsteps = params.grid_points - 1
+    vals = np.empty((nsteps + 1, 2, lams.size), dtype=complex)  # node-major: each step writes one block
+    coarse = np.empty((nsteps // 2 + 1, 2, lams.size), dtype=complex)
+    vals[0] = coarse[0] = np.asarray(seed, dtype=complex)[:, None]
+    shoot(params, lams, seed, nsteps, vals[1:])
+    shoot(params, lams, seed, nsteps // 2, coarse[1:])
     # back to f variables: f1 = e^{lam x} g1, f2 = e^{-lam x} g2
     Eg = np.exp(np.outer(uniform_grid(params), lams))  # (nx, K)
     vals[:, 0] *= Eg
@@ -232,7 +225,7 @@ def _integrate(params: Params, lams, seed, nsteps=None):
     coarse[:, 1] /= Eg[::2]
     scale = np.max(np.abs(vals), axis=(0, 1))
     ode_err = np.max(np.abs(vals[::2] - coarse), axis=(0, 1)) / scale
-    return np.abs(residuals) / scale, np.ascontiguousarray(vals.transpose(2, 1, 0)), ode_err
+    return np.abs(vals[-1, 0] + vals[-1, 1]) / scale, np.ascontiguousarray(vals.transpose(2, 1, 0)), ode_err
 
 
 def secant(f, z_prev, z_cur, tol, max_step=np.inf, max_iter=14):
@@ -295,7 +288,7 @@ def find_eigenvalues(params: Params, kind: BcKind, n_range):
                               "gamma outside the perturbative regime")
 
     def search(lam_prev, lam_cur, nsteps):  # the step cap is a trust region: roots sit within 1/(2L) of seeds
-        lam, ok = secant(lambda lam: _integrate(params, lam, seed, nsteps), lam_prev, lam_cur,
+        lam, ok = secant(lambda lam: _residual(params, lam, seed, nsteps), lam_prev, lam_cur,
                          _SECANT_TOL, max_step=0.3 / params.L)
         if not np.all(ok):
             drift_guard(lam, ~ok)  # a failed search that wandered off is out of regime, not a numerical fault
@@ -437,7 +430,7 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
     n_list = np.arange(-N, N + 1)
     grid = uniform_grid(params)
     eigs = find_eigenvalues(params, kind, n_list)
-    bc_res, vals, ode_err = _integrate(params, eigs, _left_seed(kind, params))
+    bc_res, vals, ode_err = _store_pass(params, eigs, _left_seed(kind, params))
     bad = n_list[~(bc_res <= np.maximum(1e-9, ode_err))]  # the grid march checks the roots; nan fails
     if bad.size:
         raise NumericalError(f"boundary residual of the grid march exceeds max(1e-9, its ODE "
@@ -520,32 +513,19 @@ def kato_psi(params: Params, basis: Basis, n: int) -> np.ndarray:
     return modes.psi[modes.index(n)]
 
 
-def j0_overlap(n: int, k: int) -> complex:
-    """Closed-form ``<J0 psi_n^(0), psi_k^(0)>``; zero when |n| = |k|."""
-    if abs(n) == abs(k):
-        return 0.0 + 0.0j
-    return (
-        ((-1.0) ** (n + k) - 1.0)
-        / (1j * math.pi)
-        * (1.0 / (n - k) + (1.0 / 3.0) / (n + k))
-    )
-
-
 def _kato_series(params: Params, n: int, K: int):
     """Modes ``0 < |k-n| <= K`` and the coefficients of ``psi_n^(1)`` on them.
 
-    ``c_k = (3L/4) <J0 psi_n^(0), psi_k^(0)> / (i pi (k-n))``.
+    ``c_k = (3L/4) <J0 psi_n^(0), psi_k^(0)> / (i pi (k-n))``, with the overlap
+    in closed form: ``-(2/(i pi)) (1/(n-k) + (1/3)/(n+k))`` when n + k is odd,
+    and 0 when it is even, which covers |k| = |n|.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    ks = [k for k in range(n - K, n + K + 1) if k != n]
-    coefs = np.array(
-        [
-            (3.0 * params.L / 4.0) * j0_overlap(n, k) / (1j * math.pi * (k - n))
-            for k in ks
-        ]
-    )
-    return np.array(ks), coefs
+    ks = np.delete(np.arange(n - K, n + K + 1), K)
+    odd = (n + ks) % 2 == 1  # n + k = 0 is even, so the odd terms never divide by zero
+    overlap = (-2.0 / (1j * math.pi)) * (1.0 / (n - ks) + (1.0 / 3.0) / np.where(odd, n + ks, 1))
+    return ks, np.where(odd, (3.0 * params.L / 4.0) * overlap / (1j * math.pi * (ks - n)), 0.0)
 
 
 def first_order_perturbation(params: Params, n: int, K: int = 2000) -> np.ndarray:

@@ -10,6 +10,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from watertank import acceptance, cli, spectral
@@ -25,6 +26,19 @@ FAST = [
 
 def run(args, tmp_path):
     return main(args + ["--set", f"outdir={tmp_path}"])
+
+
+def test_write_csv_columns(tmp_path):
+    path = tmp_path / "x.csv"
+    # a complex column splits into re_/im_ columns, an unnamed one into re, im;
+    # an integer index prints as itself and -0.0 keeps its sign
+    cli._write_csv(path, {"n": np.array([-3, 0]), "x": np.array([1 + 2j, complex(-0.0, -0.5)]),
+                          "": np.array([complex(0.1, -0.0), 2.0]), "y": np.array([-0.0, 1 / 3])})
+    assert path.read_text() == (
+        "n,re_x,im_x,re,im,y\n"
+        "-3,1,2,0.10000000000000001,-0,-0\n"
+        "0,-0,-0.5,2,0,0.33333333333333331\n"
+    )
 
 
 class TestConfigHandling:
@@ -51,6 +65,18 @@ class TestConfigHandling:
         code = run(["spectrum", "--set", "gamma=abc"], tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "command, key",
+        [(c, k) for c in ("report", "finite-demo") for k in cli._PARAM_KEYS]
+        + [(c, "seed") for c in sorted(set(cli._COMMANDS) - {"simulate", "finite-demo"})],
+    )
+    def test_key_of_no_use_to_the_command_rejected(self, command, key, tmp_path, capsys):
+        # report and finite-demo build no Params; only simulate and finite-demo draw from a seed
+        code = run([command, "--set", f"{key}=1"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"unknown configuration key {key!r}" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     def test_format_is_unknown(self, command, tmp_path, capsys):
         code = run([command, "--set", "format=x"], tmp_path)
@@ -59,35 +85,36 @@ class TestConfigHandling:
         assert "unknown configuration key 'format'" in err and err.count("\n") == 1
 
 
+# each case with a text its message must hold: its own key or value
+BAD_INPUT = [
+    (["lyapunov", "--set", "lam=5"], "lambda must lie in (0, mu)"),
+    (["steer", "--set", "gamma=0.05", "--set", "target=1"], "'target': '1'"),
+    (["steer", "--set", "gamma=0.05", "--set", "target=9:1.0"], "target modes [9]"),
+    (["steer", "--set", "gamma=0.05", "--set", "target=1:nan"], "'target': '1:nan'"),
+    (["spectrum", "--set", "modes=x"], "'modes': 'x'"),
+    (["spectrum", "--set", "modes=0,9"], "modes [0, 9]"),
+    (["simulate", "--set", "law_file={tmp}/missing.json"], "missing.json"),
+    (["simulate", "--set", "law_file={tmp}/nan_law.json"], "nan_law.json has non-finite"),
+    (["simulate", "--set", "law_file={tmp}/run.cfg"], "run.cfg"),
+    (["simulate", "--set", "fit_window=1"], "'fit_window': '1'"),
+    (["report", "--set", "criteria=13"], "unknown criteria [13]"),
+    (["spectrum", "--config", "{tmp}/missing.cfg"], "missing.cfg"),
+    (["finite-demo", "--set", "count=0"], "count >= 1"),
+    (["finite-demo", "--set", "dim_max=1"], "dim_max must lie in 2..12, got 1"),
+    (["finite-demo", "--set", "dim_max=13", "--set", "count=1"], "got 13"),
+    (["finite-demo", "--set", "seed=-1"], "'seed': '-1'"),
+    (["simulate", "--set", "seed=-1"], "'seed': '-1'"),
+    (["simulate", "--set", "law_file={tmp}/law.json", "--set", "gamma=0.045"], "gamma = 0.03, not 0.045"),
+    (["simulate", "--set", "law_file={tmp}/law.json", "--set", "mu=3"], "mu = 2.0, not 3.0"),
+    (["spectrum", "--set", "ode_tol=1e-9"], "'ode_tol'"),
+    (["steer", "--set", "gamma=0.05", "--set", "target=1:0"], "every target amplitude is zero"),
+    (["steer", "--set", "gamma=0.05", "--set", "target=1:1.7e308"], "1.7e+308"),
+]
+
+
 class TestBadInput:
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["lyapunov", "--set", "lam=5"],
-            ["steer", "--set", "gamma=0.05", "--set", "target=1"],
-            ["steer", "--set", "gamma=0.05", "--set", "target=9:1.0"],
-            ["steer", "--set", "gamma=0.05", "--set", "target=1:nan"],
-            ["spectrum", "--set", "modes=x"],
-            ["spectrum", "--set", "modes=0,9"],
-            ["simulate", "--set", "law_file={tmp}/missing.json"],
-            ["simulate", "--set", "law_file={tmp}/nan_law.json"],
-            ["simulate", "--set", "law_file={tmp}/run.cfg"],
-            ["simulate", "--set", "fit_window=1"],
-            ["report", "--set", "criteria=13"],
-            ["spectrum", "--config", "{tmp}/missing.cfg"],
-            ["finite-demo", "--set", "count=0"],
-            ["finite-demo", "--set", "dim_max=1"],
-            ["finite-demo", "--set", "dim_max=13", "--set", "count=1"],
-            ["finite-demo", "--set", "seed=-1"],
-            ["simulate", "--set", "seed=-1"],
-            ["simulate", "--set", "law_file={tmp}/law.json", "--set", "gamma=0.045"],
-            ["simulate", "--set", "law_file={tmp}/law.json", "--set", "mu=3"],
-            ["spectrum", "--set", "ode_tol=1e-9"],
-            ["steer", "--set", "gamma=0.05", "--set", "target=1:0"],
-            ["steer", "--set", "gamma=0.05", "--set", "target=1:1.7e308"],
-        ],
-    )
-    def test_exit2_with_one_line(self, args, tmp_path, capsys):
+    @pytest.mark.parametrize("args, named", BAD_INPUT, ids=[f"args{i}" for i in range(len(BAD_INPUT))])
+    def test_exit2_with_one_line(self, args, named, tmp_path, capsys):
         # both law files carry the config of a run at the FAST defaults
         config = {"L": 1.0, "gamma": 0.03, "mu": 2.0, "nu": 0.5, "n_modes": 4,
                   "grid_points": 257}
@@ -97,10 +124,12 @@ class TestBadInput:
             (tmp_path / name).write_text(json.dumps({"config": config, "law": {"modes": modes}}))
         (tmp_path / "run.cfg").write_text("gamma = 0.03\n")
         args = [a.replace("{tmp}", str(tmp_path)) for a in args]
-        code = run(args + FAST, tmp_path)
+        # report and finite-demo take no model key: FAST would stop them at the key check
+        code = run(args + (FAST if "n_modes" in cli._COMMAND_KEYS[args[0]] else []), tmp_path)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert named in err  # the case's own check refused it, not the key check
 
     @pytest.mark.parametrize("command", ["spectrum", "feedback"])
     @pytest.mark.parametrize("key", [k for k, kind in cli._PARAM_KEYS.items() if kind is float])
@@ -317,7 +346,11 @@ class TestSimulateCommand:
         monkeypatch.setattr(cli, "integrate_closed_loop", recording)
         assert run(["simulate", "--set", "gamma=0.03"] + FAST, tmp_path) == 0
         lines = (tmp_path / "trajectory.csv").read_text().splitlines(keepends=True)
-        rows = trajs[0].csv_rows()
+        tr = trajs[0]
+        rows = np.column_stack([
+            tr.times, np.abs(tr.coeffs), tr.zeta0.real, tr.zeta0.imag, tr.norm_l2, tr.norm_da,
+            tr.mass.real, tr.mass.imag, tr.control.real, tr.control.imag,
+        ]).tolist()
         assert len(lines) == 1 + len(rows) and lines[0].count(",") == len(rows[0]) - 1
         assert lines[1:] == [",".join(f"{v:.17g}" for v in row) + "\n" for row in rows]
 

@@ -11,18 +11,18 @@ from watertank.spectral import (
     BcKind,
     _cosh_sinhc,
     _filon_moments,
-    _integrate,
     _kato_series,
     _left_seed,
+    _residual,
     _seed_eigenvalues,
     _sinh_minus,
+    _store_pass,
     adjoint_values,
     build_basis,
     collision,
     find_eigenvalues,
     first_order_perturbation,
     gram_matrix,
-    j0_overlap,
     kato_psi,
     march,
     pairings,
@@ -81,6 +81,17 @@ def shoot(params: Params, kind: BcKind, lam) -> complex:
     roots in ``lam`` are the operator eigenvalues.
     """
     return complex(rk4_residuals(params, kind, [lam])[0])
+
+
+def j0_overlap(n: int, k: int) -> complex:
+    """Closed-form ``<J0 psi_n^(0), psi_k^(0)>``, one pair at a time; zero when |n| = |k|."""
+    if abs(n) == abs(k):
+        return 0.0 + 0.0j
+    return (
+        ((-1.0) ** (n + k) - 1.0)
+        / (1j * math.pi)
+        * (1.0 / (n - k) + (1.0 / 3.0) / (n + k))
+    )
 
 
 def l1_boundary(params: Params, n: int, K: int = 2000) -> complex:
@@ -171,8 +182,8 @@ class TestMarch:
 
     @pytest.mark.parametrize("kind", list(BcKind))
     def test_blocked_tables_match_whole_table(self, kind):
-        # the integrator builds its step table _BLOCK_STEPS steps at a time;
-        # marching block after block is the march over the whole table
+        # shoot builds its step table _BLOCK_STEPS steps at a time; marching
+        # block after block is the march over the whole table
         p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=3, grid_points=2049)
         nsteps = p.grid_points - 1
         assert nsteps > 2 * spectral._BLOCK_STEPS
@@ -180,11 +191,28 @@ class TestMarch:
         (g1, g2), ref = magnus_two_arrays(whole_table(p, lams, nsteps), _left_seed(kind, p))
         seed = _left_seed(kind, p)
         eL = np.exp(lams * p.L)
-        assert np.array_equal(_integrate(p, lams, seed, nsteps), g1 * eL + g2 / eL)
+        assert np.array_equal(spectral.shoot(p, lams, seed, nsteps), np.stack([g1, g2]))
+        assert np.array_equal(_residual(p, lams, seed, nsteps), g1 * eL + g2 / eL)
         Eg = np.exp(np.outer(lams, uniform_grid(p)))
         ref[:, 0, :] *= Eg
         ref[:, 1, :] /= Eg
-        assert np.array_equal(_integrate(p, lams, seed)[1], ref)
+        assert np.array_equal(_store_pass(p, lams, seed)[1], ref)
+
+    def test_lyapunov_weight_is_one_piece_march(self):
+        # the certificate's eta is the march over the whole table, bit for bit
+        from watertank.simulate import lyapunov_certificate
+
+        p = Params(gamma=0.05, mu=2.0, nu=0.5, grid_points=2049)
+        lam = 1.0
+        assert p.grid_points - 1 > 2 * spectral._BLOCK_STEPS
+        e2L = math.exp(2.0 * lam * p.L)
+        g0 = np.array([[math.exp(-2.0 * (p.mu - lam) * p.L)], [e2L]], dtype=complex)
+        g = np.empty((p.grid_points, 2, 1), dtype=complex)
+        g[0] = g0
+        march(whole_table(p, [lam], p.grid_points - 1), g0, g[1:])
+        cert = lyapunov_certificate(p, lam)
+        assert cert.feasible
+        assert np.array_equal(cert.eta, e2L * (g[:, 0, 0] / g[:, 1, 0]).real)
 
     @pytest.mark.parametrize("lam", [0.3 + 2.0j, 2.0 + 40.0j, 1.5])
     def test_step_is_exponential_of_magnus_exponent(self, lam):
@@ -220,7 +248,7 @@ class TestMarch:
         p = Params(gamma=0.1, mu=2.0, nu=0.5, grid_points=257)
         lams = _seed_eigenvalues(kind, p, [1, 5, 12]) + 0.05
         ref = rk4_residuals(p, kind, lams, nsteps=8192)
-        errs = [np.abs(_integrate(p, lams, _left_seed(kind, p), n) - ref) for n in (32, 64)]
+        errs = [np.abs(_residual(p, lams, _left_seed(kind, p), n) - ref) for n in (32, 64)]
         ratio = errs[0] / errs[1]
         assert np.all((ratio > 12.0) & (ratio < 20.0)), ratio
 
@@ -536,6 +564,16 @@ class TestPerturbationSeries:
     def test_overlap_vanishes_on_diagonal(self):
         assert j0_overlap(3, 3) == 0
         assert j0_overlap(3, -3) == 0
+
+    @pytest.mark.parametrize("n", [0, 1, -4, 7])
+    def test_series_coefficients_match_overlap(self, n):
+        # the vectorized closed form gives each pair's scalar overlap coefficient
+        p = Params(gamma=0.05, mu=2.0, nu=0.5, grid_points=129)
+        ks, coefs = _kato_series(p, n, 300)
+        assert ks.tolist() == [k for k in range(n - 300, n + 301) if k != n]
+        ref = np.array([(3.0 * p.L / 4.0) * j0_overlap(n, k) / (1j * math.pi * (k - n)) for k in ks])
+        assert np.array_equal(coefs == 0, ref == 0)
+        np.testing.assert_allclose(coefs, ref, rtol=1e-15, atol=0)
 
     def test_overlap_closed_form_spot(self, p_gamma0):
         # quadrature cross-check of the closed-form inner product
