@@ -10,10 +10,11 @@ of its characteristic equation, with the law's tail beyond N summed in
 closed form. The N-mode Galerkin matrix alone misses the targets by up to
 0.94 (its details keep those values) because the law's products
 ``table[n] <I_nu, f_n>`` do not decay. Criterion 9 stays red: the
-integrator propagates that Galerkin matrix, whose weakly damped edge modes
-hold generic decay fits near 0.5, and even without them the closed loop's
-norm oscillates within each round trip, so its logarithm is not linear
-enough for the R^2 > 0.98 clause. Both report the causes in their details.
+integrator records the closed loop as ``y = c + zeta0 e_0`` by that
+Galerkin matrix, whose weakly damped edge modes hold generic decay fits
+near 0.5, and even without them the closed loop's norm oscillates within
+each round trip, so its logarithm is not linear enough for the R^2 > 0.98
+clause. Both report the causes in their details.
 """
 
 from __future__ import annotations

@@ -41,7 +41,6 @@ __all__ = [
 class TransformMatrix(ModeIndexed):
     """Backstepping transform in modal coordinates, with conditioning data."""
 
-    params: Params
     n_list: np.ndarray
     entries: np.ndarray          # (P, N) = (target mode p, source mode n)
     eigenvalues: np.ndarray      # mu_n (source)
@@ -79,7 +78,7 @@ def build_transform(params: Params, basisA: Basis, basisAtilde: Basis,
     sv = np.linalg.svd(wt @ G @ wsrc, compute_uv=False)
     cond = float(sv[0] / sv[-1])
     return TransformMatrix(
-        params=params, n_list=basisA.n_list.copy(), entries=G,
+        n_list=basisA.n_list.copy(), entries=G,
         eigenvalues=basisA.eigenvalues.copy(),
         target_eigenvalues=basisAtilde.eigenvalues.copy(),
         i_nu_target_moments=itld, weighted_condition=cond, law=law,
@@ -99,13 +98,12 @@ def dirichlet_sum(basisA: Basis, g) -> complex:
 def galerkin_spectrum(law: FeedbackLaw) -> np.ndarray:
     """Eigenvalues of the N-mode Galerkin matrix, sorted by imag part.
 
-    ``M[m, n] = -mu_n delta_mn + <I_nu, f_m> table[n]`` is the generator
-    ``integrate_closed_loop`` propagates. Truncating the law at |n| <= N
-    displaces its eigenvalues by O(|p|/N) from the targets and leaves
-    weakly damped edge modes (Re ~ -0.26 at N = 41).
+    ``law.galerkin_matrix()`` is the generator ``integrate_closed_loop``
+    records the closed loop by. Truncating the law at |n| <= N displaces its
+    eigenvalues by O(|p|/N) from the targets and leaves weakly damped edge
+    modes (Re ~ -0.26 at N = 41).
     """
-    M = np.diag(-law.eigenvalues) + np.outer(law.i_nu_moments, law.table)
-    eig = np.linalg.eigvals(M)
+    eig = np.linalg.eigvals(law.galerkin_matrix())
     return eig[np.argsort(eig.imag)]
 
 

@@ -184,10 +184,14 @@ def _outdir(cfg) -> Path:
     return out
 
 
+_CSV_BLOCK_ROWS = 4096
+
+
 def _write_csv(path: Path, columns: dict):
     """Write every CSV file of the CLI from named columns, each value as ``%.17g`` (a float keeps
     all 17 digits, an integer index prints as itself). A complex column ``name`` is written as
-    ``re_name, im_name``, or as ``re, im`` when the name is empty."""
+    ``re_name, im_name``, or as ``re, im`` when the name is empty. Rows are formatted
+    ``_CSV_BLOCK_ROWS`` at a time, so a long file never holds all its rows as Python lists."""
     cols = {}
     for name, col in columns.items():
         if np.iscomplexobj(col):
@@ -196,9 +200,12 @@ def _write_csv(path: Path, columns: dict):
         else:
             cols[name] = col
     line = ",".join(["%.17g"] * len(cols)) + "\n"
+    data = list(cols.values())
     with path.open("w") as fh:
         fh.write(",".join(cols) + "\n")
-        fh.writelines(line % tuple(row) for row in np.column_stack(list(cols.values())).tolist())
+        for i in range(0, len(data[0]), _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[i:i + _CSV_BLOCK_ROWS] for c in data])
+            fh.writelines(line % tuple(row) for row in block.tolist())
 
 
 def _write_json(path: Path, obj):
@@ -443,6 +450,9 @@ def cmd_report(cfg) -> int:
         unknown = sorted(set(wanted) - set(acceptance.CRITERIA))
         if unknown:
             raise ConfigError(f"unknown criteria {unknown}")
+        repeated = sorted({c for c in wanted if wanted.count(c) > 1})
+        if repeated:
+            raise ConfigError(f"repeated criteria {repeated}")
     results = acceptance.run_all(wanted)
     doc = {
         "criteria": [r.to_dict() for r in results],

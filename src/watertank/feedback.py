@@ -74,11 +74,15 @@ class FeedbackLaw(ModeIndexed):
     n_list: np.ndarray
     table: np.ndarray          # <f_n, F>, applied linearly to coefficients
     i_nu_moments: np.ndarray   # <I_nu, f_n>
-    i_moments: np.ndarray      # <I, f_n>
     eigenvalues: np.ndarray
     tau: np.ndarray            # tau_n = e^{int delta} f1(L)/f1(0) - 1
     singular: np.ndarray       # h_n
     basis: Basis
+
+    def galerkin_matrix(self) -> np.ndarray:
+        """``M = diag(-mu_n) + outer(<I_nu, f_n>, table)``: the N-mode closed loop is ``y' = M y``
+        in ``y = c + zeta0 e_0`` (zeta0 in mode 0), with the control ``u = table . y``."""
+        return np.diag(-self.eigenvalues) + np.outer(self.i_nu_moments, self.table)
 
     def reality_defect(self) -> float:
         """``max |table[-n] - conj table[n]| / |table[n]|``, n = 0..N: 0 when real states get real controls."""
@@ -123,18 +127,17 @@ def feedback_coefficients(params: Params, basis: Basis) -> FeedbackLaw:
     h = math.tanh(params.mu * L) * f1_0 * basis.eigenvalues / tau
     return FeedbackLaw(
         params=params, n_list=basis.n_list.copy(), table=table,
-        i_nu_moments=inu_m, i_moments=i_moments(params, basis),
-        eigenvalues=basis.eigenvalues.copy(), tau=tau, singular=h, basis=basis,
+        i_nu_moments=inu_m, eigenvalues=basis.eigenvalues.copy(), tau=tau, singular=h,
+        basis=basis,
     )
 
 
 def zero_law(params: Params, basis: Basis) -> FeedbackLaw:
     """A zero-table law carrying the basis moments: drives the open loop."""
-    i_m = i_moments(params, basis)
     zeros = np.zeros(basis.n_list.size, dtype=complex)
     return FeedbackLaw(
         params=params, n_list=basis.n_list.copy(), table=zeros,
-        i_nu_moments=i_m.copy(), i_moments=i_m, eigenvalues=basis.eigenvalues.copy(),
+        i_nu_moments=i_moments(params, basis), eigenvalues=basis.eigenvalues.copy(),
         tau=_tau(params, basis), singular=zeros.copy(), basis=basis,
     )
 

@@ -3,10 +3,12 @@
 The modal closed loop and the open-loop w-system are both linear with
 constant coefficients, so both are recorded through one exact propagator,
 the matrix exponential of their generator over one record step; there is no
-step size to choose. The open-loop control is a sum of exponentials, which
-enter as extra states ``v' = diag(rates) v`` with ``u = sum v``. The
-recorded mass is linear in the modal coefficients, so it is one dot product
-with the per-mode masses.
+step size to choose. The closed loop is recorded as ``y = c + zeta0 e_0``
+(the dynamic-extension scalar in mode 0) by the Galerkin matrix that
+``backstepping.galerkin_spectrum`` analyses. The open-loop control is a
+sum of exponentials, which enter as extra states ``v' = diag(rates) v``
+with ``u = sum v``. The recorded mass is linear in the modal coefficients,
+so it is one dot product with the per-mode masses.
 
 A first-order upwind scheme provides the independent cross-check path for
 the same systems on the spatial grid.
@@ -55,8 +57,6 @@ RECORD_INTERVALS = 500  # closed-loop records per run, after the initial state
 class Trajectory:
     """Recorded modal time series with derived norms and the mass invariant."""
 
-    params: Params
-    n_list: np.ndarray
     times: np.ndarray
     coeffs: np.ndarray          # (nt, K) state coefficients
     zeta0: np.ndarray           # (nt,) dynamic-extension scalar (0 if unused)
@@ -97,6 +97,8 @@ def _expm(A):
     A8 = A4 @ A4
     d6, d8, d10 = (np.linalg.norm(X, 1) ** (1.0 / k) for X, k in ((A6, 6), (A8, 8), (A4 @ A6, 10)))
     eta = min(max(d6, d8), max(d8, d10))
+    if not math.isfinite(eta):  # the powers of A overflow, and so would e^A
+        return np.full(A.shape, np.nan, dtype=A.dtype)
     s = max(math.ceil(math.log2(eta / 4.25)), 0) if eta > 0 else 0
     X = np.abs(A) * 2.0 ** -s
     v = np.ones(A.shape[0])
@@ -174,19 +176,16 @@ def integrate_closed_loop(params: Params, law: FeedbackLaw, init,
     """Closed-loop propagation of the virtual-extended modal system.
 
     State: zeta coefficients over |n| <= N (mode 0 must start at zero: the
-    physical mass constraint) plus the dynamic-extension scalar zeta0. The
-    control value is ``u = sum c_n table[n] + zeta0 table[0]``; the zeta
-    modes are forced through the physical profile moments <I, f_n> while
-    ``zeta0' = nu u`` carries the virtual direction. A zero-table law (see
-    feedback.zero_law) yields the open-loop skew system.
-
-    The extended system is linear with constant coefficients, ``y' = M y``
-    with ``M = diag(-mu_n, 0) + (<I, f_n>, nu) (table, table[0])``, so the
-    state is recorded at ``RECORD_INTERVALS`` equal steps of ``t_final`` by
-    the exact propagator ``_expm(M t_final / RECORD_INTERVALS)``.
+    physical mass constraint) plus the dynamic-extension scalar zeta0. As
+    ``mu_0`` and ``<I, f_0>`` vanish, the mode-0 coefficient stays zero and
+    ``y = c + zeta0 e_0`` obeys the Galerkin system ``y' = M y`` of
+    ``law.galerkin_matrix()``, with ``u = table . y``. The run records y at
+    ``RECORD_INTERVALS`` equal steps of ``t_final`` by the exact propagator
+    ``_expm(M t_final / RECORD_INTERVALS)``; zeta0 is its mode 0 and the
+    coefficients are the rest. A zero-table law (see feedback.zero_law)
+    yields the open-loop skew system.
     """
-    n_list = law.n_list
-    K = n_list.size
+    K = law.n_list.size
     init = np.asarray(init, dtype=complex)
     if init.shape != (K,):
         raise ConfigError(f"init must have shape ({K},)")
@@ -196,19 +195,15 @@ def integrate_closed_loop(params: Params, law: FeedbackLaw, init,
     if t_final is None:
         t_final = params.t_final
 
-    eigs = law.eigenvalues
-    table_ext = np.concatenate([law.table, [law.table[i0]]])
-    force_ext = np.concatenate([law.i_moments, [law.params.nu]])
-    M = np.diag(np.concatenate([-eigs, [0.0]])) + np.outer(force_ext, table_ext)
-    times, y = _propagate(M, np.concatenate([init, [zeta0_init]]), t_final, RECORD_INTERVALS)
-
-    coeffs, zeta0 = y[:, :K], y[:, K]
-    zc = coeffs.copy()
-    zc[:, i0] += zeta0
+    y0 = init.copy()
+    y0[i0] = zeta0_init
+    times, y = _propagate(law.galerkin_matrix(), y0, t_final, RECORD_INTERVALS)
+    coeffs = y.copy()
+    coeffs[:, i0] = 0.0
     masses = _mode_masses(params, law.basis.values, diagonal_weight(params, law.basis.grid))
     return Trajectory(
-        params=params, n_list=n_list.copy(), times=times, coeffs=coeffs, zeta0=zeta0,
-        **_norms(zc, eigs), mass=coeffs @ masses, control=y @ table_ext,
+        times=times, coeffs=coeffs, zeta0=y[:, i0], **_norms(y, law.eigenvalues),
+        mass=coeffs @ masses, control=y @ law.table,
     )
 
 
@@ -227,9 +222,8 @@ def integrate_target(params: Params, basis: Basis, init, t_final=None,
     coeffs = init[None, :] * np.exp(-np.outer(times, basis.eigenvalues))
     zeros = np.zeros(times.size, dtype=complex)
     return Trajectory(
-        params=params, n_list=basis.n_list.copy(), times=times, coeffs=coeffs,
-        zeta0=zeros, **_norms(coeffs, basis.eigenvalues), mass=zeros.copy(),
-        control=zeros.copy(),
+        times=times, coeffs=coeffs, zeta0=zeros, **_norms(coeffs, basis.eigenvalues),
+        mass=zeros.copy(), control=zeros.copy(),
     )
 
 
@@ -247,8 +241,7 @@ def integrate_open_loop_w(params: Params, modes: WModes, control: ControlSignal,
     coefficients -- a genuine cross-check of the conserved-weight closed
     form against the modal data.
     """
-    n_list = modes.n_list
-    K = n_list.size
+    K = modes.n_list.size
     init = np.asarray(init, dtype=complex)
     if init.shape != (K,):
         raise ConfigError(f"init must have shape ({K},)")
@@ -264,7 +257,7 @@ def integrate_open_loop_w(params: Params, modes: WModes, control: ControlSignal,
     coeffs = y[:, :K]
     zeros = np.zeros(times.size, dtype=complex)
     return Trajectory(
-        params=params, n_list=n_list.copy(), times=times, coeffs=coeffs, zeta0=zeros,
+        times=times, coeffs=coeffs, zeta0=zeros,
         **_norms(coeffs, modes.eigenvalues), mass=coeffs @ _mode_masses(params, modes.psi),
         control=y[:, K:].sum(axis=1),
     )
@@ -358,7 +351,6 @@ def fd_simulate(params: Params, init: np.ndarray, kind: BcKind, t_final,
 class LyapunovCertificate:
     """Weight data certifying exponential decay of the target system."""
 
-    lam: float
     grid: np.ndarray
     eta: np.ndarray
     xi: np.ndarray
@@ -408,7 +400,7 @@ def lyapunov_certificate(params: Params, lam: float) -> LyapunovCertificate:
     feasible = blowup is None and eta[-1] <= 1.0 + 1e-12
     theta2 = eta * np.exp(2.0 * lam * (grid - params.L)) if feasible else np.full(grid.size, np.nan)
     return LyapunovCertificate(
-        lam=lam, grid=grid, eta=eta, xi=xi, feasible=feasible,
+        grid=grid, eta=eta, xi=xi, feasible=feasible,
         eta_below_xi=bool(np.all(eta <= xi + 1e-12)),
         theta1=1.0 / theta2, theta2=theta2, blowup_x=blowup,
     )

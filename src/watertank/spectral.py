@@ -328,7 +328,6 @@ class Basis(ModeIndexed):
     so the cross-Gram is the identity.
     """
 
-    params: Params
     kind: BcKind
     n_list: np.ndarray
     eigenvalues: np.ndarray
@@ -460,7 +459,7 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
             dual_values = phi * np.conj(1.0 / q)[:, None, None]
             check_identity(gram_matrix(vals, dual_values, grid), "biorthonormality")
     return Basis(
-        params=params, kind=kind, n_list=n_list, eigenvalues=eigs, grid=grid,
+        kind=kind, n_list=n_list, eigenvalues=eigs, grid=grid,
         values=vals, dual_values=dual_values,
         bc_residuals=bc_res, ode_residuals=ode_err,
     )
@@ -476,7 +475,6 @@ class WModes(ModeIndexed):
     in the bilinear 1/(2L) pairing.
     """
 
-    params: Params
     n_list: np.ndarray
     eigenvalues: np.ndarray
     grid: np.ndarray
@@ -502,8 +500,8 @@ def w_modes(params: Params, basis: Basis) -> WModes:
     psi = psi_raw / pairings(psi_raw, refs, grid)[:, None, None]
     chi = chi_raw / pairings(chi_raw, refs, grid, conjugate=False)[:, None, None]
     return WModes(
-        params=params, n_list=basis.n_list.copy(),
-        eigenvalues=basis.eigenvalues.copy(), grid=grid, psi=psi, chi=chi,
+        n_list=basis.n_list.copy(), eigenvalues=basis.eigenvalues.copy(), grid=grid,
+        psi=psi, chi=chi,
     )
 
 

@@ -41,6 +41,18 @@ def test_write_csv_columns(tmp_path):
     )
 
 
+def test_write_csv_in_blocks(tmp_path):
+    # more rows than one block: the same bytes as formatting row by row
+    rows = 2 * cli._CSV_BLOCK_ROWS + 7
+    rng = np.random.default_rng(1)
+    x, z = rng.standard_normal(rows), rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    path = tmp_path / "x.csv"
+    cli._write_csv(path, {"k": np.arange(rows), "x": x, "z": z})
+    want = "k,x,re_z,im_z\n" + "".join(
+        "%.17g,%.17g,%.17g,%.17g\n" % (k, x[k], z[k].real, z[k].imag) for k in range(rows))
+    assert path.read_text() == want
+
+
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         code = run(["spectrum", "--set", "bogus_key=1"], tmp_path)
@@ -109,6 +121,7 @@ BAD_INPUT = [
     (["spectrum", "--set", "ode_tol=1e-9"], "'ode_tol'"),
     (["steer", "--set", "gamma=0.05", "--set", "target=1:0"], "every target amplitude is zero"),
     (["steer", "--set", "gamma=0.05", "--set", "target=1:1.7e308"], "1.7e+308"),
+    (["report", "--set", "criteria=11,11"], "repeated criteria [11]"),
 ]
 
 
@@ -314,13 +327,18 @@ class TestFeedbackCommand:
 
 class TestSimulateCommand:
     def test_state_past_float_range_exit4(self, tmp_path, capsys):
-        # over t_final = 1e300 the propagated state overflows: one line, no warning
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = run(["simulate"] + FAST + ["--set", "t_final=1e300"], tmp_path)
-        err = capsys.readouterr().err
-        assert code == 4 and not caught
-        assert err == "numerical failure: propagated state is not finite\n"
+        # over t_final = 1e300 the propagated state overflows, and over 1e50 at
+        # N = 1 the powers of the step generator overflow inside the matrix
+        # exponential: one line, no warning
+        for i, args in enumerate([FAST + ["--set", "t_final=1e300"],
+                                  ["--set", "n_modes=1", "--set", "grid_points=257", "--set", "gamma=0",
+                                   "--set", "open_loop=1", "--set", "t_final=1e50"]]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run(["simulate"] + args, tmp_path / str(i))
+            err = capsys.readouterr().err
+            assert code == 4 and not caught
+            assert err == "numerical failure: propagated state is not finite\n"
 
     def test_deterministic_outputs(self, tmp_path):
         args = ["simulate", "--set", "gamma=0.03", "--set", "seed=3"] + FAST

@@ -7,7 +7,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from watertank import cli, simulate
-from watertank.control import dual_exponentials, input_gains, synthesize_open_loop
+from watertank.backstepping import galerkin_spectrum, match_spectrum
+from watertank.control import dual_exponentials, i_moments, input_gains, synthesize_open_loop
 from watertank.errors import ConfigError, DomainError, NumericalError
 from watertank.feedback import feedback_coefficients, zero_law
 from watertank.model import (
@@ -74,8 +75,7 @@ class TestClosedLoopIntegration:
         # truncation-edge modes, which closed_loop_spectrum does not have)
         basis = basis_cache(p_synth, BcKind.CONSERVATIVE, 20)
         law = feedback_coefficients(p_synth, basis)
-        M = np.diag(-law.eigenvalues) + np.outer(law.i_nu_moments, law.table)
-        eig, vec = np.linalg.eig(M)
+        eig, vec = np.linalg.eig(law.galerkin_matrix())
         central = [
             int(np.argmin(np.abs(eig.imag - math.pi * k / p_synth.L)))
             for k in range(-5, 6)
@@ -115,14 +115,15 @@ class TestClosedLoopPropagator:
         return feedback_coefficients(self.P8, basis_cache(self.P8, BcKind.CONSERVATIVE, 8))
 
     def test_matches_solve_ivp(self, basis_cache):
-        # independent reference: a tight adaptive DOP853 run of the same
-        # extended system y' = M y, sampled at the recorded times
+        # independent reference: a tight adaptive DOP853 run of the physical
+        # extended system, zeta modes forced through <I, f_n> and zeta0' = nu u,
+        # against the Galerkin coordinates y = c + zeta0 e_0 the run records
         law = self._law(basis_cache)
         c0 = real_initial_datum(np.random.default_rng(6), 8)
         traj = integrate_closed_loop(self.P8, law, c0, zeta0_init=0.1, t_final=3.0)
         i0 = law.index(0)
         table_ext = np.append(law.table, law.table[i0])
-        force_ext = np.append(law.i_moments, law.params.nu)
+        force_ext = np.append(i_moments(self.P8, law.basis), self.P8.nu)
         M = np.diag(np.append(-law.eigenvalues, 0.0)) + np.outer(force_ext, table_ext)
         ref = solve_ivp(lambda t, y: M @ y, (0.0, 3.0), np.append(c0, 0.1 + 0j),
                         method="DOP853", t_eval=traj.times, rtol=1e-12, atol=1e-14)
@@ -216,8 +217,20 @@ class TestMatrixExponential:
     @pytest.mark.parametrize("N", [12, 20, 41])
     def test_closed_loop_generators(self, closed_loop_generators, N):
         A = closed_loop_generators[N]
-        assert A.shape == (2 * N + 2, 2 * N + 2)
+        assert A.shape == (2 * N + 1, 2 * N + 1)
         assert relative_error(_expm(A), expm(A)) < 1e-12
+
+    def test_closed_loop_generator_is_the_galerkin_matrix(self, p_synth, basis_cache):
+        # the run records y = c + zeta0 e_0 by the one Galerkin matrix that
+        # galerkin_spectrum analyses, scaled to one record step
+        law = feedback_coefficients(p_synth, basis_cache(p_synth, BcKind.CONSERVATIVE, 20))
+        init = real_initial_datum(np.random.default_rng(0), 20)
+        [A] = generators_of(lambda: integrate_closed_loop(p_synth, law, init, t_final=4.0))
+        step = 4.0 / RECORD_INTERVALS
+        assert np.array_equal(A, law.galerkin_matrix() * step)
+        eig = np.linalg.eigvals(A) / step
+        want = galerkin_spectrum(law)
+        assert np.max(match_spectrum(eig, want)) < 1e-10 * np.max(np.abs(want))
 
     def test_steer_generator(self, tmp_path):
         # the open-loop generator, with the control's exponentials as states
@@ -243,11 +256,10 @@ class TestMatrixExponential:
         assert relative_error(_expm(A), expm(A)) < 1e-12
 
     def test_conjugation_symmetry(self, closed_loop_generators):
-        # real data stay real: with J reversing the modes -N..N and keeping
-        # zeta0, J conj(P) J = P holds for the propagator as for the generator
+        # real data stay real: with J reversing the modes -N..N (zeta0 rides
+        # in mode 0), J conj(P) J = P holds for the propagator as for the generator
         A = closed_loop_generators[41]
-        K = A.shape[0] - 1
-        J = np.r_[np.arange(K)[::-1], K]
+        J = np.arange(A.shape[0])[::-1]
         P = _expm(A)
         assert np.max(np.abs(np.conj(P)[J][:, J] - P)) < 1e-14 * np.max(np.abs(P))
 
@@ -503,8 +515,7 @@ class TestDecayRateEstimate:
         norm = np.exp(-alpha * t) * 3.0
         K = 3
         return Trajectory(
-            params=Params(), n_list=np.arange(-1, 2), times=t,
-            coeffs=np.zeros((t.size, K), dtype=complex),
+            times=t, coeffs=np.zeros((t.size, K), dtype=complex),
             zeta0=np.zeros(t.size, dtype=complex),
             norm_l2=norm, norm_da=norm,
             mass=np.zeros(t.size, dtype=complex),
