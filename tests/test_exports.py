@@ -61,7 +61,6 @@ def test_unused_import_check_flags_one():
 # Exported names no pipeline stage reads, each with its reason.
 UNREAD_EXPORTS = {
     "mass_functional": "reference implementation the tests compare the recorded mass against",
-    "fd_upwind_step": "reference implementation the tests replay the closed loop with",
     "build_transform": "the paper's backstepping transform, not yet reported by any stage",
 }
 PERFBENCH = Path(watertank.__file__).parents[2] / "perfbench"

@@ -26,15 +26,15 @@ from watertank.simulate import (
     _expm,
     decay_rate_estimate,
     fd_simulate,
-    fd_upwind_step,
     integrate_closed_loop,
     integrate_open_loop_w,
     integrate_target,
     lyapunov_certificate,
     lyapunov_functional,
     real_initial_datum,
+    steer,
 )
-from watertank.spectral import BcKind, pairings, w_modes
+from watertank.spectral import BcKind, pairings, reflection, w_modes
 
 
 class TestClosedLoopIntegration:
@@ -264,6 +264,51 @@ class TestMatrixExponential:
         assert np.max(np.abs(np.conj(P)[J][:, J] - P)) < 1e-14 * np.max(np.abs(P))
 
 
+def upwind_stepper(params: Params, kind: BcKind, dt: float):
+    """Reference first-order upwind step of the zeta system on two rows ``(zeta_1, zeta_2)``.
+
+    ``zeta_1`` transports rightward, ``zeta_2`` leftward; the coupling
+    ``c = -delta/3`` and the control ``u e^{int delta}`` are added
+    explicitly; the inflow ``zeta_1(0) = r zeta_2(0)`` follows the kind's
+    reflection law and ``zeta_2(L) = -zeta_1(L)``. The grid data are computed
+    once; returns ``step(state, u)``. ``fd_simulate`` must match it bit for bit.
+    """
+    grid = uniform_grid(params)
+    cfl = dt / (grid[1] - grid[0])
+    c = -delta(params, grid) / 3.0
+    ew = diagonal_weight(params, grid)
+    r0 = reflection(kind, params)
+
+    def step(state, u):
+        z1, z2 = state[0], state[1]
+        s1 = c * z2 + u * ew
+        s2 = -c * z1 + u * ew
+        new1 = z1.copy()
+        new2 = z2.copy()
+        new1[1:] = z1[1:] - cfl * (z1[1:] - z1[:-1]) + dt * s1[1:]
+        new2[:-1] = z2[:-1] + cfl * (z2[1:] - z2[:-1]) + dt * s2[:-1]
+        new1[0] = r0 * new2[0]
+        new2[-1] = -new1[-1]
+        return np.stack([new1, new2])
+
+    return step
+
+
+def reference_march(params: Params, init, kind: BcKind, t_final, control=None, cfl=1.0):
+    """``upwind_stepper`` marched with ``fd_simulate``'s step count and times; returns (state, nst)."""
+    grid = uniform_grid(params)
+    dx = grid[1] - grid[0]
+    nst = int(math.ceil(t_final / (cfl * dx)))
+    if t_final / nst / dx > 1.0 + 1e-12:
+        nst += 1
+    dt = t_final / nst
+    step = upwind_stepper(params, kind, dt)
+    z = np.asarray(init, dtype=complex)
+    for k in range(nst):
+        z = step(z, 0.0 if control is None else control(k * dt))
+    return z, nst
+
+
 class TestClosedLoopFdReplay:
     def test_fd_replay_matches_modal(self, basis_cache):
         # whole-pipeline consistency: drive the upwind scheme with the
@@ -280,11 +325,12 @@ class TestClosedLoopFdReplay:
         nst = int(round(t_final / dx))
         dt = t_final / nst
         z = np.tensordot(c0, basis.values, axes=(0, 0))
+        step = upwind_stepper(p, BcKind.CONSERVATIVE, dt)
         for k in range(nst):
             u = np.interp(k * dt, traj.times, traj.control.real) + 1j * np.interp(
                 k * dt, traj.times, traj.control.imag
             )
-            z = fd_upwind_step(p, z, BcKind.CONSERVATIVE, u, dt)
+            z = step(z, u)
         zmod = np.tensordot(traj.coeffs[-1], basis.values, axes=(0, 0))
         w = simpson_weights(grid)
         num = math.sqrt(float(np.sum(w * np.sum(np.abs(z - zmod) ** 2, axis=0))))
@@ -347,8 +393,9 @@ class TestUpwind:
         z[1, -1] = -z[0, -1]
         dt = 0.8 * (g[1] - g[0])
         e = np.sum(np.abs(z) ** 2)
+        step = upwind_stepper(p, BcKind.CONSERVATIVE, dt)
         for _ in range(5):
-            z = fd_upwind_step(p, z, BcKind.CONSERVATIVE, 0.0, dt)
+            z = step(z, 0.0)
             e_new = np.sum(np.abs(z) ** 2)
             assert e_new <= e + 1e-12 * e
             e = e_new
@@ -357,8 +404,43 @@ class TestUpwind:
         p = Params(gamma=0.0, mu=2.0, nu=0.5, n_modes=2, grid_points=257)
         g = uniform_grid(p)
         z = np.zeros((2, g.size), dtype=complex)
-        with pytest.raises(ConfigError):
-            fd_upwind_step(p, z, BcKind.CONSERVATIVE, 0.0, dt=2 * (g[1] - g[0]))
+        with pytest.raises(ConfigError, match="CFL violation"):
+            fd_simulate(p, z, BcKind.CONSERVATIVE, 0.5, cfl=2.0)
+
+    def test_state_shape_guard(self):
+        p = Params(gamma=0.0, mu=2.0, nu=0.5, n_modes=2, grid_points=257)
+        with pytest.raises(ConfigError, match="state must have shape"):
+            fd_simulate(p, np.zeros((2, 256), dtype=complex), BcKind.CONSERVATIVE, 0.5)
+
+    @pytest.mark.parametrize("case", ["steer", "damped_cfl08", "conservative_cfl09", "rounded_nst"])
+    def test_flat_march_bit_identical_to_reference(self, case, wmodes_cache):
+        # the flat in-place march keeps the reference's operation order, so
+        # every entry of the final state is the same double
+        rng = np.random.default_rng(11)
+        p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=4, grid_points=257)
+        nx = p.grid_points
+        dx = p.L / (nx - 1)
+        z0 = rng.standard_normal((2, nx)) + 1j * rng.standard_normal((2, nx))
+
+        def wiggle(t):
+            return complex(math.sin(3.0 * t), math.cos(t))
+
+        if case == "steer":  # the steer_n20 op on a small grid; dt = dx is a power of two
+            # here, so only the other cases can tell dt folded into the coefficients
+            sig = steer(p, wmodes_cache(p, 4), {1: 1.0})[0]
+            args = (np.zeros((2, nx), dtype=complex), BcKind.CONSERVATIVE, 2 * p.L,
+                    lambda t: complex(sig(np.array([t]))[0]), 1.0)
+        elif case == "damped_cfl08":
+            args = (z0, BcKind.DAMPED, 0.9137, None, 0.8)
+        elif case == "conservative_cfl09":
+            args = (z0, BcKind.CONSERVATIVE, 1.0, wiggle, 0.9)
+        else:  # only cfl > 1 with a short run takes the extra step: 20.5 dx in 21 steps
+            args = (z0, BcKind.DAMPED, 20.5 * dx, wiggle, 1.05)
+        ref, nst = reference_march(p, *args)
+        if case == "rounded_nst":
+            assert nst == math.ceil(20.5 / 1.05) + 1
+        got = fd_simulate(p, *args[:3], control=args[3], cfl=args[4])
+        assert np.array_equal(got, ref)
 
     def test_first_order_convergence(self, basis_cache):
         errs = []
@@ -535,6 +617,16 @@ class TestDecayRateEstimate:
         traj = integrate_target(p_synth, bt, c0, t_final=2.0)
         rate, _ = decay_rate_estimate(traj, "l2")
         assert rate == pytest.approx(bt.eigenvalues[bt.index(1)].real, abs=1e-3)
+
+    def test_flat_norm_fits_with_r2_one(self):
+        # a constant norm with 1-ulp jitter: the fit has nothing to explain,
+        # so R^2 must not be a ratio of rounding noise
+        traj = self._synthetic(0.0)
+        traj.norm_l2[1::3] = np.nextafter(3.0, 4.0)
+        traj.norm_l2[2::7] = np.nextafter(3.0, 2.0)
+        rate, r2 = decay_rate_estimate(traj, "l2")
+        assert abs(rate) < 1e-12
+        assert r2 == 1.0
 
     def test_window_too_small(self):
         traj = self._synthetic(1.0)
