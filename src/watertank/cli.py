@@ -1,10 +1,12 @@
 """Batch front door: flat key=value configs, deterministic CSV/JSON output.
 
 Subcommands: spectrum, controllability, feedback, simulate, lyapunov,
-steer, finite-demo, report. Exit codes: 0 success (or expected pattern),
-2 configuration error (a bad key or value, an unreadable file, an argument
-outside its domain), 3 regime violation, 4 numerical failure. Every nonzero
-exit prints one line to stderr.
+steer, finite-demo, report. Each ``cmd_*`` computes its files and verdict;
+:func:`main` writes the files once the computation is done, then applies the
+verdict. Exit codes: 0 success (or expected pattern), 2 configuration error (a
+bad key or value, an unreadable file, an argument outside its domain), 3 regime
+violation, 4 numerical failure. Every nonzero exit prints one line to stderr. A
+failed verdict (exit 3 or 4) writes its files first; an earlier failure leaves no outdir.
 """
 
 from __future__ import annotations
@@ -123,11 +125,6 @@ def load_config(path, overrides, command):
     return cfg
 
 
-def params_from_config(cfg) -> Params:
-    kw = {k: cfg[k] for k in _PARAM_KEYS if k in cfg}
-    return Params(**kw)
-
-
 _LAW_KEYS = ("L", "gamma", "mu", "nu", "n_modes", "grid_points")
 
 
@@ -178,12 +175,6 @@ def _read_law_table(path, params: Params) -> np.ndarray:
     return table
 
 
-def _outdir(cfg) -> Path:
-    out = Path(cfg.get("outdir", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 _CSV_BLOCK_ROWS = 4096
 
 
@@ -208,10 +199,14 @@ def _write_csv(path: Path, columns: dict):
             fh.writelines(line % tuple(row) for row in block.tolist())
 
 
-def _write_json(path: Path, obj):
-    with path.open("w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+def _write(out: Path, files: dict):
+    """Make ``out`` and write each file: CSV columns for a ``.csv`` name, else a JSON document."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, body in files.items():
+        if name.endswith(".csv"):
+            _write_csv(out / name, body)
+        else:
+            (out / name).write_text(json.dumps(body, indent=2) + "\n")
 
 
 def _config_echo(cfg, params: Params) -> dict:
@@ -222,9 +217,7 @@ def _config_echo(cfg, params: Params) -> dict:
     return echo
 
 
-def cmd_spectrum(cfg) -> int:
-    params = params_from_config(cfg)
-    out = _outdir(cfg)
+def cmd_spectrum(cfg, params):
     N = params.n_modes
     n_list = np.arange(-N, N + 1)
     seeds = 1j * math.pi * n_list / params.L
@@ -240,56 +233,45 @@ def cmd_spectrum(cfg) -> int:
     ev_d = find_eigenvalues(params, BcKind.DAMPED, n_list)
     d_c, d_d = ev_c - seeds, ev_d - params.mu - seeds
     drift_c = np.hypot(d_c.real, d_c.imag)  # np.abs would round some drifts differently
-    _write_csv(out / "spectrum_conservative.csv", {"n": n_list, "": ev_c, "drift": drift_c})
-    _write_csv(out / "spectrum_damped.csv", {"n": n_list, "": ev_d, "drift": np.hypot(d_d.real, d_d.imag)})
+    files = {"spectrum_conservative.csv": {"n": n_list, "": ev_c, "drift": drift_c},
+             "spectrum_damped.csv": {"n": n_list, "": ev_d, "drift": np.hypot(d_d.real, d_d.imag)}}
     if wanted:
         cols = {"x": basis.grid}
         for n in wanted:
             cols[f"f1_{n}"], cols[f"f2_{n}"] = basis.values[basis.index(n)]
-        _write_csv(out / "eigenfunctions.csv", cols)
+        files["eigenfunctions.csv"] = cols
     drift_max = float(np.max(drift_c))
-    summary = {
-        "config": _config_echo(cfg, params),
+    files["spectrum_summary.json"] = {
         "tolerances": {"drift_bound": 0.25 / params.L},
         "drift_max_conservative": drift_max,
         "drift_within_quarter": bool(drift_max < 0.25 / params.L),
     }
-    _write_json(out / "spectrum_summary.json", summary)
-    return 0
+    return files, None
 
 
-def cmd_controllability(cfg) -> int:
-    params = params_from_config(cfg)
+def cmd_controllability(cfg, params):
     if params.gamma < 0:
         raise RegimeError("gamma must be >= 0 (synthesis regime is gamma > 0)")
-    out = _outdir(cfg)
     basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes)
     modes = w_modes(params, basis)
     report = controllability_report(params, basis, modes)
-    _write_csv(out / "moments.csv", {"n": report.n_list, "b": report.b, "a": report.a,
-                                     "i": report.i_mom, "mu": report.eigenvalues})
-    doc = {"config": _config_echo(cfg, params)}
-    doc.update(report.to_dict())
-    _write_json(out / "moment_report.json", doc)
+    files = {"moments.csv": {"n": report.n_list, "b": report.b, "a": report.a,
+                             "i": report.i_mom, "mu": report.eigenvalues},
+             "moment_report.json": report.to_dict()}
     if report.expected_gamma_zero_pattern() if params.gamma == 0 else report.all_passed:
-        return 0
+        return files, None
     failed = [k for k, v in report.items.items() if not v["passed"]]
-    print(f"controllability items failed: {', '.join(failed)}", file=sys.stderr)
-    return 4
+    return files, f"controllability items failed: {', '.join(failed)}"
 
 
-def cmd_feedback(cfg) -> int:
-    params = params_from_config(cfg)
-    out = _outdir(cfg)
+def cmd_feedback(cfg, params):
     basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes)
     law = feedback_coefficients(params, basis)
     phys = physical_feedback(law)
     c, C = law.growth_window()
     n_cmp = min(10, params.n_modes)
     eig, targets, dist = target_distances(law, n_cmp)
-    _write_csv(out / "closed_loop_spectrum.csv", {"": eig})
     doc = {
-        "config": _config_echo(cfg, params),
         "tolerances": {"reality_symmetry": 1e-10, "relative_spectrum_distance": 0.1},
         "growth_window": {"c": c, "C": C},
         "reality_symmetric": bool(law.reality_defect() < 1e-10),
@@ -312,16 +294,13 @@ def cmd_feedback(cfg) -> int:
             ],
         },
     }
-    _write_json(out / "feedback.json", doc)
-    return 0
+    return {"closed_loop_spectrum.csv": {"": eig}, "feedback.json": doc}, None
 
 
-def cmd_simulate(cfg) -> int:
-    params = params_from_config(cfg)
+def cmd_simulate(cfg, params):
     table = None
     if cfg.get("law_file") and not cfg.get("open_loop"):
         table = _read_law_table(cfg["law_file"], params)
-    out = _outdir(cfg)
     basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes)
     if cfg.get("open_loop"):
         law = zero_law(params, basis)
@@ -331,19 +310,18 @@ def cmd_simulate(cfg) -> int:
             law.table = table
     init = real_initial_datum(np.random.default_rng(cfg.get("seed", 0)), params.n_modes)
     traj = integrate_closed_loop(params, law, init)
-    _write_csv(out / "trajectory.csv", {
+    files = {"trajectory.csv": {
         "t": traj.times,
         **{f"abs_c_{int(n)}": c for n, c in zip(law.n_list, np.abs(traj.coeffs).T)},
         "zeta0": traj.zeta0, "norm_l2": traj.norm_l2, "norm_da": traj.norm_da,
         "mass": traj.mass, "u": traj.control,
-    })
+    }}
     window = cfg.get("fit_window")
     if window is None:
         b = min(15.0 / params.mu, params.t_final)
         window = (min(5.0 / params.mu, 0.5 * b), b)
     rate, r2 = decay_rate_estimate(traj, "da", window)
-    summary = {
-        "config": _config_echo(cfg, params),
+    files["simulate_summary.json"] = {
         "tolerances": {"mass_drift": 1e-6},
         "fit_window": list(window),
         "fitted_rate": rate,
@@ -352,22 +330,18 @@ def cmd_simulate(cfg) -> int:
         "mass_conserved": bool(traj.mass_drift < 1e-6),
         "open_loop": bool(cfg.get("open_loop")),
     }
-    _write_json(out / "simulate_summary.json", summary)
-    return 0
+    return files, None
 
 
-def cmd_lyapunov(cfg) -> int:
-    params = params_from_config(cfg)
-    out = _outdir(cfg)
+def cmd_lyapunov(cfg, params):
     lam = cfg.get("lam", params.mu / 2.0)
     gs = gamma_s_threshold(params, lam)
     if params.gamma >= gs:
         raise RegimeError(f"gamma = {params.gamma} >= gamma_s(lambda) = {gs:.6g}")
     cert = lyapunov_certificate(params, lam)
-    _write_csv(out / "eta_xi.csv", {"x": cert.grid, "eta": cert.eta, "xi": cert.xi,
-                                    "theta1": cert.theta1, "theta2": cert.theta2})
-    doc = {
-        "config": _config_echo(cfg, params),
+    files = {"eta_xi.csv": {"x": cert.grid, "eta": cert.eta, "xi": cert.xi,
+                            "theta1": cert.theta1, "theta2": cert.theta2}}
+    files["lyapunov_certificate.json"] = {
         "tolerances": {"eta_terminal": 1.0},
         "lambda": lam,
         "gamma_s": gs,
@@ -375,23 +349,20 @@ def cmd_lyapunov(cfg) -> int:
         "eta_L": float(cert.eta[-1]),
         "eta_below_xi": cert.eta_below_xi,
     }
-    _write_json(out / "lyapunov_certificate.json", doc)
-    if not cert.feasible:
-        why = (f"eta(L) = {cert.eta[-1]:.6g} > 1" if cert.blowup_x is None
-               else f"eta blows up at x = {cert.blowup_x:.6g}")
-        raise RegimeError(f"Lyapunov certificate infeasible: {why}")
-    return 0
+    if cert.feasible:
+        return files, None
+    why = (f"eta(L) = {cert.eta[-1]:.6g} > 1" if cert.blowup_x is None
+           else f"eta blows up at x = {cert.blowup_x:.6g}")
+    return files, RegimeError(f"Lyapunov certificate infeasible: {why}")
 
 
-def cmd_steer(cfg) -> int:
-    params = params_from_config(cfg)
+def cmd_steer(cfg, params):
     if params.gamma <= 0:
         raise RegimeError("steering requires gamma > 0")
     target = cfg.get("target", {1: 1.0})
     scale = max(abs(v) for v in target.values())
     if scale == 0:
         raise ConfigError("every target amplitude is zero: no terminal error to measure")
-    out = _outdir(cfg)
     basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes)
     # steering is linear in the target: solve for it over its largest
     # amplitude, so no amplitude reaches the ends of the float range inside
@@ -400,7 +371,6 @@ def cmd_steer(cfg) -> int:
     with np.errstate(over="ignore"):  # a control past the float range is refused below
         u = (sig.u.view(float) * scale).view(complex)  # a complex product would add 0 * the other part
     summary = {
-        "config": _config_echo(cfg, params),
         "target": {str(k): v for k, v in target.items()},
         "terminal_relative_error": err,
         "terminal_error_pass": bool(err < 5e-2),
@@ -410,27 +380,23 @@ def cmd_steer(cfg) -> int:
     }
     if not (np.all(np.isfinite(u)) and math.isfinite(summary["mass_drift"] + summary["control_l2_norm"])):
         raise ConfigError(f"target amplitude {scale:g} puts the control past the float range")
-    _write_csv(out / "control.csv", {"t": sig.t, "u": u})
-    _write_json(out / "steer_summary.json", summary)
-    return 0
+    return {"control.csv": {"t": sig.t, "u": u}, "steer_summary.json": summary}, None
 
 
-def cmd_finite_demo(cfg) -> int:
-    out = _outdir(cfg)
+def cmd_finite_demo(cfg, params):
     count = cfg.get("count", 25)
     dim_max = cfg.get("dim_max", 6)
     if count < 1:
         raise ConfigError("finite-demo needs count >= 1")
     draws = random_backstep_pairs(np.random.default_rng(cfg.get("seed", 0)), dim_max)
-    runs = []
-    for pa, pt, T, K in itertools.islice(draws, count):
-        runs.append(
-            {
-                "n": pa.n,
-                "spectrum_mismatch": placement_mismatch(pa, pt, K),
-                "cond_T": float(np.linalg.cond(T)),
-            }
-        )
+    runs = [
+        {
+            "n": pa.n,
+            "spectrum_mismatch": placement_mismatch(pa, pt, K),
+            "cond_T": float(np.linalg.cond(T)),
+        }
+        for pa, pt, T, K in itertools.islice(draws, count)
+    ]
     worst = max(r["spectrum_mismatch"] for r in runs)
     doc = {
         "config": {"seed": cfg.get("seed", 0), "count": count, "dim_max": dim_max},
@@ -439,12 +405,10 @@ def cmd_finite_demo(cfg) -> int:
         "all_within_tolerance": bool(worst < 1e-8),
         "runs": runs,
     }
-    _write_json(out / "finite_demo.json", doc)
-    return 0
+    return {"finite_demo.json": doc}, None
 
 
-def cmd_report(cfg) -> int:
-    out = _outdir(cfg)
+def cmd_report(cfg, params):
     wanted = cfg.get("criteria")
     if wanted is not None:
         unknown = sorted(set(wanted) - set(acceptance.CRITERIA))
@@ -458,13 +422,10 @@ def cmd_report(cfg) -> int:
         "criteria": [r.to_dict() for r in results],
         "all_passed": all(r.passed for r in results),
     }
-    _write_json(out / "acceptance_report.json", doc)
     for r in results:
         print(f"criterion {r.cid}: {'PASS' if r.passed else 'FAIL'} - {r.title}")
-    if doc["all_passed"]:
-        return 0
-    print(f"acceptance criteria failed: {[r.cid for r in results if not r.passed]}", file=sys.stderr)
-    return 4
+    red = [r.cid for r in results if not r.passed]
+    return {"acceptance_report.json": doc}, f"acceptance criteria failed: {red}" if red else None
 
 
 _COMMANDS = {
@@ -493,7 +454,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.set, args.command)
-        return _COMMANDS[args.command](cfg)
+        params = None
+        if "n_modes" in _COMMAND_KEYS[args.command]:  # the six model commands
+            params = Params(**{k: cfg[k] for k in _PARAM_KEYS if k in cfg})
+        files, failure = _COMMANDS[args.command](cfg, params)
+        if params is not None:
+            echo = _config_echo(cfg, params)
+            files = {name: body if name.endswith(".csv") else {"config": echo, **body}
+                     for name, body in files.items()}
+        _write(Path(cfg.get("outdir", ".")), files)
+        if isinstance(failure, Exception):
+            raise failure
+        if failure:
+            print(failure, file=sys.stderr)
+            return 4
+        return 0
     except (ConfigError, DomainError, GridMismatchError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -293,27 +293,26 @@ def fd_simulate(params: Params, init: np.ndarray, kind: BcKind, t_final,
     ``delta J`` and the control ``u I`` are added explicitly; the inflow
     ``zeta_1(0) = r zeta_2(0)`` follows the kind's reflection law and
     ``zeta_2(L) = -zeta_1(L)``. ``control`` is a callable t -> complex (or
-    None). CFL defaults to 1, where the pure transport part is exact, and
-    must not exceed 1. The state is one flat array ``z`` of length ``2 nx``:
-    ``zeta_1``, then ``zeta_2`` reversed, so both components move toward the
-    higher index and the partner of entry ``i`` is entry ``2 nx - 1 - i``.
+    None). One step rule: ``t_final`` must be finite and positive, and ``cfl``
+    must lie in (0, 1] (the default 1 makes pure transport exact); the march
+    takes ``ceil(t_final / (cfl dx))`` equal steps. The state is one flat array
+    ``z``: ``zeta_1``, then ``zeta_2`` reversed, so both components move toward
+    the higher index and the partner of entry ``i`` is entry ``2 nx - 1 - i``.
     A step writes into preallocated buffers and swaps them.
     """
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ConfigError(f"t_final must be finite and positive, got {t_final!r}")
+    if not 0 < cfl <= 1:
+        raise ConfigError(f"CFL violation: cfl = {cfl!r} must lie in (0, 1]")
     grid = uniform_grid(params)
     dx = grid[1] - grid[0]
-    dt = cfl * dx
-    nst = int(math.ceil(t_final / dt))
+    nst = int(math.ceil(t_final / (cfl * dx)))
     dt = t_final / nst
-    if dt / dx > 1.0 + 1e-12:
-        nst += 1
-        dt = t_final / nst
     init = np.asarray(init, dtype=complex)
     nx = grid.size
     if init.shape != (2, nx):
         raise ConfigError(f"state must have shape (2, {nx})")
     cfl = dt / dx
-    if cfl > 1.0 + 1e-12:
-        raise ConfigError(f"CFL violation: dt/dx = {cfl:.3f} > 1")
     c = -delta(params, grid) / 3.0
     ew = diagonal_weight(params, grid)
     coup = np.concatenate([c, -c[::-1]])[1:].astype(complex)  # zeta_2' carries -c

@@ -7,7 +7,7 @@ import sys
 import time
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +15,7 @@ import pytest
 
 from watertank import acceptance, cli, spectral
 from watertank.cli import main
+from watertank.model import Params
 from watertank.simulate import integrate_closed_loop
 
 FAST = [
@@ -51,6 +52,43 @@ def test_write_csv_in_blocks(tmp_path):
     want = "k,x,re_z,im_z\n" + "".join(
         "%.17g,%.17g,%.17g,%.17g\n" % (k, x[k], z[k].real, z[k].imag) for k in range(rows))
     assert path.read_text() == want
+
+
+@pytest.mark.parametrize("args, code", [(["spectrum", "--set", "modes=9"], 2),
+                                         (["feedback", "--set", "mu=1000"], 3)])
+def test_failure_before_output_leaves_no_outdir(args, code, tmp_path, capsys):
+    # the files are written once the computation is done, so a run refused
+    # before then does not make its outdir
+    out = tmp_path / "out"
+    assert run(args + FAST, out) == code
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+# each model command with the non-Params keys it was given, as its JSON echoes them
+CONFIG_ECHO = [
+    (["spectrum", "--set", "gamma=0.05", "--set", "modes=0,1"], {"modes": [0, 1]}),
+    (["controllability", "--set", "gamma=0.05"], {}),
+    (["feedback", "--set", "gamma=0.03"], {}),
+    (["simulate", "--set", "gamma=0.03", "--set", "seed=3", "--set", "fit_window=0.5:1.5"],
+     {"seed": 3, "fit_window": [0.5, 1.5]}),
+    (["lyapunov", "--set", "gamma=0.03", "--set", "lam=1.0"], {"lam": 1.0}),
+    (["steer", "--set", "gamma=0.05", "--set", "target=1:1.0"], {"target": {"1": 1.0}}),
+]
+
+
+@pytest.mark.parametrize("args, extra", CONFIG_ECHO, ids=[a[0] for a, _ in CONFIG_ECHO])
+def test_config_echo_opens_every_json(args, extra, tmp_path):
+    # every JSON file opens with the run's Params fields, then the other keys set
+    assert run(args + FAST, tmp_path) == 0
+    gamma = float(args[2].split("=")[1])
+    want = {**asdict(Params(gamma=gamma, n_modes=4, grid_points=257, t_final=2.0)),
+            **extra}
+    docs = [json.loads(path.read_text()) for path in sorted(tmp_path.glob("*.json"))]
+    assert docs
+    for doc in docs:
+        assert next(iter(doc)) == "config"
+        assert doc["config"] == want
 
 
 class TestConfigHandling:

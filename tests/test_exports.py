@@ -121,3 +121,33 @@ def test_unread_export_check_flags_one(tmp_path):
         '__all__ = ["f", "g", "h"]\n\ndef f():\n    return f()\n\ndef g():\n    pass\n\ndef h():\n    return g()\n'
     )
     assert _unread_exports(tmp_path, "bench calls h") == ["a.f"]
+
+
+# Calls that reach the filesystem; only ``cli.main``'s writer may make them.
+FILESYSTEM_CALLS = {"open", "mkdir", "dump", "write_text", "_write_csv", "_write"}
+
+
+def _filesystem_calls(source: str) -> list:
+    """``cmd_name: call`` for each filesystem call inside a top-level ``cmd_*`` function."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_"):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    f = call.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name in FILESYSTEM_CALLS:
+                        out.append(f"{node.name}: {name}")
+    return out
+
+
+def test_commands_write_no_files():
+    # each command returns its files; main alone makes the outdir and writes them
+    calls = _filesystem_calls((Path(watertank.__file__).parent / "cli.py").read_text())
+    assert not calls, f"commands that touch the filesystem: {calls}"
+
+
+def test_filesystem_call_check_flags_one():
+    source = ("def cmd_a(cfg):\n    json.dump({}, fh)\n    return {}\n\n"
+              "def cmd_b(cfg):\n    return {}\n\ndef main():\n    out.mkdir()\n")
+    assert _filesystem_calls(source) == ["cmd_a: dump"]

@@ -295,18 +295,16 @@ def upwind_stepper(params: Params, kind: BcKind, dt: float):
 
 
 def reference_march(params: Params, init, kind: BcKind, t_final, control=None, cfl=1.0):
-    """``upwind_stepper`` marched with ``fd_simulate``'s step count and times; returns (state, nst)."""
+    """``upwind_stepper`` marched with ``fd_simulate``'s step count and times; returns the state."""
     grid = uniform_grid(params)
     dx = grid[1] - grid[0]
     nst = int(math.ceil(t_final / (cfl * dx)))
-    if t_final / nst / dx > 1.0 + 1e-12:
-        nst += 1
     dt = t_final / nst
     step = upwind_stepper(params, kind, dt)
     z = np.asarray(init, dtype=complex)
     for k in range(nst):
         z = step(z, 0.0 if control is None else control(k * dt))
-    return z, nst
+    return z
 
 
 class TestClosedLoopFdReplay:
@@ -401,25 +399,36 @@ class TestUpwind:
             e = e_new
 
     def test_cfl_guard(self):
+        # cfl must lie in (0, 1] whatever the horizon: at 1.05, a run of 20.5
+        # cells is refused like one of 512
         p = Params(gamma=0.0, mu=2.0, nu=0.5, n_modes=2, grid_points=257)
         g = uniform_grid(p)
         z = np.zeros((2, g.size), dtype=complex)
-        with pytest.raises(ConfigError, match="CFL violation"):
-            fd_simulate(p, z, BcKind.CONSERVATIVE, 0.5, cfl=2.0)
+        for cfl, t_final in [(2.0, 0.5), (1.05, 20.5 / 256), (1.05, 2.0),
+                             (0.0, 0.5), (-0.5, 0.5), (math.nan, 0.5)]:
+            with pytest.raises(ConfigError, match="CFL violation"):
+                fd_simulate(p, z, BcKind.CONSERVATIVE, t_final, cfl=cfl)
+
+    @pytest.mark.parametrize("t_final", [0.0, -0.5, math.inf, math.nan])
+    def test_horizon_refused(self, t_final):
+        # no step count follows from a horizon that is not finite and positive
+        p = Params(gamma=0.0, mu=2.0, nu=0.5, n_modes=2, grid_points=257)
+        z = np.zeros((2, 257), dtype=complex)
+        with pytest.raises(ConfigError, match="t_final must be finite and positive"):
+            fd_simulate(p, z, BcKind.CONSERVATIVE, t_final)
 
     def test_state_shape_guard(self):
         p = Params(gamma=0.0, mu=2.0, nu=0.5, n_modes=2, grid_points=257)
         with pytest.raises(ConfigError, match="state must have shape"):
             fd_simulate(p, np.zeros((2, 256), dtype=complex), BcKind.CONSERVATIVE, 0.5)
 
-    @pytest.mark.parametrize("case", ["steer", "damped_cfl08", "conservative_cfl09", "rounded_nst"])
+    @pytest.mark.parametrize("case", ["steer", "damped_cfl08", "conservative_cfl09"])
     def test_flat_march_bit_identical_to_reference(self, case, wmodes_cache):
         # the flat in-place march keeps the reference's operation order, so
         # every entry of the final state is the same double
         rng = np.random.default_rng(11)
         p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=4, grid_points=257)
         nx = p.grid_points
-        dx = p.L / (nx - 1)
         z0 = rng.standard_normal((2, nx)) + 1j * rng.standard_normal((2, nx))
 
         def wiggle(t):
@@ -432,13 +441,9 @@ class TestUpwind:
                     lambda t: complex(sig(np.array([t]))[0]), 1.0)
         elif case == "damped_cfl08":
             args = (z0, BcKind.DAMPED, 0.9137, None, 0.8)
-        elif case == "conservative_cfl09":
+        else:  # conservative_cfl09
             args = (z0, BcKind.CONSERVATIVE, 1.0, wiggle, 0.9)
-        else:  # only cfl > 1 with a short run takes the extra step: 20.5 dx in 21 steps
-            args = (z0, BcKind.DAMPED, 20.5 * dx, wiggle, 1.05)
-        ref, nst = reference_march(p, *args)
-        if case == "rounded_nst":
-            assert nst == math.ceil(20.5 / 1.05) + 1
+        ref = reference_march(p, *args)
         got = fd_simulate(p, *args[:3], control=args[3], cfl=args[4])
         assert np.array_equal(got, ref)
 
