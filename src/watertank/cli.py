@@ -33,7 +33,7 @@ from watertank.errors import (
 )
 from watertank.feedback import feedback_coefficients, physical_feedback, zero_law
 from watertank.finite_dim import placement_mismatch, random_backstep_pairs
-from watertank.model import Params, gamma_s_threshold
+from watertank.model import LAW_KEYS, Params, gamma_s_threshold
 from watertank.simulate import (
     decay_rate_estimate,
     integrate_closed_loop,
@@ -100,7 +100,7 @@ def load_config(path, overrides, command):
         if key not in allowed:
             raise ConfigError(f"unknown configuration key {key!r} ({origin})")
         try:
-            cfg[key] = allowed[key](value.strip() if isinstance(value, str) else value)
+            cfg[key] = allowed[key](value.strip())
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
 
@@ -123,9 +123,6 @@ def load_config(path, overrides, command):
         k, v = item.split("=", 1)
         absorb(k, v, "command line")
     return cfg
-
-
-_LAW_KEYS = ("L", "gamma", "mu", "nu", "n_modes", "grid_points")
 
 
 def _law_doc(law) -> dict:
@@ -159,7 +156,7 @@ def _read_law_table(path, params: Params) -> np.ndarray:
         table = np.array(
             [m["re"] + 1j * m["im"] for m in stored["law"]["modes"]], dtype=complex
         )
-        mismatched = [k for k in _LAW_KEYS if stored["config"][k] != getattr(params, k)]
+        mismatched = [k for k in LAW_KEYS if stored["config"][k] != getattr(params, k)]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read law file {path}: {exc!r}") from exc
     if mismatched:
@@ -462,7 +459,11 @@ def main(argv=None) -> int:
             echo = _config_echo(cfg, params)
             files = {name: body if name.endswith(".csv") else {"config": echo, **body}
                      for name, body in files.items()}
-        _write(Path(cfg.get("outdir", ".")), files)
+        out = Path(cfg.get("outdir", "."))
+        try:
+            _write(out, files)
+        except OSError as exc:
+            raise ConfigError(f"cannot write to outdir {str(out)!r}: {exc}") from exc
         if isinstance(failure, Exception):
             raise failure
         if failure:

@@ -27,13 +27,13 @@ the change of variables, which only rescales it by L/L_gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from watertank.control import control_profile, i_moments
 from watertank.errors import RegimeError, UncontrollableError
-from watertank.model import Params, diagonal_weight, gamma_s_threshold, l_gamma
+from watertank.model import Params, diagonal_weight, gamma_s_threshold, l_gamma, mode_masses
 from watertank.spectral import Basis, BcKind, ModeIndexed, pairings
 
 __all__ = [
@@ -78,6 +78,10 @@ class FeedbackLaw(ModeIndexed):
     tau: np.ndarray            # tau_n = e^{int delta} f1(L)/f1(0) - 1
     singular: np.ndarray       # h_n
     basis: Basis
+    mode_masses: np.ndarray    # model.mass_functional of each mode's w-function
+    # (M, dt, e^{M dt}) of the last closed-loop run, which simulate.integrate_closed_loop
+    # reuses only while galerkin_matrix() still equals M; dataclasses.replace starts it empty
+    record_memo: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def galerkin_matrix(self) -> np.ndarray:
         """``M = diag(-mu_n) + outer(<I_nu, f_n>, table)``: the N-mode closed loop is ``y' = M y``
@@ -99,6 +103,11 @@ def _tau(params: Params, basis: Basis) -> np.ndarray:
     """``tau_n = e^{int delta} f_{n,1}(L) / f_{n,1}(0) - 1``."""
     ew_L = float(diagonal_weight(params, np.array([params.L]))[0])
     return ew_L * basis.values[:, 0, -1] / basis.f1_at_0 - 1.0
+
+
+def _masses(params: Params, basis: Basis) -> np.ndarray:
+    """The mass of each mode's w-function ``f_n / e^{int delta}``."""
+    return mode_masses(params, basis.values, diagonal_weight(params, basis.grid))
 
 
 def feedback_coefficients(params: Params, basis: Basis) -> FeedbackLaw:
@@ -128,7 +137,7 @@ def feedback_coefficients(params: Params, basis: Basis) -> FeedbackLaw:
     return FeedbackLaw(
         params=params, n_list=basis.n_list.copy(), table=table,
         i_nu_moments=inu_m, eigenvalues=basis.eigenvalues.copy(), tau=tau, singular=h,
-        basis=basis,
+        basis=basis, mode_masses=_masses(params, basis),
     )
 
 
@@ -139,6 +148,7 @@ def zero_law(params: Params, basis: Basis) -> FeedbackLaw:
         params=params, n_list=basis.n_list.copy(), table=zeros,
         i_nu_moments=i_moments(params, basis), eigenvalues=basis.eigenvalues.copy(),
         tau=_tau(params, basis), singular=zeros.copy(), basis=basis,
+        mode_masses=_masses(params, basis),
     )
 
 

@@ -35,7 +35,9 @@ __all__ = [
     "z_of_x",
     "zeta_to_physical",
     "mass_functional",
+    "mode_masses",
     "gamma_s_threshold",
+    "LAW_KEYS",
 ]
 
 
@@ -90,6 +92,9 @@ class Params:
             raise ConfigError("grid_points must be odd and >= 17 (composite Simpson)")
         if self.t_final <= 0:
             raise ConfigError("t_final must be positive")
+
+
+LAW_KEYS = ("L", "gamma", "mu", "nu", "n_modes", "grid_points")  # the Params a law is built at
 
 
 def uniform_grid(params: Params) -> np.ndarray:
@@ -231,6 +236,17 @@ def mass_functional(params: Params, w) -> complex:
     weight = height_root_profile(params, grid) ** 2
     sw = simpson_weights(grid)
     return complex(np.sum(sw * weight * (w[0] - w[1])))
+
+
+def mode_masses(params: Params, values, gauge=1.0) -> np.ndarray:
+    """:func:`mass_functional` of each mode's w-function ``values / gauge``.
+
+    Mass is linear, so this is one contraction of both components against
+    the weight ``simpson * W^2 / gauge``.
+    """
+    grid = uniform_grid(params)
+    q = simpson_weights(grid) * height_root_profile(params, grid) ** 2 / gauge
+    return values[:, 0, :] @ q - values[:, 1, :] @ q
 
 
 def gamma_s_threshold(params: Params, lam: float) -> float:

@@ -27,14 +27,7 @@ import numpy as np
 from watertank.control import ControlSignal, dual_exponentials, input_gains, synthesize_open_loop
 from watertank.errors import ConfigError, DomainError, NumericalError, RegimeError
 from watertank.feedback import FeedbackLaw
-from watertank.model import (
-    Params,
-    delta,
-    diagonal_weight,
-    height_root_profile,
-    simpson_weights,
-    uniform_grid,
-)
+from watertank.model import LAW_KEYS, Params, delta, diagonal_weight, mode_masses, uniform_grid
 from watertank.spectral import Basis, BcKind, WModes, gram_matrix, reflection, shoot
 
 __all__ = [
@@ -119,24 +112,30 @@ def _expm(A):
     return R
 
 
-def _propagate(M, y0, t_final, n_steps):
-    """Record ``y' = M y`` from ``y0`` at ``n_steps`` equal steps of ``t_final``.
+def _step_propagator(M, dt):
+    """The exact propagator ``_expm(M dt)`` of ``y' = M y`` over one record step ``dt``.
 
-    Forms the exact propagator ``_expm(M t_final / n_steps)`` once; returns the
-    record times and the (n_steps + 1, size) records. Raises NumericalError on
-    a non-finite generator or state.
+    Raises NumericalError on a non-finite generator.
     """
     if not np.all(np.isfinite(M)):
         raise NumericalError("generator has non-finite entries")
+    with np.errstate(all="ignore"):  # a propagator past the float range fails its records
+        return _expm(M * dt)
+
+
+def _record(P, y0, n_steps):
+    """The (n_steps + 1, size) records ``y[k + 1] = P y[k]`` from ``y[0] = y0``.
+
+    Each record is written in place. Raises NumericalError on a non-finite state.
+    """
     y = np.empty((n_steps + 1, y0.size), dtype=complex)
     y[0] = y0
     with np.errstate(all="ignore"):  # a state past the float range raises below
-        P = _expm(M * (t_final / n_steps))
         for k in range(n_steps):
-            y[k + 1] = P @ y[k]
+            np.matmul(P, y[k], out=y[k + 1])
     if not np.all(np.isfinite(y)):
         raise NumericalError("propagated state is not finite")
-    return np.linspace(0.0, t_final, n_steps + 1), y
+    return y
 
 
 def _norms(coeffs, eigenvalues) -> dict:
@@ -146,17 +145,6 @@ def _norms(coeffs, eigenvalues) -> dict:
         "norm_l2": np.sqrt(np.sum(sq, axis=1)),
         "norm_da": np.sqrt(np.sum((1.0 + np.abs(eigenvalues) ** 2) * sq, axis=1)),
     }
-
-
-def _mode_masses(params, values, gauge=1.0) -> np.ndarray:
-    """``model.mass_functional`` of each mode's w-function ``values / gauge``.
-
-    Mass is linear, so this is one contraction of both components against
-    the weight ``simpson * W^2 / gauge``.
-    """
-    grid = uniform_grid(params)
-    q = simpson_weights(grid) * height_root_profile(params, grid) ** 2 / gauge
-    return values[:, 0, :] @ q - values[:, 1, :] @ q
 
 
 def real_initial_datum(rng, n_modes: int) -> np.ndarray:
@@ -184,9 +172,22 @@ def integrate_closed_loop(params: Params, law: FeedbackLaw, init,
     ``law.galerkin_matrix()``, with ``u = table . y``. The run records y at
     ``RECORD_INTERVALS`` equal steps of ``t_final`` by the exact propagator
     ``_expm(M t_final / RECORD_INTERVALS)``; zeta0 is its mode 0 and the
-    coefficients are the rest. A zero-table law (see feedback.zero_law)
-    yields the open-loop skew system.
+    coefficients are the rest. The recorded mass is the coefficients against
+    ``law.mode_masses``. A zero-table law (see feedback.zero_law) yields the
+    open-loop skew system.
+
+    Only the datum is paid for per run. The law keeps the propagator of its
+    last run in ``law.record_memo`` and reuses it while its freshly formed
+    Galerkin matrix equals the stored one and the step is the same, so runs
+    from many data on one law form it once, and a law whose table was
+    replaced forms it anew. ``params`` must match ``law.params`` in every
+    model parameter (``model.LAW_KEYS``); only ``t_final`` may differ.
     """
+    mismatched = [k for k in LAW_KEYS if getattr(params, k) != getattr(law.params, k)]
+    if mismatched:
+        k = mismatched[0]
+        raise ConfigError(f"params has {k} = {getattr(params, k)!r}, "
+                          f"but the law was built at {getattr(law.params, k)!r}")
     K = law.n_list.size
     init = np.asarray(init, dtype=complex)
     if init.shape != (K,):
@@ -197,15 +198,19 @@ def integrate_closed_loop(params: Params, law: FeedbackLaw, init,
     if t_final is None:
         t_final = params.t_final
 
+    dt = t_final / RECORD_INTERVALS
+    M = law.galerkin_matrix()
+    memo = law.record_memo
+    if memo is None or memo[1] != dt or not np.array_equal(memo[0], M):
+        memo = law.record_memo = (M, dt, _step_propagator(M, dt))
     y0 = init.copy()
     y0[i0] = zeta0_init
-    times, y = _propagate(law.galerkin_matrix(), y0, t_final, RECORD_INTERVALS)
+    y = _record(memo[2], y0, RECORD_INTERVALS)
     coeffs = y.copy()
     coeffs[:, i0] = 0.0
-    masses = _mode_masses(params, law.basis.values, diagonal_weight(params, law.basis.grid))
     return Trajectory(
-        times=times, coeffs=coeffs, zeta0=y[:, i0], **_norms(y, law.eigenvalues),
-        mass=coeffs @ masses, control=y @ law.table,
+        times=np.linspace(0.0, t_final, RECORD_INTERVALS + 1), coeffs=coeffs, zeta0=y[:, i0],
+        **_norms(y, law.eigenvalues), mass=coeffs @ law.mode_masses, control=y @ law.table,
     )
 
 
@@ -254,13 +259,14 @@ def integrate_open_loop_w(params: Params, modes: WModes, control: ControlSignal,
     M = np.diag(np.concatenate([-modes.eigenvalues, control.rates]))
     M[:K, K:] = beta[:, None]
     v0 = control.amplitudes * np.exp(-control.rates * horizon)
-    times, y = _propagate(M, np.concatenate([init, v0]), t_final,
-                          int(math.ceil(t_final / dt)))
+    n_steps = int(math.ceil(t_final / dt))
+    y = _record(_step_propagator(M, t_final / n_steps), np.concatenate([init, v0]), n_steps)
+    times = np.linspace(0.0, t_final, n_steps + 1)
     coeffs = y[:, :K]
     zeros = np.zeros(times.size, dtype=complex)
     return Trajectory(
         times=times, coeffs=coeffs, zeta0=zeros,
-        **_norms(coeffs, modes.eigenvalues), mass=coeffs @ _mode_masses(params, modes.psi),
+        **_norms(coeffs, modes.eigenvalues), mass=coeffs @ mode_masses(params, modes.psi),
         control=y[:, K:].sum(axis=1),
     )
 

@@ -168,12 +168,17 @@ def step_tables(x, c, lams, h):
 def march(P, g, out=None):
     """March the (2, K) state ``g`` through the step matrices ``P`` of :func:`step_tables`.
 
-    Each step is ``g <- P[k, 0] * g + P[k, 1] * g[::-1]``, four multiplies.
-    Returns the final state; with ``out`` (S, 2, K), also stores g in
-    ``out[k]`` after step k.
+    Each step is ``g <- P[k, 0] * g + P[k, 1] * g[::-1]``, four multiplies
+    into two preallocated product buffers. Returns the final state; with
+    ``out`` (S, 2, K), also stores g in ``out[k]`` after step k, and without
+    it keeps g in one buffer of its own.
     """
-    for k, (diag, off) in enumerate(P):
-        g = np.add(diag * g, off * g[::-1], out=None if out is None else out[k])
+    a, b = np.empty(P.shape[2:], dtype=P.dtype), np.empty(P.shape[2:], dtype=P.dtype)
+    slots = [np.empty_like(a)] * len(P) if out is None else out
+    for diag, off, slot in zip(P[:, 0], P[:, 1], slots):
+        np.multiply(diag, g, out=a)
+        np.multiply(off, g[::-1], out=b)
+        g = np.add(a, b, out=slot)
     return g
 
 

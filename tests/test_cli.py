@@ -65,6 +65,14 @@ def test_failure_before_output_leaves_no_outdir(args, code, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_outdir_that_cannot_be_made_exit2(tmp_path, capsys):
+    # an outdir below a plain file: one line and exit 2, not a traceback
+    (tmp_path / "file").write_text("")
+    assert run(["finite-demo", "--set", "count=1"], tmp_path / "file" / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write to outdir") and err.count("\n") == 1
+
+
 # each model command with the non-Params keys it was given, as its JSON echoes them
 CONFIG_ECHO = [
     (["spectrum", "--set", "gamma=0.05", "--set", "modes=0,1"], {"modes": [0, 1]}),

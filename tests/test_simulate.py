@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from watertank.feedback import feedback_coefficients, zero_law
 from watertank.model import (
     Params,
     delta,
+    LAW_KEYS,
     diagonal_weight,
     gamma_s_threshold,
     mass_functional,
@@ -147,6 +148,77 @@ class TestClosedLoopPropagator:
         with pytest.raises(NumericalError):
             integrate_closed_loop(self.P8, replace(law, table=table),
                                   real_initial_datum(np.random.default_rng(1), 8))
+
+
+    def assert_same_runs(self, got, want):
+        for f in fields(Trajectory):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+
+    def test_runs_on_one_law_match_fresh_laws(self, basis_cache):
+        # the second run on a law reuses the first run's propagator, bit for bit
+        rng = np.random.default_rng(7)
+        data = [real_initial_datum(rng, 8) for _ in range(2)]
+        law = self._law(basis_cache)
+        shared = [integrate_closed_loop(self.P8, law, c0, t_final=3.0) for c0 in data]
+        for c0, got in zip(data, shared):
+            self.assert_same_runs(got, integrate_closed_loop(self.P8, self._law(basis_cache), c0,
+                                                             t_final=3.0))
+
+    def test_replaced_table_forms_a_new_propagator(self, basis_cache):
+        # simulate's law_file replaces law.table on the instance: the next run is
+        # the run of a fresh law with that table, never the stored propagator's
+        c0 = real_initial_datum(np.random.default_rng(8), 8)
+        law = self._law(basis_cache)
+        before = integrate_closed_loop(self.P8, law, c0, t_final=3.0)
+        law.table = 2.0 * law.table
+        got = integrate_closed_loop(self.P8, law, c0, t_final=3.0)
+        fresh = self._law(basis_cache)
+        fresh.table = 2.0 * fresh.table
+        self.assert_same_runs(got, integrate_closed_loop(self.P8, fresh, c0, t_final=3.0))
+        assert not np.array_equal(got.coeffs, before.coeffs)
+
+    def test_one_exponential_per_record_step(self, basis_cache):
+        # one _expm per distinct step on a law, none for a repeated one; a law
+        # made by dataclasses.replace starts without the stored propagator
+        law = self._law(basis_cache)
+        c0 = real_initial_datum(np.random.default_rng(9), 8)
+
+        def runs():
+            for t_final in (3.0, 3.0, 2.0, 2.0):
+                integrate_closed_loop(self.P8, law, c0, t_final=t_final)
+
+        M = law.galerkin_matrix()
+        gens = generators_of(runs)
+        assert len(gens) == 2
+        for A, t_final in zip(gens, (3.0, 2.0)):
+            assert np.array_equal(A, M * (t_final / RECORD_INTERVALS))
+        copy = replace(law, table=law.table)
+        [A] = generators_of(lambda: integrate_closed_loop(self.P8, copy, c0, t_final=2.0))
+        assert np.array_equal(A, gens[1])
+
+    @pytest.mark.parametrize("make", [feedback_coefficients, zero_law])
+    def test_law_keeps_the_mass_of_each_mode(self, make, basis_cache):
+        basis = basis_cache(self.P8, BcKind.CONSERVATIVE, 8)
+        law = make(self.P8, basis)
+        ew = diagonal_weight(self.P8, basis.grid)
+        per_mode = np.array([mass_functional(self.P8, v / ew) for v in basis.values])
+        assert np.max(np.abs(law.mode_masses - per_mode)) < 1e-12
+
+    MISMATCHES = [("L", 1.5), ("gamma", 0.02), ("mu", 3.0), ("nu", 0.4), ("n_modes", 9),
+                  ("grid_points", 513)]
+
+    @pytest.mark.parametrize("key, value", MISMATCHES)
+    def test_params_of_another_law_rejected(self, key, value, basis_cache):
+        assert {k for k, _ in self.MISMATCHES} == set(LAW_KEYS)
+        c0 = real_initial_datum(np.random.default_rng(10), 8)
+        with pytest.raises(ConfigError, match=f"{key} = "):
+            integrate_closed_loop(replace(self.P8, **{key: value}), self._law(basis_cache), c0)
+
+    def test_params_may_differ_in_t_final(self, basis_cache):
+        law = self._law(basis_cache)
+        c0 = real_initial_datum(np.random.default_rng(11), 8)
+        self.assert_same_runs(integrate_closed_loop(replace(self.P8, t_final=1.5), law, c0),
+                              integrate_closed_loop(self.P8, law, c0, t_final=1.5))
 
 
 class TestOpenLoopPropagator:
