@@ -47,7 +47,6 @@ class TransformMatrix(ModeIndexed):
     target_eigenvalues: np.ndarray  # mu~_p
     i_nu_target_moments: np.ndarray  # <I_nu, dual_p>
     weighted_condition: float
-    law: FeedbackLaw = None
 
     def apply(self, coeffs) -> np.ndarray:
         """Map source coefficients (over f_n) to target coefficients."""
@@ -81,7 +80,7 @@ def build_transform(params: Params, basisA: Basis, basisAtilde: Basis,
         n_list=basisA.n_list.copy(), entries=G,
         eigenvalues=basisA.eigenvalues.copy(),
         target_eigenvalues=basisAtilde.eigenvalues.copy(),
-        i_nu_target_moments=itld, weighted_condition=cond, law=law,
+        i_nu_target_moments=itld, weighted_condition=cond,
     )
 
 

@@ -41,7 +41,7 @@ from watertank.simulate import (
     real_initial_datum,
     steer,
 )
-from watertank.spectral import BcKind, build_basis, find_eigenvalues, w_modes
+from watertank.spectral import BcKind, build_basis, find_eigenvalues, unperturbed_eigenvalues, w_modes
 
 _PARAM_KEYS = {f.name: type(f.default) for f in dataclasses.fields(Params)}
 
@@ -145,6 +145,29 @@ def _law_doc(law) -> dict:
     }
 
 
+def _moment_doc(report, params: Params) -> dict:
+    """``moment_report.json``: the report's items, with their four fitted constants gathered."""
+    bounds, profile = report.items["moment_bounds"], report.items["profile_moments"]
+    return {
+        "gamma": params.gamma,
+        "n_modes": params.n_modes,
+        "items": report.items,
+        "constants": {"c": bounds["lower_c"], "C": bounds["upper_C"], "m": profile["m"], "M": profile["M"]},
+        "gamma_zero_even_modes": bounds["dead_modes"],
+        "all_passed": report.all_passed,
+    }
+
+
+def _criterion_doc(result) -> dict:
+    return {
+        "id": result.cid,
+        "title": result.title,
+        "passed": result.passed,
+        "elapsed_seconds": round(result.elapsed, 2),
+        "details": result.details,
+    }
+
+
 def _read_law_table(path, params: Params) -> np.ndarray:
     """The modal table :func:`_law_doc` stored in ``feedback.json``.
 
@@ -217,7 +240,6 @@ def _config_echo(cfg, params: Params) -> dict:
 def cmd_spectrum(cfg, params):
     N = params.n_modes
     n_list = np.arange(-N, N + 1)
-    seeds = 1j * math.pi * n_list / params.L
     wanted = cfg.get("modes")
     if wanted:
         if any(abs(n) > N for n in wanted):
@@ -228,7 +250,8 @@ def cmd_spectrum(cfg, params):
     else:
         ev_c = find_eigenvalues(params, BcKind.CONSERVATIVE, n_list)
     ev_d = find_eigenvalues(params, BcKind.DAMPED, n_list)
-    d_c, d_d = ev_c - seeds, ev_d - params.mu - seeds
+    d_c = ev_c - unperturbed_eigenvalues(BcKind.CONSERVATIVE, params, n_list)
+    d_d = ev_d - unperturbed_eigenvalues(BcKind.DAMPED, params, n_list)
     drift_c = np.hypot(d_c.real, d_c.imag)  # np.abs would round some drifts differently
     files = {"spectrum_conservative.csv": {"n": n_list, "": ev_c, "drift": drift_c},
              "spectrum_damped.csv": {"n": n_list, "": ev_d, "drift": np.hypot(d_d.real, d_d.imag)}}
@@ -254,7 +277,7 @@ def cmd_controllability(cfg, params):
     report = controllability_report(params, basis, modes)
     files = {"moments.csv": {"n": report.n_list, "b": report.b, "a": report.a,
                              "i": report.i_mom, "mu": report.eigenvalues},
-             "moment_report.json": report.to_dict()}
+             "moment_report.json": _moment_doc(report, params)}
     if report.expected_gamma_zero_pattern() if params.gamma == 0 else report.all_passed:
         return files, None
     failed = [k for k, v in report.items.items() if not v["passed"]]
@@ -282,7 +305,7 @@ def cmd_feedback(cfg, params):
         "law": _law_doc(law),
         "physical": {
             "mu_phys": phys.mu_phys,
-            "mu_internal": phys.mu_internal,
+            "mu_internal": law.params.mu,
             "u2_coefficient_re": float(phys.u2_coefficient.real),
             "u2_coefficient_im": float(phys.u2_coefficient.imag),
             "modes": [
@@ -416,7 +439,7 @@ def cmd_report(cfg, params):
             raise ConfigError(f"repeated criteria {repeated}")
     results = acceptance.run_all(wanted)
     doc = {
-        "criteria": [r.to_dict() for r in results],
+        "criteria": [_criterion_doc(r) for r in results],
         "all_passed": all(r.passed for r in results),
     }
     for r in results:

@@ -22,7 +22,7 @@ import numpy as np
 
 from watertank.errors import ConfigError, NumericalError, UncontrollableError
 from watertank.model import Params, diagonal_weight, simpson_weights, uniform_grid
-from watertank.spectral import Basis, WModes, collision, gram_matrix, pairings
+from watertank.spectral import Basis, BcKind, WModes, collision, gram_matrix, pairings, unperturbed_eigenvalues
 
 __all__ = [
     "MomentReport",
@@ -67,17 +67,14 @@ def input_gains(modes: WModes):
 
 @dataclass
 class MomentReport:
-    """Per-mode moment table plus pass/fail flags for the four key items."""
+    """Per-mode moment table and the checked items, which alone hold the fitted constants."""
 
-    params: Params
     n_list: np.ndarray
     eigenvalues: np.ndarray
     b: np.ndarray
     a: np.ndarray
     i_mom: np.ndarray
     items: dict
-    constants: dict
-    gamma_zero_even_modes: list
 
     @property
     def all_passed(self) -> bool:
@@ -89,17 +86,7 @@ class MomentReport:
             v["passed"] for k, v in self.items.items() if k != "moment_bounds"
         )
         evens = [n for n in self.n_list if n != 0 and n % 2 == 0]
-        return others and sorted(self.gamma_zero_even_modes) == sorted(evens)
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.params.gamma,
-            "n_modes": int((self.n_list.size - 1) // 2),
-            "items": self.items,
-            "constants": self.constants,
-            "gamma_zero_even_modes": [int(n) for n in self.gamma_zero_even_modes],
-            "all_passed": self.all_passed,
-        }
+        return others and sorted(self.items["moment_bounds"]["dead_modes"]) == sorted(evens)
 
 
 def controllability_report(params: Params, basis: Basis, modes: WModes) -> MomentReport:
@@ -113,7 +100,6 @@ def controllability_report(params: Params, basis: Basis, modes: WModes) -> Momen
     at gamma = 0 item (iv) is supposed to fail on exactly the even modes.
     """
     n_list = basis.n_list
-    N = (n_list.size - 1) // 2
     grid = basis.grid
     eigs = basis.eigenvalues
     b = plain_moments(modes.chi, grid)
@@ -143,7 +129,7 @@ def controllability_report(params: Params, basis: Basis, modes: WModes) -> Momen
     }
 
     # (iii) eigenvalue localization
-    drift = np.abs(eigs - 1j * math.pi * n_list / params.L)
+    drift = np.abs(eigs - unperturbed_eigenvalues(BcKind.CONSERVATIVE, params, n_list))
     items["eigenvalue_drift"] = {
         "passed": bool(np.max(drift) < 0.25 / params.L),
         "max_drift": float(np.max(drift)),
@@ -181,11 +167,7 @@ def controllability_report(params: Params, basis: Basis, modes: WModes) -> Momen
         "i_f0": i0,
     }
 
-    constants = {"c": c_fit, "C": C_fit, "m": m_fit, "M": M_fit}
-    return MomentReport(
-        params=params, n_list=n_list, eigenvalues=eigs, b=b, a=a, i_mom=imom,
-        items=items, constants=constants, gamma_zero_even_modes=dead,
-    )
+    return MomentReport(n_list=n_list, eigenvalues=eigs, b=b, a=a, i_mom=imom, items=items)
 
 
 @dataclass

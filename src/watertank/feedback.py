@@ -77,7 +77,6 @@ class FeedbackLaw(ModeIndexed):
     eigenvalues: np.ndarray
     tau: np.ndarray            # tau_n = e^{int delta} f1(L)/f1(0) - 1
     singular: np.ndarray       # h_n
-    basis: Basis
     mode_masses: np.ndarray    # model.mass_functional of each mode's w-function
     # (M, dt, e^{M dt}) of the last closed-loop run, which simulate.integrate_closed_loop
     # reuses only while galerkin_matrix() still equals M; dataclasses.replace starts it empty
@@ -137,7 +136,7 @@ def feedback_coefficients(params: Params, basis: Basis) -> FeedbackLaw:
     return FeedbackLaw(
         params=params, n_list=basis.n_list.copy(), table=table,
         i_nu_moments=inu_m, eigenvalues=basis.eigenvalues.copy(), tau=tau, singular=h,
-        basis=basis, mode_masses=_masses(params, basis),
+        mode_masses=_masses(params, basis),
     )
 
 
@@ -147,8 +146,7 @@ def zero_law(params: Params, basis: Basis) -> FeedbackLaw:
     return FeedbackLaw(
         params=params, n_list=basis.n_list.copy(), table=zeros,
         i_nu_moments=i_moments(params, basis), eigenvalues=basis.eigenvalues.copy(),
-        tau=_tau(params, basis), singular=zeros.copy(), basis=basis,
-        mode_masses=_masses(params, basis),
+        tau=_tau(params, basis), singular=zeros.copy(), mode_masses=_masses(params, basis),
     )
 
 
@@ -159,13 +157,12 @@ class PhysicalFeedback(ModeIndexed):
     ``table[n]`` is the value of the physical functional on the physical
     image of f_n; the control is ``u(t) = <(h,v), F1> + u2(t)`` with
     ``u2' = u2_coefficient * (u2 + <(h,v), F1>)``. The physical rate is
-    ``mu_phys = mu/4``: the internal damping ``mu_internal = mu = 4 mu_phys``
-    guarantees the physical decay rate ``(3/4) mu_internal L / L_gamma >=
-    mu_phys``.
+    ``mu_phys = mu/4``: the internal damping, the law's ``params.mu = 4 mu_phys``
+    (not a field here), guarantees the physical decay rate ``(3/4) mu L / L_gamma
+    >= mu_phys``.
     """
 
     mu_phys: float
-    mu_internal: float
     table: np.ndarray
     n_list: np.ndarray
     u2_coefficient: complex
@@ -190,6 +187,6 @@ def physical_feedback(law: FeedbackLaw) -> PhysicalFeedback:
     params = law.params
     table = (params.L / l_gamma(params)) * law.table
     return PhysicalFeedback(
-        mu_phys=params.mu / 4.0, mu_internal=params.mu, table=table,
+        mu_phys=params.mu / 4.0, table=table,
         n_list=law.n_list.copy(), u2_coefficient=complex(params.nu * table[law.index(0)]),
     )

@@ -47,6 +47,7 @@ __all__ = [
     "kato_psi",
     "first_order_perturbation",
     "reference_mode",
+    "unperturbed_eigenvalues",
     "reflection",
     "adjoint_values",
     "gram_matrix",
@@ -75,8 +76,8 @@ def _left_seed(kind: BcKind, params: Params) -> np.ndarray:
     return np.array([reflection(kind, params), 1.0], dtype=complex)
 
 
-def _seed_eigenvalues(kind: BcKind, params: Params, n_list) -> np.ndarray:
-    """Unperturbed eigenvalues used as root seeds."""
+def unperturbed_eigenvalues(kind: BcKind, params: Params, n_list) -> np.ndarray:
+    """The gamma = 0 eigenvalues ``i pi n/L``, plus ``mu`` if damped: root seeds and drift origin."""
     base = 1j * math.pi * np.asarray(n_list, dtype=float) / params.L
     return base if kind is BcKind.CONSERVATIVE else params.mu + base
 
@@ -283,7 +284,7 @@ def find_eigenvalues(params: Params, kind: BcKind, n_range):
     drifts more than 1/(2L) from its seed.
     """
     n_list = np.asarray(list(n_range), dtype=int)
-    lam0 = _seed_eigenvalues(kind, params, n_list)
+    lam0 = unperturbed_eigenvalues(kind, params, n_list)
     seed = _left_seed(kind, params)
 
     def drift_guard(lam, among):
@@ -365,13 +366,12 @@ def _slots(a_values, b_values, grid, conjugate):
     return a_values[..., 0, :], a_values[..., 1, :], b1, b2
 
 
-def gram_matrix(a_values, b_values, grid, conjugate=True):
+def gram_matrix(a_values, b_values, grid):
     """Pairing matrix ``G[i, j] = <a_i, b_j>`` of two (K, 2, nx) families.
 
-    ``<f, g> = (1/2L) int (f1 conj(g1) + f2 conj(g2))`` under Simpson
-    quadrature; ``conjugate=False`` gives the bilinear form.
+    ``<f, g> = (1/2L) int (f1 conj(g1) + f2 conj(g2))`` under Simpson quadrature.
     """
-    a1, a2, b1, b2 = _slots(a_values, b_values, grid, conjugate)
+    a1, a2, b1, b2 = _slots(a_values, b_values, grid, conjugate=True)
     w = simpson_weights(grid)
     return ((a1 * w) @ b1.T + (a2 * w) @ b2.T) / (2.0 * grid[-1])
 

@@ -317,6 +317,18 @@ class TestControllabilityCommand:
         doc = json.loads((tmp_path / "moment_report.json").read_text())
         assert doc["all_passed"] is True
 
+    @pytest.mark.parametrize("gamma", ["0.0", "0.05"])
+    def test_gathered_fields_match_the_items(self, gamma, tmp_path):
+        # the document's constants and dead-mode list are rebuilt from its items
+        assert run(["controllability", "--set", f"gamma={gamma}"] + FAST, tmp_path) == 0
+        doc = json.loads((tmp_path / "moment_report.json").read_text())
+        bounds, profile = doc["items"]["moment_bounds"], doc["items"]["profile_moments"]
+        assert doc["constants"] == {"c": bounds["lower_c"], "C": bounds["upper_C"],
+                                    "m": profile["m"], "M": profile["M"]}
+        assert list(doc["constants"]) == ["c", "C", "m", "M"]
+        assert doc["gamma_zero_even_modes"] == bounds["dead_modes"]
+        assert (doc["gamma"], doc["n_modes"]) == (float(gamma), 4)
+
     def test_negative_gamma_rejected(self, tmp_path):
         code = run(["controllability", "--set", "gamma=-0.05"] + FAST, tmp_path)
         assert code == 3

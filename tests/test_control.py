@@ -91,7 +91,7 @@ class TestControllabilityReport:
         report = controllability_report(p_gamma0, basis, modes)
         assert not report.all_passed
         assert report.expected_gamma_zero_pattern()
-        assert sorted(report.gamma_zero_even_modes) == sorted(
+        assert sorted(report.items["moment_bounds"]["dead_modes"]) == sorted(
             [n for n in range(-20, 21) if n != 0 and n % 2 == 0]
         )
 

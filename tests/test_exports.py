@@ -151,3 +151,26 @@ def test_filesystem_call_check_flags_one():
     source = ("def cmd_a(cfg):\n    json.dump({}, fh)\n    return {}\n\n"
               "def cmd_b(cfg):\n    return {}\n\ndef main():\n    out.mkdir()\n")
     assert _filesystem_calls(source) == ["cmd_a: dump"]
+
+
+def _to_dict_classes(source: str) -> list:
+    """Each class in ``source`` that defines ``to_dict``: documents are built in ``cli``."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "to_dict" for f in node.body)
+    ]
+
+
+def test_no_class_formats_a_document():
+    # cli builds every JSON document; a result object holds only values
+    src = sorted(Path(watertank.__file__).parent.glob("*.py"))
+    found = [f"{p.stem}.{c}" for p in src for c in _to_dict_classes(p.read_text())]
+    assert not found, f"classes that build their own document: {found}"
+
+
+def test_to_dict_check_flags_one():
+    source = ("class A:\n    def to_dict(self):\n        return {}\n\n"
+              "class B:\n    def as_row(self):\n        return []\n\ndef to_dict():\n    return {}\n")
+    assert _to_dict_classes(source) == ["A"]

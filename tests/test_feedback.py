@@ -242,12 +242,12 @@ class TestPhysicalFeedback:
         assert float(rel.max()) < 1e-6
 
     def test_tanh_scaling_rule(self, basis_cache):
-        # mu_internal = 4 mu_phys, with mu_phys = mu/4, is a hard rule
+        # the internal damping mu = 4 mu_phys, with mu_phys = mu/4, is a hard rule
         p = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=4, grid_points=2049)
         basis = basis_cache(p, BcKind.CONSERVATIVE, 4)
         phys = physical_feedback(feedback_coefficients(p, basis))
         assert phys.mu_phys == 0.5
-        assert phys.mu_internal == 2.0
+        assert 4 * phys.mu_phys == p.mu == 2.0
 
     def test_zero_mode_blows_up_through_nu_only(self, basis_cache):
         # as gamma -> 0 the n = 0 coefficient stays finite at fixed nu

@@ -14,7 +14,6 @@ from watertank.spectral import (
     _kato_series,
     _left_seed,
     _residual,
-    _seed_eigenvalues,
     _sinh_minus,
     _store_pass,
     adjoint_values,
@@ -29,6 +28,7 @@ from watertank.spectral import (
     reference_mode,
     secant,
     step_tables,
+    unperturbed_eigenvalues,
     w_modes,
 )
 
@@ -246,7 +246,7 @@ class TestMarch:
     def test_fourth_order(self, kind):
         # against a fine RK4 reference, halving the step cuts the error about 16x
         p = Params(gamma=0.1, mu=2.0, nu=0.5, grid_points=257)
-        lams = _seed_eigenvalues(kind, p, [1, 5, 12]) + 0.05
+        lams = unperturbed_eigenvalues(kind, p, [1, 5, 12]) + 0.05
         ref = rk4_residuals(p, kind, lams, nsteps=8192)
         errs = [np.abs(_residual(p, lams, _left_seed(kind, p), n) - ref) for n in (32, 64)]
         ratio = errs[0] / errs[1]
@@ -302,7 +302,7 @@ def grid_march_eigenvalues(params: Params, kind: BcKind, n_range) -> np.ndarray:
     ``_RK4_SUBSTEPS`` RK4 steps per grid cell: independent of the package's
     march and of its step counts.
     """
-    seed_lams = _seed_eigenvalues(kind, params, list(n_range))
+    seed_lams = unperturbed_eigenvalues(kind, params, list(n_range))
     lam, ok = secant(lambda lam: rk4_residuals(params, kind, lam), seed_lams,
                      seed_lams + 0.02j / params.L, _SECANT_TOL, max_step=0.3 / params.L)
     assert np.all(ok), "grid-march secant did not converge"
