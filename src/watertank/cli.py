@@ -31,7 +31,13 @@ from watertank.errors import (
     NumericalError,
     RegimeError,
 )
-from watertank.feedback import feedback_coefficients, physical_feedback, zero_law
+from watertank.feedback import (
+    FeedbackLaw,
+    feedback_coefficients,
+    physical_feedback,
+    synthesis_regime_check,
+    zero_law,
+)
 from watertank.finite_dim import placement_mismatch, random_backstep_pairs
 from watertank.model import LAW_KEYS, Params, gamma_s_threshold
 from watertank.simulate import (
@@ -125,23 +131,24 @@ def load_config(path, overrides, command):
     return cfg
 
 
+# the law block's per-mode key prefixes, each a complex FeedbackLaw field written as a
+# ``<prefix>re``/``<prefix>im`` pair after ``n``: the file format of a law, in one place
+_LAW_FIELDS = {"": "table", "tau_": "tau", "h_": "singular", "mu_": "eigenvalues",
+               "b_": "i_nu_moments", "mass_": "mode_masses"}
+
+
 def _law_doc(law) -> dict:
-    """The ``law`` block of ``feedback.json``, which :func:`_read_law_table` reads back."""
+    """The ``law`` block of ``feedback.json``: every field a closed-loop run reads, which
+    :func:`_read_law` reads back. JSON writes each float by ``repr``, so it reads back exactly."""
+    cols = {}
+    for prefix, name in _LAW_FIELDS.items():
+        values = getattr(law, name)
+        cols[f"{prefix}re"], cols[f"{prefix}im"] = values.real.tolist(), values.imag.tolist()
     return {
         "mu_internal": law.params.mu,
         "nu": law.params.nu,
-        "modes": [
-            {
-                "n": int(n),
-                "re": float(t.real),
-                "im": float(t.imag),
-                "tau_re": float(tau.real),
-                "tau_im": float(tau.imag),
-                "h_re": float(h.real),
-                "h_im": float(h.imag),
-            }
-            for n, t, tau, h in zip(law.n_list, law.table, law.tau, law.singular)
-        ],
+        "modes": [{"n": int(n), **{k: c[i] for k, c in cols.items()}}
+                  for i, n in enumerate(law.n_list)],
     }
 
 
@@ -168,19 +175,22 @@ def _criterion_doc(result) -> dict:
     }
 
 
-def _read_law_table(path, params: Params) -> np.ndarray:
-    """The modal table :func:`_law_doc` stored in ``feedback.json``.
+def _read_law(path, params: Params) -> FeedbackLaw:
+    """The law :func:`_law_doc` stored in ``feedback.json``, at this run's ``params``; no basis is built.
 
     The file's ``config`` must carry exactly the model parameters of this
-    run: a table is only the law of the parameters it was built at.
+    run: a law is only the law of the parameters it was built at. The
+    synthesis regime is checked again at them; the law passed every other
+    check of ``feedback_coefficients`` at those parameters when it was written.
     """
     try:
         stored = json.loads(Path(path).read_text())
-        table = np.array(
-            [m["re"] + 1j * m["im"] for m in stored["law"]["modes"]], dtype=complex
-        )
+        modes = stored["law"]["modes"]
+        n = [m["n"] for m in modes]
+        fields = {name: np.array([complex(m[f"{p}re"], m[f"{p}im"]) for m in modes], complex)
+                  for p, name in _LAW_FIELDS.items()}
         mismatched = [k for k in LAW_KEYS if stored["config"][k] != getattr(params, k)]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"cannot read law file {path}: {exc!r}") from exc
     if mismatched:
         k = mismatched[0]
@@ -188,11 +198,16 @@ def _read_law_table(path, params: Params) -> np.ndarray:
             f"law file {path} was built at {k} = {stored['config'][k]!r}, "
             f"not {getattr(params, k)!r}"
         )
-    if table.shape != (2 * params.n_modes + 1,):
+    N = params.n_modes
+    n_list = np.arange(-N, N + 1)
+    if len(n) != n_list.size:
         raise ConfigError("law file truncation does not match n_modes")
-    if not np.all(np.isfinite(table)):
+    if n != n_list.tolist():
+        raise ConfigError(f"law file {path} does not list its modes as n = -{N}..{N}")
+    if not all(np.all(np.isfinite(v)) for v in fields.values()):
         raise ConfigError(f"law file {path} has non-finite entries")
-    return table
+    synthesis_regime_check(params)
+    return FeedbackLaw(params=params, n_list=n_list, **fields)
 
 
 _CSV_BLOCK_ROWS = 4096
@@ -318,16 +333,11 @@ def cmd_feedback(cfg, params):
 
 
 def cmd_simulate(cfg, params):
-    table = None
     if cfg.get("law_file") and not cfg.get("open_loop"):
-        table = _read_law_table(cfg["law_file"], params)
-    basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes)
-    if cfg.get("open_loop"):
-        law = zero_law(params, basis)
+        law = _read_law(cfg["law_file"], params)
     else:
-        law = feedback_coefficients(params, basis)
-        if table is not None:
-            law.table = table
+        basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes)
+        law = (zero_law if cfg.get("open_loop") else feedback_coefficients)(params, basis)
     init = real_initial_datum(np.random.default_rng(cfg.get("seed", 0)), params.n_modes)
     traj = integrate_closed_loop(params, law, init)
     files = {"trajectory.csv": {

@@ -40,6 +40,7 @@ __all__ = [
     "FeedbackLaw",
     "PhysicalFeedback",
     "virtual_profile",
+    "synthesis_regime_check",
     "feedback_coefficients",
     "zero_law",
     "physical_feedback",
@@ -55,7 +56,8 @@ def virtual_profile(params: Params, basis: Basis) -> np.ndarray:
     return control_profile(params) + params.nu * basis.values[basis.index(0)]
 
 
-def _synthesis_regime_check(params: Params):
+def synthesis_regime_check(params: Params):
+    """Raise RegimeError unless gamma lies in the synthesis regime (0, gamma_s(3mu/4))."""
     if params.gamma <= 0:
         raise RegimeError("synthesis requires gamma > 0 (gamma = 0 is uncontrollable)")
     gs = gamma_s_threshold(params, 0.75 * params.mu)
@@ -77,7 +79,7 @@ class FeedbackLaw(ModeIndexed):
     eigenvalues: np.ndarray
     tau: np.ndarray            # tau_n = e^{int delta} f1(L)/f1(0) - 1
     singular: np.ndarray       # h_n
-    mode_masses: np.ndarray    # model.mass_functional of each mode's w-function
+    mode_masses: np.ndarray    # conserved mass of each mode's w-function (model.mode_masses)
     # (M, dt, e^{M dt}) of the last closed-loop run, which simulate.integrate_closed_loop
     # reuses only while galerkin_matrix() still equals M; dataclasses.replace starts it empty
     record_memo: tuple = field(default=None, init=False, repr=False, compare=False)
@@ -118,7 +120,7 @@ def feedback_coefficients(params: Params, basis: Basis) -> FeedbackLaw:
     """
     if basis.kind is not BcKind.CONSERVATIVE:
         raise ValueError("feedback_coefficients requires the conservative basis")
-    _synthesis_regime_check(params)
+    synthesis_regime_check(params)
     inu_m = pairings(virtual_profile(params, basis), basis.values, basis.grid)
     dead = np.abs(inu_m) < 1e-12
     if np.any(dead):

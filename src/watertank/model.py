@@ -34,7 +34,6 @@ __all__ = [
     "height_root_profile",
     "z_of_x",
     "zeta_to_physical",
-    "mass_functional",
     "mode_masses",
     "gamma_s_threshold",
     "LAW_KEYS",
@@ -224,25 +223,13 @@ def zeta_to_physical(params: Params, zeta):
     return h, v
 
 
-def mass_functional(params: Params, w) -> complex:
-    """Conserved mass seen in the w-coordinates: ``int W(x)^2 (w1 - w2) dx``.
-
-    Constant along every trajectory of the w/zeta systems regardless of the
-    control (the "missing direction"); the immaterial L/L_gamma prefactor is
-    dropped.
-    """
-    w = _sampled(params, w, "w")
-    grid = uniform_grid(params)
-    weight = height_root_profile(params, grid) ** 2
-    sw = simpson_weights(grid)
-    return complex(np.sum(sw * weight * (w[0] - w[1])))
-
-
 def mode_masses(params: Params, values, gauge=1.0) -> np.ndarray:
-    """:func:`mass_functional` of each mode's w-function ``values / gauge``.
+    """The conserved mass ``int W(x)^2 (w1 - w2) dx`` of each mode's w-function ``values / gauge``.
 
-    Mass is linear, so this is one contraction of both components against
-    the weight ``simpson * W^2 / gauge``.
+    Mass is constant along every trajectory of the w/zeta systems, whatever
+    the control (the "missing direction"); the immaterial L/L_gamma prefactor
+    is dropped. It is linear, so this is one contraction of both components
+    against the weight ``simpson * W^2 / gauge``.
     """
     grid = uniform_grid(params)
     q = simpson_weights(grid) * height_root_profile(params, grid) ** 2 / gauge

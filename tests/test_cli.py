@@ -7,7 +7,7 @@ import sys
 import time
 import warnings
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,8 @@ import pytest
 
 from watertank import acceptance, cli, spectral
 from watertank.cli import main
-from watertank.model import Params
+from watertank.feedback import FeedbackLaw, feedback_coefficients
+from watertank.model import LAW_KEYS, Params
 from watertank.simulate import integrate_closed_loop
 
 FAST = [
@@ -168,21 +169,28 @@ BAD_INPUT = [
     (["steer", "--set", "gamma=0.05", "--set", "target=1:0"], "every target amplitude is zero"),
     (["steer", "--set", "gamma=0.05", "--set", "target=1:1.7e308"], "1.7e+308"),
     (["report", "--set", "criteria=11,11"], "repeated criteria [11]"),
+    (["simulate", "--set", "law_file={tmp}/old_law.json"], "cannot read law file {tmp}/old_law.json"),
+    (["simulate", "--set", "law_file={tmp}/huge_law.json"], "cannot read law file {tmp}/huge_law.json"),
 ]
 
 
 class TestBadInput:
     @pytest.mark.parametrize("args, named", BAD_INPUT, ids=[f"args{i}" for i in range(len(BAD_INPUT))])
     def test_exit2_with_one_line(self, args, named, tmp_path, capsys):
-        # both law files carry the config of a run at the FAST defaults
+        # every law file carries the config of a run at the FAST defaults and the value
+        # ``re2`` at n = 2; old_law.json only the keys written before the law block carried
+        # the eigenvalues, moments and mode masses, the others every key the reader reads
         config = {"L": 1.0, "gamma": 0.03, "mu": 2.0, "nu": 0.5, "n_modes": 4,
                   "grid_points": 257}
-        for name, bad in (("law.json", None), ("nan_law.json", 2)):
-            modes = [{"n": n, "re": float("nan") if n == bad else 1.0, "im": 0.0}
-                     for n in range(-4, 5)]
+        every = {f"{prefix}{part}": 0.0 for prefix in cli._LAW_FIELDS for part in ("re", "im")}
+        old = {k: 0.0 for k in ("im", "tau_re", "tau_im", "h_re", "h_im")}
+        for name, keys, re2 in (("law.json", every, 1.0), ("nan_law.json", every, float("nan")),
+                                ("huge_law.json", every, 10**400), ("old_law.json", old, 1.0)):
+            modes = [{"n": n, **keys, "re": re2 if n == 2 else 1.0} for n in range(-4, 5)]
             (tmp_path / name).write_text(json.dumps({"config": config, "law": {"modes": modes}}))
         (tmp_path / "run.cfg").write_text("gamma = 0.03\n")
         args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+        named = named.replace("{tmp}", str(tmp_path))
         # report and finite-demo take no model key: FAST would stop them at the key check
         code = run(args + (FAST if "n_modes" in cli._COMMAND_KEYS[args[0]] else []), tmp_path)
         err = capsys.readouterr().err
@@ -349,7 +357,8 @@ class TestFeedbackCommand:
         assert code == 0
         doc = json.loads((tmp_path / "feedback.json").read_text())
         mode = doc["law"]["modes"][0]
-        assert set(mode) == {"n", "re", "im", "tau_re", "tau_im", "h_re", "h_im"}
+        assert set(mode) == {"n", "re", "im", "tau_re", "tau_im", "h_re", "h_im",
+                             "mu_re", "mu_im", "b_re", "b_im", "mass_re", "mass_im"}
         assert doc["physical"]["mu_internal"] == pytest.approx(2.0)
 
     def test_shooting_diagnostics(self, tmp_path):
@@ -441,16 +450,71 @@ class TestSimulateCommand:
         assert doc["mass_drift"] < 1e-8
 
     def test_law_file_round_trip(self, tmp_path):
+        # the stored law runs exactly as the law built afresh
         assert run(["feedback", "--set", "gamma=0.03"] + FAST, tmp_path) == 0
-        code = run(
-            [
-                "simulate", "--set", "gamma=0.03",
-                "--set", f"law_file={tmp_path}/feedback.json",
-            ]
-            + FAST,
-            tmp_path,
-        )
-        assert code == 0
+        args = ["simulate", "--set", "gamma=0.03", "--set", "seed=3"] + FAST
+        law = ["--set", f"law_file={tmp_path}/feedback.json"]
+        assert run(args + law, tmp_path / "stored") == 0
+        assert run(args, tmp_path / "fresh") == 0
+        assert (tmp_path / "stored" / "trajectory.csv").read_bytes() == (
+            tmp_path / "fresh" / "trajectory.csv"
+        ).read_bytes()
+
+    def test_law_file_modes_out_of_order_exit2(self, tmp_path, capsys):
+        # each row is the mode its n names: a reversed list would run the conjugate table
+        assert run(["feedback", "--set", "gamma=0.03"] + FAST, tmp_path) == 0
+        doc = json.loads((tmp_path / "feedback.json").read_text())
+        doc["law"]["modes"].reverse()
+        (tmp_path / "feedback.json").write_text(json.dumps(doc))
+        law = ["--set", f"law_file={tmp_path}/feedback.json"]
+        capsys.readouterr()
+        assert run(["simulate", "--set", "gamma=0.03"] + law + FAST, tmp_path / "sim") == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: law file {tmp_path}/feedback.json does not list its modes as n = -4..4\n"
+
+    def test_law_file_builds_no_basis(self, tmp_path, monkeypatch):
+        assert run(["feedback", "--set", "gamma=0.03"] + FAST, tmp_path) == 0
+        calls = []
+
+        def spy(name):
+            real = getattr(cli, name)
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        for name in ("build_basis", "feedback_coefficients"):
+            monkeypatch.setattr(cli, name, spy(name))
+        law = ["--set", f"law_file={tmp_path}/feedback.json"]
+        assert run(["simulate", "--set", "gamma=0.03"] + law + FAST, tmp_path) == 0
+        assert calls == []
+        assert run(["simulate", "--set", "gamma=0.03"] + FAST, tmp_path) == 0
+        assert calls == ["build_basis", "feedback_coefficients"]  # the spies see a fresh law
+
+    def test_read_law_returns_every_field(self, tmp_path, basis_cache):
+        params = Params(gamma=0.03, n_modes=4, grid_points=257)
+        law = feedback_coefficients(params, basis_cache(params, spectral.BcKind.CONSERVATIVE, 4))
+        config = {k: getattr(params, k) for k in LAW_KEYS}
+        doc = json.loads(json.dumps(cli._law_doc(law)))
+        (tmp_path / "feedback.json").write_text(json.dumps({"config": config, "law": doc}))
+        got = cli._read_law(tmp_path / "feedback.json", params)
+        assert got.params == law.params
+        for f in fields(FeedbackLaw):
+            if f.init and f.name != "params":
+                assert np.array_equal(getattr(got, f.name), getattr(law, f.name)), f.name
+
+    def test_out_of_regime_law_file_exit3(self, tmp_path, capsys):
+        # a law file whose config is out of the synthesis regime is refused as feedback refuses it
+        assert run(["feedback", "--set", "gamma=0.35"] + FAST, tmp_path / "fb") == 3
+        refusal = capsys.readouterr().err
+        assert run(["feedback", "--set", "gamma=0.03"] + FAST, tmp_path) == 0
+        doc = json.loads((tmp_path / "feedback.json").read_text())
+        doc["config"]["gamma"] = 0.35
+        (tmp_path / "feedback.json").write_text(json.dumps(doc))
+        law = ["--set", f"law_file={tmp_path}/feedback.json"]
+        capsys.readouterr()
+        assert run(["simulate", "--set", "gamma=0.35"] + law + FAST, tmp_path / "sim") == 3
+        err = capsys.readouterr().err
+        assert err == refusal
+        assert err.startswith("regime violation: gamma = 0.35 is not below the feasibility threshold ")
+        assert err.count("\n") == 1
 
 
 class TestLyapunovCommand:

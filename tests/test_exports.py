@@ -60,7 +60,6 @@ def test_unused_import_check_flags_one():
 
 # Exported names no pipeline stage reads, each with its reason.
 UNREAD_EXPORTS = {
-    "mass_functional": "reference implementation the tests compare the recorded mass against",
     "build_transform": "the paper's backstepping transform, not yet reported by any stage",
 }
 PERFBENCH = Path(watertank.__file__).parents[2] / "perfbench"
@@ -151,6 +150,29 @@ def test_filesystem_call_check_flags_one():
     source = ("def cmd_a(cfg):\n    json.dump({}, fh)\n    return {}\n\n"
               "def cmd_b(cfg):\n    return {}\n\ndef main():\n    out.mkdir()\n")
     assert _filesystem_calls(source) == ["cmd_a: dump"]
+
+
+def _attribute_stores(source: str) -> list:
+    """``cmd_name: x.y`` for each attribute a top-level ``cmd_*`` function assigns to."""
+    return [
+        f"{node.name}: {ast.unparse(target)}"
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+        for target in ast.walk(node)
+        if isinstance(target, ast.Attribute) and isinstance(target.ctx, ast.Store)
+    ]
+
+
+def test_commands_mutate_no_objects():
+    # a command builds its values whole (a law file is read into a new law), never patches one
+    stores = _attribute_stores((Path(watertank.__file__).parent / "cli.py").read_text())
+    assert not stores, f"commands that assign to an attribute: {stores}"
+
+
+def test_attribute_store_check_flags_one():
+    source = ("def cmd_a(cfg):\n    law = make()\n    law.table = cfg.t\n    return law\n\n"
+              "def cmd_b(cfg):\n    obj.n += 1\n    x = obj.n\n\ndef main():\n    out.name = 1\n")
+    assert _attribute_stores(source) == ["cmd_a: law.table", "cmd_b: obj.n"]
 
 
 def _to_dict_classes(source: str) -> list:

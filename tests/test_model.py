@@ -8,17 +8,30 @@ from watertank.model import (
     Params,
     _check_x,
     _resample,
+    _sampled,
     delta,
     diagonal_weight,
     height_root_profile,
     l_gamma,
-    mass_functional,
     simpson_weights,
     steady_state_height,
     uniform_grid,
     zeta_to_physical,
 )
 from watertank.spectral import pairings
+
+
+def mass_functional(params: Params, w) -> complex:
+    """Conserved mass seen in the w-coordinates: ``int W(x)^2 (w1 - w2) dx``.
+
+    The reference quadrature, one function at a time, that the recorded mass
+    (``model.mode_masses`` contracted with the coefficients) is checked against.
+    """
+    w = _sampled(params, w, "w")
+    grid = uniform_grid(params)
+    weight = height_root_profile(params, grid) ** 2
+    sw = simpson_weights(grid)
+    return complex(np.sum(sw * weight * (w[0] - w[1])))
 
 
 def exp_weight(params: Params, x):

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from test_model import mass_functional
 from watertank import cli, simulate
 from watertank.backstepping import galerkin_spectrum, match_spectrum
 from watertank.control import dual_exponentials, i_moments, input_gains, synthesize_open_loop
@@ -17,7 +18,6 @@ from watertank.model import (
     LAW_KEYS,
     diagonal_weight,
     gamma_s_threshold,
-    mass_functional,
     simpson_weights,
     uniform_grid,
 )
@@ -166,8 +166,8 @@ class TestClosedLoopPropagator:
                                                              t_final=3.0))
 
     def test_replaced_table_forms_a_new_propagator(self, basis_cache):
-        # simulate's law_file replaces law.table on the instance: the next run is
-        # the run of a fresh law with that table, never the stored propagator's
+        # a law whose table is replaced on the instance (the library allows it): the
+        # next run is the run of a fresh law with that table, never the stored propagator's
         c0 = real_initial_datum(np.random.default_rng(8), 8)
         law = self._law(basis_cache)
         before = integrate_closed_loop(self.P8, law, c0, t_final=3.0)
