@@ -80,8 +80,9 @@ class FeedbackLaw(ModeIndexed):
     tau: np.ndarray            # tau_n = e^{int delta} f1(L)/f1(0) - 1
     singular: np.ndarray       # h_n
     mode_masses: np.ndarray    # conserved mass of each mode's w-function (model.mode_masses)
-    # (M, dt, e^{M dt}) of the last closed-loop run, which simulate.integrate_closed_loop
-    # reuses only while galerkin_matrix() still equals M; dataclasses.replace starts it empty
+    # (M, dt, powers) of the last closed-loop run, the powers being the transposed squares
+    # (e^{M dt})^(2^j) that simulate._record doubles over; simulate.integrate_closed_loop
+    # reuses them only while galerkin_matrix() still equals M; dataclasses.replace starts it empty
     record_memo: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def galerkin_matrix(self) -> np.ndarray:

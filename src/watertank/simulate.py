@@ -3,8 +3,10 @@
 The modal closed loop and the open-loop w-system are both linear with
 constant coefficients, so both are recorded through one exact propagator,
 the matrix exponential of their generator over one record step; there is no
-step size to choose. The closed loop is recorded as ``y = c + zeta0 e_0``
-(the dynamic-extension scalar in mode 0) by the Galerkin matrix that
+step size to choose. The n records of a run are built by doubling over the
+repeated squares of that propagator, about log2(n) matrix products. The
+closed loop is recorded as ``y = c + zeta0 e_0`` (the dynamic-extension
+scalar in mode 0) by the Galerkin matrix that
 ``backstepping.galerkin_spectrum`` analyses. The open-loop control is a
 sum of exponentials, which enter as extra states ``v' = diag(rates) v``
 with ``u = sum v``. The recorded mass is linear in the modal coefficients,
@@ -112,27 +114,38 @@ def _expm(A):
     return R
 
 
-def _step_propagator(M, dt):
-    """The exact propagator ``_expm(M dt)`` of ``y' = M y`` over one record step ``dt``.
+def _step_propagator(M, dt, n_steps):
+    """The transposed powers ``[P^T, (P^2)^T, ..., (P^(2^J))^T]``, ``2^J <= n_steps``, of the
+    exact propagator ``P = _expm(M dt)`` of ``y' = M y`` over one record step ``dt``.
 
-    Raises NumericalError on a non-finite generator.
+    Each power is the square of the one before, so ``_record`` gets ``n_steps``
+    records from J + 1 of them. Raises NumericalError on a non-finite generator.
     """
     if not np.all(np.isfinite(M)):
         raise NumericalError("generator has non-finite entries")
-    with np.errstate(all="ignore"):  # a propagator past the float range fails its records
-        return _expm(M * dt)
+    with np.errstate(all="ignore"):  # powers past the float range fail their records
+        powers = [_expm(M * dt).T]
+        while 2 ** len(powers) <= n_steps:
+            powers.append(powers[-1] @ powers[-1])
+    return powers
 
 
-def _record(P, y0, n_steps):
-    """The (n_steps + 1, size) records ``y[k + 1] = P y[k]`` from ``y[0] = y0``.
+def _record(powers, y0, n_steps):
+    """The (n_steps + 1, size) records ``y[k] = P^k y0`` from the powers of ``_step_propagator``.
 
-    Each record is written in place. Raises NumericalError on a non-finite state.
+    Records are built by doubling: with ``m = 2^j``, the first ``r = min(m,
+    n_steps + 1 - m)`` rows times ``(P^m)^T`` are rows ``m..m + r``, written in
+    place; as ``r <= m`` they never overlap their source. Raises NumericalError
+    on a non-finite state.
     """
     y = np.empty((n_steps + 1, y0.size), dtype=complex)
     y[0] = y0
+    m = 1
     with np.errstate(all="ignore"):  # a state past the float range raises below
-        for k in range(n_steps):
-            np.matmul(P, y[k], out=y[k + 1])
+        for power in powers:
+            r = min(m, n_steps + 1 - m)
+            np.matmul(y[:r], power, out=y[m:m + r])
+            m *= 2
     if not np.all(np.isfinite(y)):
         raise NumericalError("propagated state is not finite")
     return y
@@ -140,11 +153,9 @@ def _record(P, y0, n_steps):
 
 def _norms(coeffs, eigenvalues) -> dict:
     """``norm_l2`` and the D(A)-weighted ``norm_da`` of each record."""
-    sq = np.abs(coeffs) ** 2
-    return {
-        "norm_l2": np.sqrt(np.sum(sq, axis=1)),
-        "norm_da": np.sqrt(np.sum((1.0 + np.abs(eigenvalues) ** 2) * sq, axis=1)),
-    }
+    sq = coeffs.real ** 2 + coeffs.imag ** 2
+    weight = 1.0 + eigenvalues.real ** 2 + eigenvalues.imag ** 2
+    return {"norm_l2": np.sqrt(np.sum(sq, axis=1)), "norm_da": np.sqrt(np.sum(weight * sq, axis=1))}
 
 
 def real_initial_datum(rng, n_modes: int) -> np.ndarray:
@@ -171,16 +182,16 @@ def integrate_closed_loop(params: Params, law: FeedbackLaw, init,
     ``y = c + zeta0 e_0`` obeys the Galerkin system ``y' = M y`` of
     ``law.galerkin_matrix()``, with ``u = table . y``. The run records y at
     ``RECORD_INTERVALS`` equal steps of ``t_final`` by the exact propagator
-    ``_expm(M t_final / RECORD_INTERVALS)``; zeta0 is its mode 0 and the
-    coefficients are the rest. The recorded mass is the coefficients against
-    ``law.mode_masses``. A zero-table law (see feedback.zero_law) yields the
-    open-loop skew system.
+    ``P = _expm(M t_final / RECORD_INTERVALS)``, doubling over its squares
+    ``P^(2^j)``; zeta0 is its mode 0 and the coefficients are the rest. The
+    recorded mass is the coefficients against ``law.mode_masses``. A
+    zero-table law (see feedback.zero_law) yields the open-loop skew system.
 
-    Only the datum is paid for per run. The law keeps the propagator of its
-    last run in ``law.record_memo`` and reuses it while its freshly formed
-    Galerkin matrix equals the stored one and the step is the same, so runs
-    from many data on one law form it once, and a law whose table was
-    replaced forms it anew. ``params`` must match ``law.params`` in every
+    Only the datum is paid for per run. The law keeps the powers of its last
+    run's propagator in ``law.record_memo`` and reuses them while its freshly
+    formed Galerkin matrix equals the stored one and the step is the same, so
+    runs from many data on one law form them once, and a law whose table was
+    replaced forms them anew. ``params`` must match ``law.params`` in every
     model parameter (``model.LAW_KEYS``); only ``t_final`` may differ.
     """
     mismatched = [k for k in LAW_KEYS if getattr(params, k) != getattr(law.params, k)]
@@ -202,7 +213,7 @@ def integrate_closed_loop(params: Params, law: FeedbackLaw, init,
     M = law.galerkin_matrix()
     memo = law.record_memo
     if memo is None or memo[1] != dt or not np.array_equal(memo[0], M):
-        memo = law.record_memo = (M, dt, _step_propagator(M, dt))
+        memo = law.record_memo = (M, dt, _step_propagator(M, dt, RECORD_INTERVALS))
     y0 = init.copy()
     y0[i0] = zeta0_init
     y = _record(memo[2], y0, RECORD_INTERVALS)
@@ -242,7 +253,8 @@ def integrate_open_loop_w(params: Params, modes: WModes, control: ControlSignal,
     factors). Each exponential ``amp_j e^{rate_j (t - T)}`` of the control
     is a state ``v_j' = rate_j v_j`` with ``u = sum v``, so the extended
     system is linear with constant coefficients and is recorded exactly
-    every ``dt`` (rounded so the records split ``t_final`` evenly).
+    every ``dt`` (rounded so the records split ``t_final`` evenly), by
+    doubling over the squares of the step propagator, formed per run.
     ``t_final`` must not pass the control horizon T. The recorded mass
     applies the quadrature mass functional of each psi_n to the
     coefficients -- a genuine cross-check of the conserved-weight closed
@@ -260,7 +272,8 @@ def integrate_open_loop_w(params: Params, modes: WModes, control: ControlSignal,
     M[:K, K:] = beta[:, None]
     v0 = control.amplitudes * np.exp(-control.rates * horizon)
     n_steps = int(math.ceil(t_final / dt))
-    y = _record(_step_propagator(M, t_final / n_steps), np.concatenate([init, v0]), n_steps)
+    powers = _step_propagator(M, t_final / n_steps, n_steps)
+    y = _record(powers, np.concatenate([init, v0]), n_steps)
     times = np.linspace(0.0, t_final, n_steps + 1)
     coeffs = y[:, :K]
     zeros = np.zeros(times.size, dtype=complex)

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from test_cli import FAST
 from test_model import mass_functional
 from watertank import cli, simulate
 from watertank.backstepping import galerkin_spectrum, match_spectrum
@@ -25,6 +26,8 @@ from watertank.simulate import (
     RECORD_INTERVALS,
     Trajectory,
     _expm,
+    _record,
+    _step_propagator,
     decay_rate_estimate,
     fd_simulate,
     integrate_closed_loop,
@@ -253,6 +256,76 @@ class TestOpenLoopPropagator:
         init = np.zeros(modes.n_list.size, dtype=complex)
         with pytest.raises(ConfigError):
             integrate_open_loop_w(self.P8, modes, sig, init, t_final=2 * self.P8.L + 0.1)
+
+
+def sequential_record(P, y0, n):
+    """The (n + 1, size) records ``y[k + 1] = P y[k]`` from ``y[0] = y0``, one step at a time."""
+    y = np.empty((n + 1, y0.size), dtype=complex)
+    y[0] = y0
+    for k in range(n):
+        y[k + 1] = P @ y[k]
+    return y
+
+
+class TestDoublingRecord:
+    """``simulate._record`` doubles over the powers of the step propagator; the
+    reference takes one product with that propagator per record."""
+
+    P8 = TestClosedLoopPropagator.P8
+
+    def assert_matches_sequential(self, powers, y0, n):
+        y = _record(powers, y0, n)
+        want = sequential_record(powers[0].T, y0, n)
+        assert y.shape == (n + 1, y0.size)
+        assert np.array_equal(y[0], y0)
+        assert np.max(np.abs(y - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("make", [feedback_coefficients, zero_law])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 500, 501])
+    def test_closed_loop_matches_sequential(self, make, n, basis_cache):
+        law = make(self.P8, basis_cache(self.P8, BcKind.CONSERVATIVE, 8))
+        y0 = real_initial_datum(np.random.default_rng(12), 8)
+        y0[law.index(0)] = 0.1
+        powers = _step_propagator(law.galerkin_matrix(), 3.0 / RECORD_INTERVALS, n)
+        assert len(powers) == n.bit_length()  # P^(2^j) for 2^j <= n
+        self.assert_matches_sequential(powers, y0, n)
+
+    def test_steer_open_loop_matches_sequential(self, tmp_path):
+        # the open loop of `watertank steer` at the CLI tests' FAST settings
+        calls = []
+
+        def spy(powers, y0, n):
+            calls.append((powers, y0, n))
+            return _record(powers, y0, n)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_record", spy)
+            assert cli.main(["steer"] + FAST + ["--set", f"outdir={tmp_path}"]) == 0
+        [(powers, y0, n)] = calls
+        assert n == 2000
+        self.assert_matches_sequential(powers, y0, n)
+
+    def test_zero_datum_stays_zero(self, basis_cache):
+        law = feedback_coefficients(self.P8, basis_cache(self.P8, BcKind.CONSERVATIVE, 8))
+        powers = _step_propagator(law.galerkin_matrix(), 3.0 / RECORD_INTERVALS, RECORD_INTERVALS)
+        y = _record(powers, np.zeros(17, dtype=complex), RECORD_INTERVALS)
+        assert y.shape == (RECORD_INTERVALS + 1, 17) and not np.any(y)
+
+    def test_overflowing_powers_raise(self):
+        # e^(3 * 256) passes the float range: the last power is not finite
+        powers = _step_propagator(np.diag([0.0, 1.0]).astype(complex), 3.0, 256)
+        assert np.all(np.isfinite(powers[0])) and not np.all(np.isfinite(powers[-1]))
+        with pytest.raises(NumericalError, match="propagated state is not finite"):
+            _record(powers, np.ones(2, dtype=complex), 256)
+
+    def test_non_finite_generator_raises_before_squaring(self):
+        M = np.diag([0.0, np.nan]).astype(complex)
+
+        def run():
+            with pytest.raises(NumericalError, match="generator has non-finite entries"):
+                _step_propagator(M, 1.0, 500)
+
+        assert generators_of(run) == []
 
 
 def generators_of(run):
