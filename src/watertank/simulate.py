@@ -119,33 +119,42 @@ def _step_propagator(M, dt, n_steps):
     exact propagator ``P = _expm(M dt)`` of ``y' = M y`` over one record step ``dt``.
 
     Each power is the square of the one before, so ``_record`` gets ``n_steps``
-    records from J + 1 of them. Raises NumericalError on a non-finite generator.
+    records from J + 1 of them. Squaring stops at the last finite power: a
+    power past the float range would turn even a record that stays finite into
+    nan. Raises NumericalError on a non-finite generator.
     """
     if not np.all(np.isfinite(M)):
         raise NumericalError("generator has non-finite entries")
-    with np.errstate(all="ignore"):  # powers past the float range fail their records
+    with np.errstate(all="ignore"):  # a non-finite P fails its records
         powers = [_expm(M * dt).T]
         while 2 ** len(powers) <= n_steps:
-            powers.append(powers[-1] @ powers[-1])
+            square = powers[-1] @ powers[-1]
+            if not np.all(np.isfinite(square)):
+                break
+            powers.append(square)
     return powers
 
 
 def _record(powers, y0, n_steps):
     """The (n_steps + 1, size) records ``y[k] = P^k y0`` from the powers of ``_step_propagator``.
 
-    Records are built by doubling: with ``m = 2^j``, the first ``r = min(m,
-    n_steps + 1 - m)`` rows times ``(P^m)^T`` are rows ``m..m + r``, written in
-    place; as ``r <= m`` they never overlap their source. Raises NumericalError
-    on a non-finite state.
+    Records are built by doubling: once rows ``0..m - 1`` are set, with ``m =
+    2^j``, the first ``r = min(m, n_steps + 1 - m)`` rows times ``(P^m)^T`` are
+    rows ``m..m + r``. Past the largest power ``(P^s)^T`` the rows are filled in
+    strides of s, rows ``k - s..k - s + r`` times it giving rows ``k..k + r``.
+    Either way ``r`` does not pass the stride, so no product overlaps its
+    source. Raises NumericalError on a non-finite state.
     """
     y = np.empty((n_steps + 1, y0.size), dtype=complex)
     y[0] = y0
-    m = 1
+    done = 1  # rows y[:done] are set
     with np.errstate(all="ignore"):  # a state past the float range raises below
-        for power in powers:
-            r = min(m, n_steps + 1 - m)
-            np.matmul(y[:r], power, out=y[m:m + r])
-            m *= 2
+        while done <= n_steps:
+            j = min(done.bit_length(), len(powers)) - 1
+            m = 2 ** j
+            r = min(m, n_steps + 1 - done)
+            np.matmul(y[done - m:done - m + r], powers[j], out=y[done:done + r])
+            done += r
     if not np.all(np.isfinite(y)):
         raise NumericalError("propagated state is not finite")
     return y

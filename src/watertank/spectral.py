@@ -20,9 +20,15 @@ grid, and returns their Richardson value ``b + (b - a)/15``. Only the store
 pass of :func:`build_basis` marches on the grid, one step per cell, and its
 residual checks that root. Every spectrum, this one and the closed loop's, is
 found by :func:`secant`, which never counts a non-finite residual as
-converged, and guarded by :func:`collision`. Every march over [0, L] is one
-:func:`shoot`; at a real parameter it also solves the Lyapunov weight of
+converged, and guarded by :func:`collision`. Every march over [0, L] takes
+its step tables one block of steps at a time from :func:`_step_blocks`; a
+:func:`shoot` at a real parameter also solves the Lyapunov weight of
 ``simulate.lyapunov_certificate``.
+
+Memory: the store pass streams each block of its march into the returned
+(K, 2, nx) array, and the build scales that family in place and pairs it one
+block of mode rows at a time (:func:`pairings`, :func:`gram_matrix`). So a
+build holds its family, and the damped duals, plus one block of scratch.
 """
 
 from __future__ import annotations
@@ -133,7 +139,7 @@ def _cosh_sinhc(q):
     return ch, sinhc
 
 
-def step_tables(x, c, lams, h):
+def step_tables(x, c, lams, h, out=None):
     """Filon–Magnus step matrices of ``g' = [[0, c e^{-2 lam x}], [c e^{2 lam x}, 0]] g``.
 
     ``x`` and ``c`` are sampled at the step ends and midpoints (2S + 1 points,
@@ -142,9 +148,9 @@ def step_tables(x, c, lams, h):
     interpolated quadratically, which needs only the moments ``M_k(-/+ 2 lam h)``;
     ``Omega2 = diag(w, -w)`` is the commutator term at the midpoint value of c.
     The exponent is traceless, so its exponential is ``cosh(s) I + (sinh(s)/s)
-    Omega`` with ``s^2 = w^2 + alpha beta``. Returns P of shape (S, 2, 2, K):
-    ``P[k, 0]`` holds the diagonal ``(P11, P22)`` of step k, ``P[k, 1]`` the
-    off-diagonal ``(P12, P21)``.
+    Omega`` with ``s^2 = w^2 + alpha beta``. Returns P of shape (S, 2, 2, K),
+    written into ``out`` when given: ``P[k, 0]`` holds the diagonal ``(P11,
+    P22)`` of step k, ``P[k, 1]`` the off-diagonal ``(P12, P21)``.
     """
     lams = np.asarray(lams, dtype=complex)
     c = np.asarray(c, dtype=float)[:, None]
@@ -155,9 +161,10 @@ def step_tables(x, c, lams, h):
     E = np.exp(2.0 * np.outer(x[:-1:2], lams))  # e^{2 lam x0} at each step start
     alpha = (a[0] * m_minus[0] + a[1] * m_minus[1] + a[2] * m_minus[2]) / E
     beta = (a[0] * m_plus[0] + a[1] * m_plus[1] + a[2] * m_plus[2]) * E
+    del E  # lowers the peak of the temporaries below
     w = -((h * cm) ** 2) * _sinh_minus(z)
     ch, sinhc = _cosh_sinhc(w * w + alpha * beta)
-    P = np.empty((ch.shape[0], 2, 2, ch.shape[1]), dtype=complex)
+    P = np.empty((ch.shape[0], 2, 2, ch.shape[1]), dtype=complex) if out is None else out
     w *= sinhc
     np.add(ch, w, out=P[:, 0, 0])
     np.subtract(ch, w, out=P[:, 0, 1])
@@ -183,23 +190,34 @@ def march(P, g, out=None):
     return g
 
 
+def _step_blocks(params: Params, lams, nsteps, tables=None):
+    """The step tables of an ``nsteps`` march over [0, L], ``_BLOCK_STEPS`` steps at a time.
+
+    Yields ``(s0, s1, P)`` with P the :func:`step_tables` of steps s0..s1 - 1,
+    which bounds the table's memory at any step count; with ``tables`` (S, 2, 2,
+    K), S the longest block, every P is written into its first rows.
+    """
+    h = params.L / nsteps
+    xs = np.linspace(0.0, params.L, 2 * nsteps + 1)  # step ends and midpoints
+    c = -np.asarray(delta(params, xs)) / 3.0
+    for s0 in range(0, nsteps, _BLOCK_STEPS):
+        s1 = min(s0 + _BLOCK_STEPS, nsteps)
+        rows = slice(2 * s0, 2 * s1 + 1)
+        args = (xs[rows], c[rows], lams, h)
+        yield s0, s1, step_tables(*args) if tables is None else step_tables(*args, out=tables[:s1 - s0])
+
+
 def shoot(params: Params, lams, seed, nsteps, out=None):
     """March the modulated system over [0, L] from ``seed`` in ``nsteps`` Filon–Magnus steps.
 
     One march per entry of ``lams``, all from the left boundary values ``seed``
-    (a 2-vector). The step table is built ``_BLOCK_STEPS`` steps at a time, which
-    bounds its memory at any step count. Returns the final (2, K) state; with
-    ``out`` (nsteps, 2, K), also stores the state after each step.
+    (a 2-vector), block after block of :func:`_step_blocks`. Returns the final
+    (2, K) state; with ``out`` (nsteps, 2, K), also stores the state after each step.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    h = params.L / nsteps
-    xs = np.linspace(0.0, params.L, 2 * nsteps + 1)  # step ends and midpoints
-    c = -np.asarray(delta(params, xs)) / 3.0
     g = np.tile(np.asarray(seed, dtype=complex)[:, None], lams.size)  # (2, K)
-    for s0 in range(0, nsteps, _BLOCK_STEPS):
-        s1 = min(s0 + _BLOCK_STEPS, nsteps)
-        rows = slice(2 * s0, 2 * s1 + 1)
-        g = march(step_tables(xs[rows], c[rows], lams, h), g, None if out is None else out[s0:s1])
+    for s0, s1, P in _step_blocks(params, lams, nsteps):
+        g = march(P, g, None if out is None else out[s0:s1])
     return g
 
 
@@ -215,23 +233,48 @@ def _store_pass(params: Params, lams, seed):
 
     Returns the boundary residuals ``|f1(L) + f2(L)| / max |f|``, the (K, 2, nx)
     samples and the ODE error ``max |f - f_coarse| / max |f|`` on the even grid
-    nodes, against the march at two cells per step.
+    nodes, against the march at two cells per step. Both marches run one
+    :func:`_step_blocks` block at a time, with one step-table buffer and one
+    node-major scratch block for the states. A fine block is turned into f
+    variables, ``f1 = e^{lam x} g1`` and ``f2 = e^{-lam x} g2``, and copied
+    transposed into the samples; a coarse block, turned the same way, is
+    compared with the even nodes already stored. So the pass holds the samples
+    and one block, never the whole march.
     """
     nsteps = params.grid_points - 1
-    vals = np.empty((nsteps + 1, 2, lams.size), dtype=complex)  # node-major: each step writes one block
-    coarse = np.empty((nsteps // 2 + 1, 2, lams.size), dtype=complex)
-    vals[0] = coarse[0] = np.asarray(seed, dtype=complex)[:, None]
-    shoot(params, lams, seed, nsteps, vals[1:])
-    shoot(params, lams, seed, nsteps // 2, coarse[1:])
-    # back to f variables: f1 = e^{lam x} g1, f2 = e^{-lam x} g2
-    Eg = np.exp(np.outer(uniform_grid(params), lams))  # (nx, K)
-    vals[:, 0] *= Eg
-    vals[:, 1] /= Eg
-    coarse[:, 0] *= Eg[::2]
-    coarse[:, 1] /= Eg[::2]
-    scale = np.max(np.abs(vals), axis=(0, 1))
-    ode_err = np.max(np.abs(vals[::2] - coarse), axis=(0, 1)) / scale
-    return np.abs(vals[-1, 0] + vals[-1, 1]) / scale, np.ascontiguousarray(vals.transpose(2, 1, 0)), ode_err
+    grid = uniform_grid(params)
+    seed = np.asarray(seed, dtype=complex)[:, None]
+    vals = np.empty((lams.size, 2, nsteps + 1), dtype=complex)
+    block = np.empty((min(_BLOCK_STEPS, nsteps), 2, lams.size), dtype=complex)  # node-major: a step writes one row
+    # a table allocated anew for each block lets the allocator hand its pages back
+    # to the system and fault them in again for the next block
+    tables = np.empty((len(block), 2, 2, lams.size), dtype=complex)
+
+    def to_f(states, nodes):  # in place; rows of ``states`` sit at ``grid[nodes]``
+        E = np.exp(np.outer(grid[nodes], lams))
+        states[:, 0] *= E
+        states[:, 1] /= E
+        return states
+
+    def marched(nsteps):  # yields (s0, s1, the states after steps s0 + 1..s1 in the block)
+        g = np.tile(seed, lams.size)
+        for s0, s1, P in _step_blocks(params, lams, nsteps, tables):
+            states = block[:s1 - s0]
+            g = march(P, g, states).copy()  # the block is converted in place; the next one starts from g
+            yield s0, s1, states
+
+    vals[:, :, 0] = to_f(np.tile(seed, (1, 1, lams.size)), slice(0, 1))[0].T
+    scale = np.max(np.abs(vals[:, :, 0]), axis=1)
+    for s0, s1, states in marched(nsteps):
+        to_f(states, slice(s0 + 1, s1 + 1))
+        vals[:, :, s0 + 1:s1 + 1] = states.transpose(2, 1, 0)
+        scale = np.maximum(scale, np.max(np.abs(states), axis=(0, 1)))
+    ode_err = np.zeros(lams.size)
+    for s0, s1, states in marched(nsteps // 2):
+        even = slice(2 * s0 + 2, 2 * s1 + 1, 2)
+        diff = vals[:, :, even].transpose(2, 1, 0) - to_f(states, even)
+        ode_err = np.maximum(ode_err, np.max(np.abs(diff), axis=(0, 1)))
+    return np.abs(vals[:, 0, -1] + vals[:, 1, -1]) / scale, vals, ode_err / scale
 
 
 def secant(f, z_prev, z_cur, tol, max_step=np.inf, max_iter=14):
@@ -356,35 +399,70 @@ class Basis(ModeIndexed):
         return self.values[:, 0, 0]
 
 
-def _slots(a_values, b_values, grid, conjugate):
+_MODE_ROWS = 8  # mode rows per block of pairings and reference modes
+_GRAM_ROWS = 16  # rows of each family per product of gram_matrix: a multiple of the BLAS kernels' column group
+
+
+def _mode_blocks(K, size=_MODE_ROWS):
+    """Slices of ``size`` mode rows over 0..K; a lone last row joins the block before it.
+
+    A product with a single row or column goes to a BLAS gemv, whose sums
+    differ in the last bits from gemm's, so every block product of
+    :func:`gram_matrix` keeps its entries bit for bit those of the whole product.
+    """
+    starts = list(range(0, K, size))
+    if len(starts) > 1 and K - starts[-1] == 1:
+        starts.pop()
+    return [slice(s0, s1) for s0, s1 in zip(starts, starts[1:] + [K])]
+
+
+def _check_grid(a_values, b_values, grid):
     if a_values.shape[-2:] != (2, grid.size) or b_values.shape[-2:] != (2, grid.size):
         raise GridMismatchError("paired functions must be (..., 2, nx) arrays on the grid")
-    b1 = b_values[..., 0, :]
-    b2 = b_values[..., 1, :]
-    if conjugate:
-        b1, b2 = np.conj(b1), np.conj(b2)
-    return a_values[..., 0, :], a_values[..., 1, :], b1, b2
 
 
 def gram_matrix(a_values, b_values, grid):
     """Pairing matrix ``G[i, j] = <a_i, b_j>`` of two (K, 2, nx) families.
 
-    ``<f, g> = (1/2L) int (f1 conj(g1) + f2 conj(g2))`` under Simpson quadrature.
+    ``<f, g> = (1/2L) int (f1 conj(g1) + f2 conj(g2))`` under Simpson quadrature:
+    ``(a1 w) @ conj(b1)^T + (a2 w) @ conj(b2)^T``, taken one component and one
+    ``_GRAM_ROWS`` block of rows of each family at a time.
     """
-    a1, a2, b1, b2 = _slots(a_values, b_values, grid, conjugate=True)
+    _check_grid(a_values, b_values, grid)
     w = simpson_weights(grid)
-    return ((a1 * w) @ b1.T + (a2 * w) @ b2.T) / (2.0 * grid[-1])
+    G = np.empty((len(a_values), len(b_values)), dtype=complex)
+    for i in _mode_blocks(len(a_values), _GRAM_ROWS):
+        for c in (0, 1):
+            aw = a_values[i, c] * w
+            for j in _mode_blocks(len(b_values), _GRAM_ROWS):
+                product = aw @ np.conj(b_values[j, c]).T
+                if c == 0:
+                    G[i, j] = product
+                else:
+                    G[i, j] += product
+    return G / (2.0 * grid[-1])
 
 
 def pairings(a_values, b_values, grid, conjugate=True):
-    """Diagonal of :func:`gram_matrix`: ``<a_k, b_k>`` for each row k.
+    """Diagonal of :func:`gram_matrix`: ``<a_k, b_k>`` for each row k of two (K, 2, nx) families.
 
     Either argument may be a single (2, nx) function, paired with every row
-    of the other.
+    of the other. Rows are paired one block of :func:`_mode_blocks` at a time.
     """
-    a1, a2, b1, b2 = _slots(a_values, b_values, grid, conjugate)
+    _check_grid(a_values, b_values, grid)
     w = simpson_weights(grid)
-    return np.sum((a1 * b1 + a2 * b2) * w, axis=-1) / (2.0 * grid[-1])
+
+    def pair(a, b):
+        b1, b2 = (np.conj(b[..., 0, :]), np.conj(b[..., 1, :])) if conjugate else (b[..., 0, :], b[..., 1, :])
+        return np.sum((a[..., 0, :] * b1 + a[..., 1, :] * b2) * w, axis=-1)
+
+    families = {v.shape[:-2] for v in (a_values, b_values)} - {()}
+    if len(families) != 1 or len(next(iter(families))) != 1:  # no one (K,) family: pair whole
+        return pair(a_values, b_values) / (2.0 * grid[-1])
+    out = np.empty(families.pop(), dtype=complex)
+    for rows in _mode_blocks(out.size):
+        out[rows] = pair(*(v if v.ndim == 2 else v[rows] for v in (a_values, b_values)))
+    return out / (2.0 * grid[-1])
 
 
 def reference_mode(params: Params, kind: BcKind, n: int, grid=None) -> np.ndarray:
@@ -414,7 +492,15 @@ def adjoint_values(params: Params, values):
     damped pair onto the closed-form adjoint pair ``(e^{r x}, -e^{r(2L-x)})``,
     ``r = -mu + i pi n/L``, the duals of (39).
     """
-    return reflection(BcKind.DAMPED, params) * np.conj(values[..., ::-1, :])
+    out = np.conj(values[..., ::-1, :])
+    return np.multiply(reflection(BcKind.DAMPED, params), out, out=out)
+
+
+def _reference_blocks(params: Params, kind: BcKind, n_list, grid):
+    """Yields ``(rows, refs)`` per :func:`_mode_blocks` block of ``n_list``: the block's
+    :func:`reference_mode` samples, so no build holds a whole reference family."""
+    for rows in _mode_blocks(n_list.size):
+        yield rows, np.stack([reference_mode(params, kind, n, grid) for n in n_list[rows]])
 
 
 def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
@@ -449,19 +535,19 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
                 f"grid_points = {params.grid_points} may be too coarse for n_modes = {N}: raise grid_points"
             )
 
-    dual_values = None
+    dual_values = None  # the family is scaled in place, never copied
     if kind is BcKind.CONSERVATIVE:
-        vals = vals / np.sqrt(pairings(vals, vals, grid).real)[:, None, None]
-        phases = vals[:, 0, 0] / np.abs(vals[:, 0, 0])
-        vals = vals / phases[:, None, None]
+        vals /= np.sqrt(pairings(vals, vals, grid).real)[:, None, None]
+        vals /= (vals[:, 0, 0] / np.abs(vals[:, 0, 0]))[:, None, None]  # phases
         check_identity(gram_matrix(vals, vals, grid), "orthonormality")
     else:
-        refs = np.stack([reference_mode(params, BcKind.DAMPED, n, grid) for n in n_list])
-        vals = vals / pairings(vals, adjoint_values(params, refs), grid)[:, None, None]
+        scales = np.empty(n_list.size, dtype=complex)
+        for rows, refs in _reference_blocks(params, kind, n_list, grid):
+            scales[rows] = pairings(vals[rows], adjoint_values(params, refs), grid)
+        vals /= scales[:, None, None]
         if with_duals:
-            phi = adjoint_values(params, vals)
-            q = pairings(vals, phi, grid)  # <f_n, phi_n>
-            dual_values = phi * np.conj(1.0 / q)[:, None, None]
+            dual_values = adjoint_values(params, vals)
+            dual_values *= np.conj(1.0 / pairings(vals, dual_values, grid))[:, None, None]  # 1/<f_n, phi_n>
             check_identity(gram_matrix(vals, dual_values, grid), "biorthonormality")
     return Basis(
         kind=kind, n_list=n_list, eigenvalues=eigs, grid=grid,
@@ -498,12 +584,17 @@ def w_modes(params: Params, basis: Basis) -> WModes:
         raise ValueError("w_modes requires the conservative basis")
     grid = basis.grid
     ew = diagonal_weight(params, grid)
-    psi_raw = basis.values / ew[None, None, :]
-    chi_raw = np.conj(basis.values) * ew[None, None, :]
-    refs = np.stack([reference_mode(params, BcKind.CONSERVATIVE, n, grid) for n in basis.n_list])
-    # Kato scales: <psi_raw, psi_n^(0)> sesquilinear = <psi_raw, chi_n^(0)> bilinear
-    psi = psi_raw / pairings(psi_raw, refs, grid)[:, None, None]
-    chi = chi_raw / pairings(chi_raw, refs, grid, conjugate=False)[:, None, None]
+    psi = basis.values / ew
+    chi = np.conj(basis.values)
+    chi *= ew
+    # Kato scales, taken before either family is rescaled in place:
+    # <psi, psi_n^(0)> sesquilinear = <psi, chi_n^(0)> bilinear
+    psi_scale, chi_scale = np.empty((2, basis.n_list.size), dtype=complex)
+    for rows, refs in _reference_blocks(params, BcKind.CONSERVATIVE, basis.n_list, grid):
+        psi_scale[rows] = pairings(psi[rows], refs, grid)
+        chi_scale[rows] = pairings(chi[rows], refs, grid, conjugate=False)
+    psi /= psi_scale[:, None, None]
+    chi /= chi_scale[:, None, None]
     return WModes(
         n_list=basis.n_list.copy(), eigenvalues=basis.eigenvalues.copy(), grid=grid,
         psi=psi, chi=chi,

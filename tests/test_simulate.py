@@ -312,11 +312,27 @@ class TestDoublingRecord:
         assert y.shape == (RECORD_INTERVALS + 1, 17) and not np.any(y)
 
     def test_overflowing_powers_raise(self):
-        # e^(3 * 256) passes the float range: the last power is not finite
+        # e^(3 * 256) passes the float range: squaring stops at P^128, the last finite power
         powers = _step_propagator(np.diag([0.0, 1.0]).astype(complex), 3.0, 256)
-        assert np.all(np.isfinite(powers[0])) and not np.all(np.isfinite(powers[-1]))
+        assert len(powers) == 8 and all(np.all(np.isfinite(power)) for power in powers)
         with pytest.raises(NumericalError, match="propagated state is not finite"):
             _record(powers, np.ones(2, dtype=complex), 256)
+
+    def test_finite_record_survives_an_overflowing_power(self):
+        # y0 has no component along the growing mode, so every record stays (1, 0)
+        M = np.diag([0.0, 1.0]).astype(complex)
+        y0 = np.array([1.0, 0.0], dtype=complex)
+        y = _record(_step_propagator(M, 3.0, 256), y0, 256)
+        assert np.array_equal(y, sequential_record(_expm(M * 3.0), y0, 256))
+        assert np.array_equal(y[-1], y0)
+
+    @pytest.mark.parametrize("n", [5, 8, 9, 40, 500])
+    def test_strides_of_the_largest_power_match_sequential(self, n, basis_cache):
+        # fewer powers than n needs: the rows past 2 P^(2^j) are filled in strides of it
+        law = feedback_coefficients(self.P8, basis_cache(self.P8, BcKind.CONSERVATIVE, 8))
+        y0 = real_initial_datum(np.random.default_rng(5), 8)
+        powers = _step_propagator(law.galerkin_matrix(), 3.0 / RECORD_INTERVALS, n)[:2]
+        self.assert_matches_sequential(powers, y0, n)
 
     def test_non_finite_generator_raises_before_squaring(self):
         M = np.diag([0.0, np.nan]).astype(complex)

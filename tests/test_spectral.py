@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,29 @@ def whole_table(params: Params, lams, nsteps):
     return step_tables(xs, -np.asarray(delta(params, xs)) / 3.0, lams, params.L / nsteps)
 
 
+def node_major_store_pass(params: Params, lams, seed):
+    """The store pass on whole node-major arrays: both marches kept in full, then converted.
+
+    The reference for :func:`spectral._store_pass`, which streams the same
+    marches one block at a time; returns the same ``(bc residuals, (K, 2, nx)
+    samples, ODE errors)``.
+    """
+    nsteps = params.grid_points - 1
+    vals = np.empty((nsteps + 1, 2, lams.size), dtype=complex)
+    coarse = np.empty((nsteps // 2 + 1, 2, lams.size), dtype=complex)
+    vals[0] = coarse[0] = np.asarray(seed, dtype=complex)[:, None]
+    spectral.shoot(params, lams, seed, nsteps, vals[1:])
+    spectral.shoot(params, lams, seed, nsteps // 2, coarse[1:])
+    Eg = np.exp(np.outer(uniform_grid(params), lams))  # (nx, K)
+    vals[:, 0] *= Eg
+    vals[:, 1] /= Eg
+    coarse[:, 0] *= Eg[::2]
+    coarse[:, 1] /= Eg[::2]
+    scale = np.max(np.abs(vals), axis=(0, 1))
+    ode_err = np.max(np.abs(vals[::2] - coarse), axis=(0, 1)) / scale
+    return np.abs(vals[-1, 0] + vals[-1, 1]) / scale, np.ascontiguousarray(vals.transpose(2, 1, 0)), ode_err
+
+
 class TestMarch:
     @pytest.mark.parametrize("kind", list(BcKind))
     def test_stacked_march_matches_two_arrays(self, kind):
@@ -197,6 +221,19 @@ class TestMarch:
         ref[:, 0, :] *= Eg
         ref[:, 1, :] /= Eg
         assert np.array_equal(_store_pass(p, lams, seed)[1], ref)
+
+    @pytest.mark.parametrize("kind", list(BcKind))
+    def test_streamed_store_pass_matches_node_major(self, kind):
+        # fine blocks of 512 + 512 + 276 steps, coarse blocks of 512 + 138
+        p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=6, grid_points=1301)
+        assert (p.grid_points - 1) % spectral._BLOCK_STEPS == 276
+        assert (p.grid_points - 1) // 2 % spectral._BLOCK_STEPS == 138
+        lams = find_eigenvalues(p, kind, range(-6, 7))
+        seed = _left_seed(kind, p)
+        got, want = _store_pass(p, lams, seed), node_major_store_pass(p, lams, seed)
+        for name, a, b in zip(("bc_residuals", "values", "ode_residuals"), got, want):
+            assert a.shape == b.shape and np.array_equal(a, b), name
+        assert got[1].flags.c_contiguous
 
     def test_lyapunov_weight_is_one_piece_march(self):
         # the certificate's eta is the march over the whole table, bit for bit
@@ -436,6 +473,24 @@ class TestBuildBasis:
             a, b = getattr(small, name), getattr(big, name)
             assert (a is None and b is None) or np.array_equal(a, b[rows]), name
 
+    @pytest.mark.parametrize("build", ["conservative", "damped", "w_modes"])
+    def test_footprint_is_the_family_plus_scratch(self, build):
+        # the traced peak of a build stays within 1.5x the bytes it returns
+        p = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=20, grid_points=8193)
+        basis = build_basis(p, BcKind.CONSERVATIVE) if build == "w_modes" else None
+        tracemalloc.start()
+        try:
+            if build == "w_modes":
+                modes = w_modes(p, basis)
+                returned = modes.psi.nbytes + modes.chi.nbytes
+            else:
+                built = build_basis(p, BcKind(build))
+                returned = built.values.nbytes + (0 if built.dual_values is None else built.dual_values.nbytes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * returned, peak / returned
+
     def test_store_pass_rejects_shifted_roots(self, monkeypatch):
         p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=4, grid_points=257)
         real = spectral.find_eigenvalues
@@ -456,6 +511,14 @@ class TestBuildBasis:
         p = Params(gamma=0.03, n_modes=9, grid_points=17)
         with pytest.raises(NumericalError, match=r"n_modes = 9 needs grid_points >= 2 n_modes \+ 1 = 19"):
             build_basis(p, BcKind.CONSERVATIVE)
+
+    @pytest.mark.parametrize("K", [1, 2, 8, 9, 16, 17, 41, 83])
+    def test_mode_blocks(self, K):
+        # whole blocks from multiples of _MODE_ROWS; a lone last row joins the block before it
+        blocks = spectral._mode_blocks(K)
+        assert [b.start for b in blocks] == list(range(0, K, spectral._MODE_ROWS))[:len(blocks)]
+        assert np.array_equal(np.concatenate([np.arange(K)[b] for b in blocks]), np.arange(K))
+        assert all(b.stop - b.start > 1 for b in blocks) or K == 1
 
     def test_gamma0_gram_identity(self, p_gamma0, basis_cache):
         basis = basis_cache(p_gamma0, BcKind.CONSERVATIVE, 10)
