@@ -2,8 +2,14 @@
 
 Each criterion runs at fixed, stated parameters and returns its verdict as
 a :class:`CriterionResult`; the pytest acceptance module and the CLI ``report``
-subcommand (which writes the results) both delegate here. Basis construction
-is cached per parameter point, so criteria at one point share their bases.
+subcommand (which writes the results) both delegate here. Criteria build
+their bases through :func:`cached_basis`, one memo keyed on
+``(params, kind, N)``. Two points are read by more than one criterion,
+``P_STD`` and ``P_LOOP``, and ``SHARED_READERS`` names their readers.
+:func:`run_all` owns the lifetime of the bases it builds: after each
+criterion it drops every one that no criterion still to run in that call
+reads, so a report holds at most the bases of one criterion and of the
+shared points.
 
 Criterion 8 takes the closed-loop spectrum under the full law: the roots
 of its characteristic equation, with the law's tail beyond N summed in
@@ -23,7 +29,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -70,18 +75,25 @@ class CriterionResult:
     elapsed: float
 
 
-@lru_cache(maxsize=None)
-def _basis_memo(params: Params, kind: BcKind, N: int):
-    return build_basis(params, kind, N)
+# The two points whose bases more than one criterion reads (SHARED_READERS).
+P_STD = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=20, grid_points=2049)
+P_LOOP = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=41, grid_points=4097)
+
+_basis_memo: dict = {}
 
 
 def cached_basis(params: Params, kind: BcKind, N=None):
     """``build_basis`` memoized on ``(params, kind, N)``.
 
     ``N`` defaults to ``params.n_modes`` before the lookup, so a defaulted
-    and an explicit argument share one entry.
+    and an explicit argument share one entry. An entry that :func:`run_all`
+    builds lives until its last reader in that call returns; any other entry
+    stays for the life of the process.
     """
-    return _basis_memo(params, kind, params.n_modes if N is None else int(N))
+    key = (params, kind, params.n_modes if N is None else int(N))
+    if key not in _basis_memo:
+        _basis_memo[key] = build_basis(*key)
+    return _basis_memo[key]
 
 
 def _law(params: Params, N: int):
@@ -95,13 +107,13 @@ def _moment_report(params: Params):
 
 def _c1():
     p = Params(gamma=0.0, mu=2.0, nu=0.5, n_modes=20, grid_points=1025)
-    t0 = time.time()
+    t0 = time.perf_counter()
     n_list = range(-20, 21)
     ev_c = find_eigenvalues(p, BcKind.CONSERVATIVE, n_list)
     ev_d = find_eigenvalues(p, BcKind.DAMPED, n_list)
     err_c = float(np.max(np.abs(ev_c - unperturbed_eigenvalues(BcKind.CONSERVATIVE, p, n_list))))
     err_d = float(np.max(np.abs(ev_d - unperturbed_eigenvalues(BcKind.DAMPED, p, n_list))))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     passed = err_c < 1e-9 and err_d < 1e-9 and elapsed < 5.0
     return passed, {
         "max_err_conservative": err_c,
@@ -113,8 +125,8 @@ def _c1():
 
 
 def _c2():
-    p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=20, grid_points=2049)
-    # the spectrum of the basis criteria 4 and 12 build at this point
+    p = P_STD
+    # the spectrum of the basis criteria 4 and 12 read too (SHARED_READERS)
     ev = cached_basis(p, BcKind.CONSERVATIVE).eigenvalues
     drift = float(np.max(np.abs(ev - unperturbed_eigenvalues(BcKind.CONSERVATIVE, p, range(-20, 21)))))
     re = float(np.max(np.abs(ev.real)))
@@ -158,8 +170,7 @@ def _c4():
     even, odd = (n > 0) & (n % 2 == 0), (n > 0) & (n % 2 == 1)
     even_max = float(np.max(np.abs(r0.b[even])))
     odd_err = float(np.max(np.abs(r0.b[odd] + 4j * p0.L / (math.pi * n[odd]))))
-    p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=20, grid_points=2049)
-    fit = _moment_report(p).items["moment_bounds"]
+    fit = _moment_report(P_STD).items["moment_bounds"]
     c_fit, C_fit = fit["lower_c"], fit["upper_C"]
     passed = even_max < 1e-8 and odd_err < 1e-6 and c_fit > 0.01
     return passed, {
@@ -233,13 +244,13 @@ def _c7():
 
 
 def _c8():
-    t0 = time.time()
-    p = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=41, grid_points=4097)
+    t0 = time.perf_counter()
+    p = P_LOOP
     law = _law(p, 41)
     eig, targets, dist = target_distances(law, 10)
     galerkin = galerkin_spectrum(law)
     rel = dist / np.abs(targets)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     tol = 0.1 * p.mu
     passed = bool(np.max(dist) < tol) and elapsed < 30.0
     return passed, {
@@ -265,7 +276,7 @@ def _c8():
 
 
 def _c9():
-    p = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=41, grid_points=4097)
+    p = P_LOOP
     law = _law(p, 41)
     rng = np.random.default_rng(2024)
     rates, r2s = [], []
@@ -346,7 +357,7 @@ def _c11():
 
 
 def _c12():
-    p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=20, grid_points=2049)
+    p = P_STD
     basis = cached_basis(p, BcKind.CONSERVATIVE, 20)
     # modes -n and n for n = 0..20
     neg, pos = basis.values[basis.index(0)::-1], basis.values[basis.index(0):]
@@ -394,18 +405,35 @@ CRITERIA = {
     12: ("symmetry/reality suite: eigenfamily, feedback table, real trajectories", _c12),
 }
 
+# The criteria that read each shared point's bases: run_all keeps them while one is still to run.
+SHARED_READERS = {P_STD: (2, 4, 12), P_LOOP: (8, 9)}
+
 
 def run_criterion(cid: int) -> CriterionResult:
     title, fn = CRITERIA[cid]
-    t0 = time.time()
+    t0 = time.perf_counter()
     passed, details = fn()
     return CriterionResult(
         cid=cid, title=title, passed=bool(passed), details=details,
-        elapsed=time.time() - t0,
+        elapsed=time.perf_counter() - t0,
     )
 
 
 def run_all(criteria=None):
-    if criteria is None:
-        criteria = sorted(CRITERIA)
-    return [run_criterion(c) for c in criteria]
+    """Run ``criteria`` (all, in order, by default) and return their results in that order.
+
+    After each criterion, of the bases this call built the memo keeps only
+    those of a shared point that a criterion still to run reads
+    (``SHARED_READERS``). So every basis goes after its last reader, and the
+    call leaves the memo holding what it held before.
+    """
+    criteria = sorted(CRITERIA) if criteria is None else list(criteria)
+    before = set(_basis_memo)
+    results = []
+    for k, cid in enumerate(criteria):
+        results.append(run_criterion(cid))
+        to_run = set(criteria[k + 1:])
+        for key in set(_basis_memo) - before:
+            if to_run.isdisjoint(SHARED_READERS.get(key[0], ())):
+                del _basis_memo[key]
+    return results

@@ -400,7 +400,7 @@ class Basis(ModeIndexed):
 
 
 _MODE_ROWS = 8  # mode rows per block of pairings and reference modes
-_GRAM_ROWS = 16  # rows of each family per product of gram_matrix: a multiple of the BLAS kernels' column group
+_GRAM_ROWS = 16  # rows of the first family per product of gram_matrix: a multiple of the BLAS kernels' column group
 
 
 def _mode_blocks(K, size=_MODE_ROWS):
@@ -425,21 +425,25 @@ def gram_matrix(a_values, b_values, grid):
     """Pairing matrix ``G[i, j] = <a_i, b_j>`` of two (K, 2, nx) families.
 
     ``<f, g> = (1/2L) int (f1 conj(g1) + f2 conj(g2))`` under Simpson quadrature:
-    ``(a1 w) @ conj(b1)^T + (a2 w) @ conj(b2)^T``, taken one component and one
-    ``_GRAM_ROWS`` block of rows of each family at a time.
+    ``conj(conj(a1 w) @ b1^T + conj(a2 w) @ b2^T)``, taken one component and one
+    ``_GRAM_ROWS`` block of rows of ``a`` at a time. Only that block is
+    conjugated, in one reused buffer; ``b_c^T`` is a transposed view that
+    BLAS reads in place.
     """
     _check_grid(a_values, b_values, grid)
     w = simpson_weights(grid)
     G = np.empty((len(a_values), len(b_values)), dtype=complex)
-    for i in _mode_blocks(len(a_values), _GRAM_ROWS):
+    blocks = _mode_blocks(len(a_values), _GRAM_ROWS)
+    buf = np.empty((max(i.stop - i.start for i in blocks), grid.size), dtype=complex)
+    for i in blocks:
+        caw = buf[: i.stop - i.start]
         for c in (0, 1):
-            aw = a_values[i, c] * w
-            for j in _mode_blocks(len(b_values), _GRAM_ROWS):
-                product = aw @ np.conj(b_values[j, c]).T
-                if c == 0:
-                    G[i, j] = product
-                else:
-                    G[i, j] += product
+            np.conj(np.multiply(a_values[i, c], w, out=caw), out=caw)
+            if c == 0:
+                G[i] = caw @ b_values[:, c].T
+            else:
+                G[i] += caw @ b_values[:, c].T
+        np.conj(G[i], out=G[i])
     return G / (2.0 * grid[-1])
 
 
