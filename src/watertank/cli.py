@@ -333,7 +333,9 @@ def cmd_feedback(cfg, params):
 
 
 def cmd_simulate(cfg, params):
-    if cfg.get("law_file") and not cfg.get("open_loop"):
+    if cfg.get("law_file") and cfg.get("open_loop"):
+        raise ConfigError("open_loop and law_file exclude each other: an open-loop run reads no law")
+    if cfg.get("law_file"):
         law = _read_law(cfg["law_file"], params)
     else:
         basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes)

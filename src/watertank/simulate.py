@@ -12,11 +12,12 @@ sum of exponentials, which enter as extra states ``v' = diag(rates) v``
 with ``u = sum v``. The recorded mass is linear in the modal coefficients,
 so it is one dot product with the per-mode masses.
 
-A first-order upwind scheme, ``fd_simulate``, provides the independent
-cross-check path for the same systems on the spatial grid. It has one step
-implementation, on one flat array: zeta_1, then zeta_2 in reverse order, so
-both components move toward the higher index and each entry's coupling
-partner is entry ``2 nx - 1 - i``.
+A grid march at CFL 1, ``fd_simulate``, provides the independent
+cross-check path for the same systems on the spatial grid: transport is an
+exact one-cell shift per step, and the coupling and control are added
+explicitly. It has one step rule, on one flat array: zeta_1, then zeta_2 in
+reverse order, so both components move toward the higher index and each
+entry's coupling partner is entry ``2 nx - 1 - i``.
 """
 
 from __future__ import annotations
@@ -313,52 +314,45 @@ def steer(params: Params, modes: WModes, target: dict):
     return sig, traj, err, duals
 
 
-def fd_simulate(params: Params, init: np.ndarray, kind: BcKind, t_final,
-                control=None, cfl=1.0):
-    """March the first-order upwind scheme to t_final; returns the final state.
+def fd_simulate(params: Params, init: np.ndarray, kind: BcKind, t_final, control=None):
+    """March the zeta system on the grid at CFL 1 to t_final; returns the final state.
 
-    ``zeta_1`` transports rightward, ``zeta_2`` leftward; the coupling
-    ``delta J`` and the control ``u I`` are added explicitly; the inflow
+    ``zeta_1`` transports rightward, ``zeta_2`` leftward, each by exactly one
+    cell per step (the Courant–Isaacson–Rees upwind scheme at CFL 1); the
+    coupling ``delta J`` and the control ``u I`` are added explicitly; the inflow
     ``zeta_1(0) = r zeta_2(0)`` follows the kind's reflection law and
     ``zeta_2(L) = -zeta_1(L)``. ``control`` is a callable t -> complex (or
-    None). One step rule: ``t_final`` must be finite and positive, and ``cfl``
-    must lie in (0, 1] (the default 1 makes pure transport exact); the march
-    takes ``ceil(t_final / (cfl dx))`` equal steps. The state is one flat array
-    ``z``: ``zeta_1``, then ``zeta_2`` reversed, so both components move toward
-    the higher index and the partner of entry ``i`` is entry ``2 nx - 1 - i``.
-    A step writes into preallocated buffers and swaps them.
+    None). ``t_final`` must be finite, positive and a whole number of cells
+    (to 1e-9 relative); the march takes that many steps. The state is one flat
+    array ``z``: ``zeta_1``, then ``zeta_2`` reversed, so both components move
+    toward the higher index and the partner of entry ``i`` is entry
+    ``2 nx - 1 - i``. A step writes into a preallocated buffer and swaps them.
     """
     if not (math.isfinite(t_final) and t_final > 0):
         raise ConfigError(f"t_final must be finite and positive, got {t_final!r}")
-    if not 0 < cfl <= 1:
-        raise ConfigError(f"CFL violation: cfl = {cfl!r} must lie in (0, 1]")
     grid = uniform_grid(params)
     dx = grid[1] - grid[0]
-    nst = int(math.ceil(t_final / (cfl * dx)))
+    nst = int(round(t_final / dx))
+    if abs(nst * dx - t_final) > 1e-9 * t_final:
+        raise ConfigError(f"t_final = {t_final!r} is not a whole number of cells of dx = {dx!r}")
     dt = t_final / nst
     init = np.asarray(init, dtype=complex)
     nx = grid.size
     if init.shape != (2, nx):
         raise ConfigError(f"state must have shape (2, {nx})")
-    cfl = dt / dx
     c = -delta(params, grid) / 3.0
     ew = diagonal_weight(params, grid)
-    coup = np.concatenate([c, -c[::-1]])[1:].astype(complex)  # zeta_2' carries -c
-    ew = np.concatenate([ew, ew[::-1]])[1:].astype(complex)
+    coup_dt = (np.concatenate([c, -c[::-1]])[1:] * dt).astype(complex)  # zeta_2' carries -c
+    ew_dt = (np.concatenate([ew, ew[::-1]])[1:] * dt).astype(complex)
     r0 = reflection(kind, params)
     z = np.concatenate([init[0], init[1, ::-1]])
     new = np.empty_like(z)
-    s, d = np.empty_like(coup), np.empty_like(coup)
+    d = np.empty_like(ew_dt)
     for k in range(nst):
-        u = 0.0 if control is None else control(k * dt)
-        np.multiply(coup, z[-2::-1], out=s)
-        np.multiply(ew, u, out=d)
-        np.add(s, d, out=s)
-        np.multiply(s, dt, out=s)
-        np.subtract(z[1:], z[:-1], out=d)
-        np.multiply(d, cfl, out=d)
-        np.subtract(z[1:], d, out=new[1:])
-        np.add(new[1:], s, out=new[1:])
+        np.multiply(coup_dt, z[-2::-1], out=new[1:])
+        if control is not None:
+            np.add(new[1:], np.multiply(ew_dt, control(k * dt), out=d), out=new[1:])
+        np.add(z[:-1], new[1:], out=new[1:])
         new[0] = r0 * new[-1]
         new[nx] = -new[nx - 1]
         z, new = new, z

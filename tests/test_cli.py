@@ -171,6 +171,8 @@ BAD_INPUT = [
     (["report", "--set", "criteria=11,11"], "repeated criteria [11]"),
     (["simulate", "--set", "law_file={tmp}/old_law.json"], "cannot read law file {tmp}/old_law.json"),
     (["simulate", "--set", "law_file={tmp}/huge_law.json"], "cannot read law file {tmp}/huge_law.json"),
+    (["simulate", "--set", "open_loop=1", "--set", "law_file={tmp}/missing.json"],
+     "open_loop and law_file exclude each other"),
 ]
 
 

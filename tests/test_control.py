@@ -206,7 +206,8 @@ class TestSynthesizeOpenLoop:
 
     def test_steering_cross_checked_by_fd(self, setup):
         # independent discretization: drive the zeta system with the same
-        # control through the upwind scheme, pull back to w, compare moments
+        # control through the CFL-1 grid march (exact transport, explicit
+        # coupling and control), pull back to w, compare moments
         from watertank.model import diagonal_weight, uniform_grid
         from watertank.simulate import fd_simulate
 
