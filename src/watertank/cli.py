@@ -52,20 +52,25 @@ from watertank.spectral import BcKind, build_basis, find_eigenvalues, unperturbe
 _PARAM_KEYS = {f.name: type(f.default) for f in dataclasses.fields(Params)}
 
 
+def _unique(entries):
+    """``entries``, refused if any repeats: a later one would silently drop or override it."""
+    if repeated := sorted({e for e in entries if entries.count(e) > 1}):
+        raise ConfigError(repeated)  # load_config names the key
+    return entries
+
+
 def _int_list(text):
     """``"0,1,-2"`` -> ``[0, 1, -2]``."""
-    return [int(s) for s in text.split(",")]
+    return _unique([int(s) for s in text.split(",")])
 
 
 def _target_map(text):
     """``"1:1.0,3:0.5"`` -> ``{1: 1.0, 3: 0.5}``."""
-    target = {}
-    for part in text.split(","):
-        n, v = part.split(":")
-        if not math.isfinite(float(v)):
-            raise ValueError(f"non-finite target amplitude {v!r}")
-        target[int(n)] = float(v)
-    return target
+    pairs = [part.split(":") for part in text.split(",")]
+    amplitudes = [float(v) for _, v in pairs]
+    if not all(map(math.isfinite, amplitudes)):
+        raise ValueError(f"non-finite target amplitude in {text!r}")
+    return dict(zip(_unique([int(n) for n, _ in pairs]), amplitudes))
 
 
 def _window(text):
@@ -107,6 +112,8 @@ def load_config(path, overrides, command):
             raise ConfigError(f"unknown configuration key {key!r} ({origin})")
         try:
             cfg[key] = allowed[key](value.strip())
+        except ConfigError as exc:  # from _unique: the entries that repeat
+            raise ConfigError(f"repeated {key} {exc}") from None
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
 
@@ -446,9 +453,6 @@ def cmd_report(cfg, params):
         unknown = sorted(set(wanted) - set(acceptance.CRITERIA))
         if unknown:
             raise ConfigError(f"unknown criteria {unknown}")
-        repeated = sorted({c for c in wanted if wanted.count(c) > 1})
-        if repeated:
-            raise ConfigError(f"repeated criteria {repeated}")
     results = acceptance.run_all(wanted)
     doc = {
         "criteria": [_criterion_doc(r) for r in results],

@@ -400,11 +400,12 @@ def lyapunov_certificate(params: Params, lam: float) -> LyapunovCertificate:
     eta0 = math.exp(-2.0 * (params.mu - lam) * params.L)
     sign = -1.0 if params.gamma < 0 else 1.0
     dmax = float(np.max(np.abs(delta(params, grid))))
-    g = np.empty((grid.size, 2, 1), dtype=complex)
-    g[0, :, 0] = eta0, sign * e2L
+    g = np.empty((grid.size, 2), dtype=complex)
+    g[0] = eta0, sign * e2L
     with np.errstate(all="ignore"):
-        shoot(params, lam, g[0, :, 0], grid.size - 1, g[1:])
-        eta = sign * e2L * (g[:, 0, 0] / g[:, 1, 0]).real
+        for s0, s1, states in shoot(params, lam, g[0], grid.size - 1):
+            g[s0 + 1:s1 + 1] = states[:, :, 0]
+        eta = sign * e2L * (g[:, 0] / g[:, 1]).real
         xi = eta0 + (dmax / (6.0 * lam)) * (e2L - np.exp(2.0 * lam * (params.L - grid)))
     ok = np.logical_and.accumulate((eta > 0) & (eta <= 1e6))  # up to the first blow-up
     eta[~ok] = np.nan

@@ -20,10 +20,9 @@ grid, and returns their Richardson value ``b + (b - a)/15``. Only the store
 pass of :func:`build_basis` marches on the grid, one step per cell, and its
 residual checks that root. Every spectrum, this one and the closed loop's, is
 found by :func:`secant`, which never counts a non-finite residual as
-converged, and guarded by :func:`collision`. Every march over [0, L] takes
-its step tables one block of steps at a time from :func:`_step_blocks`; a
-:func:`shoot` at a real parameter also solves the Lyapunov weight of
-``simulate.lyapunov_certificate``.
+converged, and guarded by :func:`collision`. Every march over [0, L], that of
+the Lyapunov weight of ``simulate.lyapunov_certificate`` at a real parameter
+too, streams through :func:`shoot` one block of steps at a time.
 
 Memory: the store pass streams each block of its march into the returned
 (K, 2, nx) array, and the build scales that family in place and pairs it one
@@ -139,7 +138,7 @@ def _cosh_sinhc(q):
     return ch, sinhc
 
 
-def step_tables(x, c, lams, h, out=None):
+def step_tables(x, c, lams, h, out):
     """Filon–Magnus step matrices of ``g' = [[0, c e^{-2 lam x}], [c e^{2 lam x}, 0]] g``.
 
     ``x`` and ``c`` are sampled at the step ends and midpoints (2S + 1 points,
@@ -148,9 +147,9 @@ def step_tables(x, c, lams, h, out=None):
     interpolated quadratically, which needs only the moments ``M_k(-/+ 2 lam h)``;
     ``Omega2 = diag(w, -w)`` is the commutator term at the midpoint value of c.
     The exponent is traceless, so its exponential is ``cosh(s) I + (sinh(s)/s)
-    Omega`` with ``s^2 = w^2 + alpha beta``. Returns P of shape (S, 2, 2, K),
-    written into ``out`` when given: ``P[k, 0]`` holds the diagonal ``(P11,
-    P22)`` of step k, ``P[k, 1]`` the off-diagonal ``(P12, P21)``.
+    Omega`` with ``s^2 = w^2 + alpha beta``. Writes P of shape (S, 2, 2, K)
+    into ``out`` and returns it: ``P[k, 0]`` holds the diagonal ``(P11, P22)``
+    of step k, ``P[k, 1]`` the off-diagonal ``(P12, P21)``.
     """
     lams = np.asarray(lams, dtype=complex)
     c = np.asarray(c, dtype=float)[:, None]
@@ -164,68 +163,61 @@ def step_tables(x, c, lams, h, out=None):
     del E  # lowers the peak of the temporaries below
     w = -((h * cm) ** 2) * _sinh_minus(z)
     ch, sinhc = _cosh_sinhc(w * w + alpha * beta)
-    P = np.empty((ch.shape[0], 2, 2, ch.shape[1]), dtype=complex) if out is None else out
     w *= sinhc
-    np.add(ch, w, out=P[:, 0, 0])
-    np.subtract(ch, w, out=P[:, 0, 1])
-    np.multiply(sinhc, alpha, out=P[:, 1, 0])
-    np.multiply(sinhc, beta, out=P[:, 1, 1])
-    return P
+    np.add(ch, w, out=out[:, 0, 0])
+    np.subtract(ch, w, out=out[:, 0, 1])
+    np.multiply(sinhc, alpha, out=out[:, 1, 0])
+    np.multiply(sinhc, beta, out=out[:, 1, 1])
+    return out
 
 
-def march(P, g, out=None):
+def march(P, g, out):
     """March the (2, K) state ``g`` through the step matrices ``P`` of :func:`step_tables`.
 
     Each step is ``g <- P[k, 0] * g + P[k, 1] * g[::-1]``, four multiplies
-    into two preallocated product buffers. Returns the final state; with
-    ``out`` (S, 2, K), also stores g in ``out[k]`` after step k, and without
-    it keeps g in one buffer of its own.
+    into two preallocated product buffers, and stores g in ``out[k]``, of
+    shape (S, 2, K). Returns ``out``.
     """
     a, b = np.empty(P.shape[2:], dtype=P.dtype), np.empty(P.shape[2:], dtype=P.dtype)
-    slots = [np.empty_like(a)] * len(P) if out is None else out
-    for diag, off, slot in zip(P[:, 0], P[:, 1], slots):
+    for diag, off, slot in zip(P[:, 0], P[:, 1], out):
         np.multiply(diag, g, out=a)
         np.multiply(off, g[::-1], out=b)
         g = np.add(a, b, out=slot)
-    return g
+    return out
 
 
-def _step_blocks(params: Params, lams, nsteps, tables=None):
-    """The step tables of an ``nsteps`` march over [0, L], ``_BLOCK_STEPS`` steps at a time.
-
-    Yields ``(s0, s1, P)`` with P the :func:`step_tables` of steps s0..s1 - 1,
-    which bounds the table's memory at any step count; with ``tables`` (S, 2, 2,
-    K), S the longest block, every P is written into its first rows.
-    """
-    h = params.L / nsteps
-    xs = np.linspace(0.0, params.L, 2 * nsteps + 1)  # step ends and midpoints
-    c = -np.asarray(delta(params, xs)) / 3.0
-    for s0 in range(0, nsteps, _BLOCK_STEPS):
-        s1 = min(s0 + _BLOCK_STEPS, nsteps)
-        rows = slice(2 * s0, 2 * s1 + 1)
-        args = (xs[rows], c[rows], lams, h)
-        yield s0, s1, step_tables(*args) if tables is None else step_tables(*args, out=tables[:s1 - s0])
-
-
-def shoot(params: Params, lams, seed, nsteps, out=None):
+def shoot(params: Params, lams, seed, nsteps):
     """March the modulated system over [0, L] from ``seed`` in ``nsteps`` Filon–Magnus steps.
 
     One march per entry of ``lams``, all from the left boundary values ``seed``
-    (a 2-vector), block after block of :func:`_step_blocks`. Returns the final
-    (2, K) state; with ``out`` (nsteps, 2, K), also stores the state after each step.
+    (a 2-vector). Yields ``(s0, s1, states)`` per block of ``_BLOCK_STEPS``
+    steps, ``states`` the node-major (s1 - s0, 2, K) states after steps
+    s0 + 1..s1. Every block reuses one step-table buffer and one state block,
+    so a caller may change a block in place but must copy what it keeps.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    h = params.L / nsteps
+    xs = np.linspace(0.0, params.L, 2 * nsteps + 1)  # step ends and midpoints
+    c = -np.asarray(delta(params, xs)) / 3.0
+    block = np.empty((min(_BLOCK_STEPS, nsteps), 2, lams.size), dtype=complex)  # node-major: a step writes one row
+    # a table allocated anew for each block lets the allocator hand its pages back
+    # to the system and fault them in again for the next block
+    tables = np.empty((len(block), 2, 2, lams.size), dtype=complex)
     g = np.tile(np.asarray(seed, dtype=complex)[:, None], lams.size)  # (2, K)
-    for s0, s1, P in _step_blocks(params, lams, nsteps):
-        g = march(P, g, None if out is None else out[s0:s1])
-    return g
+    for s0 in range(0, nsteps, _BLOCK_STEPS):
+        s1 = min(s0 + _BLOCK_STEPS, nsteps)
+        rows = slice(2 * s0, 2 * s1 + 1)
+        P = step_tables(xs[rows], c[rows], lams, h, tables[:s1 - s0])
+        states = march(P, g, block[:s1 - s0])
+        g = states[-1].copy()
+        yield s0, s1, states
 
 
 def _residual(params: Params, lams, seed, nsteps):
     """Boundary residual ``f1(L) + f2(L)`` of the ``nsteps`` march, per entry of ``lams``."""
-    g = shoot(params, lams, seed, nsteps)
+    *_, (_, _, states) = shoot(params, lams, seed, nsteps)
     eL = np.exp(lams * params.L)
-    return g[0] * eL + g[1] / eL
+    return states[-1, 0] * eL + states[-1, 1] / eL
 
 
 def _store_pass(params: Params, lams, seed):
@@ -233,22 +225,15 @@ def _store_pass(params: Params, lams, seed):
 
     Returns the boundary residuals ``|f1(L) + f2(L)| / max |f|``, the (K, 2, nx)
     samples and the ODE error ``max |f - f_coarse| / max |f|`` on the even grid
-    nodes, against the march at two cells per step. Both marches run one
-    :func:`_step_blocks` block at a time, with one step-table buffer and one
-    node-major scratch block for the states. A fine block is turned into f
-    variables, ``f1 = e^{lam x} g1`` and ``f2 = e^{-lam x} g2``, and copied
-    transposed into the samples; a coarse block, turned the same way, is
-    compared with the even nodes already stored. So the pass holds the samples
-    and one block, never the whole march.
+    nodes, against the march at two cells per step. Each block :func:`shoot`
+    yields is turned in place into f variables, ``f1 = e^{lam x} g1`` and
+    ``f2 = e^{-lam x} g2``: a fine block is copied transposed into the samples,
+    a coarse one compared with the even nodes already stored. So the pass
+    holds the samples and one block, never the whole march.
     """
     nsteps = params.grid_points - 1
     grid = uniform_grid(params)
-    seed = np.asarray(seed, dtype=complex)[:, None]
     vals = np.empty((lams.size, 2, nsteps + 1), dtype=complex)
-    block = np.empty((min(_BLOCK_STEPS, nsteps), 2, lams.size), dtype=complex)  # node-major: a step writes one row
-    # a table allocated anew for each block lets the allocator hand its pages back
-    # to the system and fault them in again for the next block
-    tables = np.empty((len(block), 2, 2, lams.size), dtype=complex)
 
     def to_f(states, nodes):  # in place; rows of ``states`` sit at ``grid[nodes]``
         E = np.exp(np.outer(grid[nodes], lams))
@@ -256,21 +241,14 @@ def _store_pass(params: Params, lams, seed):
         states[:, 1] /= E
         return states
 
-    def marched(nsteps):  # yields (s0, s1, the states after steps s0 + 1..s1 in the block)
-        g = np.tile(seed, lams.size)
-        for s0, s1, P in _step_blocks(params, lams, nsteps, tables):
-            states = block[:s1 - s0]
-            g = march(P, g, states).copy()  # the block is converted in place; the next one starts from g
-            yield s0, s1, states
-
-    vals[:, :, 0] = to_f(np.tile(seed, (1, 1, lams.size)), slice(0, 1))[0].T
+    vals[:, :, 0] = seed  # f = g at x = 0
     scale = np.max(np.abs(vals[:, :, 0]), axis=1)
-    for s0, s1, states in marched(nsteps):
+    for s0, s1, states in shoot(params, lams, seed, nsteps):
         to_f(states, slice(s0 + 1, s1 + 1))
         vals[:, :, s0 + 1:s1 + 1] = states.transpose(2, 1, 0)
         scale = np.maximum(scale, np.max(np.abs(states), axis=(0, 1)))
     ode_err = np.zeros(lams.size)
-    for s0, s1, states in marched(nsteps // 2):
+    for s0, s1, states in shoot(params, lams, seed, nsteps // 2):
         even = slice(2 * s0 + 2, 2 * s1 + 1, 2)
         diff = vals[:, :, even].transpose(2, 1, 0) - to_f(states, even)
         ode_err = np.maximum(ode_err, np.max(np.abs(diff), axis=(0, 1)))
@@ -374,7 +352,8 @@ class Basis(ModeIndexed):
     ``values`` has shape (K, 2, nx) in mode order ``n_list``. For the damped
     kind, ``dual_values`` holds the biorthogonal family: the adjoint
     eigenfunctions :func:`adjoint_values` derives from ``values``, rescaled
-    so the cross-Gram is the identity.
+    so the cross-Gram is the identity. ``gram_deviation`` is the largest
+    entry of ``|G - I|`` that the build's (bi)orthonormality check measured.
     """
 
     kind: BcKind
@@ -385,13 +364,15 @@ class Basis(ModeIndexed):
     dual_values: np.ndarray = None
     bc_residuals: np.ndarray = None
     ode_residuals: np.ndarray = None
+    gram_deviation: float = None
 
     def diagnostics(self) -> dict:
-        """Shooting health: the search's step counts and the store pass's worst residuals."""
+        """Build health: the search's step counts, the store pass's worst residuals and the Gram deviation."""
         return {
             "search_steps": [_SEARCH_STEPS, 2 * _SEARCH_STEPS],
             "bc_residual_max": float(np.max(self.bc_residuals)),
             "ode_error_max": float(np.max(self.ode_residuals)),
+            "gram_deviation": self.gram_deviation,
         }
 
     @property
@@ -538,12 +519,13 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
                 f"{what} failure at ({n_list[i]}, {n_list[j]}): {np.max(dev):.2e}; "
                 f"grid_points = {params.grid_points} may be too coarse for n_modes = {N}: raise grid_points"
             )
+        return float(np.max(dev))
 
-    dual_values = None  # the family is scaled in place, never copied
+    dual_values = gram_dev = None  # the family is scaled in place, never copied
     if kind is BcKind.CONSERVATIVE:
         vals /= np.sqrt(pairings(vals, vals, grid).real)[:, None, None]
         vals /= (vals[:, 0, 0] / np.abs(vals[:, 0, 0]))[:, None, None]  # phases
-        check_identity(gram_matrix(vals, vals, grid), "orthonormality")
+        gram_dev = check_identity(gram_matrix(vals, vals, grid), "orthonormality")
     else:
         scales = np.empty(n_list.size, dtype=complex)
         for rows, refs in _reference_blocks(params, kind, n_list, grid):
@@ -552,11 +534,11 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
         if with_duals:
             dual_values = adjoint_values(params, vals)
             dual_values *= np.conj(1.0 / pairings(vals, dual_values, grid))[:, None, None]  # 1/<f_n, phi_n>
-            check_identity(gram_matrix(vals, dual_values, grid), "biorthonormality")
+            gram_dev = check_identity(gram_matrix(vals, dual_values, grid), "biorthonormality")
     return Basis(
         kind=kind, n_list=n_list, eigenvalues=eigs, grid=grid,
         values=vals, dual_values=dual_values,
-        bc_residuals=bc_res, ode_residuals=ode_err,
+        bc_residuals=bc_res, ode_residuals=ode_err, gram_deviation=gram_dev,
     )
 
 

@@ -173,6 +173,8 @@ BAD_INPUT = [
     (["simulate", "--set", "law_file={tmp}/huge_law.json"], "cannot read law file {tmp}/huge_law.json"),
     (["simulate", "--set", "open_loop=1", "--set", "law_file={tmp}/missing.json"],
      "open_loop and law_file exclude each other"),
+    (["steer", "--set", "gamma=0.05", "--set", "target=1:1.0,1:0.5"], "repeated target [1]"),
+    (["spectrum", "--set", "modes=1,1,-1"], "repeated modes [1]"),
 ]
 
 
@@ -364,13 +366,14 @@ class TestFeedbackCommand:
         assert doc["physical"]["mu_internal"] == pytest.approx(2.0)
 
     def test_shooting_diagnostics(self, tmp_path):
-        # the search's step counts and the store pass's worst residuals; the
-        # law file still reads back into simulate
+        # the search's step counts, the store pass's worst residuals and the
+        # orthonormality check's deviation; the law file still reads back into simulate
         assert run(["feedback", "--set", "gamma=0.03"] + FAST, tmp_path) == 0
         diag = json.loads((tmp_path / "feedback.json").read_text())["diagnostics"]
         assert diag["search_steps"] == [64, 128]
         for key in ("bc_residual_max", "ode_error_max"):
             assert math.isfinite(diag[key]) and 0.0 <= diag[key] <= 1e-9, key
+        assert 0.0 <= diag["gram_deviation"] <= 1e-6
         law = ["--set", f"law_file={tmp_path}/feedback.json"]
         assert run(["simulate", "--set", "gamma=0.03"] + law + FAST, tmp_path) == 0
 

@@ -196,3 +196,32 @@ def test_to_dict_check_flags_one():
     source = ("class A:\n    def to_dict(self):\n        return {}\n\n"
               "class B:\n    def as_row(self):\n        return []\n\ndef to_dict():\n    return {}\n")
     assert _to_dict_classes(source) == ["A"]
+
+
+# The Filon–Magnus march has one driver: only ``spectral.shoot`` builds step tables and marches them.
+MARCH_CALLS = {"step_tables", "march"}
+
+
+def _march_callers(source: str) -> list:
+    """``def: call`` for each call of a march primitive, named by the top-level def that holds it."""
+    return sorted({
+        f"{getattr(top, 'name', '<module>')}: {name}"
+        for top in ast.parse(source).body
+        for call in ast.walk(top)
+        if isinstance(call, ast.Call)
+        and (name := getattr(call.func, "id", getattr(call.func, "attr", None))) in MARCH_CALLS
+    })
+
+
+def test_one_march_driver():
+    # the search, the store pass and the Lyapunov weight all stream through shoot
+    src = sorted(Path(watertank.__file__).parent.glob("*.py"))
+    calls = [f"{p.stem}.{c}" for p in src for c in _march_callers(p.read_text())]
+    assert calls == ["spectral.shoot: march", "spectral.shoot: step_tables"], calls
+
+
+def test_march_caller_check_flags_one():
+    source = ("def shoot(p):\n    P = step_tables(p)\n    return march(P)\n\n"
+              "def store(p):\n    def marched():\n        return spectral.march(p)\n    return marched\n\n"
+              "def other(p):\n    return shoot(p)\n")
+    assert _march_callers(source) == ["shoot: march", "shoot: step_tables", "store: march"]

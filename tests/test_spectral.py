@@ -163,22 +163,24 @@ def magnus_two_arrays(P, seed):
 def whole_table(params: Params, lams, nsteps):
     """The step table of an ``nsteps`` march over [0, L], built in one piece."""
     xs = np.linspace(0.0, params.L, 2 * nsteps + 1)
-    return step_tables(xs, -np.asarray(delta(params, xs)) / 3.0, lams, params.L / nsteps)
+    out = np.empty((nsteps, 2, 2, len(lams)), dtype=complex)
+    return step_tables(xs, -np.asarray(delta(params, xs)) / 3.0, lams, params.L / nsteps, out)
 
 
 def node_major_store_pass(params: Params, lams, seed):
     """The store pass on whole node-major arrays: both marches kept in full, then converted.
 
     The reference for :func:`spectral._store_pass`, which streams the same
-    marches one block at a time; returns the same ``(bc residuals, (K, 2, nx)
-    samples, ODE errors)``.
+    marches through :func:`spectral.shoot` one block at a time; this one
+    marches each whole table with :func:`march`. Returns the same ``(bc
+    residuals, (K, 2, nx) samples, ODE errors)``.
     """
     nsteps = params.grid_points - 1
     vals = np.empty((nsteps + 1, 2, lams.size), dtype=complex)
     coarse = np.empty((nsteps // 2 + 1, 2, lams.size), dtype=complex)
     vals[0] = coarse[0] = np.asarray(seed, dtype=complex)[:, None]
-    spectral.shoot(params, lams, seed, nsteps, vals[1:])
-    spectral.shoot(params, lams, seed, nsteps // 2, coarse[1:])
+    march(whole_table(params, lams, nsteps), vals[0], vals[1:])
+    march(whole_table(params, lams, nsteps // 2), coarse[0], coarse[1:])
     Eg = np.exp(np.outer(uniform_grid(params), lams))  # (nx, K)
     vals[:, 0] *= Eg
     vals[:, 1] /= Eg
@@ -198,10 +200,9 @@ class TestMarch:
         P = whole_table(p, lams, p.grid_points - 1)
         (g1, g2), ref = magnus_two_arrays(P, _left_seed(kind, p))
         g0 = np.tile(_left_seed(kind, p)[:, None], lams.size)
-        g = march(P, g0)
-        assert np.array_equal(g[0], g1) and np.array_equal(g[1], g2)
         out = np.empty((p.grid_points - 1, 2, lams.size), dtype=complex)
-        march(P, g0, out)
+        g = march(P, g0, out)[-1]
+        assert np.array_equal(g[0], g1) and np.array_equal(g[1], g2)
         assert np.array_equal(out, ref[:, :, 1:].transpose(2, 1, 0))
 
     @pytest.mark.parametrize("kind", list(BcKind))
@@ -215,7 +216,8 @@ class TestMarch:
         (g1, g2), ref = magnus_two_arrays(whole_table(p, lams, nsteps), _left_seed(kind, p))
         seed = _left_seed(kind, p)
         eL = np.exp(lams * p.L)
-        assert np.array_equal(spectral.shoot(p, lams, seed, nsteps), np.stack([g1, g2]))
+        *_, (_, _, states) = spectral.shoot(p, lams, seed, nsteps)
+        assert np.array_equal(states[-1], np.stack([g1, g2]))
         assert np.array_equal(_residual(p, lams, seed, nsteps), g1 * eL + g2 / eL)
         Eg = np.exp(np.outer(lams, uniform_grid(p)))
         ref[:, 0, :] *= Eg
@@ -363,9 +365,9 @@ class TestFindEigenvalues:
         steps = []
         real = spectral.step_tables
 
-        def counted(x, c, lams, h):
+        def counted(x, c, lams, h, out):
             steps.append(((x.size - 1) // 2, round(1.0 / h)))
-            return real(x, c, lams, h)
+            return real(x, c, lams, h, out)
 
         monkeypatch.setattr(spectral, "step_tables", counted)
         evs, runs = [], []
@@ -529,6 +531,7 @@ class TestBuildBasis:
         basis = basis_cache(p_std, BcKind.CONSERVATIVE, 20)
         G = gram_matrix(basis.values, basis.values, basis.grid)
         assert np.max(np.abs(G - np.eye(41))) < 1e-6
+        assert basis.gram_deviation == np.max(np.abs(G - np.eye(41)))  # the build's own check kept it
 
     def test_gram_bound_at_gamma_point1(self, basis_cache):
         # orthonormality deviation < 1e-6 holds up to gamma = 0.1
@@ -541,6 +544,7 @@ class TestBuildBasis:
         basis = basis_cache(p_std, BcKind.DAMPED, 10)
         G = gram_matrix(basis.values, basis.dual_values, basis.grid)
         assert np.max(np.abs(G - np.eye(21))) < 1e-6
+        assert basis.gram_deviation == np.max(np.abs(G - np.eye(21)))
 
     def test_damped_duals_solve_adjoint(self, p_std, basis_cache):
         # -(L phi' + delta J phi) = conj(mu~_n) phi, by 4th-order central
