@@ -291,8 +291,8 @@ def _c9():
     passed = all(r >= need for r in rates) and all(q > 0.98 for q in r2s)
     return passed, {
         "required_rate": need,
-        "fitted_rates": [round(r, 4) for r in rates],
-        "r_squared": [round(q, 4) for q in r2s],
+        "fitted_rates": rates,
+        "r_squared": r2s,
         "window": list(window),
         "closed_loop_max_real_part": float(
             closed_loop_spectrum(law).real.max()

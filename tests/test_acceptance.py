@@ -3,7 +3,8 @@
 The criteria run once, in one ``acceptance.run_all()`` shared by the
 session (``full_run``). Every test prints a PASS/FAIL line with the
 measured quantities. The same run checks the memo's lifetime rule and pins
-every numeric and boolean detail against ``snapshot.json``.
+every numeric and boolean detail against ``snapshot.json``, which also pins
+the files of the CLI's model commands and ``finite-demo`` (``make_snapshot``).
 
 Known red: criterion 9. The closed-loop integrator propagates the N = 41
 Galerkin matrix, whose weakly damped edge modes (Re ~ -0.26) hold generic
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from make_snapshot import SNAPSHOT, snapshot_values
+from make_snapshot import SNAPSHOT, command_values, mismatches, snapshot_values
 from watertank import acceptance
 from watertank.model import Params
 from watertank.spectral import BcKind, build_basis
@@ -136,33 +137,26 @@ def test_run_all_keeps_what_it_did_not_build(monkeypatch):
     assert acceptance._basis_memo[key] is outside
 
 
-def _mismatches(got, want, rtol=1e-9, atol=1e-12):
-    """Paths where ``got`` differs from ``want``: booleans exactly, numbers to ``atol + rtol |want|``."""
-    bad = [f"{path}: missing" for path in want.keys() - got.keys()]
-    bad += [f"{path}: not in the snapshot" for path in got.keys() - want.keys()]
-    for path in want.keys() & got.keys():
-        g, w = got[path], want[path]
-        if isinstance(g, bool) or isinstance(w, bool):
-            same = g is w
-        else:
-            same = abs(g - w) <= atol + rtol * abs(w)
-        if not same:
-            bad.append(f"{path}: {g!r} against {w!r}")
-    return sorted(bad)
-
-
 def test_details_match_snapshot(full_run):
-    want = json.loads(SNAPSHOT.read_text())
+    want = json.loads(SNAPSHOT.read_text())["criteria"]
     got = snapshot_values(full_run.results)
     bad = [f"criterion {cid}: {m}" for cid in want.keys() | got.keys()
-           for m in _mismatches(got.get(cid, {}), want.get(cid, {}))]
+           for m in mismatches(got.get(cid, {}), want.get(cid, {}))]
     assert not bad, "details moved from snapshot.json:\n" + "\n".join(sorted(bad))
+
+
+def test_cli_files_match_snapshot(tmp_path):
+    want = json.loads(SNAPSHOT.read_text())["commands"]
+    got = command_values(tmp_path)
+    bad = [f"{command}: {m}" for command in want.keys() | got.keys()
+           for m in mismatches(got.get(command, {}), want.get(command, {}))]
+    assert not bad, "CLI files moved from snapshot.json:\n" + "\n".join(sorted(bad))
 
 
 def test_mismatches_catch_a_relative_move_of_1e8():
     want = {"rate": 0.5, "ok": True, "tiny": 1e-15}
-    assert _mismatches(dict(want), want) == []
-    assert _mismatches({**want, "tiny": 5e-13}, want) == []
-    assert _mismatches({**want, "rate": 0.5 * (1 + 1e-8)}, want) == ["rate: 0.500000005 against 0.5"]
-    assert _mismatches({**want, "ok": 1}, want) == ["ok: 1 against True"]
-    assert _mismatches({"rate": 0.5}, want) == ["ok: missing", "tiny: missing"]
+    assert mismatches(dict(want), want) == []
+    assert mismatches({**want, "tiny": 5e-13}, want) == []
+    assert mismatches({**want, "rate": 0.5 * (1 + 1e-8)}, want) == ["rate: 0.500000005 against 0.5"]
+    assert mismatches({**want, "ok": 1}, want) == ["ok: 1 against True"]
+    assert mismatches({"rate": 0.5}, want) == ["ok: missing", "tiny: missing"]
