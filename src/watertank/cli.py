@@ -87,23 +87,9 @@ def _seed(text):
     return seed
 
 
-# the keys each command reads, besides ``outdir``: the six that build Params take its fields
-_COMMAND_KEYS = {
-    "spectrum": {**_PARAM_KEYS, "modes": _int_list},
-    "controllability": _PARAM_KEYS,
-    "feedback": _PARAM_KEYS,
-    "simulate": {**_PARAM_KEYS, "seed": _seed, "open_loop": int, "law_file": str,
-                 "fit_window": _window},
-    "lyapunov": {**_PARAM_KEYS, "lam": float},
-    "steer": {**_PARAM_KEYS, "target": _target_map},
-    "finite-demo": {"seed": _seed, "count": int, "dim_max": int},
-    "report": {"criteria": _int_list},
-}
-
-
 def load_config(path, overrides, command):
     """Merge a key=value file with command-line overrides; reject keys the command does not read."""
-    allowed = {**_COMMAND_KEYS[command], "outdir": str}
+    allowed = {**_COMMANDS[command][1], "outdir": str}
     cfg = {}
 
     def absorb(key, value, origin):
@@ -145,8 +131,9 @@ _LAW_FIELDS = {"": "table", "tau_": "tau", "h_": "singular", "mu_": "eigenvalues
 
 
 def _law_doc(law) -> dict:
-    """The ``law`` block of ``feedback.json``: every field a closed-loop run reads, which
-    :func:`_read_law` reads back. JSON writes each float by ``repr``, so it reads back exactly."""
+    """The ``law`` block of ``feedback.json``, which :func:`_read_law` reads back: every field a
+    closed-loop run reads, and ``tau_n`` and ``h_n``, which no run reads. JSON writes each float
+    by ``repr``, so it reads back exactly."""
     cols = {}
     for prefix, name in _LAW_FIELDS.items():
         values = getattr(law, name)
@@ -207,8 +194,6 @@ def _read_law(path, params: Params) -> FeedbackLaw:
         )
     N = params.n_modes
     n_list = np.arange(-N, N + 1)
-    if len(n) != n_list.size:
-        raise ConfigError("law file truncation does not match n_modes")
     if n != n_list.tolist():
         raise ConfigError(f"law file {path} does not list its modes as n = -{N}..{N}")
     if not all(np.all(np.isfinite(v)) for v in fields.values()):
@@ -464,15 +449,18 @@ def cmd_report(cfg, params):
     return {"acceptance_report.json": doc}, f"acceptance criteria failed: {red}" if red else None
 
 
+# each command's handler and the keys it reads besides ``outdir``; the six model commands
+# read every Params field, and main builds their Params and stamps their config echo
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "controllability": cmd_controllability,
-    "feedback": cmd_feedback,
-    "simulate": cmd_simulate,
-    "lyapunov": cmd_lyapunov,
-    "steer": cmd_steer,
-    "finite-demo": cmd_finite_demo,
-    "report": cmd_report,
+    "spectrum": (cmd_spectrum, {**_PARAM_KEYS, "modes": _int_list}),
+    "controllability": (cmd_controllability, _PARAM_KEYS),
+    "feedback": (cmd_feedback, _PARAM_KEYS),
+    "simulate": (cmd_simulate, {**_PARAM_KEYS, "seed": _seed, "open_loop": int, "law_file": str,
+                                "fit_window": _window}),
+    "lyapunov": (cmd_lyapunov, {**_PARAM_KEYS, "lam": float}),
+    "steer": (cmd_steer, {**_PARAM_KEYS, "target": _target_map}),
+    "finite-demo": (cmd_finite_demo, {"seed": _seed, "count": int, "dim_max": int}),
+    "report": (cmd_report, {"criteria": _int_list}),
 }
 
 
@@ -490,10 +478,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.set, args.command)
+        handler, keys = _COMMANDS[args.command]
         params = None
-        if "n_modes" in _COMMAND_KEYS[args.command]:  # the six model commands
+        if _PARAM_KEYS.keys() <= keys.keys():  # the six model commands
             params = Params(**{k: cfg[k] for k in _PARAM_KEYS if k in cfg})
-        files, failure = _COMMANDS[args.command](cfg, params)
+        files, failure = handler(cfg, params)
         if params is not None:
             echo = _config_echo(cfg, params)
             files = {name: body if name.endswith(".csv") else {"config": echo, **body}

@@ -220,7 +220,7 @@ class ControlSignal:
     """Open-loop control ``u(s) = sum_j amp[j] e^{rate[j] (s - T)}`` on [0, T].
 
     ``T = t[-1] = 2L`` is the control horizon; the control is zero after it.
-    ``u`` holds the samples on ``t``. A zero target has no exponentials.
+    ``u`` holds the samples on ``t``; a zero target has zero amplitudes, so ``u`` is exactly 0.
     """
 
     t: np.ndarray
@@ -257,19 +257,13 @@ def synthesize_open_loop(params: Params, modes: WModes, duals: DualBasis,
         raise UncontrollableError(
             "mode 0 is the conserved mass direction; its target must be absent"
         )
-    n_list = modes.n_list
-    K = n_list.size
-    outside = [int(n) for n in target if abs(int(n)) > (K - 1) // 2]
-    if outside:
-        raise ConfigError(f"target modes {outside} outside the modes' -N..N")
+    K = modes.n_list.size
     b, beta = input_gains(modes)
     cvec = np.zeros(K, dtype=complex)
-    any_target = False
     for n, k in target.items():
         i = modes.index(n)
         if k == 0:
             continue
-        any_target = True
         if abs(b[i]) < 1e-8:
             raise UncontrollableError(
                 f"moment b_{int(n)} vanishes (|b| = {abs(b[i]):.2e}); "
@@ -277,9 +271,6 @@ def synthesize_open_loop(params: Params, modes: WModes, duals: DualBasis,
             )
         cvec[i] = complex(k) / beta[i]
     tq = duals.grid
-    if not any_target:
-        empty = np.zeros(0, dtype=complex)
-        return ControlSignal(t=tq, rates=empty, amplitudes=empty)
     if duals.eigenvalues.size != K:
         raise ConfigError(
             "duals must be built on the full 2N+1 eigenvalue family of the modes"

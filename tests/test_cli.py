@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -53,6 +54,26 @@ def test_write_csv_in_blocks(tmp_path):
     want = "k,x,re_z,im_z\n" + "".join(
         "%.17g,%.17g,%.17g,%.17g\n" % (k, x[k], z[k].real, z[k].imag) for k in range(rows))
     assert path.read_text() == want
+
+
+def _readme_keys():
+    """README's table of the keys each command reads besides ``outdir``, as ``{command: keys}``."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = text.split("| command | keys besides `outdir` |\n")[1].split("\n\n")[0]
+    keys = {}
+    for row in table.splitlines()[1:]:
+        commands, read = row.strip("|").split("|")
+        params = set(cli._PARAM_KEYS) if "the parameter keys" in read else set()
+        keys.update({c: params | set(re.findall(r"`([^`]+)`", read))
+                     for c in re.findall(r"`([^`]+)`", commands)})
+    return keys
+
+
+def test_commands_declared_once():
+    # each cmd_* function handles exactly one command, and README's table lists its keys
+    handlers = Counter(handler for handler, _ in cli._COMMANDS.values())
+    assert handlers == Counter(f for name, f in vars(cli).items() if name.startswith("cmd_"))
+    assert _readme_keys() == {c: set(keys) for c, (_, keys) in cli._COMMANDS.items()}
 
 
 @pytest.mark.parametrize("args, code", [(["spectrum", "--set", "modes=9"], 2),
@@ -148,7 +169,7 @@ class TestConfigHandling:
 BAD_INPUT = [
     (["lyapunov", "--set", "lam=5"], "lambda must lie in (0, mu)"),
     (["steer", "--set", "gamma=0.05", "--set", "target=1"], "'target': '1'"),
-    (["steer", "--set", "gamma=0.05", "--set", "target=9:1.0"], "target modes [9]"),
+    (["steer", "--set", "gamma=0.05", "--set", "target=9:1.0"], "mode 9 outside -4..4"),
     (["steer", "--set", "gamma=0.05", "--set", "target=1:nan"], "'target': '1:nan'"),
     (["spectrum", "--set", "modes=x"], "'modes': 'x'"),
     (["spectrum", "--set", "modes=0,9"], "modes [0, 9]"),
@@ -175,6 +196,7 @@ BAD_INPUT = [
      "open_loop and law_file exclude each other"),
     (["steer", "--set", "gamma=0.05", "--set", "target=1:1.0,1:0.5"], "repeated target [1]"),
     (["spectrum", "--set", "modes=1,1,-1"], "repeated modes [1]"),
+    (["simulate", "--set", "law_file={tmp}/short_law.json"], "does not list its modes as n = -4..4"),
 ]
 
 
@@ -191,12 +213,15 @@ class TestBadInput:
         for name, keys, re2 in (("law.json", every, 1.0), ("nan_law.json", every, float("nan")),
                                 ("huge_law.json", every, 10**400), ("old_law.json", old, 1.0)):
             modes = [{"n": n, **keys, "re": re2 if n == 2 else 1.0} for n in range(-4, 5)]
+            if name == "law.json":  # short_law.json drops mode 4
+                (tmp_path / "short_law.json").write_text(
+                    json.dumps({"config": config, "law": {"modes": modes[:-1]}}))
             (tmp_path / name).write_text(json.dumps({"config": config, "law": {"modes": modes}}))
         (tmp_path / "run.cfg").write_text("gamma = 0.03\n")
         args = [a.replace("{tmp}", str(tmp_path)) for a in args]
         named = named.replace("{tmp}", str(tmp_path))
         # report and finite-demo take no model key: FAST would stop them at the key check
-        code = run(args + (FAST if "n_modes" in cli._COMMAND_KEYS[args[0]] else []), tmp_path)
+        code = run(args + (FAST if "n_modes" in cli._COMMANDS[args[0]][1] else []), tmp_path)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("configuration error:") and err.count("\n") == 1

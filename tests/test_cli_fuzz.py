@@ -1,8 +1,8 @@
 """Hypothesis fuzz of the CLI's ``--set KEY=VALUE`` overrides, run in this process.
 
-Keys come from ``_COMMAND_KEYS``, the keys each subcommand but ``report``
-reads, and one time in four a key of another subcommand that this one does
-not read (it must be rejected).
+Each subcommand but ``report`` is drawn with keys that ``cli._COMMANDS``
+declares for it, and one time in four a key of another subcommand that this
+one does not read (it must be rejected).
 Values mix valid, out-of-range, non-numeric, non-finite and extreme text.
 ``outdir`` and ``law_file`` are pinned under ``tmp_path``. Valid integers are
 capped (``n_modes`` <= 64, ``grid_points`` <= 2049, ``count`` <= 30) so that
@@ -62,14 +62,14 @@ VALUES = {
     "dim_max": int_text(-1, 13),
 }
 COMMANDS = sorted(set(cli._COMMANDS) - {"report"})
-KEYS = sorted({k for c in COMMANDS for k in cli._COMMAND_KEYS[c]})
+KEYS = sorted({k for c in COMMANDS for k in cli._COMMANDS[c][1]})
 
 
 @st.composite
 def invocations(draw):
     """A command and up to four overrides: its own keys, and one time in four a key it does not read."""
     command = draw(st.sampled_from(COMMANDS))
-    own = sorted(cli._COMMAND_KEYS[command])
+    own = sorted(cli._COMMANDS[command][1])
     keys = draw(st.lists(st.sampled_from(own), max_size=4, unique=True))
     if draw(st.integers(0, 3)) == 0:
         keys.append(draw(st.sampled_from(sorted(set(KEYS) - set(own)))))

@@ -11,7 +11,7 @@ from watertank.control import (
     plain_moments,
     synthesize_open_loop,
 )
-from watertank.errors import ConfigError, NumericalError, UncontrollableError
+from watertank.errors import ConfigError, DomainError, NumericalError, UncontrollableError
 from watertank.model import Params, simpson_weights
 from watertank.simulate import integrate_open_loop_w
 from watertank.spectral import BcKind, WModes
@@ -182,7 +182,7 @@ class TestSynthesizeOpenLoop:
     @pytest.mark.parametrize("n", [13, -13])
     def test_target_outside_truncation_rejected(self, setup, n):
         p, modes, duals = setup
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError, match=f"mode {n} outside -12..12"):
             synthesize_open_loop(p, modes, duals, {n: 1.0})
 
     def test_gamma0_even_target_uncontrollable(self, p_gamma0, wmodes_cache):
