@@ -47,7 +47,14 @@ from watertank.simulate import (
     real_initial_datum,
     steer,
 )
-from watertank.spectral import BcKind, build_basis, find_eigenvalues, unperturbed_eigenvalues, w_modes
+from watertank.spectral import (
+    BcKind,
+    ModeIndexed,
+    build_basis,
+    find_eigenvalues,
+    unperturbed_eigenvalues,
+    w_modes,
+)
 
 _PARAM_KEYS = {f.name: type(f.default) for f in dataclasses.fields(Params)}
 
@@ -249,8 +256,8 @@ def cmd_spectrum(cfg, params):
     n_list = np.arange(-N, N + 1)
     wanted = cfg.get("modes")
     if wanted:
-        if any(abs(n) > N for n in wanted):
-            raise ConfigError(f"modes {wanted} must lie in -{N}..{N}")
+        for n in wanted:  # the basis's own index check, before the build
+            ModeIndexed.row(n, N)
         # the basis shoots the conservative spectrum; reuse it
         basis = build_basis(params, BcKind.CONSERVATIVE, N)
         ev_c = basis.eigenvalues

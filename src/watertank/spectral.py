@@ -24,10 +24,13 @@ converged, and guarded by :func:`collision`. Every march over [0, L], that of
 the Lyapunov weight of ``simulate.lyapunov_certificate`` at a real parameter
 too, streams through :func:`shoot` one block of steps at a time.
 
-Memory: the store pass streams each block of its march into the returned
-(K, 2, nx) array, and the build scales that family in place and pairs it one
-block of mode rows at a time (:func:`pairings`, :func:`gram_matrix`). So a
-build holds its family, and the damped duals, plus one block of scratch.
+Memory: a march computes once what no block's step table depends on and
+builds its tables ``_BLOCK_STEPS`` = 128 steps at a time (:func:`step_tables`);
+the store pass streams each block of its march into the returned (K, 2, nx)
+array, and the build scales that family in place and pairs it one block of
+mode rows at a time (:func:`pairings`, :func:`gram_matrix`). So a build holds
+its family, and the damped duals, plus one block of scratch, and the search
+evaluates the secant's two seed columns in two marches, not one twice as wide.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ def unperturbed_eigenvalues(kind: BcKind, params: Params, n_list) -> np.ndarray:
 
 
 _SEARCH_STEPS = 64  # Magnus steps of the coarse search march; the fine one takes twice as many
-_BLOCK_STEPS = 512  # Magnus steps per step table, which bounds its memory at any step count
+_BLOCK_STEPS = 128  # Magnus steps per step table, which bounds its memory at any step count
 _SECANT_TOL = 1e-10  # secant step below which an eigenvalue counts as converged
 
 
@@ -122,15 +125,32 @@ def _sinh_minus(z):
     return np.where(small, series, (np.sinh(zc) - zc) / zc**2)
 
 
-def _cosh_sinhc(q):
+# _SERIES_RADII[n]: below this |q| the first term the series through q^n omits,
+# q^{n+1}/(2n+2)!, is under 2e-21, and all of them together under 3e-21
+_SERIES_RADII = [(2e-21 * math.factorial(2 * n + 2)) ** (1 / (n + 1)) for n in range(5)]
+_COSH_TERMS = [1 / math.factorial(2 * j) for j in range(6)]
+_SINHC_TERMS = [1 / math.factorial(2 * j + 1) for j in range(6)]
+
+
+def _series_terms(q_bound):
+    """The fewest powers of q, at most 5, that :func:`_cosh_sinhc` needs while every |q| < ``q_bound``."""
+    return next((n for n, r in enumerate(_SERIES_RADII) if q_bound < r), 5)
+
+
+def _cosh_sinhc(q, terms):
     """``cosh(s)`` and ``sinh(s)/s`` at ``s^2 = q``; both are even in s.
 
     Below |q| = 0.01 (q = 0 included), where nearly every step lies, their
-    Taylor series in q through q^5, whose remainder is below 3e-21; elsewhere
-    the closed forms.
+    Taylor series in q through q^terms, whose remainder is below 3e-21 when
+    ``terms`` is :func:`_series_terms` of a bound on |q|; elsewhere the closed
+    forms.
     """
-    ch = 1.0 + q * (1 / 2 + q * (1 / 24 + q * (1 / 720 + q * (1 / 40320 + q / 3628800))))
-    sinhc = 1.0 + q * (1 / 6 + q * (1 / 120 + q * (1 / 5040 + q * (1 / 362880 + q / 39916800))))
+    ch, sinhc = np.full_like(q, _COSH_TERMS[terms]), np.full_like(q, _SINHC_TERMS[terms])
+    for j in reversed(range(terms)):  # Horner
+        ch *= q
+        ch += _COSH_TERMS[j]
+        sinhc *= q
+        sinhc += _SINHC_TERMS[j]
     far = ~(np.abs(q) < 0.01)  # nan lands here too
     if np.any(far):
         s = np.sqrt(q[far])
@@ -138,37 +158,66 @@ def _cosh_sinhc(q):
     return ch, sinhc
 
 
-def step_tables(x, c, lams, h, out):
-    """Filon–Magnus step matrices of ``g' = [[0, c e^{-2 lam x}], [c e^{2 lam x}, 0]] g``.
+def step_tables(c, lams, h, steps):
+    """Filon–Magnus step matrices of ``g' = [[0, c e^{-2 lam x}], [c e^{2 lam x}, 0]] g``, block by block.
 
-    ``x`` and ``c`` are sampled at the step ends and midpoints (2S + 1 points,
-    step ``h``). Step k is ``exp(Omega1 + Omega2)``: ``Omega1`` has the
-    off-diagonal entries ``int c e^{-/+ 2 lam s} ds`` over the step, with c
-    interpolated quadratically, which needs only the moments ``M_k(-/+ 2 lam h)``;
-    ``Omega2 = diag(w, -w)`` is the commutator term at the midpoint value of c.
-    The exponent is traceless, so its exponential is ``cosh(s) I + (sinh(s)/s)
-    Omega`` with ``s^2 = w^2 + alpha beta``. Writes P of shape (S, 2, 2, K)
-    into ``out`` and returns it: ``P[k, 0]`` holds the diagonal ``(P11, P22)``
-    of step k, ``P[k, 1]`` the off-diagonal ``(P12, P21)``.
+    ``c`` is sampled at the step ends and midpoints of a whole march (2S + 1
+    points, step ``h``; step k starts at ``x0 = k h``). Step k is ``exp(Omega1
+    + Omega2)``. ``Omega1`` has the off-diagonal entries ``int c e^{-/+ 2 lam
+    s} ds`` over the step, with c interpolated quadratically, ``c(x0 + t h) =
+    sum a_j t^j``: ``alpha = (A m-) / E`` and ``beta = (A m+) E``, with ``m-/+
+    = h M_j(-/+ 2 lam h)`` and ``E = e^{2 lam x0}``. ``Omega2 = diag(w, -w)``
+    is the commutator term at the midpoint value of c. The exponent is
+    traceless, so its exponential is ``cosh(s) I + (sinh(s)/s) Omega`` with
+    ``s^2 = w^2 + alpha beta = w^2 + (A m-)(A m+)``.
+
+    Once per march: ``a``, ``m-/+``, ``_sinh_minus(2 lam h)``, the factors
+    ``e^{2 lam h j}`` and ``e^{2 lam h i _BLOCK_STEPS}`` whose product at ``j =
+    k mod _BLOCK_STEPS``, ``i = k // _BLOCK_STEPS`` is E, and the series terms
+    of :func:`_cosh_sinhc`, from a bound on |s^2| over the march. Per block,
+    row by row: the products ``A m-/+`` and what follows from them. So a row
+    depends only on its step, and a table equals its blocks bit for bit (a
+    lone last step joins the block before it, :func:`_row_blocks`).
+
+    Yields ``(rows, P)`` per block of ``steps`` steps, ``P`` of shape (rows,
+    2, 2, K) in one reused buffer: ``P[k, 0]`` holds the diagonal ``(P11,
+    P22)`` of step k, ``P[k, 1]`` the off-diagonal ``(P12, P21)``.
     """
     lams = np.asarray(lams, dtype=complex)
-    c = np.asarray(c, dtype=float)[:, None]
+    c = np.asarray(c, dtype=float)
     c0, cm, c1 = c[:-1:2], c[1::2], c[2::2]
-    a = (c0, 4.0 * cm - 3.0 * c0 - c1, 2.0 * (c0 + c1) - 4.0 * cm)  # c(x0 + t h) = sum a_k t^k
+    a = np.stack([c0, 4.0 * cm - 3.0 * c0 - c1, 2.0 * (c0 + c1) - 4.0 * cm], axis=1)
     z = 2.0 * h * lams
-    m_minus, m_plus = h * _filon_moments(-z), h * _filon_moments(z)
-    E = np.exp(2.0 * np.outer(x[:-1:2], lams))  # e^{2 lam x0} at each step start
-    alpha = (a[0] * m_minus[0] + a[1] * m_minus[1] + a[2] * m_minus[2]) / E
-    beta = (a[0] * m_plus[0] + a[1] * m_plus[1] + a[2] * m_plus[2]) * E
-    del E  # lowers the peak of the temporaries below
-    w = -((h * cm) ** 2) * _sinh_minus(z)
-    ch, sinhc = _cosh_sinhc(w * w + alpha * beta)
-    w *= sinhc
-    np.add(ch, w, out=out[:, 0, 0])
-    np.subtract(ch, w, out=out[:, 0, 1])
-    np.multiply(sinhc, alpha, out=out[:, 1, 0])
-    np.multiply(sinhc, beta, out=out[:, 1, 1])
-    return out
+    m_minus, m_plus = np.split(h * _filon_moments(np.concatenate([-z, z])), 2, axis=1)
+    sm = _sinh_minus(z)
+    a_max = np.max(np.abs(a), axis=0)  # |A m| <= a_max @ |m| on every step
+    q_bound = (h**2 * np.max(cm**2) * np.abs(sm)) ** 2 + (a_max @ abs(m_minus)) * (a_max @ abs(m_plus))
+    terms = _series_terms(np.max(q_bound))
+    nsteps = len(cm)
+    e_local = np.exp(2.0 * h * np.outer(np.arange(min(_BLOCK_STEPS, nsteps)), lams))
+    e_offset = np.exp(2.0 * h * np.outer(np.arange(0, nsteps, _BLOCK_STEPS), lams))
+    blocks = _row_blocks(nsteps, steps)
+    # one table buffer for the march: a table allocated anew for each block lets the
+    # allocator hand its pages back to the system and fault them in again for the next
+    out = np.empty((max(b.stop - b.start for b in blocks), 2, 2, lams.size), dtype=complex)
+    for rows in blocks:
+        P = out[:rows.stop - rows.start]
+        # real (rows, 3) @ (3, 2K) products on the views of m as reals: the complex product, entry for entry
+        am = np.matmul(a[rows], m_minus.view(float), out=P[:, 1, 0].view(float)).view(complex)
+        ap = np.matmul(a[rows], m_plus.view(float), out=P[:, 1, 1].view(float)).view(complex)
+        w = -((h * cm[rows, None]) ** 2) * sm
+        ch, sinhc = _cosh_sinhc(w * w + am * ap, terms)
+        k = np.arange(rows.start, rows.stop)
+        E = e_local[k % _BLOCK_STEPS] * e_offset[k // _BLOCK_STEPS]
+        am /= E
+        ap *= E
+        del E  # freed before the next block's temporaries
+        am *= sinhc
+        ap *= sinhc
+        w *= sinhc
+        np.add(ch, w, out=P[:, 0, 0])
+        np.subtract(ch, w, out=P[:, 0, 1])
+        yield rows, P
 
 
 def march(P, g, out):
@@ -191,26 +240,22 @@ def shoot(params: Params, lams, seed, nsteps):
 
     One march per entry of ``lams``, all from the left boundary values ``seed``
     (a 2-vector). Yields ``(s0, s1, states)`` per block of ``_BLOCK_STEPS``
-    steps, ``states`` the node-major (s1 - s0, 2, K) states after steps
-    s0 + 1..s1. Every block reuses one step-table buffer and one state block,
-    so a caller may change a block in place but must copy what it keeps.
+    steps (a lone last step joins the block before it), ``states`` the
+    node-major (s1 - s0, 2, K) states after steps s0 + 1..s1. What no block's
+    step table depends on is computed once per march (:func:`step_tables`).
+    Every block reuses one step-table buffer and one state block, so a caller
+    may change a block in place but must copy what it keeps.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    h = params.L / nsteps
     xs = np.linspace(0.0, params.L, 2 * nsteps + 1)  # step ends and midpoints
     c = -np.asarray(delta(params, xs)) / 3.0
-    block = np.empty((min(_BLOCK_STEPS, nsteps), 2, lams.size), dtype=complex)  # node-major: a step writes one row
-    # a table allocated anew for each block lets the allocator hand its pages back
-    # to the system and fault them in again for the next block
-    tables = np.empty((len(block), 2, 2, lams.size), dtype=complex)
+    # node-major: a step writes one row; a lone last step makes the last block one row longer
+    block = np.empty((min(_BLOCK_STEPS + 1, nsteps), 2, lams.size), dtype=complex)
     g = np.tile(np.asarray(seed, dtype=complex)[:, None], lams.size)  # (2, K)
-    for s0 in range(0, nsteps, _BLOCK_STEPS):
-        s1 = min(s0 + _BLOCK_STEPS, nsteps)
-        rows = slice(2 * s0, 2 * s1 + 1)
-        P = step_tables(xs[rows], c[rows], lams, h, tables[:s1 - s0])
-        states = march(P, g, block[:s1 - s0])
+    for rows, P in step_tables(c, lams, params.L / nsteps, _BLOCK_STEPS):
+        states = march(P, g, block[:len(P)])
         g = states[-1].copy()
-        yield s0, s1, states
+        yield rows.start, rows.stop, states
 
 
 def _residual(params: Params, lams, seed, nsteps):
@@ -264,7 +309,7 @@ def secant(f, z_prev, z_cur, tol, max_step=np.inf, max_iter=14):
     last iterates and the converged mask.
     """
     with np.errstate(all="ignore"):  # a diverging entry turns to nan; it never converges
-        r_prev, r_cur = f(np.concatenate([z_prev, z_cur])).reshape(2, -1)
+        r_prev, r_cur = f(z_prev), f(z_cur)  # two calls: half the peak of one on both
         done = np.abs(r_prev) < 1e-13
         z_cur = np.where(done, z_prev, z_cur)
         r_cur = np.where(done, r_prev, r_cur)
@@ -339,7 +384,11 @@ class ModeIndexed:
     """Rows of a mode family: mode ``n`` of ``n_list = -N..N`` is row ``n + N``."""
 
     def index(self, n: int) -> int:
-        N = (self.n_list.size - 1) // 2
+        return self.row(n, (self.n_list.size - 1) // 2)
+
+    @staticmethod
+    def row(n: int, N: int) -> int:
+        """Row of mode ``n`` in a -N..N family; DomainError outside it."""
         if abs(int(n)) > N:
             raise DomainError(f"mode {int(n)} outside -{N}..{N}")
         return int(n) + N
@@ -384,12 +433,13 @@ _MODE_ROWS = 8  # mode rows per block of pairings and reference modes
 _GRAM_ROWS = 16  # rows of the first family per product of gram_matrix: a multiple of the BLAS kernels' column group
 
 
-def _mode_blocks(K, size=_MODE_ROWS):
-    """Slices of ``size`` mode rows over 0..K; a lone last row joins the block before it.
+def _row_blocks(K, size=_MODE_ROWS):
+    """Slices of ``size`` rows (modes, steps) over 0..K; a lone last row joins the block before it.
 
     A product with a single row or column goes to a BLAS gemv, whose sums
     differ in the last bits from gemm's, so every block product of
-    :func:`gram_matrix` keeps its entries bit for bit those of the whole product.
+    :func:`gram_matrix` and :func:`step_tables` keeps its entries bit for bit
+    those of the whole product.
     """
     starts = list(range(0, K, size))
     if len(starts) > 1 and K - starts[-1] == 1:
@@ -414,7 +464,7 @@ def gram_matrix(a_values, b_values, grid):
     _check_grid(a_values, b_values, grid)
     w = simpson_weights(grid)
     G = np.empty((len(a_values), len(b_values)), dtype=complex)
-    blocks = _mode_blocks(len(a_values), _GRAM_ROWS)
+    blocks = _row_blocks(len(a_values), _GRAM_ROWS)
     buf = np.empty((max(i.stop - i.start for i in blocks), grid.size), dtype=complex)
     for i in blocks:
         caw = buf[: i.stop - i.start]
@@ -432,7 +482,7 @@ def pairings(a_values, b_values, grid, conjugate=True):
     """Diagonal of :func:`gram_matrix`: ``<a_k, b_k>`` for each row k of two (K, 2, nx) families.
 
     Either argument may be a single (2, nx) function, paired with every row
-    of the other. Rows are paired one block of :func:`_mode_blocks` at a time.
+    of the other. Rows are paired one block of :func:`_row_blocks` at a time.
     """
     _check_grid(a_values, b_values, grid)
     w = simpson_weights(grid)
@@ -445,7 +495,7 @@ def pairings(a_values, b_values, grid, conjugate=True):
     if len(families) != 1 or len(next(iter(families))) != 1:  # no one (K,) family: pair whole
         return pair(a_values, b_values) / (2.0 * grid[-1])
     out = np.empty(families.pop(), dtype=complex)
-    for rows in _mode_blocks(out.size):
+    for rows in _row_blocks(out.size):
         out[rows] = pair(*(v if v.ndim == 2 else v[rows] for v in (a_values, b_values)))
     return out / (2.0 * grid[-1])
 
@@ -482,9 +532,9 @@ def adjoint_values(params: Params, values):
 
 
 def _reference_blocks(params: Params, kind: BcKind, n_list, grid):
-    """Yields ``(rows, refs)`` per :func:`_mode_blocks` block of ``n_list``: the block's
+    """Yields ``(rows, refs)`` per :func:`_row_blocks` block of ``n_list``: the block's
     :func:`reference_mode` samples, so no build holds a whole reference family."""
-    for rows in _mode_blocks(n_list.size):
+    for rows in _row_blocks(n_list.size):
         yield rows, np.stack([reference_mode(params, kind, n, grid) for n in n_list[rows]])
 
 

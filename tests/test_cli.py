@@ -87,6 +87,13 @@ def test_failure_before_output_leaves_no_outdir(args, code, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_spectrum_mode_refused_before_the_build(tmp_path, capsys, monkeypatch):
+    # the basis's own message for an out-of-range mode, before any shooting
+    monkeypatch.setattr(cli, "build_basis", None)  # a build would raise TypeError
+    assert run(["spectrum", "--set", "modes=0,9"] + FAST, tmp_path) == 2
+    assert capsys.readouterr().err == "configuration error: mode 9 outside -4..4\n"
+
+
 def test_outdir_that_cannot_be_made_exit2(tmp_path, capsys):
     # an outdir below a plain file: one line and exit 2, not a traceback
     (tmp_path / "file").write_text("")
@@ -172,7 +179,7 @@ BAD_INPUT = [
     (["steer", "--set", "gamma=0.05", "--set", "target=9:1.0"], "mode 9 outside -4..4"),
     (["steer", "--set", "gamma=0.05", "--set", "target=1:nan"], "'target': '1:nan'"),
     (["spectrum", "--set", "modes=x"], "'modes': 'x'"),
-    (["spectrum", "--set", "modes=0,9"], "modes [0, 9]"),
+    (["spectrum", "--set", "modes=0,9"], "mode 9 outside -4..4"),
     (["simulate", "--set", "law_file={tmp}/missing.json"], "missing.json"),
     (["simulate", "--set", "law_file={tmp}/nan_law.json"], "nan_law.json has non-finite"),
     (["simulate", "--set", "law_file={tmp}/run.cfg"], "run.cfg"),

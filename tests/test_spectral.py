@@ -15,6 +15,7 @@ from watertank.spectral import (
     _kato_series,
     _left_seed,
     _residual,
+    _series_terms,
     _sinh_minus,
     _store_pass,
     adjoint_values,
@@ -161,10 +162,11 @@ def magnus_two_arrays(P, seed):
 
 
 def whole_table(params: Params, lams, nsteps):
-    """The step table of an ``nsteps`` march over [0, L], built in one piece."""
+    """The step table of an ``nsteps`` march over [0, L], built in one piece: one block of all its steps."""
     xs = np.linspace(0.0, params.L, 2 * nsteps + 1)
-    out = np.empty((nsteps, 2, 2, len(lams)), dtype=complex)
-    return step_tables(xs, -np.asarray(delta(params, xs)) / 3.0, lams, params.L / nsteps, out)
+    (rows, P), = step_tables(-np.asarray(delta(params, xs)) / 3.0, lams, params.L / nsteps, nsteps)
+    assert rows == slice(0, nsteps)
+    return P
 
 
 def node_major_store_pass(params: Params, lams, seed):
@@ -223,13 +225,20 @@ class TestMarch:
         ref[:, 0, :] *= Eg
         ref[:, 1, :] /= Eg
         assert np.array_equal(_store_pass(p, lams, seed)[1], ref)
+        # a lone last step joins the block before it: 2 x 128 + 1 steps march as 128 + 129
+        n = 2 * spectral._BLOCK_STEPS + 1
+        (g1, g2), _ = magnus_two_arrays(whole_table(p, lams, n), seed)
+        *_, (s0, s1, states) = spectral.shoot(p, lams, seed, n)
+        assert (s0, s1) == (spectral._BLOCK_STEPS, n)
+        assert np.array_equal(states[-1], np.stack([g1, g2]))
 
     @pytest.mark.parametrize("kind", list(BcKind))
     def test_streamed_store_pass_matches_node_major(self, kind):
-        # fine blocks of 512 + 512 + 276 steps, coarse blocks of 512 + 138
-        p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=6, grid_points=1301)
-        assert (p.grid_points - 1) % spectral._BLOCK_STEPS == 276
-        assert (p.grid_points - 1) // 2 % spectral._BLOCK_STEPS == 138
+        # fine blocks of 10 x 128 + 2 steps; coarse blocks of 4 x 128 + 129, where
+        # the lone last step joins the block before it
+        p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=6, grid_points=1283)
+        assert (p.grid_points - 1) % spectral._BLOCK_STEPS == 2
+        assert (p.grid_points - 1) // 2 % spectral._BLOCK_STEPS == 1
         lams = find_eigenvalues(p, kind, range(-6, 7))
         seed = _left_seed(kind, p)
         got, want = _store_pass(p, lams, seed), node_major_store_pass(p, lams, seed)
@@ -314,18 +323,57 @@ class TestFilonMoments:
 
     @pytest.mark.parametrize("q", [0.0, 1e-6, -0.0099, 0.0099j, 0.0101, -0.5, 3j, 40.0])
     def test_cosh_sinhc_match_reference(self, q):
+        # at the series terms the bound picks for |q|, and at the most terms
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 30
         s = mpmath.sqrt(mpmath.mpmathify(q))
         ref = (1.0, 1.0) if q == 0 else (complex(mpmath.cosh(s)), complex(mpmath.sinh(s) / s))
-        got = _cosh_sinhc(np.array([q], dtype=complex))
-        for g, r in zip(got, ref):
-            assert abs(g[0] - r) <= 1e-15 * abs(r)
+        for terms in (_series_terms(abs(q)), 5):
+            got = _cosh_sinhc(np.array([q], dtype=complex), terms)
+            for g, r in zip(got, ref):
+                assert abs(g[0] - r) <= 1e-15 * abs(r)
+
+    @pytest.mark.parametrize("terms", range(6))
+    def test_cosh_sinhc_at_the_largest_q_each_term_count_admits(self, terms):
+        # every count the bound can pick, on a circle just inside the largest |q| it admits
+        # (for 5 terms, the switch to the closed forms at |q| = 0.01)
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        radius = (spectral._SERIES_RADII + [0.01])[terms] * (1.0 - 1e-12)
+        assert _series_terms(radius) == terms
+        q = radius * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 9))
+        got = _cosh_sinhc(q, terms)
+        for k, qk in enumerate(q):
+            s = mpmath.sqrt(mpmath.mpmathify(complex(qk)))
+            for g, r in zip(got, (mpmath.cosh(s), mpmath.sinh(s) / s)):
+                assert abs(g[k] - complex(r)) <= 1e-15 * abs(complex(r))
+
+    def test_one_series_term_at_the_pinned_grid(self, monkeypatch):
+        # every |q| of a march lies below the radius of the count its bound picked,
+        # and at nx = 4097 the N = 41 marches take one term
+        seen = {}
+        real = spectral._cosh_sinhc
+
+        def counted(q, n):
+            seen[n] = max(seen.get(n, 0.0), np.max(np.abs(q)))
+            return real(q, n)
+
+        monkeypatch.setattr(spectral, "_cosh_sinhc", counted)
+        for nx in (257, 4097):
+            seen.clear()
+            for gamma in (0.02, 0.05):
+                p = Params(gamma=gamma, mu=2.0, nu=0.5, n_modes=41, grid_points=nx)
+                for kind in BcKind:
+                    lams = unperturbed_eigenvalues(kind, p, range(-41, 42))
+                    for _ in spectral.shoot(p, lams, _left_seed(kind, p), p.grid_points - 1):
+                        pass
+            assert all(q < spectral._SERIES_RADII[n] for n, q in seen.items()), seen
+        assert list(seen) == [1]
 
     @pytest.mark.parametrize("f, radius", [
         (_filon_moments, 1.0),
         (_sinh_minus, 1.0),
-        (lambda q: np.stack(_cosh_sinhc(q)), 0.01),
+        (lambda q: np.stack(_cosh_sinhc(q, 5)), 0.01),
     ])
     def test_branches_agree_at_switch(self, f, radius):
         # the series gives way to the closed form at |argument| = radius
@@ -365,9 +413,10 @@ class TestFindEigenvalues:
         steps = []
         real = spectral.step_tables
 
-        def counted(x, c, lams, h, out):
-            steps.append(((x.size - 1) // 2, round(1.0 / h)))
-            return real(x, c, lams, h, out)
+        def counted(c, lams, h, block_steps):
+            for rows, P in real(c, lams, h, block_steps):
+                steps.append((len(P), round(1.0 / h)))
+                yield rows, P
 
         monkeypatch.setattr(spectral, "step_tables", counted)
         evs, runs = [], []
@@ -493,6 +542,22 @@ class TestBuildBasis:
             tracemalloc.stop()
         assert peak <= 1.5 * returned, peak / returned
 
+    def test_footprint_at_the_pinned_point(self):
+        # N = 41, nx = 4097: the search peaks at 3 MB at most, and a conservative
+        # build holds its 10.4 MiB family plus at most 0.4 of it in scratch
+        p = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=41, grid_points=4097)
+        tracemalloc.start()
+        try:
+            find_eigenvalues(p, BcKind.CONSERVATIVE, range(-41, 42))
+            search_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            built = build_basis(p, BcKind.CONSERVATIVE)
+            build_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert search_peak <= 3e6, search_peak
+        assert build_peak <= 1.4 * built.values.nbytes, build_peak / built.values.nbytes
+
     def test_store_pass_rejects_shifted_roots(self, monkeypatch):
         p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=4, grid_points=257)
         real = spectral.find_eigenvalues
@@ -517,7 +582,7 @@ class TestBuildBasis:
     @pytest.mark.parametrize("K", [1, 2, 8, 9, 16, 17, 41, 83])
     def test_mode_blocks(self, K):
         # whole blocks from multiples of _MODE_ROWS; a lone last row joins the block before it
-        blocks = spectral._mode_blocks(K)
+        blocks = spectral._row_blocks(K)
         assert [b.start for b in blocks] == list(range(0, K, spectral._MODE_ROWS))[:len(blocks)]
         assert np.array_equal(np.concatenate([np.arange(K)[b] for b in blocks]), np.arange(K))
         assert all(b.stop - b.start > 1 for b in blocks) or K == 1
