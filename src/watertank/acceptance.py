@@ -6,10 +6,15 @@ subcommand (which writes the results) both delegate here. Criteria build
 their bases through :func:`cached_basis`, one memo keyed on
 ``(params, kind, N)``. Two points are read by more than one criterion,
 ``P_STD`` and ``P_LOOP``, and ``SHARED_READERS`` names their readers.
-:func:`run_all` owns the lifetime of the bases it builds: after each
-criterion it drops every one that no criterion still to run in that call
-reads, so a report holds at most the bases of one criterion and of the
-shared points.
+
+:func:`run_all` runs the criteria on lanes, one per core that BLAS leaves
+free (:func:`_lane_count`). Lane 0 is the calling process; every other lane
+is a forked child that pickles its results back through a pipe. The
+readers of one shared point always share a lane, so no basis is built
+twice. Each lane owns the lifetime of the bases it builds: after each of
+its criteria it drops every one that no criterion still to run in that lane
+reads, so a lane holds at most the bases of one criterion and of the shared
+points. With one lane nothing is forked, and the run is the serial run.
 
 Criterion 8 takes the closed-loop spectrum under the full law: the roots
 of its characteristic equation, with the law's tail beyond N summed in
@@ -27,6 +32,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
 import time
 from dataclasses import dataclass
 
@@ -41,6 +48,7 @@ from watertank.backstepping import (
     target_distances,
 )
 from watertank.control import controllability_report, plain_moments
+from watertank.errors import NumericalError
 from watertank.feedback import feedback_coefficients
 from watertank.finite_dim import placement_mismatch, random_backstep_pairs
 from watertank.model import Params, gamma_s_threshold
@@ -73,6 +81,7 @@ class CriterionResult:
     passed: bool
     details: dict
     elapsed: float
+    lane: int = 0  # the run_all lane that ran it; lane 0 is the calling process
 
 
 # The two points whose bases more than one criterion reads (SHARED_READERS).
@@ -405,7 +414,8 @@ CRITERIA = {
     12: ("symmetry/reality suite: eigenfamily, feedback table, real trajectories", _c12),
 }
 
-# The criteria that read each shared point's bases: run_all keeps them while one is still to run.
+# The criteria that read each shared point's bases: one lane runs them all, and keeps the
+# bases while one of them is still to run.
 SHARED_READERS = {P_STD: (2, 4, 12), P_LOOP: (8, 9)}
 
 
@@ -419,21 +429,144 @@ def run_criterion(cid: int) -> CriterionResult:
     )
 
 
+# the variables numpy's bundled OpenBLAS reads its thread count from, first one first
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _lane_count(groups: int) -> int:
+    """How many lanes :func:`run_all` deals ``groups`` share groups to: one per core BLAS leaves free.
+
+    That is the usable CPUs over the BLAS threads, capped by ``groups``, and at
+    least 1. BLAS threads is the first of ``_BLAS_THREAD_VARS`` set to a positive
+    integer. With neither set, OpenBLAS takes a thread per usable CPU and the
+    count is 1; so it is where the platform cannot fork or report its CPUs.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    for var in _BLAS_THREAD_VARS:
+        threads = os.environ.get(var, "")
+        if threads.isdigit() and int(threads) > 0:
+            return max(1, min(groups, len(os.sched_getaffinity(0)) // int(threads)))
+    return 1
+
+
+def _deal(criteria) -> list:
+    """The positions in ``criteria`` that each lane runs, each lane's in the requested order.
+
+    The readers of one shared point (``SHARED_READERS``) form one group, and
+    every other criterion is a group of its own. The groups, in the order of
+    their first position, go round-robin to the lanes, so a lane runs the same
+    criteria, and reaches the same peak memory, from run to run.
+    """
+    group_of = {cid: point for point, readers in SHARED_READERS.items() for cid in readers}
+    groups = list(dict.fromkeys(group_of.get(cid, cid) for cid in criteria))
+    lanes = _lane_count(len(groups))
+    lane_of = {group: i % lanes for i, group in enumerate(groups)}
+    return [[k for k, cid in enumerate(criteria) if lane_of[group_of.get(cid, cid)] == lane]
+            for lane in range(lanes)]
+
+
+def _run_lane(criteria):
+    """Run ``criteria`` in order; return their results and the exception that stopped them, if any.
+
+    After each criterion, of the bases this lane built the memo keeps only
+    those of a shared point that a criterion still to run in the lane reads
+    (``SHARED_READERS``). So every basis goes after its last reader, and the
+    lane leaves the memo holding what it held before.
+    """
+    before = set(_basis_memo)
+    results = []
+    try:
+        for k, cid in enumerate(criteria):
+            results.append(run_criterion(cid))
+            to_run = set(criteria[k + 1:])
+            for key in set(_basis_memo) - before:
+                if to_run.isdisjoint(SHARED_READERS.get(key[0], ())):
+                    del _basis_memo[key]
+    except Exception as exc:  # the caller raises the one of the earliest criterion
+        return results, exc
+    return results, None
+
+
+def _fork_lane(criteria):
+    """Run ``criteria`` in a forked child; return its pid and the pipe it pickles its outcome into.
+
+    The child ends only through ``os._exit``, in a ``finally``: it never returns
+    into the caller's stack, whose file writes and clean-up would run twice.
+    It is forked, not spawned, so it shares the imported modules instead of
+    importing numpy again; OpenBLAS stops its threads around a fork.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(read_end)
+        os.close(write_end)
+        raise NumericalError(f"cannot start a lane for criteria {criteria}: {exc}") from exc
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pickle.dump(_run_lane(criteria), pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _join_lane(pid, pipe, criteria):
+    """The outcome the lane ``pid`` pickled into ``pipe``, once it has ended and been reaped.
+
+    A lane that ended without sending one, say by a signal or an OOM kill, has
+    the outcome of a :class:`NumericalError` at its first criterion.
+    """
+    with pipe:
+        answer = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0:
+        return pickle.loads(answer)  # bytes our own fork wrote
+    ending = f"signal {-code}" if code < 0 else f"exit status {code}"
+    return [], NumericalError(f"the lane running criteria {criteria} ended by {ending} without a result")
+
+
 def run_all(criteria=None):
     """Run ``criteria`` (all, in order, by default) and return their results in that order.
 
-    After each criterion, of the bases this call built the memo keeps only
-    those of a shared point that a criterion still to run reads
-    (``SHARED_READERS``). So every basis goes after its last reader, and the
-    call leaves the memo holding what it held before.
+    The criteria run on the lanes of :func:`_deal`: lane 0 in this process,
+    the others in forked children, each under the lifetime rule of
+    :func:`_run_lane`. Every child is reaped before this returns or raises.
+    If criteria raise, the exception of the earliest one in ``criteria``
+    reaches the caller, as in a serial run. With one lane nothing is forked,
+    and the call leaves the memo holding what it held before.
     """
     criteria = sorted(CRITERIA) if criteria is None else list(criteria)
-    before = set(_basis_memo)
-    results = []
-    for k, cid in enumerate(criteria):
-        results.append(run_criterion(cid))
-        to_run = set(criteria[k + 1:])
-        for key in set(_basis_memo) - before:
-            if to_run.isdisjoint(SHARED_READERS.get(key[0], ())):
-                del _basis_memo[key]
+    positions = _deal(criteria)
+    lanes = [[criteria[k] for k in lane] for lane in positions]
+    children = []  # (pid, pipe) of each forked lane not yet reaped
+    try:
+        for lane in lanes[1:]:
+            children.append(_fork_lane(lane))
+        outcomes = [_run_lane(lanes[0])]
+        for lane in lanes[1:]:
+            outcomes.append(_join_lane(*children[0], lane))
+            children.pop(0)
+    finally:  # a child is left here only when something raised past the lanes' own catch
+        if children:
+            from signal import SIGKILL  # not loaded on the CLI's start-up path
+
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    results, failures = [None] * len(criteria), []
+    for i, (lane, (done, exc)) in enumerate(zip(positions, outcomes)):
+        for k, result in zip(lane, done):
+            result.lane = i
+            results[k] = result
+        if exc is not None:
+            failures.append((lane[len(done)], exc))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     return results

@@ -95,14 +95,21 @@ def _seed(text):
 
 
 def load_config(path, overrides, command):
-    """Merge a key=value file with command-line overrides; reject keys the command does not read."""
+    """Merge a key=value file with command-line overrides; reject keys the command does not read.
+
+    An override replaces the file's value; a key set twice by the file, or twice
+    on the command line, is refused, since the later setting would silently win.
+    """
     allowed = {**_COMMANDS[command][1], "outdir": str}
     cfg = {}
 
-    def absorb(key, value, origin):
+    def absorb(key, value, origin, seen):
         key = key.strip()
         if key not in allowed:
             raise ConfigError(f"unknown configuration key {key!r} ({origin})")
+        if key in seen:
+            raise ConfigError(f"key {key!r} is set twice ({origin})")
+        seen.add(key)
         try:
             cfg[key] = allowed[key](value.strip())
         except ConfigError as exc:  # from _unique: the entries that repeat
@@ -110,6 +117,7 @@ def load_config(path, overrides, command):
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
 
+    in_file, on_command_line = set(), set()
     if path:
         try:
             text = Path(path).read_text()
@@ -122,12 +130,12 @@ def load_config(path, overrides, command):
             if "=" not in line:
                 raise ConfigError(f"line {ln} of {path} is not key = value")
             k, v = line.split("=", 1)
-            absorb(k, v, f"{path}:{ln}")
+            absorb(k, v, f"{path}:{ln}", in_file)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")
         k, v = item.split("=", 1)
-        absorb(k, v, "command line")
+        absorb(k, v, "command line", on_command_line)
     return cfg
 
 
@@ -447,6 +455,7 @@ def cmd_report(cfg, params):
             raise ConfigError(f"unknown criteria {unknown}")
     results = acceptance.run_all(wanted)
     doc = {
+        "lanes": 1 + max(r.lane for r in results),  # >1: the elapsed times overlapped
         "criteria": [_criterion_doc(r) for r in results],
         "all_passed": all(r.passed for r in results),
     }

@@ -1,8 +1,21 @@
+import os
+
 import pytest
 
 from watertank.acceptance import cached_basis
 from watertank.model import Params
 from watertank.spectral import BcKind, w_modes
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_outlives_the_session():
+    """Fail the session if a test left a child process, such as a lane ``run_all`` forked."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test session left a child process ({pid or 'still running'})")
 
 
 @pytest.fixture(scope="session")

@@ -148,6 +148,14 @@ class TestConfigHandling:
         code = run(["spectrum", "--config", str(cfg)], tmp_path)
         assert code == 0
 
+    def test_command_line_overrides_the_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma = 0.03\n")
+        code = run(["spectrum", "--config", str(cfg), "--set", "gamma=0.05"] + FAST, tmp_path)
+        assert code == 0
+        doc = json.loads((tmp_path / "spectrum_summary.json").read_text())
+        assert doc["config"]["gamma"] == 0.05
+
     def test_bad_value_rejected(self, tmp_path):
         code = run(["spectrum", "--set", "gamma=abc"], tmp_path)
         assert code == 2
@@ -204,6 +212,8 @@ BAD_INPUT = [
     (["steer", "--set", "gamma=0.05", "--set", "target=1:1.0,1:0.5"], "repeated target [1]"),
     (["spectrum", "--set", "modes=1,1,-1"], "repeated modes [1]"),
     (["simulate", "--set", "law_file={tmp}/short_law.json"], "does not list its modes as n = -4..4"),
+    (["spectrum", "--set", "gamma=0.03", "--set", "gamma=0.05"], "key 'gamma' is set twice (command line)"),
+    (["spectrum", "--config", "{tmp}/twice.cfg"], "key 'gamma' is set twice ({tmp}/twice.cfg:3)"),
 ]
 
 
@@ -225,6 +235,7 @@ class TestBadInput:
                     json.dumps({"config": config, "law": {"modes": modes[:-1]}}))
             (tmp_path / name).write_text(json.dumps({"config": config, "law": {"modes": modes}}))
         (tmp_path / "run.cfg").write_text("gamma = 0.03\n")
+        (tmp_path / "twice.cfg").write_text("gamma = 0.03\nmu = 2.0\ngamma = 0.05\n")
         args = [a.replace("{tmp}", str(tmp_path)) for a in args]
         named = named.replace("{tmp}", str(tmp_path))
         # report and finite-demo take no model key: FAST would stop them at the key check
@@ -434,7 +445,8 @@ class TestSimulateCommand:
         # over t_final = 1e300 the propagated state overflows, and over 1e50 at
         # N = 1 the powers of the step generator overflow inside the matrix
         # exponential: one line, no warning
-        for i, args in enumerate([FAST + ["--set", "t_final=1e300"],
+        for i, args in enumerate([["--set", "n_modes=4", "--set", "grid_points=257",
+                                   "--set", "t_final=1e300"],
                                   ["--set", "n_modes=1", "--set", "grid_points=257", "--set", "gamma=0",
                                    "--set", "open_loop=1", "--set", "t_final=1e50"]]):
             with warnings.catch_warnings(record=True) as caught:
