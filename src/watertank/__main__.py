@@ -1,5 +1,3 @@
-import sys
+from watertank.cli import entry
 
-from watertank.cli import main
-
-sys.exit(main())
+entry()

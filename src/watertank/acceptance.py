@@ -3,18 +3,24 @@
 Each criterion runs at fixed, stated parameters and returns its verdict as
 a :class:`CriterionResult`; the pytest acceptance module and the CLI ``report``
 subcommand (which writes the results) both delegate here. Criteria build
-their bases through :func:`cached_basis`, one memo keyed on
-``(params, kind, N)``. Two points are read by more than one criterion,
-``P_STD`` and ``P_LOOP``, and ``SHARED_READERS`` names their readers.
+their bases through :func:`cached_basis` and their feedback laws through
+:func:`_law`, into one memo keyed on ``(params, kind, N)``, where
+``kind`` is the basis's ``BcKind`` or ``FeedbackLaw`` for a law. Two points
+are read by more than one criterion, and ``SHARED_READERS`` names what each
+passes on and its readers: ``P_STD``'s conservative basis goes to criteria
+2, 4 and 12, ``P_LOOP``'s law to criteria 8 and 9. So the N=41 basis goes as
+soon as the criterion that built its law returns, and criterion 9 reads
+criterion 8's law.
 
 :func:`run_all` runs the criteria on lanes, one per core that BLAS leaves
 free (:func:`_lane_count`). Lane 0 is the calling process; every other lane
 is a forked child that pickles its results back through a pipe. The
-readers of one shared point always share a lane, so no basis is built
-twice. Each lane owns the lifetime of the bases it builds: after each of
+readers of one shared point always share a lane, so nothing shared is built
+twice. Each lane owns the lifetime of the entries it builds: after each of
 its criteria it drops every one that no criterion still to run in that lane
-reads, so a lane holds at most the bases of one criterion and of the shared
-points. With one lane nothing is forked, and the run is the serial run.
+reads, so a lane holds at most the entries of one criterion and what the
+shared points pass on. With one lane nothing is forked, and the run is the
+serial run.
 
 Criterion 8 takes the closed-loop spectrum under the full law: the roots
 of its characteristic equation, with the law's tail beyond N summed in
@@ -34,6 +40,7 @@ import itertools
 import math
 import os
 import pickle
+import sys
 import time
 from dataclasses import dataclass
 
@@ -49,7 +56,7 @@ from watertank.backstepping import (
 )
 from watertank.control import controllability_report, plain_moments
 from watertank.errors import NumericalError
-from watertank.feedback import feedback_coefficients
+from watertank.feedback import FeedbackLaw, feedback_coefficients
 from watertank.finite_dim import placement_mismatch, random_backstep_pairs
 from watertank.model import Params, gamma_s_threshold
 from watertank.simulate import (
@@ -82,13 +89,14 @@ class CriterionResult:
     details: dict
     elapsed: float
     lane: int = 0  # the run_all lane that ran it; lane 0 is the calling process
+    lane_peak_rss_mb: float | None = None  # that lane's process's peak resident memory (_peak_rss_mb)
 
 
-# The two points whose bases more than one criterion reads (SHARED_READERS).
+# The two points that pass a basis or a law on to more than one criterion (SHARED_READERS).
 P_STD = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=20, grid_points=2049)
 P_LOOP = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=41, grid_points=4097)
 
-_basis_memo: dict = {}
+_memo: dict = {}  # (params, kind, N) -> its Basis, or its law when kind is FeedbackLaw
 
 
 def cached_basis(params: Params, kind: BcKind, N=None):
@@ -100,13 +108,22 @@ def cached_basis(params: Params, kind: BcKind, N=None):
     stays for the life of the process.
     """
     key = (params, kind, params.n_modes if N is None else int(N))
-    if key not in _basis_memo:
-        _basis_memo[key] = build_basis(*key)
-    return _basis_memo[key]
+    if key not in _memo:
+        _memo[key] = build_basis(*key)
+    return _memo[key]
 
 
 def _law(params: Params, N: int):
-    return feedback_coefficients(params, cached_basis(params, BcKind.CONSERVATIVE, N))
+    """``feedback_coefficients`` on the conservative basis, memoized on ``(params, FeedbackLaw, N)``.
+
+    The basis comes from :func:`cached_basis`, so :func:`_run_lane` drops it
+    with the criterion that built the law unless a shared point passes the
+    basis itself on.
+    """
+    key = (params, FeedbackLaw, N)
+    if key not in _memo:
+        _memo[key] = feedback_coefficients(params, cached_basis(params, BcKind.CONSERVATIVE, N))
+    return _memo[key]
 
 
 def _moment_report(params: Params):
@@ -238,15 +255,12 @@ def _c7():
     p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=40, grid_points=4097)
     basis = cached_basis(p, BcKind.CONSERVATIVE, 40)
     bd = cached_basis(p, BcKind.DAMPED, 5)
-    errs = {}
-    for m in range(-5, 6):
-        phi = bd.dual_values[bd.index(m)]
-        ds = dirichlet_sum(basis, phi)
-        tgt = np.conj(phi[0, 0] - phi[1, 0]) / 2.0
-        errs[m] = float(abs(ds - tgt))
-    worst = max(errs.values())
+    phi = bd.dual_values  # the duals of modes m = -5..5
+    tgt = np.conj(phi[:, 0, 0] - phi[:, 1, 0]) / 2.0
+    errs = np.abs(dirichlet_sum(basis, phi) - tgt)
+    worst = float(errs.max())
     return worst < 5e-2, {
-        "dirichlet_errors": {str(k): v for k, v in errs.items()},
+        "dirichlet_errors": {str(m): float(e) for m, e in zip(bd.n_list, errs)},
         "max_error": worst,
         "tolerance": 5e-2,
     }
@@ -414,9 +428,10 @@ CRITERIA = {
     12: ("symmetry/reality suite: eigenfamily, feedback table, real trajectories", _c12),
 }
 
-# The criteria that read each shared point's bases: one lane runs them all, and keeps the
-# bases while one of them is still to run.
-SHARED_READERS = {P_STD: (2, 4, 12), P_LOOP: (8, 9)}
+# What each shared point passes on, as the (params, kind) of its memo entries, and the criteria
+# that read it: one lane runs them all, and keeps those entries while one of them is still to
+# run. P_LOOP passes on its law alone, so its 10.9 MB basis goes with the criterion that built it.
+SHARED_READERS = {(P_STD, BcKind.CONSERVATIVE): (2, 4, 12), (P_LOOP, FeedbackLaw): (8, 9)}
 
 
 def run_criterion(cid: int) -> CriterionResult:
@@ -458,7 +473,7 @@ def _deal(criteria) -> list:
     their first position, go round-robin to the lanes, so a lane runs the same
     criteria, and reaches the same peak memory, from run to run.
     """
-    group_of = {cid: point for point, readers in SHARED_READERS.items() for cid in readers}
+    group_of = {cid: shared for shared, readers in SHARED_READERS.items() for cid in readers}
     groups = list(dict.fromkeys(group_of.get(cid, cid) for cid in criteria))
     lanes = _lane_count(len(groups))
     lane_of = {group: i % lanes for i, group in enumerate(groups)}
@@ -466,26 +481,37 @@ def _deal(criteria) -> list:
             for lane in range(lanes)]
 
 
-def _run_lane(criteria):
-    """Run ``criteria`` in order; return their results and the exception that stopped them, if any.
+def _peak_rss_mb():
+    """This process's peak resident memory in MB (``ru_maxrss``); None without ``resource``."""
+    try:
+        import resource  # not loaded on the CLI's start-up path
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux, bytes on macOS
+    return peak / (2.0 ** 20 if sys.platform == "darwin" else 2.0 ** 10)
 
-    After each criterion, of the bases this lane built the memo keeps only
-    those of a shared point that a criterion still to run in the lane reads
-    (``SHARED_READERS``). So every basis goes after its last reader, and the
-    lane leaves the memo holding what it held before.
+
+def _run_lane(criteria):
+    """Run ``criteria`` in order; return their results, the exception that stopped them, if any,
+    and the lane's process's peak resident memory in MB once they have run.
+
+    After each criterion, of the entries this lane built the memo keeps only
+    those that a shared point passes on to a criterion still to run in the
+    lane (``SHARED_READERS``). So every basis and law goes after its last
+    reader, and the lane leaves the memo holding what it held before.
     """
-    before = set(_basis_memo)
+    before = set(_memo)
     results = []
     try:
         for k, cid in enumerate(criteria):
             results.append(run_criterion(cid))
             to_run = set(criteria[k + 1:])
-            for key in set(_basis_memo) - before:
-                if to_run.isdisjoint(SHARED_READERS.get(key[0], ())):
-                    del _basis_memo[key]
+            for key in set(_memo) - before:
+                if to_run.isdisjoint(SHARED_READERS.get(key[:2], ())):
+                    del _memo[key]
     except Exception as exc:  # the caller raises the one of the earliest criterion
-        return results, exc
-    return results, None
+        return results, exc, _peak_rss_mb()
+    return results, None, _peak_rss_mb()
 
 
 def _fork_lane(criteria):
@@ -528,7 +554,8 @@ def _join_lane(pid, pipe, criteria):
     if code == 0:
         return pickle.loads(answer)  # bytes our own fork wrote
     ending = f"signal {-code}" if code < 0 else f"exit status {code}"
-    return [], NumericalError(f"the lane running criteria {criteria} ended by {ending} without a result")
+    failure = NumericalError(f"the lane running criteria {criteria} ended by {ending} without a result")
+    return [], failure, None
 
 
 def run_all(criteria=None):
@@ -539,7 +566,9 @@ def run_all(criteria=None):
     :func:`_run_lane`. Every child is reaped before this returns or raises.
     If criteria raise, the exception of the earliest one in ``criteria``
     reaches the caller, as in a serial run. With one lane nothing is forked,
-    and the call leaves the memo holding what it held before.
+    and the call leaves the memo holding what it held before. Each result
+    carries its lane and that lane's peak resident memory; a forked lane's
+    is its own process's, the pages it shares with the caller included.
     """
     criteria = sorted(CRITERIA) if criteria is None else list(criteria)
     positions = _deal(criteria)
@@ -561,9 +590,9 @@ def run_all(criteria=None):
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
     results, failures = [None] * len(criteria), []
-    for i, (lane, (done, exc)) in enumerate(zip(positions, outcomes)):
+    for i, (lane, (done, exc, peak)) in enumerate(zip(positions, outcomes)):
         for k, result in zip(lane, done):
-            result.lane = i
+            result.lane, result.lane_peak_rss_mb = i, peak
             results[k] = result
         if exc is not None:
             failures.append((lane[len(done)], exc))

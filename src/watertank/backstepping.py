@@ -22,7 +22,9 @@ import numpy as np
 from watertank.errors import NumericalError, RegimeError
 from watertank.feedback import FeedbackLaw, virtual_profile
 from watertank.model import Params
-from watertank.spectral import Basis, BcKind, ModeIndexed, collision, find_eigenvalues, pairings, secant
+from watertank.spectral import (
+    Basis, BcKind, ModeIndexed, collision, find_eigenvalues, gram_matrix, pairings, secant,
+)
 
 __all__ = [
     "TransformMatrix",
@@ -84,14 +86,18 @@ def build_transform(params: Params, basisA: Basis, basisAtilde: Basis,
     )
 
 
-def dirichlet_sum(basisA: Basis, g) -> complex:
+def dirichlet_sum(basisA: Basis, g):
     """Partial sum ``sum_{|n|<=N} f_{n,1}(0) <f_n, g>`` over the basis window.
 
     For piecewise-C^1 g compatible with the reflection coupling this
-    converges to ``conj(g_1(0) - g_2(0))/2`` (the Dirichlet jump mean); ``g``
-    is a (2, nx) array on the basis grid.
+    converges to ``conj(g_1(0) - g_2(0))/2`` (the Dirichlet jump mean). ``g``
+    is a (2, nx) array on the basis grid, whose sum is returned as a complex
+    number, or a (M, 2, nx) stack of them, whose M sums come from one
+    :func:`gram_matrix` product.
     """
-    return complex(np.sum(basisA.f1_at_0 * pairings(basisA.values, g, basisA.grid)))
+    g = np.asarray(g)
+    sums = basisA.f1_at_0 @ gram_matrix(basisA.values, g.reshape(-1, *g.shape[-2:]), basisA.grid)
+    return complex(sums[0]) if g.ndim == 2 else sums
 
 
 def galerkin_spectrum(law: FeedbackLaw) -> np.ndarray:

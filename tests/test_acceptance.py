@@ -34,6 +34,7 @@ import pytest
 from make_snapshot import SNAPSHOT, command_values, mismatches, snapshot_values
 from watertank import acceptance, cli
 from watertank.errors import NumericalError
+from watertank.feedback import FeedbackLaw
 from watertank.model import Params
 from watertank.spectral import BcKind, build_basis
 
@@ -64,7 +65,7 @@ def watched_run(criteria=None) -> WatchedRun:
     it held before, and every basis the run built, so later tests share them
     through ``basis_cache`` as they would after ``run_criterion``.
     """
-    memo = acceptance._basis_memo
+    memo = acceptance._memo
     saved = dict(memo)
     memo.clear()
     raised, builds, built, keys_at_start = {}, [], {}, []
@@ -140,13 +141,31 @@ def test_each_basis_goes_after_its_last_reader():
     assert run.memo_after[2] == []
 
 
+def test_the_shared_law_is_built_once_and_outlives_its_basis(full_run):
+    run = watched_run([8, 9])
+    # 8 builds P_LOOP's basis and its law; the basis goes with 8, and 9 reads 8's law
+    assert run.builds == [(8, (acceptance.P_LOOP, BcKind.CONSERVATIVE, 41))]
+    assert run.memo_after[8] == [(acceptance.P_LOOP, FeedbackLaw, 41)]
+    assert run.memo_after[9] == []
+    assert snapshot_values(run.results) == snapshot_values(full_run.results[7:9])
+
+
+@pytest.mark.parametrize("criteria", [[9], [9, 8]])
+def test_a_shared_law_s_readers_build_it_in_any_order(criteria, full_run):
+    run = watched_run(criteria)
+    assert [key for _, key in run.builds] == [(acceptance.P_LOOP, BcKind.CONSERVATIVE, 41)]
+    assert run.memo_after[criteria[-1]] == []
+    serial = {r.cid: r for r in full_run.results}
+    assert snapshot_values(run.results) == snapshot_values(serial[cid] for cid in criteria)
+
+
 def test_run_all_keeps_what_it_did_not_build(monkeypatch):
     # an entry from outside the call, such as a basis the test session shares, stays
     key = (Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=4, grid_points=257), BcKind.CONSERVATIVE, 4)
     outside = object()
-    monkeypatch.setitem(acceptance._basis_memo, key, outside)
+    monkeypatch.setitem(acceptance._memo, key, outside)
     acceptance.run_all([11])
-    assert acceptance._basis_memo[key] is outside
+    assert acceptance._memo[key] is outside
 
 
 def test_details_match_snapshot(full_run):
@@ -242,6 +261,7 @@ def test_report_records_its_lanes(threads, lanes, monkeypatch, tmp_path):
     assert _run_report("1,11", tmp_path) == 0
     doc = json.loads((tmp_path / "acceptance_report.json").read_text())
     assert doc["lanes"] == lanes
+    assert len(doc["lane_peak_rss_mb"]) == lanes and min(doc["lane_peak_rss_mb"]) > 0
     assert [c["id"] for c in doc["criteria"]] == [1, 11]
     _no_child_left()
 

@@ -217,6 +217,20 @@ class TestTbResidual:
         val = dirichlet_sum(ba, g)
         assert abs(val - target) < 5e-2
 
+    def test_stack_gives_the_per_function_sums(self, basis_cache):
+        # one gram_matrix product for a (M, 2, nx) stack against the per-function loop;
+        # the sums run in another order, so they agree to rounding, not bit for bit
+        p = Params(gamma=0.0, mu=2.0, nu=0.5, n_modes=40, grid_points=4097)
+        ba = basis_cache(p, BcKind.CONSERVATIVE, 40)
+        stack = np.array([adjoint_values(p, reference_mode(p, BcKind.DAMPED, m)) for m in range(-5, 6)])
+        loop = np.array([np.sum(ba.f1_at_0 * pairings(ba.values, g, ba.grid)) for g in stack])
+        sums = dirichlet_sum(ba, stack)
+        assert sums.shape == (11,)
+        np.testing.assert_allclose(sums, loop, rtol=1e-13, atol=0)
+        one = dirichlet_sum(ba, stack[3])
+        assert isinstance(one, complex)
+        assert one == pytest.approx(loop[3], rel=1e-13)
+
 
 class TestOperatorEquality:
     def test_mode0_input_reduces_to_tb_error(self, stack20):

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -280,6 +281,23 @@ def test_import_skips_unused_scipy_modules():
             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_entry_freezes_before_main_and_exits_with_its_code(monkeypatch):
+    frozen = []
+
+    def main():
+        frozen.append(gc.get_freeze_count())
+        return 3
+
+    monkeypatch.setattr(cli, "main", main)
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            cli.entry()
+    finally:
+        gc.unfreeze()
+    assert exit_.value.code == 3
+    assert len(frozen) == 1 and frozen[0] > 0
 
 
 class TestSpectrumCommand:
