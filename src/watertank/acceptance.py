@@ -3,14 +3,17 @@
 Each criterion runs at fixed, stated parameters and returns its verdict as
 a :class:`CriterionResult`; the pytest acceptance module and the CLI ``report``
 subcommand (which writes the results) both delegate here. Criteria build
-their bases through :func:`cached_basis` and their feedback laws through
-:func:`_law`, into one memo keyed on ``(params, kind, N)``, where
-``kind`` is the basis's ``BcKind`` or ``FeedbackLaw`` for a law. Two points
-are read by more than one criterion, and ``SHARED_READERS`` names what each
-passes on and its readers: ``P_STD``'s conservative basis goes to criteria
-2, 4 and 12, ``P_LOOP``'s law to criteria 8 and 9. So the N=41 basis goes as
-soon as the criterion that built its law returns, and criterion 9 reads
-criterion 8's law.
+their bases through :func:`cached_basis`, their feedback laws through
+:func:`_law` and a law's closed-loop and Galerkin spectra through
+:func:`_spectra`, into one memo keyed on ``(params, kind, N)``, where
+``kind`` is the basis's ``BcKind``, ``FeedbackLaw`` for a law or
+``"spectra"``. A law reads only its basis's moments, so a law whose basis
+is not in the memo is built from a basis without samples, which never
+enters it. Two points are read by more than one criterion, and
+``SHARED_READERS`` names what each passes on and its readers: ``P_STD``'s
+conservative basis goes to criteria 2, 4 and 12, ``P_LOOP``'s law and its
+spectra to criteria 8 and 9. So the N=41 family is never held, and
+criterion 9 reads criterion 8's law and spectra.
 
 :func:`run_all` runs the criteria on lanes, one per core that BLAS leaves
 free (:func:`_lane_count`). Lane 0 is the calling process; every other lane
@@ -116,13 +119,26 @@ def cached_basis(params: Params, kind: BcKind, N=None):
 def _law(params: Params, N: int):
     """``feedback_coefficients`` on the conservative basis, memoized on ``(params, FeedbackLaw, N)``.
 
-    The basis comes from :func:`cached_basis`, so :func:`_run_lane` drops it
-    with the criterion that built the law unless a shared point passes the
-    basis itself on.
+    The law reads only the basis's moments: it takes the memo's basis when
+    one is there, and otherwise builds one with ``samples=False``, which
+    never enters the memo.
     """
     key = (params, FeedbackLaw, N)
     if key not in _memo:
-        _memo[key] = feedback_coefficients(params, cached_basis(params, BcKind.CONSERVATIVE, N))
+        basis = _memo.get((params, BcKind.CONSERVATIVE, N))
+        if basis is None:
+            basis = build_basis(params, BcKind.CONSERVATIVE, N, samples=False)
+        _memo[key] = feedback_coefficients(params, basis)
+    return _memo[key]
+
+
+def _spectra(params: Params, N: int):
+    """``(closed_loop_spectrum, galerkin_spectrum)`` of :func:`_law`'s law, memoized on
+    ``(params, "spectra", N)``."""
+    key = (params, "spectra", N)
+    if key not in _memo:
+        law = _law(params, N)
+        _memo[key] = closed_loop_spectrum(law), galerkin_spectrum(law)
     return _memo[key]
 
 
@@ -270,8 +286,8 @@ def _c8():
     t0 = time.perf_counter()
     p = P_LOOP
     law = _law(p, 41)
-    eig, targets, dist = target_distances(law, 10)
-    galerkin = galerkin_spectrum(law)
+    eig, galerkin = _spectra(p, 41)
+    targets, dist = target_distances(eig, p, 10)
     rel = dist / np.abs(targets)
     elapsed = time.perf_counter() - t0
     tol = 0.1 * p.mu
@@ -312,15 +328,14 @@ def _c9():
         r2s.append(r2)
     need = 0.7 * 0.75 * p.mu
     passed = all(r >= need for r in rates) and all(q > 0.98 for q in r2s)
+    eig, galerkin = _spectra(p, 41)
     return passed, {
         "required_rate": need,
         "fitted_rates": rates,
         "r_squared": r2s,
         "window": list(window),
-        "closed_loop_max_real_part": float(
-            closed_loop_spectrum(law).real.max()
-        ),
-        "galerkin_max_real_part": float(galerkin_spectrum(law).real.max()),
+        "closed_loop_max_real_part": float(eig.real.max()),
+        "galerkin_max_real_part": float(galerkin.real.max()),
         "note": (
             "two causes: (1) integrate_closed_loop propagates the N=41 "
             "Galerkin matrix, whose edge modes (galerkin_max_real_part) hold "
@@ -430,8 +445,10 @@ CRITERIA = {
 
 # What each shared point passes on, as the (params, kind) of its memo entries, and the criteria
 # that read it: one lane runs them all, and keeps those entries while one of them is still to
-# run. P_LOOP passes on its law alone, so its 10.9 MB basis goes with the criterion that built it.
-SHARED_READERS = {(P_STD, BcKind.CONSERVATIVE): (2, 4, 12), (P_LOOP, FeedbackLaw): (8, 9)}
+# run. P_LOOP passes on its law and the law's two spectra; its basis, built without samples
+# (_law), is never in the memo.
+SHARED_READERS = {(P_STD, BcKind.CONSERVATIVE): (2, 4, 12),
+                  (P_LOOP, FeedbackLaw): (8, 9), (P_LOOP, "spectra"): (8, 9)}
 
 
 def run_criterion(cid: int) -> CriterionResult:
@@ -473,7 +490,7 @@ def _deal(criteria) -> list:
     their first position, go round-robin to the lanes, so a lane runs the same
     criteria, and reaches the same peak memory, from run to run.
     """
-    group_of = {cid: shared for shared, readers in SHARED_READERS.items() for cid in readers}
+    group_of = {cid: shared[0] for shared, readers in SHARED_READERS.items() for cid in readers}
     groups = list(dict.fromkeys(group_of.get(cid, cid) for cid in criteria))
     lanes = _lane_count(len(groups))
     lane_of = {group: i % lanes for i, group in enumerate(groups)}

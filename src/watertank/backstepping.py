@@ -96,7 +96,8 @@ def dirichlet_sum(basisA: Basis, g):
     :func:`gram_matrix` product.
     """
     g = np.asarray(g)
-    sums = basisA.f1_at_0 @ gram_matrix(basisA.values, g.reshape(-1, *g.shape[-2:]), basisA.grid)
+    values = basisA.samples()
+    sums = values[:, 0, 0] @ gram_matrix(values, g.reshape(-1, *g.shape[-2:]), basisA.grid)
     return complex(sums[0]) if g.ndim == 2 else sums
 
 
@@ -203,9 +204,8 @@ def match_spectrum(eig: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.array([np.min(np.abs(eig - t)) for t in targets])
 
 
-def target_distances(law: FeedbackLaw, n: int):
-    """``(eig, targets, dist)``: :func:`closed_loop_spectrum`, the reflected damped targets
-    ``-mu~_p`` for p = -n..n, and each target's distance to the nearest eigenvalue."""
-    eig = closed_loop_spectrum(law)
-    targets = -find_eigenvalues(law.params, BcKind.DAMPED, np.arange(-n, n + 1))
-    return eig, targets, match_spectrum(eig, targets)
+def target_distances(eig, params: Params, n: int):
+    """``(targets, dist)``: the reflected damped targets ``-mu~_p`` at ``params`` for
+    p = -n..n, and each one's distance to the nearest entry of ``eig``, a closed-loop spectrum."""
+    targets = -find_eigenvalues(params, BcKind.DAMPED, np.arange(-n, n + 1))
+    return targets, match_spectrum(eig, targets)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from watertank import acceptance
-from watertank.backstepping import target_distances
+from watertank.backstepping import closed_loop_spectrum, target_distances
 from watertank.control import controllability_report
 from watertank.errors import (
     ConfigError,
@@ -218,14 +218,15 @@ def _read_law(path, params: Params) -> FeedbackLaw:
     return FeedbackLaw(params=params, n_list=n_list, **fields)
 
 
-_CSV_BLOCK_ROWS = 4096
+_CSV_BLOCK_ROWS = 128
 
 
 def _write_csv(path: Path, columns: dict):
     """Write every CSV file of the CLI from named columns, each value as ``%.17g`` (a float keeps
     all 17 digits, an integer index prints as itself). A complex column ``name`` is written as
     ``re_name, im_name``, or as ``re, im`` when the name is empty. Rows are formatted
-    ``_CSV_BLOCK_ROWS`` at a time, so a long file never holds all its rows as Python lists."""
+    ``_CSV_BLOCK_ROWS`` at a time, each block by one ``%`` on its flattened values, so a
+    file holds one small block of rows as Python objects at a time."""
     cols = {}
     for name, col in columns.items():
         if np.iscomplexobj(col):
@@ -239,7 +240,7 @@ def _write_csv(path: Path, columns: dict):
         fh.write(",".join(cols) + "\n")
         for i in range(0, len(data[0]), _CSV_BLOCK_ROWS):
             block = np.column_stack([c[i:i + _CSV_BLOCK_ROWS] for c in data])
-            fh.writelines(line % tuple(row) for row in block.tolist())
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write(out: Path, files: dict):
@@ -281,7 +282,7 @@ def cmd_spectrum(cfg, params):
     if wanted:
         cols = {"x": basis.grid}
         for n in wanted:
-            cols[f"f1_{n}"], cols[f"f2_{n}"] = basis.values[basis.index(n)]
+            cols[f"f1_{n}"], cols[f"f2_{n}"] = basis.samples()[basis.index(n)]
         files["eigenfunctions.csv"] = cols
     drift_max = float(np.max(drift_c))
     files["spectrum_summary.json"] = {
@@ -308,12 +309,13 @@ def cmd_controllability(cfg, params):
 
 
 def cmd_feedback(cfg, params):
-    basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes)
+    basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes, samples=False)  # the law reads moments
     law = feedback_coefficients(params, basis)
     phys = physical_feedback(law)
     c, C = law.growth_window()
     n_cmp = min(10, params.n_modes)
-    eig, targets, dist = target_distances(law, n_cmp)
+    eig = closed_loop_spectrum(law)
+    targets, dist = target_distances(eig, params, n_cmp)
     doc = {
         "tolerances": {"reality_symmetry": 1e-10, "relative_spectrum_distance": 0.1},
         "growth_window": {"c": c, "C": C},
@@ -346,7 +348,7 @@ def cmd_simulate(cfg, params):
     if cfg.get("law_file"):
         law = _read_law(cfg["law_file"], params)
     else:
-        basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes)
+        basis = build_basis(params, BcKind.CONSERVATIVE, params.n_modes, samples=False)
         law = (zero_law if cfg.get("open_loop") else feedback_coefficients)(params, basis)
     init = real_initial_datum(np.random.default_rng(cfg.get("seed", 0)), params.n_modes)
     traj = integrate_closed_loop(params, law, init)

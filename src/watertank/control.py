@@ -49,9 +49,9 @@ def control_profile(params: Params) -> np.ndarray:
     return np.stack([ew, ew])
 
 
-def i_moments(params: Params, basis: Basis) -> np.ndarray:
-    """Coefficients ``<I, f_n>`` of the control profile on the zeta basis."""
-    return pairings(control_profile(params), basis.values, basis.grid)
+def i_moments(basis: Basis) -> np.ndarray:
+    """Coefficients ``<I, f_n>`` of the control profile on the zeta basis, from its moments."""
+    return basis.moments.profile
 
 
 def input_gains(modes: WModes):
@@ -104,7 +104,7 @@ def controllability_report(params: Params, basis: Basis, modes: WModes) -> Momen
     eigs = basis.eigenvalues
     b = plain_moments(modes.chi, grid)
     a = plain_moments(modes.psi, grid)
-    imom = i_moments(params, basis)
+    imom = i_moments(basis)
     items = {}
 
     # (i) conditioning: the zeta family is orthonormal; the w family is Riesz

@@ -20,6 +20,12 @@ singular part ``h_n = +tanh(mu L) f_{n,1}(0) mu_n / tau_n`` (with
 ``tau_n = e^{int delta} f_{n,1}(L)/f_{n,1}(0) - 1``) captures the growth,
 the remainder having a square-summable tail against mu_n.
 
+The law reads the basis only through its moments (``spectral.Moments``):
+``f_n(0)``, ``f_n(L)``, ``<I, f_n>``, ``<f_0, f_n>`` and the mode masses,
+which the store pass sums while it marches. So a law built from a basis
+with ``samples=False`` has the same bits as one from the full family, and
+no law path pairs samples; :func:`virtual_profile` alone reads them.
+
 The physical PI law (:func:`physical_feedback`) is this table carried through
 the change of variables, which only rescales it by L/L_gamma.
 """
@@ -33,8 +39,8 @@ import numpy as np
 
 from watertank.control import control_profile, i_moments
 from watertank.errors import RegimeError, UncontrollableError
-from watertank.model import Params, diagonal_weight, gamma_s_threshold, l_gamma, mode_masses
-from watertank.spectral import Basis, BcKind, ModeIndexed, pairings
+from watertank.model import Params, diagonal_weight, gamma_s_threshold, l_gamma
+from watertank.spectral import Basis, BcKind, ModeIndexed
 
 __all__ = [
     "FeedbackLaw",
@@ -53,7 +59,7 @@ def virtual_profile(params: Params, basis: Basis) -> np.ndarray:
     The nu-component restores controllability of the conserved direction;
     ``<I_nu, f_0> = nu`` exactly (I is orthogonal to f_0).
     """
-    return control_profile(params) + params.nu * basis.values[basis.index(0)]
+    return control_profile(params) + params.nu * basis.samples()[basis.index(0)]
 
 
 def synthesis_regime_check(params: Params):
@@ -104,16 +110,11 @@ class FeedbackLaw(ModeIndexed):
 def _tau(params: Params, basis: Basis) -> np.ndarray:
     """``tau_n = e^{int delta} f_{n,1}(L) / f_{n,1}(0) - 1``."""
     ew_L = float(diagonal_weight(params, np.array([params.L]))[0])
-    return ew_L * basis.values[:, 0, -1] / basis.f1_at_0 - 1.0
-
-
-def _masses(params: Params, basis: Basis) -> np.ndarray:
-    """The mass of each mode's w-function ``f_n / e^{int delta}``."""
-    return mode_masses(params, basis.values, diagonal_weight(params, basis.grid))
+    return ew_L * basis.moments.at_L[:, 0] / basis.moments.at_0[:, 0] - 1.0
 
 
 def feedback_coefficients(params: Params, basis: Basis) -> FeedbackLaw:
-    """Assemble the feedback table from the conservative basis.
+    """Assemble the feedback table from the conservative basis's moments (``basis.moments``).
 
     Raises UncontrollableError naming the mode if any virtual moment
     vanishes, and RegimeError outside the synthesis regime
@@ -122,13 +123,14 @@ def feedback_coefficients(params: Params, basis: Basis) -> FeedbackLaw:
     if basis.kind is not BcKind.CONSERVATIVE:
         raise ValueError("feedback_coefficients requires the conservative basis")
     synthesis_regime_check(params)
-    inu_m = pairings(virtual_profile(params, basis), basis.values, basis.grid)
+    moments = basis.moments
+    inu_m = moments.profile + params.nu * moments.zero_mode  # <I_nu, f_n> = <I, f_n> + nu <f_0, f_n>
     dead = np.abs(inu_m) < 1e-12
     if np.any(dead):
         raise UncontrollableError(
             f"vanishing virtual moment <I_nu, f_n> at n in {basis.n_list[dead].tolist()}"
         )
-    f1_0 = basis.f1_at_0
+    f1_0 = moments.at_0[:, 0]
     L = params.L
     table = -2.0 * math.tanh(params.mu * L) * f1_0**2 / (2.0 * L * inu_m)
     tau = _tau(params, basis)
@@ -139,7 +141,7 @@ def feedback_coefficients(params: Params, basis: Basis) -> FeedbackLaw:
     return FeedbackLaw(
         params=params, n_list=basis.n_list.copy(), table=table,
         i_nu_moments=inu_m, eigenvalues=basis.eigenvalues.copy(), tau=tau, singular=h,
-        mode_masses=_masses(params, basis),
+        mode_masses=moments.masses.copy(),
     )
 
 
@@ -148,8 +150,8 @@ def zero_law(params: Params, basis: Basis) -> FeedbackLaw:
     zeros = np.zeros(basis.n_list.size, dtype=complex)
     return FeedbackLaw(
         params=params, n_list=basis.n_list.copy(), table=zeros,
-        i_nu_moments=i_moments(params, basis), eigenvalues=basis.eigenvalues.copy(),
-        tau=_tau(params, basis), singular=zeros.copy(), mode_masses=_masses(params, basis),
+        i_nu_moments=i_moments(basis).copy(), eigenvalues=basis.eigenvalues.copy(),
+        tau=_tau(params, basis), singular=zeros.copy(), mode_masses=basis.moments.masses.copy(),
     )
 
 

@@ -25,12 +25,18 @@ the Lyapunov weight of ``simulate.lyapunov_certificate`` at a real parameter
 too, streams through :func:`shoot` one block of steps at a time.
 
 Memory: a march computes once what no block's step table depends on and
-builds its tables ``_BLOCK_STEPS`` = 128 steps at a time (:func:`step_tables`);
-the store pass streams each block of its march into the returned (K, 2, nx)
-array, and the build scales that family in place and pairs it one block of
-mode rows at a time (:func:`pairings`, :func:`gram_matrix`). So a build holds
-its family, and the damped duals, plus one block of scratch, and the search
-evaluates the secant's two seed columns in two marches, not one twice as wide.
+builds its tables ``_BLOCK_STEPS`` = 128 steps at a time (:func:`step_tables`),
+freeing each temporary as soon as it is used. The store pass marches the
+grid in blocks of ``_STORE_STEPS`` = 64 steps, with the ODE check's coarse
+march in lockstep beside it, and streams each block into the (K, 2, nx)
+family, if kept, and into the conservative family's per-mode sums
+(:class:`_Sums`): the moments a feedback law reads and the Gram of the
+orthonormality check. One real scale per mode then normalizes the sums and
+the family in place. So a conservative build holds its family plus a few
+blocks of scratch, or, with ``samples=False``, the scratch alone; a damped
+build holds its family and duals, and pairs them one block of mode rows at
+a time (:func:`pairings`, :func:`gram_matrix`). The search evaluates the
+secant's two seed columns in two marches, not one twice as wide.
 """
 
 from __future__ import annotations
@@ -42,7 +48,14 @@ from enum import Enum
 import numpy as np
 
 from watertank.errors import DomainError, GridMismatchError, NumericalError, RegimeError
-from watertank.model import Params, delta, diagonal_weight, simpson_weights, uniform_grid
+from watertank.model import (
+    Params,
+    delta,
+    diagonal_weight,
+    height_root_profile,
+    simpson_weights,
+    uniform_grid,
+)
 
 __all__ = [
     "BcKind",
@@ -92,6 +105,7 @@ def unperturbed_eigenvalues(kind: BcKind, params: Params, n_list) -> np.ndarray:
 
 _SEARCH_STEPS = 64  # Magnus steps of the coarse search march; the fine one takes twice as many
 _BLOCK_STEPS = 128  # Magnus steps per step table, which bounds its memory at any step count
+_STORE_STEPS = 64  # grid steps per block of the store pass, which bounds its scratch (coarse march: half)
 _SECANT_TOL = 1e-10  # secant step below which an eigenvalue counts as converged
 
 
@@ -206,17 +220,22 @@ def step_tables(c, lams, h, steps):
         am = np.matmul(a[rows], m_minus.view(float), out=P[:, 1, 0].view(float)).view(complex)
         ap = np.matmul(a[rows], m_plus.view(float), out=P[:, 1, 1].view(float)).view(complex)
         w = -((h * cm[rows, None]) ** 2) * sm
-        ch, sinhc = _cosh_sinhc(w * w + am * ap, terms)
+        q = w * w
+        q += am * ap
+        ch, sinhc = _cosh_sinhc(q, terms)
+        del q
+        w *= sinhc
+        np.add(ch, w, out=P[:, 0, 0])
+        np.subtract(ch, w, out=P[:, 0, 1])
+        del w, ch  # each temporary goes as soon as it is used, before E's
         k = np.arange(rows.start, rows.stop)
         E = e_local[k % _BLOCK_STEPS] * e_offset[k // _BLOCK_STEPS]
         am /= E
         ap *= E
-        del E  # freed before the next block's temporaries
+        del E
         am *= sinhc
         ap *= sinhc
-        w *= sinhc
-        np.add(ch, w, out=P[:, 0, 0])
-        np.subtract(ch, w, out=P[:, 0, 1])
+        del sinhc  # none is held while the caller marches
         yield rows, P
 
 
@@ -235,24 +254,26 @@ def march(P, g, out):
     return out
 
 
-def shoot(params: Params, lams, seed, nsteps):
+def shoot(params: Params, lams, seed, nsteps, block_steps=_BLOCK_STEPS):
     """March the modulated system over [0, L] from ``seed`` in ``nsteps`` Filon–Magnus steps.
 
     One march per entry of ``lams``, all from the left boundary values ``seed``
-    (a 2-vector). Yields ``(s0, s1, states)`` per block of ``_BLOCK_STEPS``
+    (a 2-vector). Yields ``(s0, s1, states)`` per block of ``block_steps``
     steps (a lone last step joins the block before it), ``states`` the
     node-major (s1 - s0, 2, K) states after steps s0 + 1..s1. What no block's
-    step table depends on is computed once per march (:func:`step_tables`).
-    Every block reuses one step-table buffer and one state block, so a caller
-    may change a block in place but must copy what it keeps.
+    step table depends on is computed once per march (:func:`step_tables`), so
+    the states do not depend on ``block_steps``. Every block reuses one
+    step-table buffer and one state block, so a caller may change a block in
+    place but must copy what it keeps past the next block.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     xs = np.linspace(0.0, params.L, 2 * nsteps + 1)  # step ends and midpoints
     c = -np.asarray(delta(params, xs)) / 3.0
+    del xs
     # node-major: a step writes one row; a lone last step makes the last block one row longer
-    block = np.empty((min(_BLOCK_STEPS + 1, nsteps), 2, lams.size), dtype=complex)
+    block = np.empty((min(block_steps + 1, nsteps), 2, lams.size), dtype=complex)
     g = np.tile(np.asarray(seed, dtype=complex)[:, None], lams.size)  # (2, K)
-    for rows, P in step_tables(c, lams, params.L / nsteps, _BLOCK_STEPS):
+    for rows, P in step_tables(c, lams, params.L / nsteps, block_steps):
         states = march(P, g, block[:len(P)])
         g = states[-1].copy()
         yield rows.start, rows.stop, states
@@ -265,39 +286,108 @@ def _residual(params: Params, lams, seed, nsteps):
     return states[-1, 0] * eL + states[-1, 1] / eL
 
 
-def _store_pass(params: Params, lams, seed):
+class _Sums:
+    """The sums over the grid that a conservative family's law and Gram check read, block by block.
+
+    Of the raw samples ``f`` (row ``zero`` is mode 0), with Simpson weights w:
+    ``norm2 = sum w |f_n|^2``, ``profile = sum w I conj(f_n)`` for the
+    control profile ``I = e^{int delta} (1, 1)``, ``zero_mode = sum w f_0
+    conj(f_n)``, ``masses = sum q (f_n1 - f_n2)`` with the weight ``q = w
+    W^2 / e^{int delta}`` of ``model.mode_masses`` at that gauge, the raw
+    Gram ``gram[i, j] = sum w f_i conj(f_j)``, and ``last = f(L)``. Each
+    per-mode sum is taken row by row (``np.einsum``, which calls no BLAS),
+    along each block and then block after block, so it depends on its own
+    mode's samples alone: the sums of a smaller family are rows of a larger
+    one's, and conjugate modes have conjugate sums. Only the Gram, which the
+    orthonormality check alone reads, is a BLAS product. A block is added
+    one component at a time, through one preallocated buffer.
+    """
+
+    def __init__(self, params: Params, K: int, zero: int):
+        grid = uniform_grid(params)
+        ew = diagonal_weight(params, grid)
+        self.zero = zero
+        self.w = simpson_weights(grid)
+        self.w_profile = self.w * ew
+        self.q = self.w * height_root_profile(params, grid) ** 2 / ew * np.array([[1.0], [-1.0]])  # q, -q
+        self.norm2, self.gram = np.zeros(K), np.zeros((K, K), dtype=complex)
+        self.profile, self.zero_mode, self.masses = np.zeros((3, K), dtype=complex)
+        self.last = np.empty((K, 2), dtype=complex)
+        self._buf = np.empty((K, min(_STORE_STEPS + 1, params.grid_points - 1)), dtype=complex)
+
+    def add(self, nodes: slice, comp: int, f):
+        """Add the samples ``f``, (K, r), of component ``comp`` at ``grid[nodes]``."""
+        a = self._buf[:, :f.shape[-1]]
+        np.multiply(np.conjugate(f, out=a), self.w[nodes], out=a)  # w conj(f)
+        self.gram += f @ a.T
+        self.norm2 += np.einsum("ij,ij->i", f, a).real
+        self.zero_mode += np.einsum("ij,j->i", a, f[self.zero])
+        self.profile += np.conj(np.einsum("ij,j->i", f, self.w_profile[nodes]))
+        self.masses += np.einsum("ij,j->i", f, self.q[comp, nodes])
+        self.last[:, comp] = f[:, -1]
+
+
+def _store_pass(params: Params, lams, seed, samples=True, sums=None):
     """Sample the eigenfunctions at ``lams`` on the params grid, one march step per cell.
 
     Returns the boundary residuals ``|f1(L) + f2(L)| / max |f|``, the (K, 2, nx)
-    samples and the ODE error ``max |f - f_coarse| / max |f|`` on the even grid
-    nodes, against the march at two cells per step. Each block :func:`shoot`
-    yields is turned in place into f variables, ``f1 = e^{lam x} g1`` and
-    ``f2 = e^{-lam x} g2``: a fine block is copied transposed into the samples,
-    a coarse one compared with the even nodes already stored. So the pass
-    holds the samples and one block, never the whole march.
+    samples (None unless ``samples``) and the ODE error ``max |f - f_coarse| /
+    max |f|`` on the even grid nodes, against the march at two cells per step.
+    The fine march goes in blocks of ``_STORE_STEPS`` steps and the coarse
+    one beside it in blocks of half as many, whose nodes are the even nodes of
+    one fine block; a lone last coarse step joins the block before it, and
+    its row waits, in the coarse march's own block, for the next fine block.
+    Each block :func:`shoot` yields is turned in place into f variables, ``f1
+    = e^{lam x} g1`` and ``f2 = e^{-lam x} g2`` (a coarse block reuses the
+    factors of the fine block whose even nodes it covers). A fine block is
+    copied mode-major into the samples, if kept, and added to ``sums`` (a
+    :class:`_Sums`), if given, one component at a time. So the pass holds
+    the samples, if kept, and one block of each march, never a whole march.
     """
     nsteps = params.grid_points - 1
     grid = uniform_grid(params)
-    vals = np.empty((lams.size, 2, nsteps + 1), dtype=complex)
+    K = lams.size
+    seed = np.asarray(seed, dtype=complex)
+    vals = np.empty((K, 2, nsteps + 1), dtype=complex) if samples else None
+    buf = None if samples else np.empty((K, min(_STORE_STEPS + 1, nsteps)), dtype=complex)
 
-    def to_f(states, nodes):  # in place; rows of ``states`` sit at ``grid[nodes]``
-        E = np.exp(np.outer(grid[nodes], lams))
+    def to_f(states, E):  # in place, with E = e^{lam x} at the rows' nodes
         states[:, 0] *= E
         states[:, 1] /= E
-        return states
 
-    vals[:, :, 0] = seed  # f = g at x = 0
-    scale = np.max(np.abs(vals[:, :, 0]), axis=1)
-    for s0, s1, states in shoot(params, lams, seed, nsteps):
-        to_f(states, slice(s0 + 1, s1 + 1))
-        vals[:, :, s0 + 1:s1 + 1] = states.transpose(2, 1, 0)
+    def store(nodes, states):  # mode-major, into the samples and the sums
+        if samples:
+            vals[:, :, nodes] = states.transpose(2, 1, 0)
+        for comp in range(2 if sums else 0):
+            if samples:
+                f = vals[:, comp, nodes]
+            else:
+                f = buf[:, :len(states)]
+                f[...] = states[:, comp].T
+            sums.add(nodes, comp, f)
+
+    first = np.tile(seed[:, None], (1, 1, K))  # node-major: f = g at x = 0
+    store(slice(0, 1), first)
+    scale = np.max(np.abs(first), axis=(0, 1))
+    ode_err = np.zeros(K)
+    coarse = shoot(params, lams, seed, nsteps // 2, _STORE_STEPS // 2)
+    waiting = first[:0]  # coarse rows, in f variables, that no fine block has reached yet
+    for s0, s1, states in shoot(params, lams, seed, nsteps, _STORE_STEPS):
+        E = np.exp(np.outer(grid[s0 + 1:s1 + 1], lams))
+        to_f(states, E)
         scale = np.maximum(scale, np.max(np.abs(states), axis=(0, 1)))
-    ode_err = np.zeros(lams.size)
-    for s0, s1, states in shoot(params, lams, seed, nsteps // 2):
-        even = slice(2 * s0 + 2, 2 * s1 + 1, 2)
-        diff = vals[:, :, even].transpose(2, 1, 0) - to_f(states, even)
-        ode_err = np.maximum(ode_err, np.max(np.abs(diff), axis=(0, 1)))
-    return np.abs(vals[:, 0, -1] + vals[:, 1, -1]) / scale, vals, ode_err / scale
+        store(slice(s0 + 1, s1 + 1), states)
+        even = states[1::2]  # s0 is even: rows 1, 3, ... sit at the even nodes s0 + 2, ..., s1
+        while len(even):
+            if not len(waiting):  # only now may the coarse march overwrite its block
+                c0, c1, waiting = next(coarse)
+                level = (2 * c0, 2 * c1) == (s0, s1)  # its nodes are this fine block's even ones
+                to_f(waiting, E[1::2] if level else np.exp(np.outer(grid[2 * c0 + 2:2 * c1 + 1:2], lams)))
+            m = min(len(even), len(waiting))
+            diff = np.abs(np.subtract(waiting[:m], even[:m], out=waiting[:m]))
+            ode_err = np.maximum(ode_err, np.max(diff, axis=(0, 1)))
+            even, waiting = even[m:], waiting[m:]
+    return np.abs(states[-1, 0] + states[-1, 1]) / scale, vals, ode_err / scale
 
 
 def secant(f, z_prev, z_cur, tol, max_step=np.inf, max_iter=14):
@@ -395,14 +485,34 @@ class ModeIndexed:
 
 
 @dataclass
+class Moments:
+    """What a feedback law reads of a normalized conservative family, per mode n.
+
+    ``at_0`` and ``at_L`` hold the (K, 2) boundary values f_n(0) and f_n(L);
+    with the 1/(2L) product of :func:`pairings`, ``profile`` is ``<I, f_n>``
+    for the control profile ``I = e^{int delta} (1, 1)`` and ``zero_mode`` is
+    ``<f_0, f_n>``; ``masses`` is ``model.mode_masses`` of the w-functions
+    ``f_n / e^{int delta}``.
+    """
+
+    at_0: np.ndarray
+    at_L: np.ndarray
+    profile: np.ndarray
+    zero_mode: np.ndarray
+    masses: np.ndarray
+
+
+@dataclass
 class Basis(ModeIndexed):
     """Ordered eigenfamily for ``n in [-N, N]``, optionally with duals.
 
-    ``values`` has shape (K, 2, nx) in mode order ``n_list``. For the damped
-    kind, ``dual_values`` holds the biorthogonal family: the adjoint
-    eigenfunctions :func:`adjoint_values` derives from ``values``, rescaled
-    so the cross-Gram is the identity. ``gram_deviation`` is the largest
-    entry of ``|G - I|`` that the build's (bi)orthonormality check measured.
+    ``values`` has shape (K, 2, nx) in mode order ``n_list``, or is None for a
+    conservative build with ``samples=False``, which keeps only ``moments``:
+    a sample reader (:meth:`samples`) refuses it. For the damped kind,
+    ``dual_values`` holds the biorthogonal family: the adjoint eigenfunctions
+    :func:`adjoint_values` derives from ``values``, rescaled so the
+    cross-Gram is the identity. ``gram_deviation`` is the largest entry of
+    ``|G - I|`` that the build's (bi)orthonormality check measured.
     """
 
     kind: BcKind
@@ -414,6 +524,7 @@ class Basis(ModeIndexed):
     bc_residuals: np.ndarray = None
     ode_residuals: np.ndarray = None
     gram_deviation: float = None
+    moments: Moments = None  # conservative only
 
     def diagnostics(self) -> dict:
         """Build health: the search's step counts, the store pass's worst residuals and the Gram deviation."""
@@ -424,9 +535,12 @@ class Basis(ModeIndexed):
             "gram_deviation": self.gram_deviation,
         }
 
-    @property
-    def f1_at_0(self):
-        return self.values[:, 0, 0]
+    def samples(self) -> np.ndarray:
+        """``values``, or ValueError for a basis built without them (``samples=False``)."""
+        if self.values is None:
+            raise ValueError("this basis was built with samples=False: it holds the law's moments, "
+                             "not the eigenfunctions on the grid")
+        return self.values
 
 
 _MODE_ROWS = 8  # mode rows per block of pairings and reference modes
@@ -538,14 +652,20 @@ def _reference_blocks(params: Params, kind: BcKind, n_list, grid):
         yield rows, np.stack([reference_mode(params, kind, n, grid) for n in n_list[rows]])
 
 
-def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
+def build_basis(params: Params, kind: BcKind, N=None, with_duals=True, samples=True) -> Basis:
     """Assemble the eigenfamily for ``|n| <= N`` with invariant checks.
 
-    Conservative: orthonormal family (Gram = identity to 1e-6), self-dual.
-    Damped: functions continue the gamma = 0 family (38), scaled so that
-    ``<f_n, phi_n^(0)> = 1`` against the gamma = 0 adjoint pair; the duals
-    are :func:`adjoint_values` of the functions, rescaled so that
-    ``<f_n, dual_m> = delta_nm`` (checked to 1e-6).
+    Conservative: orthonormal family (Gram = identity to 1e-6), self-dual,
+    with the :class:`Moments` its feedback law reads. The store pass sums
+    them, and the Gram, from the raw samples (:class:`_Sums`); one real
+    scale per mode, ``d_n = ||f_n||``, then normalizes the sums, and the
+    samples when ``samples`` keeps them. ``f_n,1(0) = 1/d_n > 0`` needs no
+    phase fixing. With ``samples=False`` no (K, 2, nx) family is ever
+    allocated, and the moments have the same bits. Damped: functions continue
+    the gamma = 0 family (38), scaled so that ``<f_n, phi_n^(0)> = 1`` against
+    the gamma = 0 adjoint pair; the duals are :func:`adjoint_values` of the
+    functions, rescaled so that ``<f_n, dual_m> = delta_nm`` (checked to
+    1e-6). A damped build always keeps its samples.
     """
     if N is None:
         N = params.n_modes
@@ -555,7 +675,10 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
     n_list = np.arange(-N, N + 1)
     grid = uniform_grid(params)
     eigs = find_eigenvalues(params, kind, n_list)
-    bc_res, vals, ode_err = _store_pass(params, eigs, _left_seed(kind, params))
+    conservative = kind is BcKind.CONSERVATIVE
+    seed = _left_seed(kind, params)
+    sums = _Sums(params, n_list.size, N) if conservative else None  # row N is mode 0
+    bc_res, vals, ode_err = _store_pass(params, eigs, seed, samples or not conservative, sums)
     bad = n_list[~(bc_res <= np.maximum(1e-9, ode_err))]  # the grid march checks the roots; nan fails
     if bad.size:
         raise NumericalError(f"boundary residual of the grid march exceeds max(1e-9, its ODE "
@@ -571,11 +694,18 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
             )
         return float(np.max(dev))
 
-    dual_values = gram_dev = None  # the family is scaled in place, never copied
-    if kind is BcKind.CONSERVATIVE:
-        vals /= np.sqrt(pairings(vals, vals, grid).real)[:, None, None]
-        vals /= (vals[:, 0, 0] / np.abs(vals[:, 0, 0]))[:, None, None]  # phases
-        gram_dev = check_identity(gram_matrix(vals, vals, grid), "orthonormality")
+    dual_values = moments = gram_dev = None  # the family is scaled in place, never copied
+    if conservative:
+        two_L = 2.0 * grid[-1]
+        d = np.sqrt(sums.norm2 / two_L)
+        gram_dev = check_identity(sums.gram / np.outer(d, d) / two_L, "orthonormality")
+        if vals is not None:
+            vals /= d[:, None, None]
+        moments = Moments(
+            at_0=seed / d[:, None], at_L=sums.last / d[:, None],
+            profile=sums.profile / d / two_L, zero_mode=sums.zero_mode / (d[N] * d) / two_L,
+            masses=sums.masses / d,
+        )
     else:
         scales = np.empty(n_list.size, dtype=complex)
         for rows, refs in _reference_blocks(params, kind, n_list, grid):
@@ -588,7 +718,7 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True) -> Basis:
     return Basis(
         kind=kind, n_list=n_list, eigenvalues=eigs, grid=grid,
         values=vals, dual_values=dual_values,
-        bc_residuals=bc_res, ode_residuals=ode_err, gram_deviation=gram_dev,
+        bc_residuals=bc_res, ode_residuals=ode_err, gram_deviation=gram_dev, moments=moments,
     )
 
 
@@ -620,7 +750,7 @@ def w_modes(params: Params, basis: Basis) -> WModes:
         raise ValueError("w_modes requires the conservative basis")
     grid = basis.grid
     ew = diagonal_weight(params, grid)
-    psi = basis.values / ew
+    psi = basis.samples() / ew
     chi = np.conj(basis.values)
     chi *= ew
     # Kato scales, taken before either family is rescaled in place:

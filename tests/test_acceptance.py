@@ -71,8 +71,10 @@ def watched_run(criteria=None) -> WatchedRun:
     raised, builds, built, keys_at_start = {}, [], {}, []
     current = [None]
 
-    def spy(params, kind, N):
-        built[params, kind, N] = basis = build_basis(params, kind, N)
+    def spy(params, kind, N, samples=True):
+        basis = build_basis(params, kind, N, samples=samples)
+        if samples:  # a basis without samples serves a law only, and cannot serve basis_cache
+            built[params, kind, N] = basis
         builds.append((current[0], (params, kind, N)))
         return basis
 
@@ -143,11 +145,29 @@ def test_each_basis_goes_after_its_last_reader():
 
 def test_the_shared_law_is_built_once_and_outlives_its_basis(full_run):
     run = watched_run([8, 9])
-    # 8 builds P_LOOP's basis and its law; the basis goes with 8, and 9 reads 8's law
+    # 8 builds P_LOOP's basis, its law and the law's spectra; only the law and the
+    # spectra enter the memo, and 9 reads them
     assert run.builds == [(8, (acceptance.P_LOOP, BcKind.CONSERVATIVE, 41))]
-    assert run.memo_after[8] == [(acceptance.P_LOOP, FeedbackLaw, 41)]
+    assert run.memo_after[8] == [(acceptance.P_LOOP, FeedbackLaw, 41), (acceptance.P_LOOP, "spectra", 41)]
     assert run.memo_after[9] == []
     assert snapshot_values(run.results) == snapshot_values(full_run.results[7:9])
+
+
+def test_criterion_9_reads_criterion_8_s_spectra(full_run, monkeypatch):
+    # after 8 in the same lane, 9 takes 8's spectra from the memo and calls neither function
+    calls = []
+    for name in ("closed_loop_spectrum", "galerkin_spectrum"):
+        spied = getattr(acceptance, name)
+        monkeypatch.setattr(acceptance, name, lambda law, f=spied, name=name: calls.append(name) or f(law))
+    title, c9 = acceptance.CRITERIA[9]
+    monkeypatch.setitem(acceptance.CRITERIA, 9, (title, lambda: calls.append("criterion 9") or c9()))
+    monkeypatch.setattr(acceptance, "_memo", {})
+    for var in acceptance._BLAS_THREAD_VARS:  # one lane: the spies cannot see a forked one
+        monkeypatch.delenv(var, raising=False)
+    results = acceptance.run_all([8, 9])
+    assert calls == ["closed_loop_spectrum", "galerkin_spectrum", "criterion 9"]
+    assert snapshot_values(results) == snapshot_values(full_run.results[7:9])
+    assert acceptance._memo == {}
 
 
 @pytest.mark.parametrize("criteria", [[9], [9, 8]])

@@ -79,7 +79,7 @@ def kn_relation_check(params: Params, basisA: Basis, basisAtilde: Basis,
         i = basisA.index(n)
         mu_n = basisA.eigenvalues[i]
         coef = taus / (basisAtilde.eigenvalues - mu_n)
-        recon = basisA.f1_at_0[i] * np.tensordot(
+        recon = basisA.values[i, 0, 0] * np.tensordot(
             coef, basisAtilde.values, axes=(0, 0)
         )
         diff = recon - basisA.values[i]
@@ -223,7 +223,7 @@ class TestTbResidual:
         p = Params(gamma=0.0, mu=2.0, nu=0.5, n_modes=40, grid_points=4097)
         ba = basis_cache(p, BcKind.CONSERVATIVE, 40)
         stack = np.array([adjoint_values(p, reference_mode(p, BcKind.DAMPED, m)) for m in range(-5, 6)])
-        loop = np.array([np.sum(ba.f1_at_0 * pairings(ba.values, g, ba.grid)) for g in stack])
+        loop = np.array([np.sum(ba.values[:, 0, 0] * pairings(ba.values, g, ba.grid)) for g in stack])
         sums = dirichlet_sum(ba, stack)
         assert sums.shape == (11,)
         np.testing.assert_allclose(sums, loop, rtol=1e-13, atol=0)

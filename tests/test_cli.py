@@ -46,10 +46,12 @@ def test_write_csv_columns(tmp_path):
 
 
 def test_write_csv_in_blocks(tmp_path):
-    # more rows than one block: the same bytes as formatting row by row
+    # more rows than one block, each block formatted by one %: the same bytes as
+    # formatting row by row, -0.0 included
     rows = 2 * cli._CSV_BLOCK_ROWS + 7
     rng = np.random.default_rng(1)
     x, z = rng.standard_normal(rows), rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    x[::5], z.real[1::7], z.imag[::3] = -0.0, -0.0, -0.0
     path = tmp_path / "x.csv"
     cli._write_csv(path, {"k": np.arange(rows), "x": x, "z": z})
     want = "k,x,re_z,im_z\n" + "".join(

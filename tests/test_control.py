@@ -103,7 +103,7 @@ class TestControllabilityReport:
 
     def test_profile_orthogonal_to_zero_mode(self, p_std, basis_cache):
         basis = basis_cache(p_std, BcKind.CONSERVATIVE, 20)
-        imom = i_moments(p_std, basis)
+        imom = i_moments(basis)
         assert abs(imom[basis.index(0)]) < 1e-8
 
 

@@ -15,13 +15,15 @@ from watertank.feedback import (
 )
 from watertank.model import (
     Params,
+    diagonal_weight,
     l_gamma,
+    mode_masses,
     simpson_weights,
     steady_state_height,
     uniform_grid,
     zeta_to_physical,
 )
-from watertank.spectral import Basis, BcKind, pairings
+from watertank.spectral import Basis, BcKind, build_basis, pairings
 
 
 def singular_split(law: FeedbackLaw):
@@ -135,7 +137,7 @@ class TestFeedbackCoefficients:
         # the product convention under which the closed-loop spectrum
         # reproduces the reflected target eigenvalues
         law, basis = law_std
-        f010 = float(basis.f1_at_0[basis.index(0)].real)
+        f010 = float(basis.values[basis.index(0), 0, 0].real)
         expect = -2 * math.tanh(p_std.mu * p_std.L) * f010**2 / (
             2 * p_std.L * p_std.nu
         )
@@ -265,3 +267,37 @@ class TestPhysicalFeedback:
         phys = physical_feedback(feedback_coefficients(p, basis))
         expect = p.nu * phys.table[phys.index(0)]
         assert phys.u2_coefficient == pytest.approx(expect, rel=1e-12)
+
+
+# the pinned law point, and a small coarse one
+MOMENT_POINTS = [Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=41, grid_points=4097),
+                 Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=8, grid_points=257)]
+
+
+class TestStreamedMoments:
+    @pytest.mark.parametrize("p", MOMENT_POINTS, ids=["N41", "N8"])
+    def test_moments_are_the_pairings_of_the_samples(self, p):
+        # the store pass's sums, normalized, against the grid pairings of the normalized family
+        basis = build_basis(p, BcKind.CONSERVATIVE)
+        m = basis.moments
+
+        def close(got, want):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+        close(m.profile + p.nu * m.zero_mode, pairings(virtual_profile(p, basis), basis.values, basis.grid))
+        close(m.profile, pairings(control_profile(p), basis.values, basis.grid))
+        close(m.zero_mode, pairings(basis.values[basis.index(0)], basis.values, basis.grid))
+        close(m.masses, mode_masses(p, basis.values, diagonal_weight(p, basis.grid)))
+        assert np.array_equal(m.at_0, basis.values[:, :, 0])
+        assert np.array_equal(m.at_L, basis.values[:, :, -1])
+
+    @pytest.mark.parametrize("p", MOMENT_POINTS, ids=["N41", "N8"])
+    def test_a_law_without_samples_is_the_law_with_them(self, p):
+        # the law reads only the moments, which the store pass sums either way
+        kept, lean = (build_basis(p, BcKind.CONSERVATIVE, samples=s) for s in (True, False))
+        assert lean.values is None and lean.gram_deviation == kept.gram_deviation
+        for build in (feedback_coefficients, zero_law):
+            a, b = build(p, kept), build(p, lean)
+            for f in dataclasses.fields(FeedbackLaw):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                assert (x == y) if f.name == "params" else (x is y is None or np.array_equal(x, y)), f.name

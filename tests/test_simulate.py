@@ -129,7 +129,7 @@ class TestClosedLoopPropagator:
         traj = integrate_closed_loop(self.P8, law, c0, zeta0_init=0.1, t_final=3.0)
         i0 = law.index(0)
         table_ext = np.append(law.table, law.table[i0])
-        force_ext = np.append(i_moments(self.P8, basis), self.P8.nu)
+        force_ext = np.append(i_moments(basis), self.P8.nu)
         M = np.diag(np.append(-law.eigenvalues, 0.0)) + np.outer(force_ext, table_ext)
         ref = solve_ivp(lambda t, y: M @ y, (0.0, 3.0), np.append(c0, 0.1 + 0j),
                         method="DOP853", t_eval=traj.times, rtol=1e-12, atol=1e-14)

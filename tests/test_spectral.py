@@ -234,17 +234,30 @@ class TestMarch:
 
     @pytest.mark.parametrize("kind", list(BcKind))
     def test_streamed_store_pass_matches_node_major(self, kind):
-        # fine blocks of 10 x 128 + 2 steps; coarse blocks of 4 x 128 + 129, where
-        # the lone last step joins the block before it
-        p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=6, grid_points=1283)
-        assert (p.grid_points - 1) % spectral._BLOCK_STEPS == 2
-        assert (p.grid_points - 1) // 2 % spectral._BLOCK_STEPS == 1
-        lams = find_eigenvalues(p, kind, range(-6, 7))
-        seed = _left_seed(kind, p)
-        got, want = _store_pass(p, lams, seed), node_major_store_pass(p, lams, seed)
-        for name, a, b in zip(("bc_residuals", "values", "ode_residuals"), got, want):
-            assert a.shape == b.shape and np.array_equal(a, b), name
-        assert got[1].flags.c_contiguous
+        # fine blocks of _STORE_STEPS = 64 steps, coarse ones of 32 beside them. At nx = 257
+        # each coarse block covers one fine block's even nodes; at nx = 131 (2 x 64 + 2 fine
+        # steps) and 1283 (20 x 64 + 2) the coarse march's lone last step joins the block
+        # before it, and its row waits for the fine march's last, 2-step block
+        for nx in (131, 257, 1283):
+            p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=6, grid_points=nx)
+            nsteps = p.grid_points - 1
+            assert nsteps % spectral._STORE_STEPS == (0 if nx == 257 else 2)
+            assert nsteps // 2 % (spectral._STORE_STEPS // 2) == (0 if nx == 257 else 1)
+            lams = find_eigenvalues(p, kind, range(-6, 7))
+            seed = _left_seed(kind, p)
+            got, want = _store_pass(p, lams, seed), node_major_store_pass(p, lams, seed)
+            for name, a, b in zip(("bc_residuals", "values", "ode_residuals"), got, want):
+                assert a.shape == b.shape and np.array_equal(a, b), (nx, name)
+            assert got[1].flags.c_contiguous
+            # without samples, and with the sums taken, the residuals keep their bits; the
+            # sums are the same whether or not the samples are kept
+            sums = [spectral._Sums(p, lams.size, 6) for _ in range(2)]
+            kept, lean = _store_pass(p, lams, seed, True, sums[0]), _store_pass(p, lams, seed, False, sums[1])
+            assert lean[1] is None and np.array_equal(kept[1], want[1])
+            for a in (kept, lean):
+                assert np.array_equal(a[0], want[0]) and np.array_equal(a[2], want[2]), nx
+            for name in ("norm2", "gram", "profile", "zero_mode", "masses", "last"):
+                assert np.array_equal(getattr(sums[0], name), getattr(sums[1], name)), (nx, name)
 
     def test_lyapunov_weight_is_one_piece_march(self):
         # the certificate's eta is the march over the whole table, bit for bit
@@ -516,13 +529,16 @@ class TestBuildBasis:
     @pytest.mark.parametrize("kind", list(BcKind))
     def test_smaller_basis_is_rows_of_larger(self, kind):
         # search and store act entry by entry: the N=12 family is bit for
-        # bit the |n| <= 12 rows of the N=20 family
+        # bit the |n| <= 12 rows of the N=20 family, and so are its moments
         p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=20, grid_points=257)
         small, big = build_basis(p, kind, 12), build_basis(p, kind, 20)
         rows = slice(big.index(-12), big.index(12) + 1)
         for name in ("eigenvalues", "values", "dual_values", "bc_residuals", "ode_residuals"):
             a, b = getattr(small, name), getattr(big, name)
             assert (a is None and b is None) or np.array_equal(a, b[rows]), name
+        assert (small.moments is None) == (big.moments is None) == (kind is BcKind.DAMPED)
+        for name in ("at_0", "at_L", "profile", "zero_mode", "masses") if small.moments else ():
+            assert np.array_equal(getattr(small.moments, name), getattr(big.moments, name)[rows]), name
 
     @pytest.mark.parametrize("build", ["conservative", "damped", "w_modes"])
     def test_footprint_is_the_family_plus_scratch(self, build):
@@ -543,8 +559,9 @@ class TestBuildBasis:
         assert peak <= 1.5 * returned, peak / returned
 
     def test_footprint_at_the_pinned_point(self):
-        # N = 41, nx = 4097: the search peaks at 3 MB at most, and a conservative
-        # build holds its 10.4 MiB family plus at most 0.4 of it in scratch
+        # N = 41, nx = 4097: the search peaks at 3 MB at most, a conservative build
+        # holds its 10.4 MiB family plus at most 0.3 of it in scratch, and a build
+        # without samples peaks at 4 MiB at most
         p = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=41, grid_points=4097)
         tracemalloc.start()
         try:
@@ -553,10 +570,17 @@ class TestBuildBasis:
             tracemalloc.reset_peak()
             built = build_basis(p, BcKind.CONSERVATIVE)
             build_peak = tracemalloc.get_traced_memory()[1]
+            family = built.values.nbytes
+            del built
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            build_basis(p, BcKind.CONSERVATIVE, samples=False)
+            lean_peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
         assert search_peak <= 3e6, search_peak
-        assert build_peak <= 1.4 * built.values.nbytes, build_peak / built.values.nbytes
+        assert build_peak <= 1.3 * family, build_peak / family
+        assert lean_peak <= 4 * 2**20, lean_peak
 
     def test_store_pass_rejects_shifted_roots(self, monkeypatch):
         p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=4, grid_points=257)
@@ -570,8 +594,23 @@ class TestBuildBasis:
 
     def test_coarse_grid_failure_names_grid_points(self):
         p = Params(gamma=0.03, n_modes=8, grid_points=17)
-        with pytest.raises(NumericalError, match="orthonormality failure .*raise grid_points"):
-            build_basis(p, BcKind.CONSERVATIVE, 8)
+        for samples in (True, False):
+            with pytest.raises(NumericalError, match="orthonormality failure .*raise grid_points"):
+                build_basis(p, BcKind.CONSERVATIVE, 8, samples=samples)
+
+    def test_sample_readers_refuse_a_basis_without_samples(self):
+        from watertank.backstepping import dirichlet_sum
+        from watertank.feedback import virtual_profile
+
+        p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=4, grid_points=257)
+        lean = build_basis(p, BcKind.CONSERVATIVE, samples=False)
+        assert lean.values is None and lean.moments is not None and lean.gram_deviation < 1e-6
+        readers = [lambda: lean.samples(), lambda: w_modes(p, lean),
+                   lambda: kato_psi(p, lean, 1), lambda: virtual_profile(p, lean),
+                   lambda: dirichlet_sum(lean, np.ones((2, p.grid_points)))]
+        for read in readers:
+            with pytest.raises(ValueError, match="built with samples=False"):
+                read()
 
     def test_more_modes_than_samples_refused_before_shooting(self, monkeypatch):
         monkeypatch.setattr(spectral, "find_eigenvalues", None)  # a search would raise TypeError
@@ -596,7 +635,8 @@ class TestBuildBasis:
         basis = basis_cache(p_std, BcKind.CONSERVATIVE, 20)
         G = gram_matrix(basis.values, basis.values, basis.grid)
         assert np.max(np.abs(G - np.eye(41))) < 1e-6
-        assert basis.gram_deviation == np.max(np.abs(G - np.eye(41)))  # the build's own check kept it
+        # the build's own check, on the Gram its store pass summed, kept the same deviation
+        assert abs(basis.gram_deviation - np.max(np.abs(G - np.eye(41)))) <= 1e-14
 
     def test_gram_bound_at_gamma_point1(self, basis_cache):
         # orthonormality deviation < 1e-6 holds up to gamma = 0.1
@@ -649,7 +689,7 @@ class TestBuildBasis:
 
     def test_phase_fixing(self, p_std, basis_cache):
         basis = basis_cache(p_std, BcKind.CONSERVATIVE, 20)
-        f10 = basis.f1_at_0
+        f10 = basis.values[:, 0, 0]
         assert np.max(np.abs(f10.imag)) < 1e-12
         assert np.all(f10.real > 0)
 
@@ -674,8 +714,8 @@ class TestBuildBasis:
 
     def test_boundary_value_uniformity(self, p_std, basis_cache):
         basis = basis_cache(p_std, BcKind.CONSERVATIVE, 20)
-        m = float(np.min(np.abs(basis.f1_at_0)))
-        M = float(np.max(np.abs(basis.f1_at_0)))
+        m = float(np.min(np.abs(basis.values[:, 0, 0])))
+        M = float(np.max(np.abs(basis.values[:, 0, 0])))
         assert 0.5 < m <= M < 2.0
         bd = basis_cache(p_std, BcKind.DAMPED, 10)
         phi0 = np.abs(bd.dual_values[:, 0, 0])
