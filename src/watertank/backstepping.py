@@ -104,10 +104,11 @@ def dirichlet_sum(basisA: Basis, g):
 def galerkin_spectrum(law: FeedbackLaw) -> np.ndarray:
     """Eigenvalues of the N-mode Galerkin matrix, sorted by imag part.
 
-    ``law.galerkin_matrix()`` is the generator ``integrate_closed_loop``
-    records the closed loop by. Truncating the law at |n| <= N displaces its
-    eigenvalues by O(|p|/N) from the targets and leaves weakly damped edge
-    modes (Re ~ -0.26 at N = 41).
+    ``law.galerkin_matrix()`` is the real generator ``integrate_closed_loop``
+    records the closed loop by, in the real coordinates of a real state, so
+    its eigenvalues come in conjugate pairs. Truncating the law at |n| <= N
+    displaces its eigenvalues by O(|p|/N) from the targets and leaves weakly
+    damped edge modes (Re ~ -0.26 at N = 41).
     """
     eig = np.linalg.eigvals(law.galerkin_matrix())
     return eig[np.argsort(eig.imag)]

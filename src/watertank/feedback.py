@@ -38,12 +38,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from watertank.control import control_profile, i_moments
-from watertank.errors import RegimeError, UncontrollableError
+from watertank.errors import NumericalError, RegimeError, UncontrollableError
 from watertank.model import Params, diagonal_weight, gamma_s_threshold, l_gamma
 from watertank.spectral import Basis, BcKind, ModeIndexed
 
 __all__ = [
     "FeedbackLaw",
+    "to_real",
+    "from_real",
+    "real_row",
+    "real_weights",
     "PhysicalFeedback",
     "virtual_profile",
     "synthesis_regime_check",
@@ -74,9 +78,58 @@ def synthesis_regime_check(params: Params):
         )
 
 
+def to_real(y) -> np.ndarray:
+    """Real coordinates ``r = (Re y_0, Re y_1..N, Im y_1..N)`` of modal data over ``-N..N``
+    (last axis): the coordinates of a real state, whose modes ``-n`` are ``conj(y_n)``."""
+    y = np.asarray(y)
+    pos = y[..., y.shape[-1] // 2:]
+    return np.concatenate([pos.real, pos[..., 1:].imag], axis=-1)
+
+
+def from_real(r) -> np.ndarray:
+    """The modal data over ``-N..N`` of real coordinates ``r`` (:func:`to_real`): the real
+    state's, with ``y_{-n} = conj(y_n)`` exactly and ``y_0`` real."""
+    r = np.asarray(r)
+    N = r.shape[-1] // 2
+    y = np.empty(r.shape, dtype=complex)
+    y[..., N:].real = r[..., :N + 1]
+    y[..., N].imag = 0.0
+    y[..., N + 1:].imag = r[..., N + 1:]
+    y[..., :N] = np.conj(y[..., :N:-1])
+    return y
+
+
+def real_row(v) -> np.ndarray:
+    """The row ``w`` with ``w . to_real(y) = Re(v . y)`` for every real state ``y``: for
+    ``y_n = a_n + i b_n``, the pair ``v_n y_n + v_{-n} y_{-n}`` gives ``a_n`` the weight
+    ``Re(v_n + v_{-n})`` and ``b_n`` the weight ``Im(v_{-n} - v_n)``."""
+    v = np.asarray(v)
+    N = v.size // 2
+    pos, neg = v[N + 1:], v[N - 1::-1]
+    return np.concatenate([[v[N].real], (pos + neg).real, (neg - pos).imag])
+
+
+def real_weights(w) -> np.ndarray:
+    """The weights ``q`` with ``q . to_real(y)**2 = sum_n w_n |y_n|^2`` for every real state
+    ``y``, for real per-mode weights ``w``: ``a_n^2`` and ``b_n^2`` both weigh ``w_n + w_{-n}``."""
+    w = np.asarray(w)
+    N = w.size // 2
+    pair = w[N + 1:] + w[N - 1::-1]
+    return np.concatenate([[w[N]], pair, pair])
+
+
+_SYMMETRY_TOL = 1e-10  # criterion 12's reality tolerance, here relative to the largest entry
+
+
 @dataclass
 class FeedbackLaw(ModeIndexed):
-    """Modal feedback table with its moment data and singular/regular split."""
+    """Modal feedback table with its moment data and singular/regular split.
+
+    The closed loop of a real state runs in the real coordinates of
+    :func:`to_real`, by the one real :meth:`galerkin_matrix`; its control is
+    ``real_row(table) . r`` and its mass ``real_row(mode_masses) . r`` (mode 0
+    excluded, as the mass carries no zeta0).
+    """
 
     params: Params
     n_list: np.ndarray
@@ -92,9 +145,35 @@ class FeedbackLaw(ModeIndexed):
     record_memo: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def galerkin_matrix(self) -> np.ndarray:
-        """``M = diag(-mu_n) + outer(<I_nu, f_n>, table)``: the N-mode closed loop is ``y' = M y``
-        in ``y = c + zeta0 e_0`` (zeta0 in mode 0), with the control ``u = table . y``."""
-        return np.diag(-self.eigenvalues) + np.outer(self.i_nu_moments, self.table)
+        """The real N-mode closed loop ``r' = M r`` in ``r = to_real(y)``, ``y = c + zeta0 e_0``.
+
+        In modal form the loop is ``y' = -diag(mu_n) y + <I_nu, f_n> u`` with the
+        control ``u = table . y``, and a real state stays real. So each conjugate
+        pair ``y_{+-n}`` is one real pair ``(a_n, b_n)``: ``mu_n = p + i q`` acts on it
+        as the block ``[[-p, q], [-q, -p]]``, mode 0 as ``-mu_0``, and the forcing
+        is the rank-one ``outer(to_real(<I_nu, f_n>), real_row(table))``. The matrix
+        reads the eigenvalues and moments only at n >= 0, so it raises
+        NumericalError, naming the worst mode, when ``table``, ``i_nu_moments`` or
+        ``eigenvalues`` break ``v[-n] = conj(v[n])`` by more than 1e-10 of their
+        largest entry.
+        """
+        N = self.index(0)
+        for name in ("table", "i_nu_moments", "eigenvalues"):
+            v = getattr(self, name)
+            defect, scale = np.abs(v[N::-1] - np.conj(v[N:])), np.max(np.abs(v))
+            if defect.max() > _SYMMETRY_TOL * scale:  # an all-zero table passes
+                n = int(np.argmax(defect))
+                raise NumericalError(f"{name} breaks v[-n] = conj(v[n]) most at n = {n}: "
+                                     f"{defect[n]:.3g} against its largest entry {scale:.3g}")
+        mu = self.eigenvalues[N:]
+        M = np.outer(to_real(self.i_nu_moments), real_row(self.table))
+        a, b = np.arange(1, N + 1), np.arange(N + 1, 2 * N + 1)
+        M[0, 0] -= mu[0].real
+        M[a, a] -= mu[1:].real
+        M[b, b] -= mu[1:].real
+        M[a, b] += mu[1:].imag
+        M[b, a] -= mu[1:].imag
+        return M
 
     def reality_defect(self) -> float:
         """``max |table[-n] - conj table[n]| / |table[n]|``, n = 0..N: 0 when real states get real controls."""

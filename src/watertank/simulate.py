@@ -5,12 +5,14 @@ constant coefficients, so both are recorded through one exact propagator,
 the matrix exponential of their generator over one record step; there is no
 step size to choose. The n records of a run are built by doubling over the
 repeated squares of that propagator, about log2(n) matrix products. The
-closed loop is recorded as ``y = c + zeta0 e_0`` (the dynamic-extension
-scalar in mode 0) by the Galerkin matrix that
-``backstepping.galerkin_spectrum`` analyses. The open-loop control is a
+closed loop runs from the data of a real state, so it is recorded in real
+arithmetic: in the real coordinates ``r = feedback.to_real(y)`` of
+``y = c + zeta0 e_0`` (the dynamic-extension scalar in mode 0), by the one
+real Galerkin matrix that ``backstepping.galerkin_spectrum`` analyses. Its
+norms, mass and control are rows of r, and its modal records are real by
+construction, ``y_{-n} = conj(y_n)`` exactly. The open-loop control is a
 sum of exponentials, which enter as extra states ``v' = diag(rates) v``
-with ``u = sum v``. The recorded mass is linear in the modal coefficients,
-so it is one dot product with the per-mode masses.
+with ``u = sum v``.
 
 A grid march at CFL 1, ``fd_simulate``, provides the independent
 cross-check path for the same systems on the spatial grid: transport is an
@@ -29,7 +31,7 @@ import numpy as np
 
 from watertank.control import ControlSignal, dual_exponentials, input_gains, synthesize_open_loop
 from watertank.errors import ConfigError, DomainError, NumericalError, RegimeError
-from watertank.feedback import FeedbackLaw
+from watertank.feedback import FeedbackLaw, from_real, real_row, real_weights, to_real
 from watertank.model import LAW_KEYS, Params, delta, diagonal_weight, mode_masses, uniform_grid
 from watertank.spectral import Basis, BcKind, WModes, gram_matrix, reflection, shoot
 
@@ -144,9 +146,10 @@ def _record(powers, y0, n_steps):
     rows ``m..m + r``. Past the largest power ``(P^s)^T`` the rows are filled in
     strides of s, rows ``k - s..k - s + r`` times it giving rows ``k..k + r``.
     Either way ``r`` does not pass the stride, so no product overlaps its
-    source. Raises NumericalError on a non-finite state.
+    source. The records are real when the powers and ``y0`` are. Raises
+    NumericalError on a non-finite state.
     """
-    y = np.empty((n_steps + 1, y0.size), dtype=complex)
+    y = np.empty((n_steps + 1, y0.size), dtype=np.result_type(powers[0], y0))
     y[0] = y0
     done = 1  # rows y[:done] are set
     with np.errstate(all="ignore"):  # a state past the float range raises below
@@ -184,18 +187,24 @@ def real_initial_datum(rng, n_modes: int) -> np.ndarray:
 
 def integrate_closed_loop(params: Params, law: FeedbackLaw, init,
                           zeta0_init=0.0, t_final=None) -> Trajectory:
-    """Closed-loop propagation of the virtual-extended modal system.
+    """Closed-loop propagation of the virtual-extended modal system from a real state.
 
     State: zeta coefficients over |n| <= N (mode 0 must start at zero: the
     physical mass constraint) plus the dynamic-extension scalar zeta0. As
     ``mu_0`` and ``<I, f_0>`` vanish, the mode-0 coefficient stays zero and
-    ``y = c + zeta0 e_0`` obeys the Galerkin system ``y' = M y`` of
-    ``law.galerkin_matrix()``, with ``u = table . y``. The run records y at
-    ``RECORD_INTERVALS`` equal steps of ``t_final`` by the exact propagator
-    ``P = _expm(M t_final / RECORD_INTERVALS)``, doubling over its squares
-    ``P^(2^j)``; zeta0 is its mode 0 and the coefficients are the rest. The
-    recorded mass is the coefficients against ``law.mode_masses``. A
-    zero-table law (see feedback.zero_law) yields the open-loop skew system.
+    ``y = c + zeta0 e_0`` obeys the Galerkin system of
+    ``law.galerkin_matrix()``. The data must be those of a real state:
+    ``init[-n] = conj(init[n])`` and a real ``zeta0_init``, each to 1e-10
+    (absolute, as the mode-0 check); anything else raises ConfigError. The
+    run records the real coordinates ``r = feedback.to_real(y)`` at
+    ``RECORD_INTERVALS`` equal steps of ``t_final`` by the exact real
+    propagator ``P = _expm(M t_final / RECORD_INTERVALS)``, doubling over its
+    squares ``P^(2^j)``. The norms, the control ``real_row(table) . r`` and
+    the mass ``real_row(mode_masses) . r`` are taken from r; the modal
+    records follow by ``feedback.from_real``, so ``y_{-n} = conj(y_n)``
+    exactly and zeta0, the control and the mass are real, stored complex.
+    zeta0 is mode 0 of y and the coefficients are the rest. A zero-table law
+    (see feedback.zero_law) yields the open-loop skew system.
 
     Only the datum is paid for per run. The law keeps the powers of its last
     run's propagator in ``law.record_memo`` and reuses them while its freshly
@@ -216,6 +225,10 @@ def integrate_closed_loop(params: Params, law: FeedbackLaw, init,
     i0 = law.index(0)
     if abs(init[i0]) > 1e-10:
         raise ConfigError("init must have zero mode-0 component (mass constraint)")
+    if np.max(np.abs(init[::-1] - np.conj(init))) > 1e-10:
+        raise ConfigError("init must be the datum of a real state: init[-n] = conj(init[n])")
+    if abs(complex(zeta0_init).imag) > 1e-10:
+        raise ConfigError(f"zeta0_init must be real, got {zeta0_init!r}")
     if t_final is None:
         t_final = params.t_final
 
@@ -224,14 +237,20 @@ def integrate_closed_loop(params: Params, law: FeedbackLaw, init,
     memo = law.record_memo
     if memo is None or memo[1] != dt or not np.array_equal(memo[0], M):
         memo = law.record_memo = (M, dt, _step_propagator(M, dt, RECORD_INTERVALS))
-    y0 = init.copy()
-    y0[i0] = zeta0_init
-    y = _record(memo[2], y0, RECORD_INTERVALS)
-    coeffs = y.copy()
-    coeffs[:, i0] = 0.0
+    r0 = to_real(init)
+    r0[0] = complex(zeta0_init).real
+    r = _record(memo[2], r0, RECORD_INTERVALS)
+    sq = r * r
+    y = from_real(r)
+    zeta0 = y[:, i0].copy()
+    y[:, i0] = 0.0
+    masses = real_row(law.mode_masses)
+    masses[0] = 0.0  # mode 0 of r is zeta0, which carries no mass
     return Trajectory(
-        times=np.linspace(0.0, t_final, RECORD_INTERVALS + 1), coeffs=coeffs, zeta0=y[:, i0],
-        **_norms(y, law.eigenvalues), mass=coeffs @ law.mode_masses, control=y @ law.table,
+        times=np.linspace(0.0, t_final, RECORD_INTERVALS + 1), coeffs=y, zeta0=zeta0,
+        norm_l2=np.sqrt(sq @ real_weights(np.ones(K))),
+        norm_da=np.sqrt(sq @ real_weights(1.0 + np.abs(law.eigenvalues) ** 2)),
+        mass=(r @ masses).astype(complex), control=(r @ real_row(law.table)).astype(complex),
     )
 
 
@@ -438,7 +457,9 @@ def decay_rate_estimate(traj: Trajectory, selector="da", window=None):
     """Log-linear least-squares decay rate of a recorded norm.
 
     Returns ``(rate, r_squared)`` where the fitted model is
-    ``log norm = a - rate * t`` over the window (defaults to the full run).
+    ``log norm = a - rate * t`` over the window (defaults to the full run),
+    fitted in closed form: the slope of the centred data, and ``r_squared``
+    from the centred residual.
     A log-norm whose spread is within rounding of its size gives ``r_squared`` 1.
     """
     norm = traj.norm(selector)
@@ -453,12 +474,13 @@ def decay_rate_estimate(traj: Trajectory, selector="da", window=None):
     if np.any(y <= 0):
         raise NumericalError("norm is not positive on the fit window")
     ly = np.log(y)
-    A = np.vstack([t[mask], np.ones(mask.sum())]).T
-    coef, res, *_ = np.linalg.lstsq(A, ly, rcond=None)
+    tc = t[mask] - t[mask].mean()
+    lc = ly - ly.mean()
+    slope = float(tc @ lc) / float(tc @ tc)  # the least-squares line, centred
     hi, lo = float(ly.max()), float(ly.min())
     if hi - lo <= 1e3 * np.finfo(float).eps * max(1.0, abs(hi), abs(lo)):
         r2 = 1.0  # flat to rounding: no variation for the fit to explain
     else:
-        ss_res = float(res[0]) if res.size else float(np.sum((ly - A @ coef) ** 2))
-        r2 = 1.0 - ss_res / float(np.sum((ly - ly.mean()) ** 2))
-    return float(-coef[0]), float(r2)
+        res = lc - slope * tc
+        r2 = 1.0 - float(res @ res) / float(lc @ lc)
+    return -slope, r2

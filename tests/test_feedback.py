@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 
 from watertank.control import control_profile
-from watertank.errors import RegimeError, UncontrollableError
+from watertank.errors import NumericalError, RegimeError, UncontrollableError
 from watertank.feedback import (
     FeedbackLaw,
     feedback_coefficients,
+    from_real,
     physical_feedback,
+    real_row,
+    real_weights,
+    to_real,
     virtual_profile,
     zero_law,
 )
@@ -160,6 +164,52 @@ class TestFeedbackCoefficients:
         basis = basis_cache(p_gamma0, BcKind.CONSERVATIVE, 4)
         with pytest.raises((UncontrollableError, RegimeError)):
             feedback_coefficients(p_gamma0, basis)
+
+
+class TestRealGalerkinMatrix:
+    def real_state(self, seed, N):
+        rng = np.random.default_rng(seed)
+        return from_real(rng.standard_normal(2 * N + 1))
+
+    def test_coordinates_round_trip(self):
+        y = self.real_state(1, 6)
+        assert np.array_equal(y[::-1], np.conj(y)) and y[6].imag == 0.0
+        assert np.array_equal(from_real(to_real(y)), y)
+
+    def test_rows_are_the_real_functionals(self, law_std):
+        law, _ = law_std
+        y = self.real_state(2, 20)
+        r = to_real(y)
+        for v in (law.table, law.mode_masses):
+            want = complex(v @ y)
+            assert abs(real_row(v) @ r - want.real) <= 1e-13 * np.sum(np.abs(v * y))
+        w = 1.0 + np.abs(law.eigenvalues) ** 2
+        assert real_weights(w) @ r ** 2 == pytest.approx(np.sum(w * np.abs(y) ** 2), rel=1e-14)
+
+    def test_is_the_modal_matrix_in_real_coordinates(self, law_std):
+        # y' = -diag(mu) y + <I_nu, f_n> (table . y), read in r = to_real(y)
+        law, _ = law_std
+        M = law.galerkin_matrix()
+        assert M.dtype == np.float64
+        modal = np.diag(-law.eigenvalues) + np.outer(law.i_nu_moments, law.table)
+        y = self.real_state(3, 20)
+        want = to_real(modal @ y)
+        assert np.max(np.abs(M @ to_real(y) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", ["table", "i_nu_moments", "eigenvalues"])
+    def test_broken_conjugate_pair_raises(self, law_std, name):
+        law, _ = law_std
+        skewed = dataclasses.replace(law, **{name: getattr(law, name).copy()})
+        getattr(skewed, name)[law.index(-3)] += 1e-6
+        with pytest.raises(NumericalError, match=f"{name} breaks .* at n = 3:"):
+            skewed.galerkin_matrix()
+
+    def test_zero_law_passes(self, p_std, basis_cache):
+        # an all-zero table is symmetric: its generator is the skew rotation blocks alone
+        law = zero_law(p_std, basis_cache(p_std, BcKind.CONSERVATIVE, 20))
+        y = self.real_state(4, 20)
+        want = to_real(-law.eigenvalues * y)
+        assert np.max(np.abs(law.galerkin_matrix() @ to_real(y) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestSingularSplit:

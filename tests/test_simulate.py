@@ -13,7 +13,7 @@ from watertank import cli, simulate
 from watertank.backstepping import galerkin_spectrum, match_spectrum
 from watertank.control import dual_exponentials, i_moments, input_gains, synthesize_open_loop
 from watertank.errors import ConfigError, DomainError, NumericalError
-from watertank.feedback import feedback_coefficients, zero_law
+from watertank.feedback import feedback_coefficients, from_real, zero_law
 from watertank.model import (
     Params,
     delta,
@@ -73,11 +73,12 @@ class TestClosedLoopIntegration:
             integrate_closed_loop(p_synth, law, c0)
 
     def test_central_subspace_decays_at_design_rate(self, p_synth, basis_cache):
-        # start on the span of the central eigenvectors of the Galerkin
-        # matrix the integrator propagates: trajectories then decay at the
-        # matched rates ~ mu (the resolved part of the infinite-dimensional
-        # statement; generic data also excites the matrix's weakly damped
-        # truncation-edge modes, which closed_loop_spectrum does not have)
+        # start on the span of the central eigenvectors of the real Galerkin
+        # matrix the integrator propagates, mapped to modal data by the law's
+        # coordinates: trajectories then decay at the matched rates ~ mu (the
+        # resolved part of the infinite-dimensional statement; generic data
+        # also excites the matrix's weakly damped truncation-edge modes,
+        # which closed_loop_spectrum does not have)
         basis = basis_cache(p_synth, BcKind.CONSERVATIVE, 20)
         law = feedback_coefficients(p_synth, basis)
         eig, vec = np.linalg.eig(law.galerkin_matrix())
@@ -86,11 +87,12 @@ class TestClosedLoopIntegration:
             for k in range(-5, 6)
         ]
         rng = np.random.default_rng(8)
-        c0 = np.zeros(41, dtype=complex)
+        r0 = np.zeros(41)
         for j in central:
             a = rng.standard_normal() + 1j * rng.standard_normal()
-            c0 += a * vec[:, j] + np.conj(a * vec[:, j])[::-1]
-        z0 = complex(c0[law.index(0)])
+            r0 += 2.0 * (a * vec[:, j]).real
+        c0 = from_real(r0)
+        z0 = c0[law.index(0)].real
         c0[law.index(0)] = 0.0
         traj = integrate_closed_loop(
             p_synth, law, c0, zeta0_init=z0,
@@ -104,6 +106,27 @@ class TestClosedLoopIntegration:
         r1, _ = decay_rate_estimate(traj, "da", (5 / p_synth.mu, 10 / p_synth.mu))
         r2b, _ = decay_rate_estimate(traj, "da", (10 / p_synth.mu, 15 / p_synth.mu))
         assert abs(r1 - r2b) / r1 < 0.1
+
+    def test_real_data_give_real_records(self, p_synth, basis_cache):
+        # the run is real by construction: each conjugate pair is written from
+        # one real pair, and zeta0, the mass and the control have no imaginary part
+        law = feedback_coefficients(p_synth, basis_cache(p_synth, BcKind.CONSERVATIVE, 20))
+        c0 = real_initial_datum(np.random.default_rng(13), 20)
+        traj = integrate_closed_loop(p_synth, law, c0, zeta0_init=0.2, t_final=3.0)
+        assert np.array_equal(traj.coeffs[:, ::-1], np.conj(traj.coeffs))
+        for name in ("zeta0", "mass", "control"):
+            values = getattr(traj, name)
+            assert values.dtype == complex and not np.any(values.imag), name
+
+    def test_data_of_a_complex_state_rejected(self, p_synth, basis_cache):
+        law = feedback_coefficients(p_synth, basis_cache(p_synth, BcKind.CONSERVATIVE, 20))
+        c0 = real_initial_datum(np.random.default_rng(14), 20)
+        c0[law.index(-3)] += 1e-6
+        with pytest.raises(ConfigError, match="real state"):
+            integrate_closed_loop(p_synth, law, c0, t_final=1.0)
+        with pytest.raises(ConfigError, match="zeta0_init must be real"):
+            integrate_closed_loop(p_synth, law, real_initial_datum(np.random.default_rng(14), 20),
+                                  zeta0_init=0.1 + 1e-6j, t_final=1.0)
 
     def test_closed_loop_norm_decays(self, p_synth, basis_cache):
         basis = basis_cache(p_synth, BcKind.CONSERVATIVE, 20)
@@ -193,6 +216,7 @@ class TestClosedLoopPropagator:
                 integrate_closed_loop(self.P8, law, c0, t_final=t_final)
 
         M = law.galerkin_matrix()
+        assert M.dtype == np.float64
         gens = generators_of(runs)
         assert len(gens) == 2
         for A, t_final in zip(gens, (3.0, 2.0)):
@@ -384,12 +408,13 @@ class TestMatrixExponential:
         assert relative_error(_expm(A), expm(A)) < 1e-12
 
     def test_closed_loop_generator_is_the_galerkin_matrix(self, p_synth, basis_cache):
-        # the run records y = c + zeta0 e_0 by the one Galerkin matrix that
-        # galerkin_spectrum analyses, scaled to one record step
+        # the run records y = c + zeta0 e_0 by the one real Galerkin matrix
+        # that galerkin_spectrum analyses, scaled to one record step
         law = feedback_coefficients(p_synth, basis_cache(p_synth, BcKind.CONSERVATIVE, 20))
         init = real_initial_datum(np.random.default_rng(0), 20)
         [A] = generators_of(lambda: integrate_closed_loop(p_synth, law, init, t_final=4.0))
         step = 4.0 / RECORD_INTERVALS
+        assert A.dtype == np.float64
         assert np.array_equal(A, law.galerkin_matrix() * step)
         eig = np.linalg.eigvals(A) / step
         want = galerkin_spectrum(law)
@@ -418,13 +443,16 @@ class TestMatrixExponential:
         assert np.linalg.norm(A @ A.conj().T - A.conj().T @ A) > 1e-3 * np.linalg.norm(A) ** 2
         assert relative_error(_expm(A), expm(A)) < 1e-12
 
-    def test_conjugation_symmetry(self, closed_loop_generators):
-        # real data stay real: with J reversing the modes -N..N (zeta0 rides
-        # in mode 0), J conj(P) J = P holds for the propagator as for the generator
+    def test_generator_and_propagator_are_real(self, closed_loop_generators, basis_cache):
+        # real data stay real by construction: the generator acts on the real
+        # coordinates of a real state, so it and every power of its
+        # exponential that the run records by are real
         A = closed_loop_generators[41]
-        J = np.arange(A.shape[0])[::-1]
-        P = _expm(A)
-        assert np.max(np.abs(np.conj(P)[J][:, J] - P)) < 1e-14 * np.max(np.abs(P))
+        assert A.dtype == np.float64 and _expm(A).dtype == np.float64
+        p = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=41, grid_points=4097)
+        law = feedback_coefficients(p, basis_cache(p, BcKind.CONSERVATIVE, 41))
+        integrate_closed_loop(p, law, real_initial_datum(np.random.default_rng(0), 41))
+        assert all(power.dtype == np.float64 for power in law.record_memo[2])
 
 
 def upwind_stepper(params: Params, kind: BcKind, dt: float):
@@ -800,6 +828,24 @@ class TestDecayRateEstimate:
         rate, r2 = decay_rate_estimate(traj, "l2")
         assert abs(rate) < 1e-12
         assert r2 == 1.0
+
+    def test_fit_matches_polyfit_on_a_window(self):
+        # the closed-form fit against numpy's least-squares polynomial, on a
+        # noisy log-norm restricted to a window
+        traj = self._synthetic(0.735)
+        rng = np.random.default_rng(15)
+        traj.norm_da[:] *= np.exp(0.05 * rng.standard_normal(traj.times.size))
+        window = (1.0, 4.0)
+        rate, r2 = decay_rate_estimate(traj, "da", window)
+        mask = (traj.times >= window[0]) & (traj.times <= window[1])
+        t, ly = traj.times[mask], np.log(traj.norm_da[mask])
+        coef = np.polyfit(t, ly, 1)
+        want_r2 = 1.0 - np.sum((ly - np.polyval(coef, t)) ** 2) / np.sum((ly - ly.mean()) ** 2)
+        assert 0.5 < want_r2 < 0.999
+        assert abs(rate + coef[0]) < 1e-12
+        assert abs(r2 - want_r2) < 1e-12
+        rate, r2 = decay_rate_estimate(self._synthetic(0.0), "da", window)
+        assert abs(rate) < 1e-12 and r2 == 1.0
 
     def test_window_too_small(self):
         traj = self._synthetic(1.0)
