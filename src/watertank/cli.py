@@ -142,8 +142,7 @@ def load_config(path, overrides, command):
 
 # the law block's per-mode key prefixes, each a complex FeedbackLaw field written as a
 # ``<prefix>re``/``<prefix>im`` pair after ``n``: the file format of a law, in one place
-_LAW_FIELDS = {"": "table", "tau_": "tau", "h_": "singular", "mu_": "eigenvalues",
-               "b_": "i_nu_moments", "mass_": "mode_masses"}
+_LAW_FIELDS = {"": "table", "tau_": "tau", "h_": "singular", "mu_": "eigenvalues", "b_": "i_nu_moments"}
 
 
 def _law_doc(law) -> dict:
@@ -192,6 +191,8 @@ def _read_law(path, params: Params) -> FeedbackLaw:
     run: a law is only the law of the parameters it was built at. The
     synthesis regime is checked again at them; the law passed every other
     check of ``feedback_coefficients`` at those parameters when it was written.
+    Only the ``_LAW_FIELDS`` columns are read, so an older file that also
+    holds each mode's mass (``mass_re``/``mass_im``) reads as the same law.
     """
     try:
         stored = json.loads(Path(path).read_text())

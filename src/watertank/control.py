@@ -30,7 +30,6 @@ __all__ = [
     "ControlSignal",
     "control_profile",
     "plain_moments",
-    "i_moments",
     "input_gains",
     "controllability_report",
     "dual_exponentials",
@@ -47,11 +46,6 @@ def control_profile(params: Params) -> np.ndarray:
     """The interior control profile ``I = exp(int_0^x delta) (1, 1)``."""
     ew = diagonal_weight(params, uniform_grid(params))
     return np.stack([ew, ew])
-
-
-def i_moments(basis: Basis) -> np.ndarray:
-    """Coefficients ``<I, f_n>`` of the control profile on the zeta basis, from its moments."""
-    return basis.moments.profile
 
 
 def input_gains(modes: WModes):
@@ -104,7 +98,7 @@ def controllability_report(params: Params, basis: Basis, modes: WModes) -> Momen
     eigs = basis.eigenvalues
     b = plain_moments(modes.chi, grid)
     a = plain_moments(modes.psi, grid)
-    imom = i_moments(basis)
+    imom = basis.moments.profile  # <I, f_n>
     items = {}
 
     # (i) conditioning: the zeta family is orthonormal; the w family is Riesz

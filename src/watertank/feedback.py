@@ -21,10 +21,14 @@ singular part ``h_n = +tanh(mu L) f_{n,1}(0) mu_n / tau_n`` (with
 the remainder having a square-summable tail against mu_n.
 
 The law reads the basis only through its moments (``spectral.Moments``):
-``f_n(0)``, ``f_n(L)``, ``<I, f_n>``, ``<f_0, f_n>`` and the mode masses,
-which the store pass sums while it marches. So a law built from a basis
-with ``samples=False`` has the same bits as one from the full family, and
-no law path pairs samples; :func:`virtual_profile` alone reads them.
+``f_n(0)``, ``f_n(L)`` and ``<I, f_n>``, which the store pass sums while it
+marches. So a law built from a basis with ``samples=False`` has the same
+bits as one from the full family, and no law path pairs samples;
+:func:`virtual_profile` alone reads them. The rest is exact: f_0 alone
+spans the conserved mass, which the control cannot move, so every other
+mode has zero mass and ``<f_0, f_n> = delta_{n0}``. Hence
+``<I_nu, f_n> = <I, f_n> + nu delta_{n0}``, and the closed loop's mass is
+``m_0 c_0 = 0``, since ``c_0`` starts at 0 and is never driven.
 
 The physical PI law (:func:`physical_feedback`) is this table carried through
 the change of variables, which only rescales it by L/L_gamma.
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from watertank.control import control_profile, i_moments
+from watertank.control import control_profile
 from watertank.errors import NumericalError, RegimeError, UncontrollableError
 from watertank.model import Params, diagonal_weight, gamma_s_threshold, l_gamma
 from watertank.spectral import Basis, BcKind, ModeIndexed
@@ -127,8 +131,7 @@ class FeedbackLaw(ModeIndexed):
 
     The closed loop of a real state runs in the real coordinates of
     :func:`to_real`, by the one real :meth:`galerkin_matrix`; its control is
-    ``real_row(table) . r`` and its mass ``real_row(mode_masses) . r`` (mode 0
-    excluded, as the mass carries no zeta0).
+    ``real_row(table) . r``.
     """
 
     params: Params
@@ -138,7 +141,6 @@ class FeedbackLaw(ModeIndexed):
     eigenvalues: np.ndarray
     tau: np.ndarray            # tau_n = e^{int delta} f1(L)/f1(0) - 1
     singular: np.ndarray       # h_n
-    mode_masses: np.ndarray    # conserved mass of each mode's w-function (model.mode_masses)
     # (M, dt, powers) of the last closed-loop run, the powers being the transposed squares
     # (e^{M dt})^(2^j) that simulate._record doubles over; simulate.integrate_closed_loop
     # reuses them only while galerkin_matrix() still equals M; dataclasses.replace starts it empty
@@ -203,7 +205,7 @@ def feedback_coefficients(params: Params, basis: Basis) -> FeedbackLaw:
         raise ValueError("feedback_coefficients requires the conservative basis")
     synthesis_regime_check(params)
     moments = basis.moments
-    inu_m = moments.profile + params.nu * moments.zero_mode  # <I_nu, f_n> = <I, f_n> + nu <f_0, f_n>
+    inu_m = moments.profile + params.nu * (basis.n_list == 0)  # <I_nu, f_n> = <I, f_n> + nu delta_{n0}
     dead = np.abs(inu_m) < 1e-12
     if np.any(dead):
         raise UncontrollableError(
@@ -220,7 +222,6 @@ def feedback_coefficients(params: Params, basis: Basis) -> FeedbackLaw:
     return FeedbackLaw(
         params=params, n_list=basis.n_list.copy(), table=table,
         i_nu_moments=inu_m, eigenvalues=basis.eigenvalues.copy(), tau=tau, singular=h,
-        mode_masses=moments.masses.copy(),
     )
 
 
@@ -229,8 +230,8 @@ def zero_law(params: Params, basis: Basis) -> FeedbackLaw:
     zeros = np.zeros(basis.n_list.size, dtype=complex)
     return FeedbackLaw(
         params=params, n_list=basis.n_list.copy(), table=zeros,
-        i_nu_moments=i_moments(basis).copy(), eigenvalues=basis.eigenvalues.copy(),
-        tau=_tau(params, basis), singular=zeros.copy(), mode_masses=basis.moments.masses.copy(),
+        i_nu_moments=basis.moments.profile.copy(), eigenvalues=basis.eigenvalues.copy(),
+        tau=_tau(params, basis), singular=zeros.copy(),
     )
 
 

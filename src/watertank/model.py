@@ -223,16 +223,16 @@ def zeta_to_physical(params: Params, zeta):
     return h, v
 
 
-def mode_masses(params: Params, values, gauge=1.0) -> np.ndarray:
-    """The conserved mass ``int W(x)^2 (w1 - w2) dx`` of each mode's w-function ``values / gauge``.
+def mode_masses(params: Params, values) -> np.ndarray:
+    """The conserved mass ``int W(x)^2 (w1 - w2) dx`` of each mode's w-function ``values``.
 
     Mass is constant along every trajectory of the w/zeta systems, whatever
     the control (the "missing direction"); the immaterial L/L_gamma prefactor
     is dropped. It is linear, so this is one contraction of both components
-    against the weight ``simpson * W^2 / gauge``.
+    against the weight ``simpson * W^2``.
     """
     grid = uniform_grid(params)
-    q = simpson_weights(grid) * height_root_profile(params, grid) ** 2 / gauge
+    q = simpson_weights(grid) * height_root_profile(params, grid) ** 2
     return values[:, 0, :] @ q - values[:, 1, :] @ q
 
 

@@ -9,8 +9,9 @@ closed loop runs from the data of a real state, so it is recorded in real
 arithmetic: in the real coordinates ``r = feedback.to_real(y)`` of
 ``y = c + zeta0 e_0`` (the dynamic-extension scalar in mode 0), by the one
 real Galerkin matrix that ``backstepping.galerkin_spectrum`` analyses. Its
-norms, mass and control are rows of r, and its modal records are real by
-construction, ``y_{-n} = conj(y_n)`` exactly. The open-loop control is a
+norms and control are rows of r, its mass ``m_0 c_0`` is 0 by construction
+(``feedback``), and its modal records are real by construction,
+``y_{-n} = conj(y_n)`` exactly. The open-loop control is a
 sum of exponentials, which enter as extra states ``v' = diag(rates) v``
 with ``u = sum v``.
 
@@ -199,10 +200,11 @@ def integrate_closed_loop(params: Params, law: FeedbackLaw, init,
     run records the real coordinates ``r = feedback.to_real(y)`` at
     ``RECORD_INTERVALS`` equal steps of ``t_final`` by the exact real
     propagator ``P = _expm(M t_final / RECORD_INTERVALS)``, doubling over its
-    squares ``P^(2^j)``. The norms, the control ``real_row(table) . r`` and
-    the mass ``real_row(mode_masses) . r`` are taken from r; the modal
-    records follow by ``feedback.from_real``, so ``y_{-n} = conj(y_n)``
-    exactly and zeta0, the control and the mass are real, stored complex.
+    squares ``P^(2^j)``. The norms and the control ``real_row(table) . r``
+    are taken from r; the modal records follow by ``feedback.from_real``, so
+    ``y_{-n} = conj(y_n)`` exactly and zeta0 and the control are real, stored
+    complex. The mass ``m_0 c_0`` is recorded as 0: the other modes carry no
+    mass and ``c_0`` stays 0 (see ``feedback``).
     zeta0 is mode 0 of y and the coefficients are the rest. A zero-table law
     (see feedback.zero_law) yields the open-loop skew system.
 
@@ -244,13 +246,11 @@ def integrate_closed_loop(params: Params, law: FeedbackLaw, init,
     y = from_real(r)
     zeta0 = y[:, i0].copy()
     y[:, i0] = 0.0
-    masses = real_row(law.mode_masses)
-    masses[0] = 0.0  # mode 0 of r is zeta0, which carries no mass
     return Trajectory(
         times=np.linspace(0.0, t_final, RECORD_INTERVALS + 1), coeffs=y, zeta0=zeta0,
         norm_l2=np.sqrt(sq @ real_weights(np.ones(K))),
         norm_da=np.sqrt(sq @ real_weights(1.0 + np.abs(law.eigenvalues) ** 2)),
-        mass=(r @ masses).astype(complex), control=(r @ real_row(law.table)).astype(complex),
+        mass=np.zeros(len(r), dtype=complex), control=(r @ real_row(law.table)).astype(complex),
     )
 
 

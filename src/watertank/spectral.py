@@ -30,9 +30,10 @@ freeing each temporary as soon as it is used. The store pass marches the
 grid in blocks of ``_STORE_STEPS`` = 64 steps, with the ODE check's coarse
 march in lockstep beside it, and streams each block into the (K, 2, nx)
 family, if kept, and into the conservative family's per-mode sums
-(:class:`_Sums`): the moments a feedback law reads and the Gram of the
-orthonormality check. One real scale per mode then normalizes the sums and
-the family in place. So a conservative build holds its family plus a few
+(:class:`_Sums`): the norms, the ``<I, f_n>`` and ``f_n(L)`` that a feedback
+law reads, and the Gram of the orthonormality check. One real scale per
+mode then normalizes the sums and the family in place. So a conservative
+build holds its family plus a few
 blocks of scratch, or, with ``samples=False``, the scratch alone; a damped
 build holds its family and duals, and pairs them one block of mode rows at
 a time (:func:`pairings`, :func:`gram_matrix`). The search evaluates the
@@ -52,7 +53,6 @@ from watertank.model import (
     Params,
     delta,
     diagonal_weight,
-    height_root_profile,
     simpson_weights,
     uniform_grid,
 )
@@ -289,12 +289,12 @@ def _residual(params: Params, lams, seed, nsteps):
 class _Sums:
     """The sums over the grid that a conservative family's law and Gram check read, block by block.
 
-    Of the raw samples ``f`` (row ``zero`` is mode 0), with Simpson weights w:
-    ``norm2 = sum w |f_n|^2``, ``profile = sum w I conj(f_n)`` for the
-    control profile ``I = e^{int delta} (1, 1)``, ``zero_mode = sum w f_0
-    conj(f_n)``, ``masses = sum q (f_n1 - f_n2)`` with the weight ``q = w
-    W^2 / e^{int delta}`` of ``model.mode_masses`` at that gauge, the raw
-    Gram ``gram[i, j] = sum w f_i conj(f_j)``, and ``last = f(L)``. Each
+    Of the raw samples ``f``, with Simpson weights w: ``norm2 = sum w
+    |f_n|^2``, ``profile = sum w I conj(f_n)`` for the control profile ``I =
+    e^{int delta} (1, 1)``, the raw Gram ``gram[i, j] = sum w f_i
+    conj(f_j)``, and ``last = f(L)``. No mass and no ``<f_0, f_n>`` is
+    summed: for n != 0 both are 0 in exact arithmetic, since f_0 alone spans
+    the conserved mass (``feedback.feedback_coefficients``). Each
     per-mode sum is taken row by row (``np.einsum``, which calls no BLAS),
     along each block and then block after block, so it depends on its own
     mode's samples alone: the sums of a smaller family are rows of a larger
@@ -303,15 +303,12 @@ class _Sums:
     one component at a time, through one preallocated buffer.
     """
 
-    def __init__(self, params: Params, K: int, zero: int):
+    def __init__(self, params: Params, K: int):
         grid = uniform_grid(params)
-        ew = diagonal_weight(params, grid)
-        self.zero = zero
         self.w = simpson_weights(grid)
-        self.w_profile = self.w * ew
-        self.q = self.w * height_root_profile(params, grid) ** 2 / ew * np.array([[1.0], [-1.0]])  # q, -q
+        self.w_profile = self.w * diagonal_weight(params, grid)
         self.norm2, self.gram = np.zeros(K), np.zeros((K, K), dtype=complex)
-        self.profile, self.zero_mode, self.masses = np.zeros((3, K), dtype=complex)
+        self.profile = np.zeros(K, dtype=complex)
         self.last = np.empty((K, 2), dtype=complex)
         self._buf = np.empty((K, min(_STORE_STEPS + 1, params.grid_points - 1)), dtype=complex)
 
@@ -321,9 +318,7 @@ class _Sums:
         np.multiply(np.conjugate(f, out=a), self.w[nodes], out=a)  # w conj(f)
         self.gram += f @ a.T
         self.norm2 += np.einsum("ij,ij->i", f, a).real
-        self.zero_mode += np.einsum("ij,j->i", a, f[self.zero])
         self.profile += np.conj(np.einsum("ij,j->i", f, self.w_profile[nodes]))
-        self.masses += np.einsum("ij,j->i", f, self.q[comp, nodes])
         self.last[:, comp] = f[:, -1]
 
 
@@ -490,16 +485,12 @@ class Moments:
 
     ``at_0`` and ``at_L`` hold the (K, 2) boundary values f_n(0) and f_n(L);
     with the 1/(2L) product of :func:`pairings`, ``profile`` is ``<I, f_n>``
-    for the control profile ``I = e^{int delta} (1, 1)`` and ``zero_mode`` is
-    ``<f_0, f_n>``; ``masses`` is ``model.mode_masses`` of the w-functions
-    ``f_n / e^{int delta}``.
+    for the control profile ``I = e^{int delta} (1, 1)``.
     """
 
     at_0: np.ndarray
     at_L: np.ndarray
     profile: np.ndarray
-    zero_mode: np.ndarray
-    masses: np.ndarray
 
 
 @dataclass
@@ -677,7 +668,7 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True, samples=T
     eigs = find_eigenvalues(params, kind, n_list)
     conservative = kind is BcKind.CONSERVATIVE
     seed = _left_seed(kind, params)
-    sums = _Sums(params, n_list.size, N) if conservative else None  # row N is mode 0
+    sums = _Sums(params, n_list.size) if conservative else None
     bc_res, vals, ode_err = _store_pass(params, eigs, seed, samples or not conservative, sums)
     bad = n_list[~(bc_res <= np.maximum(1e-9, ode_err))]  # the grid march checks the roots; nan fails
     if bad.size:
@@ -701,11 +692,8 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True, samples=T
         gram_dev = check_identity(sums.gram / np.outer(d, d) / two_L, "orthonormality")
         if vals is not None:
             vals /= d[:, None, None]
-        moments = Moments(
-            at_0=seed / d[:, None], at_L=sums.last / d[:, None],
-            profile=sums.profile / d / two_L, zero_mode=sums.zero_mode / (d[N] * d) / two_L,
-            masses=sums.masses / d,
-        )
+        moments = Moments(at_0=seed / d[:, None], at_L=sums.last / d[:, None],
+                          profile=sums.profile / d / two_L)
     else:
         scales = np.empty(n_list.size, dtype=complex)
         for rows, refs in _reference_blocks(params, kind, n_list, grid):

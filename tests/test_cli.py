@@ -225,7 +225,7 @@ class TestBadInput:
     def test_exit2_with_one_line(self, args, named, tmp_path, capsys):
         # every law file carries the config of a run at the FAST defaults and the value
         # ``re2`` at n = 2; old_law.json only the keys written before the law block carried
-        # the eigenvalues, moments and mode masses, the others every key the reader reads
+        # the eigenvalues and moments, the others every key the reader reads
         config = {"L": 1.0, "gamma": 0.03, "mu": 2.0, "nu": 0.5, "n_modes": 4,
                   "grid_points": 257}
         every = {f"{prefix}{part}": 0.0 for prefix in cli._LAW_FIELDS for part in ("re", "im")}
@@ -425,7 +425,7 @@ class TestFeedbackCommand:
         doc = json.loads((tmp_path / "feedback.json").read_text())
         mode = doc["law"]["modes"][0]
         assert set(mode) == {"n", "re", "im", "tau_re", "tau_im", "h_re", "h_im",
-                             "mu_re", "mu_im", "b_re", "b_im", "mass_re", "mass_im"}
+                             "mu_re", "mu_im", "b_re", "b_im"}
         assert doc["physical"]["mu_internal"] == pytest.approx(2.0)
 
     def test_shooting_diagnostics(self, tmp_path):
@@ -524,6 +524,27 @@ class TestSimulateCommand:
         args = ["simulate", "--set", "gamma=0.03", "--set", "seed=3"] + FAST
         law = ["--set", f"law_file={tmp_path}/feedback.json"]
         assert run(args + law, tmp_path / "stored") == 0
+        assert run(args, tmp_path / "fresh") == 0
+        assert (tmp_path / "stored" / "trajectory.csv").read_bytes() == (
+            tmp_path / "fresh" / "trajectory.csv"
+        ).read_bytes()
+
+    def test_law_file_with_mode_masses_reads_as_the_same_law(self, tmp_path):
+        # the earlier format also held each mode's mass as ``mass_re``/``mass_im``: such a
+        # file reads as the law built afresh and runs as it, bit for bit
+        assert run(["feedback", "--set", "gamma=0.03"] + FAST, tmp_path) == 0
+        doc = json.loads((tmp_path / "feedback.json").read_text())
+        for m in doc["law"]["modes"]:
+            m.update(mass_re=2.02 if m["n"] == 0 else 1e-11, mass_im=-3e-12 * m["n"])
+        (tmp_path / "feedback.json").write_text(json.dumps(doc))
+        params = Params(gamma=0.03, n_modes=4, grid_points=257)
+        got = cli._read_law(tmp_path / "feedback.json", params)
+        want = feedback_coefficients(params, spectral.build_basis(params, spectral.BcKind.CONSERVATIVE))
+        for f in fields(FeedbackLaw):
+            if f.init and f.name != "params":
+                assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+        args = ["simulate", "--set", "gamma=0.03", "--set", "seed=3"] + FAST
+        assert run(args + ["--set", f"law_file={tmp_path}/feedback.json"], tmp_path / "stored") == 0
         assert run(args, tmp_path / "fresh") == 0
         assert (tmp_path / "stored" / "trajectory.csv").read_bytes() == (
             tmp_path / "fresh" / "trajectory.csv"

@@ -7,7 +7,6 @@ from watertank.control import (
     DualBasis,
     controllability_report,
     dual_exponentials,
-    i_moments,
     plain_moments,
     synthesize_open_loop,
 )
@@ -103,7 +102,7 @@ class TestControllabilityReport:
 
     def test_profile_orthogonal_to_zero_mode(self, p_std, basis_cache):
         basis = basis_cache(p_std, BcKind.CONSERVATIVE, 20)
-        imom = i_moments(basis)
+        imom = basis.moments.profile
         assert abs(imom[basis.index(0)]) < 1e-8
 
 

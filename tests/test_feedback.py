@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from watertank.acceptance import P_LOOP, P_STD
 from watertank.control import control_profile
 from watertank.errors import NumericalError, RegimeError, UncontrollableError
 from watertank.feedback import (
@@ -20,6 +21,7 @@ from watertank.feedback import (
 from watertank.model import (
     Params,
     diagonal_weight,
+    height_root_profile,
     l_gamma,
     mode_masses,
     simpson_weights,
@@ -180,7 +182,7 @@ class TestRealGalerkinMatrix:
         law, _ = law_std
         y = self.real_state(2, 20)
         r = to_real(y)
-        for v in (law.table, law.mode_masses):
+        for v in (law.table, law.i_nu_moments):
             want = complex(v @ y)
             assert abs(real_row(v) @ r - want.real) <= 1e-13 * np.sum(np.abs(v * y))
         w = 1.0 + np.abs(law.eigenvalues) ** 2
@@ -237,6 +239,23 @@ class TestSingularSplit:
         t = np.abs(law.tau)
         assert float(t.min()) > 1e-3  # even modes scale like gamma
         assert float(t.max()) < 3.0
+
+    @pytest.mark.parametrize("tau, refused", [(0.99e-6, True), (1.01e-6, False)])
+    def test_tau_floor(self, tau, refused, law_std):
+        # tau_n = tau at n = +-3, set through f_n(L): refused just below 1e-6, naming both modes
+        law, basis = law_std
+        p = law.params
+        at_L = basis.moments.at_L.copy()
+        rows = [basis.index(-3), basis.index(3)]
+        ew_L = diagonal_weight(p, np.array([p.L]))[0]
+        at_L[rows, 0] = (1.0 + tau) * basis.moments.at_0[rows, 0] / ew_L
+        edited = dataclasses.replace(basis, moments=dataclasses.replace(basis.moments, at_L=at_L))
+        if refused:
+            with pytest.raises(RegimeError, match=r"\|tau_n\| below 1e-6 at n in \[-3, 3\]"):
+                feedback_coefficients(p, edited)
+        else:
+            got = feedback_coefficients(p, edited).tau[rows]
+            assert np.allclose(got, tau, rtol=1e-8, atol=0.0)
 
     def test_gamma0_tau_pattern(self, p_gamma0, basis_cache):
         basis = basis_cache(p_gamma0, BcKind.CONSERVATIVE, 6)
@@ -334,12 +353,36 @@ class TestStreamedMoments:
         def close(got, want):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-        close(m.profile + p.nu * m.zero_mode, pairings(virtual_profile(p, basis), basis.values, basis.grid))
         close(m.profile, pairings(control_profile(p), basis.values, basis.grid))
-        close(m.zero_mode, pairings(basis.values[basis.index(0)], basis.values, basis.grid))
-        close(m.masses, mode_masses(p, basis.values, diagonal_weight(p, basis.grid)))
         assert np.array_equal(m.at_0, basis.values[:, :, 0])
         assert np.array_equal(m.at_L, basis.values[:, :, -1])
+
+    # the points, and the largest |m(f_n)| and |<f_0, f_n>| over n != 0 allowed there: five
+    # times the measured 1.4e-11 and 6.9e-12 (N=4/nx=257), 2.3e-13 and 1.1e-13 (P_STD),
+    # and 4.0e-14 and 2.0e-14 (P_LOOP), rounded up
+    IDENTITY_POINTS = [(Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=4, grid_points=257), 7e-11, 3.5e-11),
+                       (P_STD, 1.2e-12, 6e-13), (P_LOOP, 2e-13, 1e-13)]
+
+    @pytest.mark.parametrize("p, mass_bound, pair_bound", IDENTITY_POINTS, ids=["N4", "P_STD", "P_LOOP"])
+    def test_the_identities_the_law_takes_as_exact(self, p, mass_bound, pair_bound, basis_cache):
+        # f_0 alone spans the conserved mass: for n != 0 the mass of f_n and <f_0, f_n> are 0,
+        # so the law takes <I_nu, f_n> = <I, f_n> + nu delta_n0; quadratures of the samples
+        basis = basis_cache(p, BcKind.CONSERVATIVE, p.n_modes)
+        N, nz = basis.index(0), basis.n_list != 0
+        masses = mode_masses(p, basis.values / diagonal_weight(p, basis.grid))
+        pairs = pairings(basis.values[N], basis.values, basis.grid)
+        assert np.max(np.abs(masses[nz])) <= mass_bound
+        assert np.max(np.abs(pairs[nz])) <= pair_bound
+        # f_0 = sqrt(W) (1, -1) / sqrt(int W / L), so m(f_0) = 2 W(0)^(3/2) sqrt(L int W),
+        # with W linear; Simpson's rule on the smooth samples has it to 1e-9
+        W0, WL = height_root_profile(p, np.array([0.0, p.L]))
+        assert masses[N] == pytest.approx(2.0 * W0**1.5 * math.sqrt(p.L * p.L * (W0 + WL) / 2.0), rel=1e-9)
+        assert pairs[N] == pytest.approx(1.0, rel=1e-14)
+        assert basis.moments.profile[N] == 0.0
+        want = pairings(virtual_profile(p, basis), basis.values, basis.grid)
+        law = feedback_coefficients(p, basis)
+        err = np.max(np.abs(law.i_nu_moments - want))
+        assert err <= abs(p.nu) * pair_bound + 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("p", MOMENT_POINTS, ids=["N41", "N8"])
     def test_a_law_without_samples_is_the_law_with_them(self, p):

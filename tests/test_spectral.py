@@ -251,12 +251,12 @@ class TestMarch:
             assert got[1].flags.c_contiguous
             # without samples, and with the sums taken, the residuals keep their bits; the
             # sums are the same whether or not the samples are kept
-            sums = [spectral._Sums(p, lams.size, 6) for _ in range(2)]
+            sums = [spectral._Sums(p, lams.size) for _ in range(2)]
             kept, lean = _store_pass(p, lams, seed, True, sums[0]), _store_pass(p, lams, seed, False, sums[1])
             assert lean[1] is None and np.array_equal(kept[1], want[1])
             for a in (kept, lean):
                 assert np.array_equal(a[0], want[0]) and np.array_equal(a[2], want[2]), nx
-            for name in ("norm2", "gram", "profile", "zero_mode", "masses", "last"):
+            for name in ("norm2", "gram", "profile", "last"):
                 assert np.array_equal(getattr(sums[0], name), getattr(sums[1], name)), (nx, name)
 
     def test_lyapunov_weight_is_one_piece_march(self):
@@ -537,7 +537,7 @@ class TestBuildBasis:
             a, b = getattr(small, name), getattr(big, name)
             assert (a is None and b is None) or np.array_equal(a, b[rows]), name
         assert (small.moments is None) == (big.moments is None) == (kind is BcKind.DAMPED)
-        for name in ("at_0", "at_L", "profile", "zero_mode", "masses") if small.moments else ():
+        for name in ("at_0", "at_L", "profile") if small.moments else ():
             assert np.array_equal(getattr(small.moments, name), getattr(big.moments, name)[rows]), name
 
     @pytest.mark.parametrize("build", ["conservative", "damped", "w_modes"])
