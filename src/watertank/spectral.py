@@ -25,18 +25,22 @@ the Lyapunov weight of ``simulate.lyapunov_certificate`` at a real parameter
 too, streams through :func:`shoot` one block of steps at a time.
 
 Memory: a march computes once what no block's step table depends on and
-builds its tables ``_BLOCK_STEPS`` = 128 steps at a time (:func:`step_tables`),
-freeing each temporary as soon as it is used. The store pass marches the
-grid in blocks of ``_STORE_STEPS`` = 64 steps, with the ODE check's coarse
-march in lockstep beside it, and streams each block into the (K, 2, nx)
+builds its tables one block of steps at a time (:func:`step_tables`),
+freeing each temporary as soon as it is used. The block layout is data the
+caller chooses (:func:`shoot`), by default ``_BLOCK_STEPS`` = 128 steps. The
+store pass lays the ODE check's coarse march out in blocks of
+``_STORE_STEPS / 2`` = 32 steps and marches the grid on that layout doubled
+(:func:`_store_blocks`), so on every grid each coarse block holds the even
+nodes of one fine block. It streams each fine block into the (K, 2, nx)
 family, if kept, and into the conservative family's per-mode sums
 (:class:`_Sums`): the norms, the ``<I, f_n>`` and ``f_n(L)`` that a feedback
 law reads, and the Gram of the orthonormality check. One real scale per
 mode then normalizes the sums and the family in place. So a conservative
-build holds its family plus a few
-blocks of scratch, or, with ``samples=False``, the scratch alone; a damped
-build holds its family and duals, and pairs them one block of mode rows at
-a time (:func:`pairings`, :func:`gram_matrix`). The search evaluates the
+build holds its family plus a few blocks of scratch, each sized from the
+layout it serves, or, with ``samples=False``, the scratch alone; a damped
+build holds its family and duals, and pairs them, and the reference modes
+that scale them, one block of mode rows at a time (:func:`pairings`,
+:func:`gram_matrix`, :func:`reference_mode`). The search evaluates the
 secant's two seed columns in two marches, not one twice as wide.
 """
 
@@ -104,8 +108,8 @@ def unperturbed_eigenvalues(kind: BcKind, params: Params, n_list) -> np.ndarray:
 
 
 _SEARCH_STEPS = 64  # Magnus steps of the coarse search march; the fine one takes twice as many
-_BLOCK_STEPS = 128  # Magnus steps per step table, which bounds its memory at any step count
-_STORE_STEPS = 64  # grid steps per block of the store pass, which bounds its scratch (coarse march: half)
+_BLOCK_STEPS = 128  # Magnus steps per block of a march's default layout: bounds its memory at any step count
+_STORE_STEPS = 64  # grid steps per block of the store pass, which bounds its scratch (the last block: up to 2 more)
 _SECANT_TOL = 1e-10  # secant step below which an eigenvalue counts as converged
 
 
@@ -172,7 +176,7 @@ def _cosh_sinhc(q, terms):
     return ch, sinhc
 
 
-def step_tables(c, lams, h, steps):
+def step_tables(c, lams, h, blocks):
     """Filon–Magnus step matrices of ``g' = [[0, c e^{-2 lam x}], [c e^{2 lam x}, 0]] g``, block by block.
 
     ``c`` is sampled at the step ends and midpoints of a whole march (2S + 1
@@ -190,12 +194,12 @@ def step_tables(c, lams, h, steps):
     k mod _BLOCK_STEPS``, ``i = k // _BLOCK_STEPS`` is E, and the series terms
     of :func:`_cosh_sinhc`, from a bound on |s^2| over the march. Per block,
     row by row: the products ``A m-/+`` and what follows from them. So a row
-    depends only on its step, and a table equals its blocks bit for bit (a
-    lone last step joins the block before it, :func:`_row_blocks`).
+    depends only on its step, and a table equals its blocks bit for bit in
+    any layout ``blocks``: slices of :func:`_row_blocks` over the S steps.
 
-    Yields ``(rows, P)`` per block of ``steps`` steps, ``P`` of shape (rows,
-    2, 2, K) in one reused buffer: ``P[k, 0]`` holds the diagonal ``(P11,
-    P22)`` of step k, ``P[k, 1]`` the off-diagonal ``(P12, P21)``.
+    Yields ``(rows, P)`` per block, ``P`` of shape (rows, 2, 2, K) in one
+    buffer as long as the longest block: ``P[k, 0]`` holds the diagonal
+    ``(P11, P22)`` of step k, ``P[k, 1]`` the off-diagonal ``(P12, P21)``.
     """
     lams = np.asarray(lams, dtype=complex)
     c = np.asarray(c, dtype=float)
@@ -210,10 +214,9 @@ def step_tables(c, lams, h, steps):
     nsteps = len(cm)
     e_local = np.exp(2.0 * h * np.outer(np.arange(min(_BLOCK_STEPS, nsteps)), lams))
     e_offset = np.exp(2.0 * h * np.outer(np.arange(0, nsteps, _BLOCK_STEPS), lams))
-    blocks = _row_blocks(nsteps, steps)
     # one table buffer for the march: a table allocated anew for each block lets the
     # allocator hand its pages back to the system and fault them in again for the next
-    out = np.empty((max(b.stop - b.start for b in blocks), 2, 2, lams.size), dtype=complex)
+    out = np.empty((_longest(blocks), 2, 2, lams.size), dtype=complex)
     for rows in blocks:
         P = out[:rows.stop - rows.start]
         # real (rows, 3) @ (3, 2K) products on the views of m as reals: the complex product, entry for entry
@@ -254,26 +257,27 @@ def march(P, g, out):
     return out
 
 
-def shoot(params: Params, lams, seed, nsteps, block_steps=_BLOCK_STEPS):
+def shoot(params: Params, lams, seed, nsteps, blocks=None):
     """March the modulated system over [0, L] from ``seed`` in ``nsteps`` Filon–Magnus steps.
 
     One march per entry of ``lams``, all from the left boundary values ``seed``
-    (a 2-vector). Yields ``(s0, s1, states)`` per block of ``block_steps``
-    steps (a lone last step joins the block before it), ``states`` the
-    node-major (s1 - s0, 2, K) states after steps s0 + 1..s1. What no block's
-    step table depends on is computed once per march (:func:`step_tables`), so
-    the states do not depend on ``block_steps``. Every block reuses one
-    step-table buffer and one state block, so a caller may change a block in
-    place but must copy what it keeps past the next block.
+    (a 2-vector). Yields ``(s0, s1, states)`` per block of the layout
+    ``blocks`` (:func:`step_tables`; by default ``_row_blocks(nsteps,
+    _BLOCK_STEPS)``), ``states`` the node-major (s1 - s0, 2, K) states after
+    steps s0 + 1..s1. What no block's step table depends on is computed once
+    per march, so the states do not depend on the layout. Every block reuses
+    one step-table buffer and one state block, each as long as the longest
+    block, so a caller may change a block in place but must copy what it
+    keeps past the next block.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     xs = np.linspace(0.0, params.L, 2 * nsteps + 1)  # step ends and midpoints
     c = -np.asarray(delta(params, xs)) / 3.0
     del xs
-    # node-major: a step writes one row; a lone last step makes the last block one row longer
-    block = np.empty((min(block_steps + 1, nsteps), 2, lams.size), dtype=complex)
+    blocks = _row_blocks(nsteps, _BLOCK_STEPS) if blocks is None else blocks
+    block = np.empty((_longest(blocks), 2, lams.size), dtype=complex)  # node-major: a step writes one row
     g = np.tile(np.asarray(seed, dtype=complex)[:, None], lams.size)  # (2, K)
-    for rows, P in step_tables(c, lams, params.L / nsteps, block_steps):
+    for rows, P in step_tables(c, lams, params.L / nsteps, blocks):
         states = march(P, g, block[:len(P)])
         g = states[-1].copy()
         yield rows.start, rows.stop, states
@@ -300,7 +304,7 @@ class _Sums:
     mode's samples alone: the sums of a smaller family are rows of a larger
     one's, and conjugate modes have conjugate sums. Only the Gram, which the
     orthonormality check alone reads, is a BLAS product. A block is added
-    one component at a time, through one preallocated buffer.
+    one component at a time, through one buffer sized from the store layout.
     """
 
     def __init__(self, params: Params, K: int):
@@ -310,7 +314,7 @@ class _Sums:
         self.norm2, self.gram = np.zeros(K), np.zeros((K, K), dtype=complex)
         self.profile = np.zeros(K, dtype=complex)
         self.last = np.empty((K, 2), dtype=complex)
-        self._buf = np.empty((K, min(_STORE_STEPS + 1, params.grid_points - 1)), dtype=complex)
+        self._buf = np.empty((K, _longest(_store_blocks(params.grid_points - 1)[1])), dtype=complex)
 
     def add(self, nodes: slice, comp: int, f):
         """Add the samples ``f``, (K, r), of component ``comp`` at ``grid[nodes]``."""
@@ -322,66 +326,65 @@ class _Sums:
         self.last[:, comp] = f[:, -1]
 
 
+def _store_blocks(nsteps):
+    """The store pass's layouts: the coarse march's and the fine march's, that one doubled.
+
+    So on every grid fine block k's even nodes are coarse block k's. Where the
+    coarse march's lone last step joins the block before it (``nsteps`` 2 mod
+    64), the last fine block is ``_STORE_STEPS + 2`` steps long.
+    """
+    coarse = _row_blocks(nsteps // 2, _STORE_STEPS // 2)
+    return coarse, [slice(2 * b.start, 2 * b.stop) for b in coarse]
+
+
 def _store_pass(params: Params, lams, seed, samples=True, sums=None):
     """Sample the eigenfunctions at ``lams`` on the params grid, one march step per cell.
 
     Returns the boundary residuals ``|f1(L) + f2(L)| / max |f|``, the (K, 2, nx)
     samples (None unless ``samples``) and the ODE error ``max |f - f_coarse| /
     max |f|`` on the even grid nodes, against the march at two cells per step.
-    The fine march goes in blocks of ``_STORE_STEPS`` steps and the coarse
-    one beside it in blocks of half as many, whose nodes are the even nodes of
-    one fine block; a lone last coarse step joins the block before it, and
-    its row waits, in the coarse march's own block, for the next fine block.
-    Each block :func:`shoot` yields is turned in place into f variables, ``f1
-    = e^{lam x} g1`` and ``f2 = e^{-lam x} g2`` (a coarse block reuses the
-    factors of the fine block whose even nodes it covers). A fine block is
-    copied mode-major into the samples, if kept, and added to ``sums`` (a
-    :class:`_Sums`), if given, one component at a time. So the pass holds
-    the samples, if kept, and one block of each march, never a whole march.
+    The two marches go block beside block on the layouts of
+    :func:`_store_blocks`, so each coarse block holds the even nodes of its
+    fine block and the check is one subtraction per block. Each block
+    :func:`shoot` yields is turned in place into f variables, ``f1 = e^{lam
+    x} g1`` and ``f2 = e^{-lam x} g2`` (the coarse block with the factors of
+    its fine block's even rows). Each component of a fine block is copied
+    mode-major into one buffer, from which the samples, if kept, and
+    ``sums`` (a :class:`_Sums`), if given, read it. So the pass holds the
+    samples, if kept, and one block of each march, never a whole march.
     """
     nsteps = params.grid_points - 1
     grid = uniform_grid(params)
     K = lams.size
     seed = np.asarray(seed, dtype=complex)
+    coarse_blocks, fine_blocks = _store_blocks(nsteps)
     vals = np.empty((K, 2, nsteps + 1), dtype=complex) if samples else None
-    buf = None if samples else np.empty((K, min(_STORE_STEPS + 1, nsteps)), dtype=complex)
+    buf = np.empty((K, _longest(fine_blocks)), dtype=complex)
 
-    def to_f(states, E):  # in place, with E = e^{lam x} at the rows' nodes
-        states[:, 0] *= E
-        states[:, 1] /= E
-
-    def store(nodes, states):  # mode-major, into the samples and the sums
-        if samples:
-            vals[:, :, nodes] = states.transpose(2, 1, 0)
-        for comp in range(2 if sums else 0):
+    def store(nodes, states):  # each component mode-major through buf, into the samples and the sums
+        for comp in range(2):
+            f = buf[:, :len(states)]
+            f[...] = states[:, comp].T
             if samples:
-                f = vals[:, comp, nodes]
-            else:
-                f = buf[:, :len(states)]
-                f[...] = states[:, comp].T
-            sums.add(nodes, comp, f)
+                vals[:, comp, nodes] = f
+            if sums:
+                sums.add(nodes, comp, f)
 
     first = np.tile(seed[:, None], (1, 1, K))  # node-major: f = g at x = 0
     store(slice(0, 1), first)
     scale = np.max(np.abs(first), axis=(0, 1))
     ode_err = np.zeros(K)
-    coarse = shoot(params, lams, seed, nsteps // 2, _STORE_STEPS // 2)
-    waiting = first[:0]  # coarse rows, in f variables, that no fine block has reached yet
-    for s0, s1, states in shoot(params, lams, seed, nsteps, _STORE_STEPS):
+    marches = zip(shoot(params, lams, seed, nsteps, fine_blocks),
+                  shoot(params, lams, seed, nsteps // 2, coarse_blocks))
+    for (s0, s1, states), (_, _, half) in marches:
         E = np.exp(np.outer(grid[s0 + 1:s1 + 1], lams))
-        to_f(states, E)
+        for g, e in ((states, E), (half, E[1::2])):  # rows 1, 3, ... sit at the even nodes s0 + 2, ..., s1
+            g[:, 0] *= e
+            g[:, 1] /= e
         scale = np.maximum(scale, np.max(np.abs(states), axis=(0, 1)))
         store(slice(s0 + 1, s1 + 1), states)
-        even = states[1::2]  # s0 is even: rows 1, 3, ... sit at the even nodes s0 + 2, ..., s1
-        while len(even):
-            if not len(waiting):  # only now may the coarse march overwrite its block
-                c0, c1, waiting = next(coarse)
-                level = (2 * c0, 2 * c1) == (s0, s1)  # its nodes are this fine block's even ones
-                to_f(waiting, E[1::2] if level else np.exp(np.outer(grid[2 * c0 + 2:2 * c1 + 1:2], lams)))
-            m = min(len(even), len(waiting))
-            diff = np.abs(np.subtract(waiting[:m], even[:m], out=waiting[:m]))
-            ode_err = np.maximum(ode_err, np.max(diff, axis=(0, 1)))
-            even, waiting = even[m:], waiting[m:]
+        diff = np.abs(np.subtract(half, states[1::2], out=half))
+        ode_err = np.maximum(ode_err, np.max(diff, axis=(0, 1)))
     return np.abs(states[-1, 0] + states[-1, 1]) / scale, vals, ode_err / scale
 
 
@@ -552,6 +555,11 @@ def _row_blocks(K, size=_MODE_ROWS):
     return [slice(s0, s1) for s0, s1 in zip(starts, starts[1:] + [K])]
 
 
+def _longest(blocks):
+    """Rows of the longest block of a layout: what a buffer that serves each block in turn holds."""
+    return max(b.stop - b.start for b in blocks)
+
+
 def _check_grid(a_values, b_values, grid):
     if a_values.shape[-2:] != (2, grid.size) or b_values.shape[-2:] != (2, grid.size):
         raise GridMismatchError("paired functions must be (..., 2, nx) arrays on the grid")
@@ -570,7 +578,7 @@ def gram_matrix(a_values, b_values, grid):
     w = simpson_weights(grid)
     G = np.empty((len(a_values), len(b_values)), dtype=complex)
     blocks = _row_blocks(len(a_values), _GRAM_ROWS)
-    buf = np.empty((max(i.stop - i.start for i in blocks), grid.size), dtype=complex)
+    buf = np.empty((_longest(blocks), grid.size), dtype=complex)
     for i in blocks:
         caw = buf[: i.stop - i.start]
         for c in (0, 1):
@@ -605,21 +613,21 @@ def pairings(a_values, b_values, grid, conjugate=True):
     return out / (2.0 * grid[-1])
 
 
-def reference_mode(params: Params, kind: BcKind, n: int, grid=None) -> np.ndarray:
-    """Unperturbed (gamma = 0) eigenfunctions in closed form.
+def reference_mode(params: Params, kind: BcKind, n, grid=None) -> np.ndarray:
+    """Unperturbed (gamma = 0) eigenfunctions in closed form, (2, nx) for one ``n``, (k, 2, nx) for k of them.
 
     Conservative: ``(e^{i pi n x/L}, -e^{-i pi n x/L})``. Damped: the
-    boundary-damped exponential pair with rate ``mu + i pi n/L``.
+    boundary-damped exponential pair with rate ``mu + i pi n/L``. Each entry
+    is computed on its own, so the rows for an array of n are the single
+    calls' bit for bit.
     """
-    if grid is None:
-        grid = uniform_grid(params)
-    x = grid
+    x = uniform_grid(params) if grid is None else grid
     L = params.L
     if kind is BcKind.CONSERVATIVE:
-        up = np.exp(1j * math.pi * n * x / L)
-        return np.stack([up, -1.0 / up])
+        up = np.exp(np.multiply.outer(1j * math.pi * n, x) / L)
+        return np.stack([up, -1.0 / up], axis=-2)
     rate = params.mu + 1j * math.pi * n / L
-    return np.stack([np.exp(rate * x), -np.exp(rate * (2 * L - x))])
+    return np.stack([np.exp(np.multiply.outer(rate, x)), -np.exp(np.multiply.outer(rate, 2 * L - x))], -2)
 
 
 def adjoint_values(params: Params, values):
@@ -634,13 +642,6 @@ def adjoint_values(params: Params, values):
     """
     out = np.conj(values[..., ::-1, :])
     return np.multiply(reflection(BcKind.DAMPED, params), out, out=out)
-
-
-def _reference_blocks(params: Params, kind: BcKind, n_list, grid):
-    """Yields ``(rows, refs)`` per :func:`_row_blocks` block of ``n_list``: the block's
-    :func:`reference_mode` samples, so no build holds a whole reference family."""
-    for rows in _row_blocks(n_list.size):
-        yield rows, np.stack([reference_mode(params, kind, n, grid) for n in n_list[rows]])
 
 
 def build_basis(params: Params, kind: BcKind, N=None, with_duals=True, samples=True) -> Basis:
@@ -696,8 +697,9 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True, samples=T
                           profile=sums.profile / d / two_L)
     else:
         scales = np.empty(n_list.size, dtype=complex)
-        for rows, refs in _reference_blocks(params, kind, n_list, grid):
-            scales[rows] = pairings(vals[rows], adjoint_values(params, refs), grid)
+        for rows in _row_blocks(n_list.size):  # one block of reference modes at a time
+            refs = adjoint_values(params, reference_mode(params, kind, n_list[rows], grid))
+            scales[rows] = pairings(vals[rows], refs, grid)
         vals /= scales[:, None, None]
         if with_duals:
             dual_values = adjoint_values(params, vals)
@@ -744,7 +746,8 @@ def w_modes(params: Params, basis: Basis) -> WModes:
     # Kato scales, taken before either family is rescaled in place:
     # <psi, psi_n^(0)> sesquilinear = <psi, chi_n^(0)> bilinear
     psi_scale, chi_scale = np.empty((2, basis.n_list.size), dtype=complex)
-    for rows, refs in _reference_blocks(params, BcKind.CONSERVATIVE, basis.n_list, grid):
+    for rows in _row_blocks(basis.n_list.size):
+        refs = reference_mode(params, BcKind.CONSERVATIVE, basis.n_list[rows], grid)
         psi_scale[rows] = pairings(psi[rows], refs, grid)
         chi_scale[rows] = pairings(chi[rows], refs, grid, conjugate=False)
     psi /= psi_scale[:, None, None]

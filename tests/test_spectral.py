@@ -164,7 +164,7 @@ def magnus_two_arrays(P, seed):
 def whole_table(params: Params, lams, nsteps):
     """The step table of an ``nsteps`` march over [0, L], built in one piece: one block of all its steps."""
     xs = np.linspace(0.0, params.L, 2 * nsteps + 1)
-    (rows, P), = step_tables(-np.asarray(delta(params, xs)) / 3.0, lams, params.L / nsteps, nsteps)
+    (rows, P), = step_tables(-np.asarray(delta(params, xs)) / 3.0, lams, params.L / nsteps, [slice(0, nsteps)])
     assert rows == slice(0, nsteps)
     return P
 
@@ -232,13 +232,32 @@ class TestMarch:
         assert (s0, s1) == (spectral._BLOCK_STEPS, n)
         assert np.array_equal(states[-1], np.stack([g1, g2]))
 
+    def test_store_layouts(self):
+        # on every grid the fine layout is the coarse one doubled, so fine block k's even
+        # nodes are coarse block k's; each covers its steps once, in order, none in a
+        # one-row block, and the longest fine block fits the store pass's buffers
+        for nx in range(17, 8194, 2):
+            nsteps = nx - 1
+            coarse, fine = spectral._store_blocks(nsteps)
+            assert [(2 * b.start, 2 * b.stop) for b in coarse] == [(b.start, b.stop) for b in fine]
+            for blocks, steps in ((coarse, nsteps // 2), (fine, nsteps)):
+                assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+                assert blocks[-1].stop == steps
+                assert min(b.stop - b.start for b in blocks) > 1
+            merged = nsteps % spectral._STORE_STEPS == 2  # the coarse march's lone last step
+            assert spectral._longest(fine) == min(nsteps, spectral._STORE_STEPS + (2 if merged else 0))
+        for nx in (17, 67, 131, 257, 1283):
+            _, fine = spectral._store_blocks(nx - 1)
+            sums = spectral._Sums(Params(gamma=0.05, grid_points=nx), 3)
+            assert sums._buf.shape == (3, spectral._longest(fine))
+
     @pytest.mark.parametrize("kind", list(BcKind))
     def test_streamed_store_pass_matches_node_major(self, kind):
-        # fine blocks of _STORE_STEPS = 64 steps, coarse ones of 32 beside them. At nx = 257
-        # each coarse block covers one fine block's even nodes; at nx = 131 (2 x 64 + 2 fine
-        # steps) and 1283 (20 x 64 + 2) the coarse march's lone last step joins the block
-        # before it, and its row waits for the fine march's last, 2-step block
-        for nx in (131, 257, 1283):
+        # coarse blocks of _STORE_STEPS / 2 = 32 steps, and the fine march on that layout
+        # doubled. At nx = 67 (64 + 2 fine steps), 131 (2 x 64 + 2) and 1283 (20 x 64 + 2)
+        # the coarse march's lone last step joins the block before it, so the last fine
+        # block is 66 steps long; at nx = 257 every block is whole
+        for nx in (67, 131, 257, 1283):
             p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=6, grid_points=nx)
             nsteps = p.grid_points - 1
             assert nsteps % spectral._STORE_STEPS == (0 if nx == 257 else 2)
@@ -426,8 +445,8 @@ class TestFindEigenvalues:
         steps = []
         real = spectral.step_tables
 
-        def counted(c, lams, h, block_steps):
-            for rows, P in real(c, lams, h, block_steps):
+        def counted(c, lams, h, blocks):
+            for rows, P in real(c, lams, h, blocks):
                 steps.append((len(P), round(1.0 / h)))
                 yield rows, P
 
@@ -645,6 +664,15 @@ class TestBuildBasis:
         G = gram_matrix(basis.values, basis.values, basis.grid)
         assert np.max(np.abs(G - np.eye(21))) < 1e-6
 
+    def test_biorthonormality_bound_refuses_just_past_it(self):
+        # at nx = 67 the damped family's cross-Gram deviates by 3.83e-6 at gamma 0.02, mu 3.2
+        # and by 8.4e-7 at gamma 0.05, mu 2: the 1e-6 bound refuses the one, takes the other
+        p = Params(gamma=0.02, mu=3.2, nu=0.5, n_modes=10, grid_points=67)
+        with pytest.raises(NumericalError, match=r"biorthonormality failure at \(10, -10\): 3\.83e-06"):
+            build_basis(p, BcKind.DAMPED)
+        basis = build_basis(Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=10, grid_points=67), BcKind.DAMPED)
+        assert 5e-7 < basis.gram_deviation < 1e-6
+
     def test_damped_biorthonormal(self, p_std, basis_cache):
         basis = basis_cache(p_std, BcKind.DAMPED, 10)
         G = gram_matrix(basis.values, basis.dual_values, basis.grid)
@@ -720,6 +748,15 @@ class TestBuildBasis:
         bd = basis_cache(p_std, BcKind.DAMPED, 10)
         phi0 = np.abs(bd.dual_values[:, 0, 0])
         assert 0.5 < phi0.min() <= phi0.max() < 2.0
+
+    @pytest.mark.parametrize("kind", list(BcKind))
+    def test_reference_modes_of_an_array_of_n(self, kind, p_std):
+        # one call on an array of n gives the rows of the single calls bit for bit
+        n_list = np.arange(-9, 10)
+        refs = reference_mode(p_std, kind, n_list)
+        assert refs.shape == (n_list.size, 2, p_std.grid_points)
+        assert np.array_equal(refs, np.stack([reference_mode(p_std, kind, int(n)) for n in n_list]))
+        assert np.array_equal(refs[3:11], reference_mode(p_std, kind, n_list[3:11], uniform_grid(p_std)))
 
     def test_reference_norm_convention(self, p_gamma0):
         # ||f~_n^(0)||^2 = (e^{4 mu L}-1)/(4 mu L) under the 1/(2L) product;
