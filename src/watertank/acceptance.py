@@ -123,11 +123,9 @@ def _law(params: Params, N: int):
     one is there, and otherwise builds one with ``samples=False``, which
     never enters the memo.
     """
-    key = (params, FeedbackLaw, N)
+    key, kind = (params, FeedbackLaw, N), BcKind.CONSERVATIVE
     if key not in _memo:
-        basis = _memo.get((params, BcKind.CONSERVATIVE, N))
-        if basis is None:
-            basis = build_basis(params, BcKind.CONSERVATIVE, N, samples=False)
+        basis = _memo.get((params, kind, N)) or build_basis(params, kind, N, samples=False)
         _memo[key] = feedback_coefficients(params, basis)
     return _memo[key]
 

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from watertank import acceptance
 from watertank.backstepping import closed_loop_spectrum, target_distances
 from watertank.control import controllability_report
 from watertank.errors import (
@@ -39,7 +38,6 @@ from watertank.feedback import (
     synthesis_regime_check,
     zero_law,
 )
-from watertank.finite_dim import placement_mismatch, random_backstep_pairs
 from watertank.model import LAW_KEYS, Params, gamma_s_threshold
 from watertank.simulate import (
     decay_rate_estimate,
@@ -427,6 +425,8 @@ def cmd_steer(cfg, params):
 
 
 def cmd_finite_demo(cfg, params):
+    from watertank.finite_dim import placement_mismatch, random_backstep_pairs  # no other command reads it
+
     count = cfg.get("count", 25)
     dim_max = cfg.get("dim_max", 6)
     if count < 1:
@@ -452,6 +452,8 @@ def cmd_finite_demo(cfg, params):
 
 
 def cmd_report(cfg, params):
+    from watertank import acceptance  # no other command reads it
+
     wanted = cfg.get("criteria")
     if wanted is not None:
         unknown = sorted(set(wanted) - set(acceptance.CRITERIA))

@@ -17,13 +17,15 @@ eigenvalues, and the TB = B partial sums converge to the identity.)
 
 The table grows linearly in n and is unbounded as a functional; its
 singular part ``h_n = +tanh(mu L) f_{n,1}(0) mu_n / tau_n`` (with
-``tau_n = e^{int delta} f_{n,1}(L)/f_{n,1}(0) - 1``) captures the growth,
-the remainder having a square-summable tail against mu_n.
+``tau_n = e^{int delta} f_{n,1}(L)/f_{n,1}(0) - 1``) captures the growth.
+Off mode 0 the table equals ``h_n``: that is the control-moment identity
+``<I, f_n> = -f_{n,1}(0) tau_n / (L mu_n)``.
 
 The law reads the basis only through its moments (``spectral.Moments``):
-``f_n(0)``, ``f_n(L)`` and ``<I, f_n>``, which the store pass sums while it
-marches. So a law built from a basis with ``samples=False`` has the same
-bits as one from the full family, and no law path pairs samples;
+``f_n(0)``, ``f_n(L)`` and ``<I, f_n>``, which ``spectral.build_basis``
+takes from the roots by boundary identities on either build path, with no
+march over the grid. So a law built from a basis with ``samples=False`` has
+the same bits as one from the full family, and no law path pairs samples;
 :func:`virtual_profile` alone reads them. The rest is exact: f_0 alone
 spans the conserved mass, which the control cannot move, so every other
 mode has zero mass and ``<f_0, f_n> = delta_{n0}``. Hence
@@ -43,7 +45,7 @@ import numpy as np
 
 from watertank.control import control_profile
 from watertank.errors import NumericalError, RegimeError, UncontrollableError
-from watertank.model import Params, diagonal_weight, gamma_s_threshold, l_gamma
+from watertank.model import Params, gamma_s_threshold, l_gamma
 from watertank.spectral import Basis, BcKind, ModeIndexed
 
 __all__ = [
@@ -188,12 +190,6 @@ class FeedbackLaw(ModeIndexed):
         return float(np.min(g)), float(np.max(g))
 
 
-def _tau(params: Params, basis: Basis) -> np.ndarray:
-    """``tau_n = e^{int delta} f_{n,1}(L) / f_{n,1}(0) - 1``."""
-    ew_L = float(diagonal_weight(params, np.array([params.L]))[0])
-    return ew_L * basis.moments.at_L[:, 0] / basis.moments.at_0[:, 0] - 1.0
-
-
 def feedback_coefficients(params: Params, basis: Basis) -> FeedbackLaw:
     """Assemble the feedback table from the conservative basis's moments (``basis.moments``).
 
@@ -206,22 +202,17 @@ def feedback_coefficients(params: Params, basis: Basis) -> FeedbackLaw:
     synthesis_regime_check(params)
     moments = basis.moments
     inu_m = moments.profile + params.nu * (basis.n_list == 0)  # <I_nu, f_n> = <I, f_n> + nu delta_{n0}
-    dead = np.abs(inu_m) < 1e-12
-    if np.any(dead):
-        raise UncontrollableError(
-            f"vanishing virtual moment <I_nu, f_n> at n in {basis.n_list[dead].tolist()}"
-        )
+    if (dead := basis.n_list[np.abs(inu_m) < 1e-12]).size:
+        raise UncontrollableError(f"vanishing virtual moment <I_nu, f_n> at n in {dead.tolist()}")
     f1_0 = moments.at_0[:, 0]
     L = params.L
     table = -2.0 * math.tanh(params.mu * L) * f1_0**2 / (2.0 * L * inu_m)
-    tau = _tau(params, basis)
-    if np.any(np.abs(tau) < 1e-6):
-        bad = basis.n_list[np.abs(tau) < 1e-6]
+    if (bad := basis.n_list[np.abs(moments.tau) < 1e-6]).size:
         raise RegimeError(f"|tau_n| below 1e-6 at n in {bad.tolist()}")
-    h = math.tanh(params.mu * L) * f1_0 * basis.eigenvalues / tau
+    h = math.tanh(params.mu * L) * f1_0 * basis.eigenvalues / moments.tau
     return FeedbackLaw(
         params=params, n_list=basis.n_list.copy(), table=table,
-        i_nu_moments=inu_m, eigenvalues=basis.eigenvalues.copy(), tau=tau, singular=h,
+        i_nu_moments=inu_m, eigenvalues=basis.eigenvalues.copy(), tau=moments.tau.copy(), singular=h,
     )
 
 
@@ -231,7 +222,7 @@ def zero_law(params: Params, basis: Basis) -> FeedbackLaw:
     return FeedbackLaw(
         params=params, n_list=basis.n_list.copy(), table=zeros,
         i_nu_moments=basis.moments.profile.copy(), eigenvalues=basis.eigenvalues.copy(),
-        tau=_tau(params, basis), singular=zeros.copy(),
+        tau=basis.moments.tau.copy(), singular=zeros.copy(),
     )
 
 

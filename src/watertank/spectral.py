@@ -16,9 +16,12 @@ integrals are taken exactly against a quadratic interpolant of the coupling.
 At gamma = 0 the march is exact to rounding.
 
 The eigenvalue search runs on fixed 64- and 128-step marches, whatever the
-grid, and returns their Richardson value ``b + (b - a)/15``. Only the store
-pass of :func:`build_basis` marches on the grid, one step per cell, and its
-residual checks that root. Every spectrum, this one and the closed loop's, is
+grid, and returns their Richardson value ``b + (b - a)/15``. The
+conservative family's moments, which its feedback law reads, come from
+boundary identities at those roots, with one more 128-step march
+(:func:`_law_moments`). Only the store pass of :func:`build_basis`, which a
+build runs only when it keeps samples, marches on the grid, one step per
+cell, and its residual checks the roots. Every spectrum, this one and the closed loop's, is
 found by :func:`secant`, which never counts a non-finite residual as
 converged, and guarded by :func:`collision`. Every march over [0, L], that of
 the Lyapunov weight of ``simulate.lyapunov_certificate`` at a real parameter
@@ -32,12 +35,11 @@ store pass lays the ODE check's coarse march out in blocks of
 ``_STORE_STEPS / 2`` = 32 steps and marches the grid on that layout doubled
 (:func:`_store_blocks`), so on every grid each coarse block holds the even
 nodes of one fine block. It streams each fine block into the (K, 2, nx)
-family, if kept, and into the conservative family's per-mode sums
-(:class:`_Sums`): the norms, the ``<I, f_n>`` and ``f_n(L)`` that a feedback
-law reads, and the Gram of the orthonormality check. One real scale per
-mode then normalizes the sums and the family in place. So a conservative
-build holds its family plus a few blocks of scratch, each sized from the
-layout it serves, or, with ``samples=False``, the scratch alone; a damped
+family and into the conservative family's sums (:class:`_Sums`): the
+quadrature norms and the Gram of the orthonormality check. One real scale per
+mode then normalizes the family in place. So a conservative build holds its
+family plus a few blocks of scratch, each sized from the layout it serves;
+with ``samples=False`` it runs no store pass and holds no grid array; a damped
 build holds its family and duals, and pairs them, and the reference modes
 that scale them, one block of mode rows at a time (:func:`pairings`,
 :func:`gram_matrix`, :func:`reference_mode`). The search evaluates the
@@ -283,37 +285,35 @@ def shoot(params: Params, lams, seed, nsteps, blocks=None):
         yield rows.start, rows.stop, states
 
 
+def _at_L(params: Params, lams, seed, nsteps, blocks=None):
+    """``f(L)``, (2, K), of the ``nsteps`` march on the layout ``blocks`` (:func:`shoot`), per entry of ``lams``."""
+    *_, (_, _, states) = shoot(params, lams, seed, nsteps, blocks)
+    eL = np.exp(lams * params.L)
+    return np.stack([states[-1, 0] * eL, states[-1, 1] / eL])
+
+
 def _residual(params: Params, lams, seed, nsteps):
     """Boundary residual ``f1(L) + f2(L)`` of the ``nsteps`` march, per entry of ``lams``."""
-    *_, (_, _, states) = shoot(params, lams, seed, nsteps)
-    eL = np.exp(lams * params.L)
-    return states[-1, 0] * eL + states[-1, 1] / eL
+    return np.sum(_at_L(params, lams, seed, nsteps), axis=0)
 
 
 class _Sums:
-    """The sums over the grid that a conservative family's law and Gram check read, block by block.
+    """The sums over the grid that a sampled conservative family's scale and Gram check read, block by block.
 
     Of the raw samples ``f``, with Simpson weights w: ``norm2 = sum w
-    |f_n|^2``, ``profile = sum w I conj(f_n)`` for the control profile ``I =
-    e^{int delta} (1, 1)``, the raw Gram ``gram[i, j] = sum w f_i
-    conj(f_j)``, and ``last = f(L)``. No mass and no ``<f_0, f_n>`` is
-    summed: for n != 0 both are 0 in exact arithmetic, since f_0 alone spans
-    the conserved mass (``feedback.feedback_coefficients``). Each
-    per-mode sum is taken row by row (``np.einsum``, which calls no BLAS),
-    along each block and then block after block, so it depends on its own
-    mode's samples alone: the sums of a smaller family are rows of a larger
-    one's, and conjugate modes have conjugate sums. Only the Gram, which the
-    orthonormality check alone reads, is a BLAS product. A block is added
-    one component at a time, through one buffer sized from the store layout.
+    |f_n|^2`` and the raw Gram ``gram[i, j] = sum w f_i conj(f_j)``. The law
+    reads none of them: its moments come from boundary identities
+    (:func:`_law_moments`). ``norm2`` is taken row by row (``np.einsum``,
+    which calls no BLAS), along each block and then block after block, so it
+    depends on its own mode's samples alone: the samples of a smaller family
+    are rows of a larger one's. Only the Gram, which the orthonormality check
+    alone reads, is a BLAS product. A block is added one component at a
+    time, through one buffer sized from the store layout.
     """
 
     def __init__(self, params: Params, K: int):
-        grid = uniform_grid(params)
-        self.w = simpson_weights(grid)
-        self.w_profile = self.w * diagonal_weight(params, grid)
+        self.w = simpson_weights(uniform_grid(params))
         self.norm2, self.gram = np.zeros(K), np.zeros((K, K), dtype=complex)
-        self.profile = np.zeros(K, dtype=complex)
-        self.last = np.empty((K, 2), dtype=complex)
         self._buf = np.empty((K, _longest(_store_blocks(params.grid_points - 1)[1])), dtype=complex)
 
     def add(self, nodes: slice, comp: int, f):
@@ -322,8 +322,6 @@ class _Sums:
         np.multiply(np.conjugate(f, out=a), self.w[nodes], out=a)  # w conj(f)
         self.gram += f @ a.T
         self.norm2 += np.einsum("ij,ij->i", f, a).real
-        self.profile += np.conj(np.einsum("ij,j->i", f, self.w_profile[nodes]))
-        self.last[:, comp] = f[:, -1]
 
 
 def _store_blocks(nsteps):
@@ -337,11 +335,11 @@ def _store_blocks(nsteps):
     return coarse, [slice(2 * b.start, 2 * b.stop) for b in coarse]
 
 
-def _store_pass(params: Params, lams, seed, samples=True, sums=None):
+def _store_pass(params: Params, lams, seed, sums=None):
     """Sample the eigenfunctions at ``lams`` on the params grid, one march step per cell.
 
     Returns the boundary residuals ``|f1(L) + f2(L)| / max |f|``, the (K, 2, nx)
-    samples (None unless ``samples``) and the ODE error ``max |f - f_coarse| /
+    samples and the ODE error ``max |f - f_coarse| /
     max |f|`` on the even grid nodes, against the march at two cells per step.
     The two marches go block beside block on the layouts of
     :func:`_store_blocks`, so each coarse block holds the even nodes of its
@@ -349,26 +347,22 @@ def _store_pass(params: Params, lams, seed, samples=True, sums=None):
     :func:`shoot` yields is turned in place into f variables, ``f1 = e^{lam
     x} g1`` and ``f2 = e^{-lam x} g2`` (the coarse block with the factors of
     its fine block's even rows). Each component of a fine block is copied
-    mode-major into one buffer, from which the samples, if kept, and
-    ``sums`` (a :class:`_Sums`), if given, read it. So the pass holds the
-    samples, if kept, and one block of each march, never a whole march.
+    mode-major into the samples, where ``sums`` (a :class:`_Sums`), if
+    given, reads it. So the pass holds the samples and one block of each
+    march, never a whole march.
     """
     nsteps = params.grid_points - 1
     grid = uniform_grid(params)
     K = lams.size
     seed = np.asarray(seed, dtype=complex)
     coarse_blocks, fine_blocks = _store_blocks(nsteps)
-    vals = np.empty((K, 2, nsteps + 1), dtype=complex) if samples else None
-    buf = np.empty((K, _longest(fine_blocks)), dtype=complex)
+    vals = np.empty((K, 2, nsteps + 1), dtype=complex)
 
-    def store(nodes, states):  # each component mode-major through buf, into the samples and the sums
+    def store(nodes, states):  # each component mode-major into the samples, which the sums read
         for comp in range(2):
-            f = buf[:, :len(states)]
-            f[...] = states[:, comp].T
-            if samples:
-                vals[:, comp, nodes] = f
+            vals[:, comp, nodes] = states[:, comp].T
             if sums:
-                sums.add(nodes, comp, f)
+                sums.add(nodes, comp, vals[:, comp, nodes])
 
     first = np.tile(seed[:, None], (1, 1, K))  # node-major: f = g at x = 0
     store(slice(0, 1), first)
@@ -437,9 +431,13 @@ def find_eigenvalues(params: Params, kind: BcKind, n_range):
     and RegimeError when a root, or the last iterate of a search that failed,
     drifts more than 1/(2L) from its seed.
     """
-    n_list = np.asarray(list(n_range), dtype=int)
-    lam0 = unperturbed_eigenvalues(kind, params, n_list)
-    seed = _left_seed(kind, params)
+    return _search(params, kind, np.asarray(list(n_range), dtype=int))[0]
+
+
+def _search(params: Params, kind: BcKind, n_list):
+    """:func:`find_eigenvalues` of the mode array ``n_list``, with each root's Richardson difference
+    ``|fine - coarse|/15``."""
+    lam0, seed = unperturbed_eigenvalues(kind, params, n_list), _left_seed(kind, params)
 
     def drift_guard(lam, among):
         bad = among & (np.abs(lam - lam0) > 0.5 / params.L)
@@ -457,7 +455,7 @@ def find_eigenvalues(params: Params, kind: BcKind, n_range):
 
     coarse = search(lam0, lam0 + 0.02j / params.L, _SEARCH_STEPS)
     fine = search(coarse, coarse + 1e-6j / params.L, 2 * _SEARCH_STEPS)
-    roots = fine + (fine - coarse) / 15.0
+    roots = fine + (correction := (fine - coarse) / 15.0)
 
     drift_guard(roots, True)  # first: two roots within 1/(2L) of distinct seeds cannot collide
     if pair := collision(roots):
@@ -465,7 +463,7 @@ def find_eigenvalues(params: Params, kind: BcKind, n_range):
         raise NumericalError(
             f"root collision between modes {a} and {b}: spectrum not simple at these parameters"
         )
-    return roots
+    return roots, np.abs(correction)
 
 
 class ModeIndexed:
@@ -488,12 +486,16 @@ class Moments:
 
     ``at_0`` and ``at_L`` hold the (K, 2) boundary values f_n(0) and f_n(L);
     with the 1/(2L) product of :func:`pairings`, ``profile`` is ``<I, f_n>``
-    for the control profile ``I = e^{int delta} (1, 1)``.
+    for the control profile ``I = e^{int delta} (1, 1)``, and ``tau`` is
+    ``tau_n = e^{int_0^L delta} f_{n,1}(L) / f_{n,1}(0) - 1``. All four come
+    from the roots and boundary identities (:func:`_law_moments`), never from
+    a sum over the grid, whether or not the build keeps samples.
     """
 
     at_0: np.ndarray
     at_L: np.ndarray
     profile: np.ndarray
+    tau: np.ndarray
 
 
 @dataclass
@@ -507,6 +509,13 @@ class Basis(ModeIndexed):
     :func:`adjoint_values` derives from ``values``, rescaled so the
     cross-Gram is the identity. ``gram_deviation`` is the largest entry of
     ``|G - I|`` that the build's (bi)orthonormality check measured.
+    ``search_errors`` holds each root's Richardson difference. The residuals
+    are the store pass's on the grid; without samples, ``bc_residuals`` is
+    the 128-step moment march's ``|f1(L) + f2(L)| / max(|f(0)|, |f(L)|)`` at
+    the roots and ``ode_residuals`` is ``search_errors``. A sampled
+    conservative build keeps in ``identity_gaps`` the per-mode relative gaps
+    of its quadrature norm and ``<I, f_n>`` from their identity values: a
+    measure of Simpson's error.
     """
 
     kind: BcKind
@@ -519,15 +528,19 @@ class Basis(ModeIndexed):
     ode_residuals: np.ndarray = None
     gram_deviation: float = None
     moments: Moments = None  # conservative only
+    search_errors: np.ndarray = None
+    identity_gaps: dict = None  # sampled conservative only: {"norm": ..., "profile": ...}
 
     def diagnostics(self) -> dict:
-        """Build health: the search's step counts, the store pass's worst residuals and the Gram deviation."""
-        return {
-            "search_steps": [_SEARCH_STEPS, 2 * _SEARCH_STEPS],
-            "bc_residual_max": float(np.max(self.bc_residuals)),
-            "ode_error_max": float(np.max(self.ode_residuals)),
-            "gram_deviation": self.gram_deviation,
-        }
+        """Build health: the search's step counts and largest Richardson difference, the worst
+        boundary residual, and, where samples were kept, the store pass's ODE error, the Gram
+        deviation and the largest identity gaps."""
+        diag = {"search_steps": [_SEARCH_STEPS, 2 * _SEARCH_STEPS],
+                "search_error_max": float(np.max(self.search_errors)),
+                "bc_residual_max": float(np.max(self.bc_residuals))}
+        if self.values is not None:
+            diag.update(ode_error_max=float(np.max(self.ode_residuals)), gram_deviation=self.gram_deviation)
+        return diag | {f"{what}_gap_max": float(np.max(gaps)) for what, gaps in (self.identity_gaps or {}).items()}
 
     def samples(self) -> np.ndarray:
         """``values``, or ValueError for a basis built without them (``samples=False``)."""
@@ -644,35 +657,85 @@ def adjoint_values(params: Params, values):
     return np.multiply(reflection(BcKind.DAMPED, params), out, out=out)
 
 
+def _law_moments(params: Params, lams, n_list):
+    """The conservative family's :class:`Moments` at its roots ``lams``, its norms and residuals.
+
+    If f solves ``L f' + delta J f = lam f`` and phi the adjoint equation
+    ``-(L phi' + delta J phi) = conj(nu) phi``, then ``d/dx (phi^* L f) =
+    (lam - nu) phi^* f``: J is antisymmetric and L real and diagonal. Two
+    cases give every moment from boundary values, for the seed mode ``f(0) =
+    (1, -1)``, whose root lam is imaginary and whose ``f_1(L) = -f_2(L)`` is
+    real:
+
+    - the norm. With ``g = df/dlam``, ``(f^* L g)' = |f|^2`` and ``g(0) =
+      0``, so ``d_n^2 = conj(f_{n,1}(L)) R'(lam_n) / (2L)``, ``R = f1(L) +
+      f2(L)`` the residual of the search;
+    - the control moment. With ``e = e^{int delta}``, ``(e (f1 - f2))' = lam
+      e (f1 + f2) + (4/3) delta e (f1 - f2)``, and ``delta e`` is a multiple
+      of the mass weight, so the last term integrates to 0 for n != 0 (f_0
+      alone has mass). Hence ``<I, f_n> = -f_{n,1}(0) tau_n / (L lam_n)``,
+      ``tau_n = e(L) f_{n,1}(L) / f_{n,1}(0) - 1``, and ``<I, f_0> = 0``.
+
+    One ``2 _SEARCH_STEPS`` march at the roots and at ``lam +- h``, ``lam +-
+    2h`` (h = 1e-3) gives f(L) and R' (5-point stencil). It is five times as
+    wide as a search march, so it takes blocks a quarter as long, which
+    bounds its scratch near the search's. Each column is its own mode's, so a
+    smaller family's moments are rows of a larger one's. The stencil's
+    rounding, about ``1e-16 / h`` relative, bounds how well ``d_n`` and the
+    moments of a conjugate pair agree. Returns the moments of the normalized
+    family, the norms ``d_n`` and the residuals ``|R(lam_n)| / max(|f(0)|,
+    |f(L)|)``.
+    """
+    K, seed, nsteps, h = lams.size, _left_seed(BcKind.CONSERVATIVE, params), 2 * _SEARCH_STEPS, 1e-3
+    stencil = lams + h * np.array([-2.0, -1.0, 1.0, 2.0])[:, None]
+    f = _at_L(params, np.concatenate([lams, stencil.ravel()]), seed, nsteps,
+              _row_blocks(nsteps, _BLOCK_STEPS // 4))
+    at_L, r = f[:, :K].T, np.sum(f[:, K:], axis=0).reshape(4, K)
+    d = np.sqrt((np.conj(at_L[:, 0]) * (r[0] - 8.0 * r[1] + 8.0 * r[2] - r[3])).real / (24.0 * h * params.L))
+    tau = float(diagonal_weight(params, np.array([params.L]))[0]) * at_L[:, 0] / seed[0] - 1.0
+    mode0, at_0 = n_list == 0, seed / d[:, None]
+    profile = np.where(mode0, 0.0, -at_0[:, 0] * tau / (params.L * np.where(mode0, 1.0, lams)))
+    bc = np.abs(at_L[:, 0] + at_L[:, 1]) / np.maximum(1.0, np.max(np.abs(at_L), axis=1))
+    return Moments(at_0=at_0, at_L=at_L / d[:, None], profile=profile, tau=tau), d, bc
+
+
 def build_basis(params: Params, kind: BcKind, N=None, with_duals=True, samples=True) -> Basis:
     """Assemble the eigenfamily for ``|n| <= N`` with invariant checks.
 
     Conservative: orthonormal family (Gram = identity to 1e-6), self-dual,
-    with the :class:`Moments` its feedback law reads. The store pass sums
-    them, and the Gram, from the raw samples (:class:`_Sums`); one real
-    scale per mode, ``d_n = ||f_n||``, then normalizes the sums, and the
-    samples when ``samples`` keeps them. ``f_n,1(0) = 1/d_n > 0`` needs no
-    phase fixing. With ``samples=False`` no (K, 2, nx) family is ever
-    allocated, and the moments have the same bits. Damped: functions continue
-    the gamma = 0 family (38), scaled so that ``<f_n, phi_n^(0)> = 1`` against
-    the gamma = 0 adjoint pair; the duals are :func:`adjoint_values` of the
-    functions, rescaled so that ``<f_n, dual_m> = delta_nm`` (checked to
-    1e-6). A damped build always keeps its samples.
+    with the :class:`Moments` its feedback law reads, which
+    :func:`_law_moments` takes from the roots on either path, so a law has
+    the same bits with or without samples. With ``samples=False`` the build
+    is the search and that one march: no store pass, no grid array. With
+    samples, the store pass samples the family and sums its quadrature norms
+    and Gram (:class:`_Sums`); one real scale per mode, the quadrature
+    ``d_n = ||f_n||``, normalizes the samples. ``f_n,1(0) = 1/d_n > 0``
+    needs no phase fixing. Damped: functions continue the gamma = 0 family
+    (38), scaled so that ``<f_n, phi_n^(0)> = 1`` against the gamma = 0
+    adjoint pair; the duals are :func:`adjoint_values` of the functions,
+    rescaled so that ``<f_n, dual_m> = delta_nm`` (checked to 1e-6). A
+    damped build always keeps its samples.
     """
     if N is None:
         N = params.n_modes
-    if 2 * N + 1 > params.grid_points:  # more modes than samples: the Gram check would fail
+    if 2 * N + 1 > params.grid_points:  # more modes than samples: a sampled build's Gram check would fail
         raise NumericalError(f"n_modes = {N} needs grid_points >= 2 n_modes + 1 = {2 * N + 1}, "
                              f"not {params.grid_points}: raise grid_points")
     n_list = np.arange(-N, N + 1)
     grid = uniform_grid(params)
-    eigs = find_eigenvalues(params, kind, n_list)
+    eigs, search_errors = _search(params, kind, n_list)
     conservative = kind is BcKind.CONSERVATIVE
-    seed = _left_seed(kind, params)
+    found = dict(kind=kind, n_list=n_list, eigenvalues=eigs, grid=grid, search_errors=search_errors)
+    if conservative:
+        with np.errstate(all="ignore"):  # a non-finite moment or norm is refused here
+            found["moments"], d, bc = _law_moments(params, eigs, n_list)
+        if (bad := n_list[~(np.isfinite(bc) & (0 < d) & (d < np.inf))]).size:
+            raise NumericalError(f"non-finite moments or norms for n in {bad.tolist()}")
+        if not samples:
+            return Basis(values=None, bc_residuals=bc, ode_residuals=search_errors, **found)
     sums = _Sums(params, n_list.size) if conservative else None
-    bc_res, vals, ode_err = _store_pass(params, eigs, seed, samples or not conservative, sums)
-    bad = n_list[~(bc_res <= np.maximum(1e-9, ode_err))]  # the grid march checks the roots; nan fails
-    if bad.size:
+    bc_res, vals, ode_err = _store_pass(params, eigs, _left_seed(kind, params), sums)
+    if (bad := n_list[~(bc_res <= np.maximum(1e-9, ode_err))]).size:  # the grid march checks the roots; nan fails
         raise NumericalError(f"boundary residual of the grid march exceeds max(1e-9, its ODE "
                              f"error) for n in {bad.tolist()}")
 
@@ -686,15 +749,16 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True, samples=T
             )
         return float(np.max(dev))
 
-    dual_values = moments = gram_dev = None  # the family is scaled in place, never copied
+    dual_values = gaps = gram_dev = None  # the family is scaled in place, never copied
     if conservative:
         two_L = 2.0 * grid[-1]
-        d = np.sqrt(sums.norm2 / two_L)
-        gram_dev = check_identity(sums.gram / np.outer(d, d) / two_L, "orthonormality")
-        if vals is not None:
-            vals /= d[:, None, None]
-        moments = Moments(at_0=seed / d[:, None], at_L=sums.last / d[:, None],
-                          profile=sums.profile / d / two_L)
+        d_grid = np.sqrt(sums.norm2 / two_L)
+        gram_dev = check_identity(sums.gram / np.outer(d_grid, d_grid) / two_L, "orthonormality")
+        vals /= d_grid[:, None, None]
+        # <I, f_n> by Simpson's rule, one product over both components; the gap at n = 0 is absolute
+        profile = np.conj(vals.reshape(len(vals), -1) @ np.tile(sums.w * diagonal_weight(params, grid), 2)) / two_L
+        gaps = {"norm": np.abs(d_grid / d - 1.0),
+                "profile": np.abs(profile / np.where(n_list == 0, 1.0, found["moments"].profile) - (n_list != 0))}
     else:
         scales = np.empty(n_list.size, dtype=complex)
         for rows in _row_blocks(n_list.size):  # one block of reference modes at a time
@@ -705,11 +769,8 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True, samples=T
             dual_values = adjoint_values(params, vals)
             dual_values *= np.conj(1.0 / pairings(vals, dual_values, grid))[:, None, None]  # 1/<f_n, phi_n>
             gram_dev = check_identity(gram_matrix(vals, dual_values, grid), "biorthonormality")
-    return Basis(
-        kind=kind, n_list=n_list, eigenvalues=eigs, grid=grid,
-        values=vals, dual_values=dual_values,
-        bc_residuals=bc_res, ode_residuals=ode_err, gram_deviation=gram_dev, moments=moments,
-    )
+    return Basis(values=vals, dual_values=dual_values, bc_residuals=bc_res, ode_residuals=ode_err,
+                 gram_deviation=gram_dev, identity_gaps=gaps, **found)
 
 
 @dataclass

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from watertank import backstepping
+from watertank import spectral
 from watertank.backstepping import (
     TransformMatrix,
     _digamma,
@@ -407,3 +408,23 @@ class TestDigamma:
             warnings.simplefilter("error")
             psi = _digamma(np.array([0.0, -1.0, -7.0], dtype=complex))
         assert not np.any(np.isfinite(psi))
+
+
+def test_a_root_left_off_its_zero_is_refused(monkeypatch):
+    # the secant stops one seed 1e-7 off its root, where 1e-10 < |F| < 1e-4: the residual
+    # guard, not the secant's step test, must refuse it
+    p = Params(gamma=0.03, mu=2.0, nu=0.5, n_modes=4, grid_points=257)
+    law = feedback_coefficients(p, spectral.build_basis(p, BcKind.CONSERVATIVE, samples=False))
+    real, left = backstepping.secant, []
+
+    def stops_short(*args, **kwargs):
+        roots, done = real(*args, **kwargs)
+        roots = roots.copy()
+        roots[0] += 1e-7
+        left.append(abs(complex(characteristic_function(law, roots[0]))))
+        return roots, done
+
+    monkeypatch.setattr(backstepping, "secant", stops_short)
+    with pytest.raises(NumericalError, match=r"did not converge from 1 Galerkin seed\(s\), first at"):
+        closed_loop_spectrum(law)
+    assert 1e-10 < left[0] < 1e-4, left

@@ -285,6 +285,31 @@ def test_import_skips_unused_scipy_modules():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_skips_modules_one_command_reads():
+    # a fresh process: acceptance is read by report alone, finite_dim by finite-demo alone
+    src = str(Path(cli.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import watertank.cli; "
+            "print([m for m in ('watertank.acceptance', 'watertank.finite_dim') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_the_law_path_runs_no_grid_march(tmp_path, monkeypatch):
+    # feedback at P_LOOP, simulate without a law file and a law the acceptance memo lacks
+    # build their laws from the roots and boundary identities: no store pass
+    calls = []
+    real = spectral._store_pass
+    monkeypatch.setattr(spectral, "_store_pass", lambda *args: calls.append(args) or real(*args))
+    loop = ["--set", "gamma=0.03", "--set", "n_modes=41", "--set", "grid_points=4097", "--set", "t_final=2.0"]
+    assert run(["feedback"] + loop, tmp_path / "feedback") == 0
+    assert run(["simulate"] + FAST, tmp_path / "simulate") == 0
+    monkeypatch.setattr(acceptance, "_memo", {})
+    acceptance._law(acceptance.P_LOOP, 41)
+    assert calls == []
+    spectral.build_basis(acceptance.P_LOOP, spectral.BcKind.CONSERVATIVE, 2)  # a sampled build marches
+    assert len(calls) == 1
+
+
 def test_entry_freezes_before_main_and_exits_with_its_code(monkeypatch):
     frozen = []
 
@@ -360,16 +385,16 @@ class TestSpectrumCommand:
         assert "re_f1_0" in header and "im_f2_1" in header
 
     def test_eigenfunction_dump_shoots_each_kind_once(self, tmp_path, monkeypatch):
-        # the basis dumped for ``modes`` supplies the conservative spectrum
+        # the basis dumped for ``modes`` supplies the conservative spectrum; every search,
+        # find_eigenvalues' and build_basis's, goes through spectral._search
         calls = Counter()
-        real = spectral.find_eigenvalues
+        real = spectral._search
 
-        def counted(params, kind, n_range):
+        def counted(params, kind, n_list):
             calls[kind] += 1
-            return real(params, kind, n_range)
+            return real(params, kind, n_list)
 
-        monkeypatch.setattr(spectral, "find_eigenvalues", counted)
-        monkeypatch.setattr(cli, "find_eigenvalues", counted)
+        monkeypatch.setattr(spectral, "_search", counted)
         args = ["spectrum", "--set", "gamma=0.05"] + FAST
         assert run(args + ["--set", "modes=0,1"], tmp_path / "modes") == 0
         assert calls == {spectral.BcKind.CONSERVATIVE: 1, spectral.BcKind.DAMPED: 1}
@@ -423,20 +448,21 @@ class TestFeedbackCommand:
         code = run(["feedback", "--set", "gamma=0.03"] + FAST, tmp_path)
         assert code == 0
         doc = json.loads((tmp_path / "feedback.json").read_text())
+        # the law's basis keeps no samples, so no store pass and no Gram check report
+        assert set(doc["diagnostics"]) == {"search_steps", "search_error_max", "bc_residual_max"}
         mode = doc["law"]["modes"][0]
         assert set(mode) == {"n", "re", "im", "tau_re", "tau_im", "h_re", "h_im",
                              "mu_re", "mu_im", "b_re", "b_im"}
         assert doc["physical"]["mu_internal"] == pytest.approx(2.0)
 
     def test_shooting_diagnostics(self, tmp_path):
-        # the search's step counts, the store pass's worst residuals and the
-        # orthonormality check's deviation; the law file still reads back into simulate
+        # the search's step counts and largest Richardson difference, and the moment
+        # march's worst boundary residual at the roots; the law file still reads back into simulate
         assert run(["feedback", "--set", "gamma=0.03"] + FAST, tmp_path) == 0
         diag = json.loads((tmp_path / "feedback.json").read_text())["diagnostics"]
         assert diag["search_steps"] == [64, 128]
-        for key in ("bc_residual_max", "ode_error_max"):
+        for key in ("search_error_max", "bc_residual_max"):
             assert math.isfinite(diag[key]) and 0.0 <= diag[key] <= 1e-9, key
-        assert 0.0 <= diag["gram_deviation"] <= 1e-6
         law = ["--set", f"law_file={tmp_path}/feedback.json"]
         assert run(["simulate", "--set", "gamma=0.03"] + law + FAST, tmp_path) == 0
 

@@ -268,15 +268,15 @@ class TestMarch:
             for name, a, b in zip(("bc_residuals", "values", "ode_residuals"), got, want):
                 assert a.shape == b.shape and np.array_equal(a, b), (nx, name)
             assert got[1].flags.c_contiguous
-            # without samples, and with the sums taken, the residuals keep their bits; the
-            # sums are the same whether or not the samples are kept
-            sums = [spectral._Sums(p, lams.size) for _ in range(2)]
-            kept, lean = _store_pass(p, lams, seed, True, sums[0]), _store_pass(p, lams, seed, False, sums[1])
-            assert lean[1] is None and np.array_equal(kept[1], want[1])
-            for a in (kept, lean):
-                assert np.array_equal(a[0], want[0]) and np.array_equal(a[2], want[2]), nx
-            for name in ("norm2", "gram", "profile", "last"):
-                assert np.array_equal(getattr(sums[0], name), getattr(sums[1], name)), (nx, name)
+            # with the sums taken, the samples and residuals keep their bits, and the
+            # sums are those of the node-major samples
+            sums = spectral._Sums(p, lams.size)
+            kept = _store_pass(p, lams, seed, sums)
+            for a, b in zip(kept, want):
+                assert np.array_equal(a, b), nx
+            w = spectral.simpson_weights(uniform_grid(p))
+            norm2 = np.einsum("kcx,kcx,x->k", want[1], np.conj(want[1]), w).real
+            assert np.max(np.abs(sums.norm2 - norm2)) <= 1e-13 * np.max(norm2), nx
 
     def test_lyapunov_weight_is_one_piece_march(self):
         # the certificate's eta is the march over the whole table, bit for bit
@@ -603,9 +603,9 @@ class TestBuildBasis:
 
     def test_store_pass_rejects_shifted_roots(self, monkeypatch):
         p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=4, grid_points=257)
-        real = spectral.find_eigenvalues
+        real = spectral._search
         monkeypatch.setattr(
-            spectral, "find_eigenvalues", lambda *args: real(*args) + 1e-6
+            spectral, "_search", lambda *args: (real(*args)[0] + 1e-6, real(*args)[1])
         )
         for kind in BcKind:
             with pytest.raises(NumericalError, match=r"n in \[-4, -3, -2, -1, 0, 1, 2, 3, 4\]"):
@@ -613,9 +613,13 @@ class TestBuildBasis:
 
     def test_coarse_grid_failure_names_grid_points(self):
         p = Params(gamma=0.03, n_modes=8, grid_points=17)
-        for samples in (True, False):
-            with pytest.raises(NumericalError, match="orthonormality failure .*raise grid_points"):
-                build_basis(p, BcKind.CONSERVATIVE, 8, samples=samples)
+        with pytest.raises(NumericalError, match="orthonormality failure .*raise grid_points"):
+            build_basis(p, BcKind.CONSERVATIVE, 8)
+        # without samples nothing reads the grid: the moments are those of a fine grid's build
+        lean, fine = (build_basis(q, BcKind.CONSERVATIVE, 8, samples=False)
+                      for q in (p, Params(gamma=0.03, n_modes=8, grid_points=4097)))
+        for name in ("at_0", "at_L", "profile"):
+            assert np.array_equal(getattr(lean.moments, name), getattr(fine.moments, name)), name
 
     def test_sample_readers_refuse_a_basis_without_samples(self):
         from watertank.backstepping import dirichlet_sum
@@ -623,7 +627,7 @@ class TestBuildBasis:
 
         p = Params(gamma=0.05, mu=2.0, nu=0.5, n_modes=4, grid_points=257)
         lean = build_basis(p, BcKind.CONSERVATIVE, samples=False)
-        assert lean.values is None and lean.moments is not None and lean.gram_deviation < 1e-6
+        assert lean.values is None and lean.moments is not None and lean.gram_deviation is None
         readers = [lambda: lean.samples(), lambda: w_modes(p, lean),
                    lambda: kato_psi(p, lean, 1), lambda: virtual_profile(p, lean),
                    lambda: dirichlet_sum(lean, np.ones((2, p.grid_points)))]
@@ -632,7 +636,7 @@ class TestBuildBasis:
                 read()
 
     def test_more_modes_than_samples_refused_before_shooting(self, monkeypatch):
-        monkeypatch.setattr(spectral, "find_eigenvalues", None)  # a search would raise TypeError
+        monkeypatch.setattr(spectral, "_search", None)  # a search would raise TypeError
         p = Params(gamma=0.03, n_modes=9, grid_points=17)
         with pytest.raises(NumericalError, match=r"n_modes = 9 needs grid_points >= 2 n_modes \+ 1 = 19"):
             build_basis(p, BcKind.CONSERVATIVE)
@@ -833,3 +837,17 @@ class TestPerturbationSeries:
         assert abs(l1_boundary(p, 6, K=20000)) == pytest.approx(
             1.5 * p.L, rel=1e-3
         )
+
+
+@pytest.mark.parametrize("kind", list(BcKind))
+def test_secant_from_offset_seeds_finds_the_closed_forms(kind):
+    # criterion 1's partner: at gamma = 0 its search starts on the roots, so its errors read 0.
+    # From seeds 0.1/L off, the secant on the 128-step residual must land on i pi n/L
+    # (plus mu if damped) to 1e-9
+    p = Params(gamma=0.0, mu=2.0, nu=0.5, n_modes=20, grid_points=1025)
+    exact = unperturbed_eigenvalues(kind, p, range(-20, 21))
+    seed, start = _left_seed(kind, p), exact + 0.1 / p.L
+    roots, ok = secant(lambda lam: _residual(p, lam, seed, 2 * spectral._SEARCH_STEPS), start,
+                       start + 0.02j / p.L, _SECANT_TOL, max_step=0.3 / p.L)
+    assert np.all(ok) and np.max(np.abs(start - exact)) > 0.09
+    assert np.max(np.abs(roots - exact)) < 1e-9
