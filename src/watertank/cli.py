@@ -140,13 +140,13 @@ def load_config(path, overrides, command):
 
 # the law block's per-mode key prefixes, each a complex FeedbackLaw field written as a
 # ``<prefix>re``/``<prefix>im`` pair after ``n``: the file format of a law, in one place
-_LAW_FIELDS = {"": "table", "tau_": "tau", "h_": "singular", "mu_": "eigenvalues", "b_": "i_nu_moments"}
+_LAW_FIELDS = {"": "table", "tau_": "tau", "mu_": "eigenvalues", "b_": "i_nu_moments"}
 
 
 def _law_doc(law) -> dict:
     """The ``law`` block of ``feedback.json``, which :func:`_read_law` reads back: every field a
-    closed-loop run reads, and ``tau_n`` and ``h_n``, which no run reads. JSON writes each float
-    by ``repr``, so it reads back exactly."""
+    closed-loop run reads, and ``tau_n``, which no run reads. JSON writes each float by ``repr``,
+    so it reads back exactly."""
     cols = {}
     for prefix, name in _LAW_FIELDS.items():
         values = getattr(law, name)
@@ -190,7 +190,8 @@ def _read_law(path, params: Params) -> FeedbackLaw:
     synthesis regime is checked again at them; the law passed every other
     check of ``feedback_coefficients`` at those parameters when it was written.
     Only the ``_LAW_FIELDS`` columns are read, so an older file that also
-    holds each mode's mass (``mass_re``/``mass_im``) reads as the same law.
+    holds each mode's mass (``mass_re``/``mass_im``) or the table's singular
+    part (``h_re``/``h_im``) reads as the same law.
     """
     try:
         stored = json.loads(Path(path).read_text())

@@ -15,10 +15,9 @@ n != 0. This is the unique scale at which the closed loop, with the tail
 (``backstepping.closed_loop_spectrum``), has the boundary-damped target
 eigenvalues, and the TB = B partial sums converge to the identity.)
 
-The table grows linearly in n and is unbounded as a functional; its
-singular part ``h_n = +tanh(mu L) f_{n,1}(0) mu_n / tau_n`` (with
-``tau_n = e^{int delta} f_{n,1}(L)/f_{n,1}(0) - 1``) captures the growth.
-Off mode 0 the table equals ``h_n``: that is the control-moment identity
+The table grows linearly in n and is unbounded as a functional: off mode 0
+it equals ``tanh(mu L) f_{n,1}(0) mu_n / tau_n`` (with ``tau_n = e^{int
+delta} f_{n,1}(L)/f_{n,1}(0) - 1``), by the control-moment identity
 ``<I, f_n> = -f_{n,1}(0) tau_n / (L mu_n)``.
 
 The law reads the basis only through its moments (``spectral.Moments``):
@@ -129,7 +128,7 @@ _SYMMETRY_TOL = 1e-10  # criterion 12's reality tolerance, here relative to the 
 
 @dataclass
 class FeedbackLaw(ModeIndexed):
-    """Modal feedback table with its moment data and singular/regular split.
+    """Modal feedback table with its moment data.
 
     The closed loop of a real state runs in the real coordinates of
     :func:`to_real`, by the one real :meth:`galerkin_matrix`; its control is
@@ -142,7 +141,6 @@ class FeedbackLaw(ModeIndexed):
     i_nu_moments: np.ndarray   # <I_nu, f_n>
     eigenvalues: np.ndarray
     tau: np.ndarray            # tau_n = e^{int delta} f1(L)/f1(0) - 1
-    singular: np.ndarray       # h_n
     # (M, dt, powers) of the last closed-loop run, the powers being the transposed squares
     # (e^{M dt})^(2^j) that simulate._record doubles over; simulate.integrate_closed_loop
     # reuses them only while galerkin_matrix() still equals M; dataclasses.replace starts it empty
@@ -209,20 +207,18 @@ def feedback_coefficients(params: Params, basis: Basis) -> FeedbackLaw:
     table = -2.0 * math.tanh(params.mu * L) * f1_0**2 / (2.0 * L * inu_m)
     if (bad := basis.n_list[np.abs(moments.tau) < 1e-6]).size:
         raise RegimeError(f"|tau_n| below 1e-6 at n in {bad.tolist()}")
-    h = math.tanh(params.mu * L) * f1_0 * basis.eigenvalues / moments.tau
     return FeedbackLaw(
         params=params, n_list=basis.n_list.copy(), table=table,
-        i_nu_moments=inu_m, eigenvalues=basis.eigenvalues.copy(), tau=moments.tau.copy(), singular=h,
+        i_nu_moments=inu_m, eigenvalues=basis.eigenvalues.copy(), tau=moments.tau.copy(),
     )
 
 
 def zero_law(params: Params, basis: Basis) -> FeedbackLaw:
     """A zero-table law carrying the basis moments: drives the open loop."""
-    zeros = np.zeros(basis.n_list.size, dtype=complex)
     return FeedbackLaw(
-        params=params, n_list=basis.n_list.copy(), table=zeros,
+        params=params, n_list=basis.n_list.copy(), table=np.zeros(basis.n_list.size, dtype=complex),
         i_nu_moments=basis.moments.profile.copy(), eigenvalues=basis.eigenvalues.copy(),
-        tau=basis.moments.tau.copy(), singular=zeros.copy(),
+        tau=basis.moments.tau.copy(),
     )
 
 

@@ -19,13 +19,15 @@ The eigenvalue search runs on fixed 64- and 128-step marches, whatever the
 grid, and returns their Richardson value ``b + (b - a)/15``. The
 conservative family's moments, which its feedback law reads, come from
 boundary identities at those roots, with one more 128-step march
-(:func:`_law_moments`). Only the store pass of :func:`build_basis`, which a
-build runs only when it keeps samples, marches on the grid, one step per
-cell, and its residual checks the roots. Every spectrum, this one and the closed loop's, is
-found by :func:`secant`, which never counts a non-finite residual as
-converged, and guarded by :func:`collision`. Every march over [0, L], that of
-the Lyapunov weight of ``simulate.lyapunov_certificate`` at a real parameter
-too, streams through :func:`shoot` one block of steps at a time.
+(:func:`_law_moments`), which also gives each mode's norm ``d_n``: the one
+normalization of the family, its samples' as well as its moments'. Only the
+store pass of :func:`build_basis`, which a build runs only when it keeps
+samples, marches on the grid, one step per cell, and its residual checks the
+roots. Every spectrum, this one and the closed loop's, is found by
+:func:`secant`, which never counts a non-finite residual as converged, and
+guarded by :func:`collision`. Every march over [0, L], that of the Lyapunov
+weight of ``simulate.lyapunov_certificate`` at a real parameter too, streams
+through :func:`shoot` one block of steps at a time.
 
 Memory: a march computes once what no block's step table depends on and
 builds its tables one block of steps at a time (:func:`step_tables`),
@@ -34,16 +36,16 @@ caller chooses (:func:`shoot`), by default ``_BLOCK_STEPS`` = 128 steps. The
 store pass lays the ODE check's coarse march out in blocks of
 ``_STORE_STEPS / 2`` = 32 steps and marches the grid on that layout doubled
 (:func:`_store_blocks`), so on every grid each coarse block holds the even
-nodes of one fine block. It streams each fine block into the (K, 2, nx)
-family and into the conservative family's sums (:class:`_Sums`): the
-quadrature norms and the Gram of the orthonormality check. One real scale per
-mode then normalizes the family in place. So a conservative build holds its
-family plus a few blocks of scratch, each sized from the layout it serves;
-with ``samples=False`` it runs no store pass and holds no grid array; a damped
-build holds its family and duals, and pairs them, and the reference modes
-that scale them, one block of mode rows at a time (:func:`pairings`,
-:func:`gram_matrix`, :func:`reference_mode`). The search evaluates the
-secant's two seed columns in two marches, not one twice as wide.
+nodes of one fine block. It copies each fine block into the (K, 2, nx)
+family. A conservative family is then divided in place by the identity norms
+``d_n`` and its orthonormality checked by :func:`gram_matrix`. So a
+conservative build holds its family plus a few blocks of scratch, each sized
+from the layout it serves; with ``samples=False`` it runs no store pass and
+holds no grid array; a damped build holds its family and duals. Every build
+pairs its family, and the reference modes that scale a damped one, one block
+of mode rows at a time (:func:`pairings`, :func:`gram_matrix`,
+:func:`reference_mode`). The search evaluates the secant's two seed columns
+in two marches, not one twice as wide.
 """
 
 from __future__ import annotations
@@ -297,33 +299,6 @@ def _residual(params: Params, lams, seed, nsteps):
     return np.sum(_at_L(params, lams, seed, nsteps), axis=0)
 
 
-class _Sums:
-    """The sums over the grid that a sampled conservative family's scale and Gram check read, block by block.
-
-    Of the raw samples ``f``, with Simpson weights w: ``norm2 = sum w
-    |f_n|^2`` and the raw Gram ``gram[i, j] = sum w f_i conj(f_j)``. The law
-    reads none of them: its moments come from boundary identities
-    (:func:`_law_moments`). ``norm2`` is taken row by row (``np.einsum``,
-    which calls no BLAS), along each block and then block after block, so it
-    depends on its own mode's samples alone: the samples of a smaller family
-    are rows of a larger one's. Only the Gram, which the orthonormality check
-    alone reads, is a BLAS product. A block is added one component at a
-    time, through one buffer sized from the store layout.
-    """
-
-    def __init__(self, params: Params, K: int):
-        self.w = simpson_weights(uniform_grid(params))
-        self.norm2, self.gram = np.zeros(K), np.zeros((K, K), dtype=complex)
-        self._buf = np.empty((K, _longest(_store_blocks(params.grid_points - 1)[1])), dtype=complex)
-
-    def add(self, nodes: slice, comp: int, f):
-        """Add the samples ``f``, (K, r), of component ``comp`` at ``grid[nodes]``."""
-        a = self._buf[:, :f.shape[-1]]
-        np.multiply(np.conjugate(f, out=a), self.w[nodes], out=a)  # w conj(f)
-        self.gram += f @ a.T
-        self.norm2 += np.einsum("ij,ij->i", f, a).real
-
-
 def _store_blocks(nsteps):
     """The store pass's layouts: the coarse march's and the fine march's, that one doubled.
 
@@ -335,7 +310,7 @@ def _store_blocks(nsteps):
     return coarse, [slice(2 * b.start, 2 * b.stop) for b in coarse]
 
 
-def _store_pass(params: Params, lams, seed, sums=None):
+def _store_pass(params: Params, lams, seed):
     """Sample the eigenfunctions at ``lams`` on the params grid, one march step per cell.
 
     Returns the boundary residuals ``|f1(L) + f2(L)| / max |f|``, the (K, 2, nx)
@@ -346,10 +321,9 @@ def _store_pass(params: Params, lams, seed, sums=None):
     fine block and the check is one subtraction per block. Each block
     :func:`shoot` yields is turned in place into f variables, ``f1 = e^{lam
     x} g1`` and ``f2 = e^{-lam x} g2`` (the coarse block with the factors of
-    its fine block's even rows). Each component of a fine block is copied
-    mode-major into the samples, where ``sums`` (a :class:`_Sums`), if
-    given, reads it. So the pass holds the samples and one block of each
-    march, never a whole march.
+    its fine block's even rows), and a fine block is copied mode-major into
+    the samples. So the pass holds the samples and one block of each march,
+    never a whole march.
     """
     nsteps = params.grid_points - 1
     grid = uniform_grid(params)
@@ -357,16 +331,8 @@ def _store_pass(params: Params, lams, seed, sums=None):
     seed = np.asarray(seed, dtype=complex)
     coarse_blocks, fine_blocks = _store_blocks(nsteps)
     vals = np.empty((K, 2, nsteps + 1), dtype=complex)
-
-    def store(nodes, states):  # each component mode-major into the samples, which the sums read
-        for comp in range(2):
-            vals[:, comp, nodes] = states[:, comp].T
-            if sums:
-                sums.add(nodes, comp, vals[:, comp, nodes])
-
-    first = np.tile(seed[:, None], (1, 1, K))  # node-major: f = g at x = 0
-    store(slice(0, 1), first)
-    scale = np.max(np.abs(first), axis=(0, 1))
+    vals[:, :, 0] = seed  # f = g at x = 0
+    scale = np.max(np.abs(vals[:, :, 0]), axis=1)
     ode_err = np.zeros(K)
     marches = zip(shoot(params, lams, seed, nsteps, fine_blocks),
                   shoot(params, lams, seed, nsteps // 2, coarse_blocks))
@@ -376,7 +342,7 @@ def _store_pass(params: Params, lams, seed, sums=None):
             g[:, 0] *= e
             g[:, 1] /= e
         scale = np.maximum(scale, np.max(np.abs(states), axis=(0, 1)))
-        store(slice(s0 + 1, s1 + 1), states)
+        vals[:, :, s0 + 1:s1 + 1] = states.transpose(2, 1, 0)
         diff = np.abs(np.subtract(half, states[1::2], out=half))
         ode_err = np.maximum(ode_err, np.max(diff, axis=(0, 1)))
     return np.abs(states[-1, 0] + states[-1, 1]) / scale, vals, ode_err / scale
@@ -508,14 +474,16 @@ class Basis(ModeIndexed):
     ``dual_values`` holds the biorthogonal family: the adjoint eigenfunctions
     :func:`adjoint_values` derives from ``values``, rescaled so the
     cross-Gram is the identity. ``gram_deviation`` is the largest entry of
-    ``|G - I|`` that the build's (bi)orthonormality check measured.
+    ``|G - I|``, the diagonal included, that the build's (bi)orthonormality
+    check measured.
     ``search_errors`` holds each root's Richardson difference. The residuals
     are the store pass's on the grid; without samples, ``bc_residuals`` is
     the 128-step moment march's ``|f1(L) + f2(L)| / max(|f(0)|, |f(L)|)`` at
     the roots and ``ode_residuals`` is ``search_errors``. A sampled
-    conservative build keeps in ``identity_gaps`` the per-mode relative gaps
-    of its quadrature norm and ``<I, f_n>`` from their identity values: a
-    measure of Simpson's error.
+    conservative build, whose samples the identity norms ``d_n`` scale,
+    keeps in ``identity_gaps`` the per-mode relative gaps of its quadrature
+    norm (``|sqrt(G_nn) - 1|``, off its Gram's diagonal) and ``<I, f_n>``
+    from their identity values.
     """
 
     kind: BcKind
@@ -707,14 +675,15 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True, samples=T
     :func:`_law_moments` takes from the roots on either path, so a law has
     the same bits with or without samples. With ``samples=False`` the build
     is the search and that one march: no store pass, no grid array. With
-    samples, the store pass samples the family and sums its quadrature norms
-    and Gram (:class:`_Sums`); one real scale per mode, the quadrature
-    ``d_n = ||f_n||``, normalizes the samples. ``f_n,1(0) = 1/d_n > 0``
-    needs no phase fixing. Damped: functions continue the gamma = 0 family
-    (38), scaled so that ``<f_n, phi_n^(0)> = 1`` against the gamma = 0
-    adjoint pair; the duals are :func:`adjoint_values` of the functions,
-    rescaled so that ``<f_n, dual_m> = delta_nm`` (checked to 1e-6). A
-    damped build always keeps its samples.
+    samples, the store pass samples the family, and the identity norms
+    ``d_n`` of that march normalize it, so ``values[:, :, 0]`` is
+    ``moments.at_0`` bit for bit; :func:`gram_matrix` checks it.
+    ``f_n,1(0) = 1/d_n > 0`` needs no phase fixing. Damped: functions
+    continue the gamma = 0 family (38), scaled so that ``<f_n, phi_n^(0)> =
+    1`` against the gamma = 0 adjoint pair; the duals are
+    :func:`adjoint_values` of the functions, rescaled so that ``<f_n,
+    dual_m> = delta_nm`` (checked to 1e-6). A damped build always keeps its
+    samples.
     """
     if N is None:
         N = params.n_modes
@@ -733,8 +702,7 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True, samples=T
             raise NumericalError(f"non-finite moments or norms for n in {bad.tolist()}")
         if not samples:
             return Basis(values=None, bc_residuals=bc, ode_residuals=search_errors, **found)
-    sums = _Sums(params, n_list.size) if conservative else None
-    bc_res, vals, ode_err = _store_pass(params, eigs, _left_seed(kind, params), sums)
+    bc_res, vals, ode_err = _store_pass(params, eigs, _left_seed(kind, params))
     if (bad := n_list[~(bc_res <= np.maximum(1e-9, ode_err))]).size:  # the grid march checks the roots; nan fails
         raise NumericalError(f"boundary residual of the grid march exceeds max(1e-9, its ODE "
                              f"error) for n in {bad.tolist()}")
@@ -751,13 +719,13 @@ def build_basis(params: Params, kind: BcKind, N=None, with_duals=True, samples=T
 
     dual_values = gaps = gram_dev = None  # the family is scaled in place, never copied
     if conservative:
-        two_L = 2.0 * grid[-1]
-        d_grid = np.sqrt(sums.norm2 / two_L)
-        gram_dev = check_identity(sums.gram / np.outer(d_grid, d_grid) / two_L, "orthonormality")
-        vals /= d_grid[:, None, None]
+        vals /= d[:, None, None]
+        G = gram_matrix(vals, vals, grid)
+        gram_dev = check_identity(G, "orthonormality")
         # <I, f_n> by Simpson's rule, one product over both components; the gap at n = 0 is absolute
-        profile = np.conj(vals.reshape(len(vals), -1) @ np.tile(sums.w * diagonal_weight(params, grid), 2)) / two_L
-        gaps = {"norm": np.abs(d_grid / d - 1.0),
+        weight = simpson_weights(grid) * diagonal_weight(params, grid)
+        profile = np.conj(vals.reshape(len(vals), -1) @ np.tile(weight, 2)) / (2.0 * grid[-1])
+        gaps = {"norm": np.abs(np.sqrt(np.diagonal(G).real) - 1.0),
                 "profile": np.abs(profile / np.where(n_list == 0, 1.0, found["moments"].profile) - (n_list != 0))}
     else:
         scales = np.empty(n_list.size, dtype=complex)

@@ -372,6 +372,42 @@ class TestClosedLoopSpectrum:
             closed_loop_spectrum(law)
 
 
+# points s with |Im s| <= 40, off the poles -mu_n (Re s != 0), and per (mu, gamma) the
+# largest relative gap |F - ratio| / |ratio| over them allowed at N = 20, 41, 80: about
+# twice the measured 1.28e-7, 1.47e-8, 2.01e-9 (mu = 2) and 1.32e-8, 2.29e-9, 1.16e-9 (mu = 4)
+ORACLE_S = np.array([-3.3 + 0.7j, -2.5 - 13.3j, -1.2 + 25.9j, -0.5 - 38.1j,
+                     0.4 + 4.6j, 1.1 - 20.2j, 1.8 + 33.3j, 2.5 - 0.9j])
+ORACLE_BOUNDS = {(2.0, 0.03): (3e-7, 3e-8, 4e-9), (4.0, 0.005): (3e-8, 5e-9, 2.5e-9)}
+
+
+@pytest.mark.parametrize("mu, gamma", list(ORACLE_BOUNDS), ids=["mu2", "mu4"])
+def test_characteristic_function_is_a_ratio_of_shooting_residuals(mu, gamma):
+    # F(s) = -(1 + tanh(mu L)) R~(-s) / R(-s), R and R~ the residuals f1(L) + f2(L) of the
+    # conservative and damped marches. Derived, not fitted: the poles -lam_n agree, since
+    # c_n = -tanh(mu L) / (L d_n^2) with d_n^2 = f_{n,1}(L) R'(lam_n) / (2L), and the Wronskian
+    # det[f, f~] is constant in x (tr L(lam - delta J) = 0), so f_{n,1}(L) R~(lam_n) equals its
+    # value at 0, 1 - e^{-2 mu L} = 2 tanh(mu L) / (1 + tanh(mu L)). As Re s -> +inf, F -> 1 +
+    # tanh(mu L) and R~(-s)/R(-s) -> -1, which fixes the constant. The gap is the tail model's
+    # error, N^-3 at mu = 2; at mu = 4, N = 80 it meets a floor of about 1e-12 absolute, the
+    # law's own rounding, where |F| is 1e-3 (Re s <= -2.5), not the march's: 512- and
+    # 1024-step ratios agree to 3e-13
+    ratios = []
+    for nsteps in (512, 1024):
+        p = Params(gamma=gamma, mu=mu, nu=0.5, n_modes=4, grid_points=257)
+        R, Rt = (spectral._residual(p, -ORACLE_S, spectral._left_seed(kind, p), nsteps) for kind in BcKind)
+        ratios.append(-(1.0 + math.tanh(mu * p.L)) * Rt / R)
+    assert np.max(np.abs(ratios[0] / ratios[1] - 1.0)) <= 1e-11
+    gaps = []
+    for N, nx, bound in zip((20, 41, 80), (2049, 4097, 8193), ORACLE_BOUNDS[mu, gamma]):
+        p = Params(gamma=gamma, mu=mu, nu=0.5, n_modes=N, grid_points=nx)
+        law = feedback_coefficients(p, spectral.build_basis(p, BcKind.CONSERVATIVE, samples=False))
+        gaps.append(np.max(np.abs(characteristic_function(law, ORACLE_S) - ratios[1]) / np.abs(ratios[1])))
+        assert gaps[-1] <= bound, (N, gaps[-1])
+    if mu == 2.0:  # each doubling of N cuts the gap by N^3, to within 30%
+        for (n0, g0), (n1, g1) in zip(((20, gaps[0]), (41, gaps[1])), ((41, gaps[1]), (80, gaps[2]))):
+            assert 0.7 < (g0 / g1) / (n1 / n0) ** 3 < 1.3, gaps
+
+
 class TestDigamma:
     """``_digamma`` against mpmath's digamma as the independent reference."""
 

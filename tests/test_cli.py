@@ -451,8 +451,7 @@ class TestFeedbackCommand:
         # the law's basis keeps no samples, so no store pass and no Gram check report
         assert set(doc["diagnostics"]) == {"search_steps", "search_error_max", "bc_residual_max"}
         mode = doc["law"]["modes"][0]
-        assert set(mode) == {"n", "re", "im", "tau_re", "tau_im", "h_re", "h_im",
-                             "mu_re", "mu_im", "b_re", "b_im"}
+        assert set(mode) == {"n", "re", "im", "tau_re", "tau_im", "mu_re", "mu_im", "b_re", "b_im"}
         assert doc["physical"]["mu_internal"] == pytest.approx(2.0)
 
     def test_shooting_diagnostics(self, tmp_path):
@@ -556,12 +555,14 @@ class TestSimulateCommand:
         ).read_bytes()
 
     def test_law_file_with_mode_masses_reads_as_the_same_law(self, tmp_path):
-        # the earlier format also held each mode's mass as ``mass_re``/``mass_im``: such a
-        # file reads as the law built afresh and runs as it, bit for bit
+        # earlier formats also held each mode's mass as ``mass_re``/``mass_im`` and the
+        # table's singular part as ``h_re``/``h_im``: such a file reads as the law built
+        # afresh and runs as it, bit for bit
         assert run(["feedback", "--set", "gamma=0.03"] + FAST, tmp_path) == 0
         doc = json.loads((tmp_path / "feedback.json").read_text())
         for m in doc["law"]["modes"]:
-            m.update(mass_re=2.02 if m["n"] == 0 else 1e-11, mass_im=-3e-12 * m["n"])
+            m.update(mass_re=2.02 if m["n"] == 0 else 1e-11, mass_im=-3e-12 * m["n"],
+                     h_re=0.0, h_im=272.2 * m["n"])
         (tmp_path / "feedback.json").write_text(json.dumps(doc))
         params = Params(gamma=0.03, n_modes=4, grid_points=257)
         got = cli._read_law(tmp_path / "feedback.json", params)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import watertank
+from code_lines import code_lines
 
 MODULES = ["watertank"] + sorted(
     m.name
@@ -225,3 +226,31 @@ def test_march_caller_check_flags_one():
               "def store(p):\n    def marched():\n        return spectral.march(p)\n    return marched\n\n"
               "def other(p):\n    return shoot(p)\n")
     assert _march_callers(source) == ["shoot: march", "shoot: step_tables", "store: march"]
+
+
+def test_code_line_counter_on_a_synthetic_module():
+    # docstrings, comments and blank lines count none; every line of a multi-line call and of
+    # a string that is not a docstring counts
+    source = '''"""Module docstring,
+over two lines."""
+
+import math  # a comment
+
+
+# a comment alone
+class A:
+    """Class docstring."""
+
+    def f(self, x):
+        """Function docstring."""
+        return math.hypot(
+            x,  # an argument
+            1.0,
+        )
+
+
+TEXT = """not a docstring,
+over two lines"""
+'''
+    assert code_lines(source) == 9
+    assert code_lines("") == 0
